@@ -3,7 +3,10 @@
 Batch commands reading JSON inputs and writing CSV/JSON artifacts; every
 output carries a config hash and replays bit-identically from its seed.
 Exit codes are stable API: 0 success, 2 no enforceable line (infeasible),
-3 verification failure, 64 usage error.
+3 verification failure, 64 usage error.  A numerical failure inside the
+package (LpNumericalError, StationaryError, SingularChainError,
+PolicyIterationCycleError, ZdConstructionError) also exits 3, with one
+``error:`` line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, canonicalize, game_to_dict, load_game
-from .markov import UtilityPair
-from .mdp import defender_utility_under_br
+from .lp import LpNumericalError
+from .markov import SingularChainError, StationaryError, UtilityPair
+from .mdp import PolicyIterationCycleError, defender_utility_under_br
 from .programs import realize_params, solve_ideal, solve_optimal
 from .rng import stream
 from .scenarios import CrowdScenario, scenario_from_dict
 from .sse import baselines, build_mip, emit_mip, exhaustive_sse, search_sse
 from .sim import switching_experiment
-from .zd import WeightParams, ZdLinearParams, classify, defining_residual
+from .zd import WeightParams, ZdConstructionError, ZdLinearParams, classify, defining_residual
 from . import __version__
 
 EXIT_OK = 0
@@ -35,6 +39,9 @@ EXIT_VERIFY = 3
 EXIT_USAGE = 64
 
 VERIFY_TOL = 1e-8
+
+NUMERICAL_ERRORS = (LpNumericalError, StationaryError, SingularChainError,
+                    PolicyIterationCycleError, ZdConstructionError)
 
 
 @dataclass(frozen=True)
@@ -351,8 +358,8 @@ def cmd_simulate(args) -> int:
     lines = [f"# zdmtd simulate seed={args.seed} config_hash={hash_}",
              "step,avg_u_d,avg_u_a,regime"]
     for i in range(len(stats.series_step)):
-        lines.append(f"{stats.series_step[i]},{stats.series_avg_u_d[i]!r},"
-                     f"{stats.series_avg_u_a[i]!r},{stats.series_regime[i]}")
+        lines.append(f"{stats.series_step[i]},{float(stats.series_avg_u_d[i])!r},"
+                     f"{float(stats.series_avg_u_a[i])!r},{stats.series_regime[i]}")
     atomic_write(args.out, "\n".join(lines) + "\n")
     for name, summary in report.regimes.items():
         print(f"regime={name} steps={summary.n_steps} "
@@ -439,6 +446,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except NUMERICAL_ERRORS as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -101,13 +101,43 @@ def _stationary_direct(m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def _chain_values(f, w, sd, sa, policy_idx) -> tuple[float, float]:
+    """(u_d, u_a) of a 0-based deterministic policy on prebuilt tables."""
+    v = _stationary_direct(_chain(f, w[policy_idx]))
+    return float(v @ sd), float(v @ sa)
+
+
 def _policy_value(g: GameSpec, pi_d: MemoryOneStrategy, policy) -> tuple[float, float]:
     """(u_d, u_a) of the deterministic attacker policy under the shared
     evaluation convention."""
     f, w, _, sd, sa = _effective_tables(g, pi_d)
-    wrows = w[np.asarray(policy, dtype=int) - 1]
-    v = _stationary_direct(_chain(f, wrows))
-    return float(v @ sd), float(v @ sa)
+    return _chain_values(f, w, sd, sa, np.asarray(policy, dtype=int) - 1)
+
+
+def _fundamental(f, w, sd, sa, policy_idx):
+    """(Z, v, Z S_d, Z S_a) of a 0-based policy's chain P, where
+    Z = (I - P + 1c^T)^-1 with c uniform and v = cZ is the stationary vector."""
+    n = f.shape[0]
+    a = np.eye(n) - _chain(f, w[policy_idx]) + 1.0 / n
+    z = np.linalg.solve(a, np.eye(n))
+    return z, z.mean(axis=0), z @ sd, z @ sa
+
+
+def _swap_values(f, w, fund, policy_idx, s):
+    """(u_d, u_a) arrays over every action at state s, the rest of the policy
+    fixed, from the policy's fundamental matrix in O(K^2).
+
+    Moving s from action a0 to a changes row s of the chain by
+    delta = F[s] (x) (W[a] - W[a0]); the stationary vector becomes
+    v + v'_s delta Z with v'_s = v_s / (1 - (delta Z)_s).
+    """
+    z, v, zsd, zsa = fund
+    k = w.shape[0]
+    x = np.stack([zsd, zsa, z[:, s]], axis=1).reshape(k, 3 * k)  # [d, (a, j)]
+    y = w @ (f[s] @ x).reshape(k, 3)  # y[a, j] = (F[s] (x) W[a]) . x_j
+    dy = y - y[policy_idx[s]]
+    vs = v[s] / (1.0 - dy[:, 2])
+    return zsd.mean() + vs * dy[:, 0], zsa.mean() + vs * dy[:, 1]
 
 
 def _evaluate(f, w, r_eff, policy_idx):
@@ -145,8 +175,7 @@ def best_response(mdp: AttackerMdp) -> BestResponse:
         cur = q[np.arange(n), policy]
         switch = q[np.arange(n), best] > cur + _SWITCH_TOL
         if not np.any(switch):
-            u_d, u_a = _policy_value(g, pi_d, policy + 1)
-            return BestResponse(tuple(int(a) + 1 for a in policy), u_a, h)
+            return BestResponse(tuple(int(a) + 1 for a in policy), float(gain), h)
         policy = np.where(switch, best, policy)
         key = tuple(policy)
         if key in seen:
@@ -208,7 +237,16 @@ def exhaustive_br(g: GameSpec, pi_d: MemoryOneStrategy) -> BestResponse:
 def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     """Best response with the optimistic-follower tie rule: among attacker
     policies within TIE_TOL of the optimal gain, pick one maximizing the
-    defender's utility (exact enumeration at K <= 3, candidate swaps above).
+    defender's utility.
+
+    K <= 3 enumerates every policy exactly.  Above, the search starts from
+    the best of K + 1 policies (the Howard optimum and the K constant ones)
+    and, state by state, takes in action order each action that raises the
+    defender's utility further while staying in the tie set, until a sweep
+    changes nothing (a local optimum, not an exhaustive one); each
+    state's K actions are scored by rank-one updates of one fundamental
+    matrix, re-formed only after an accepted swap, whose (u_d, u_a) is then
+    recorded from a direct solve.
 
     Returns ((u_d, u_a), BestResponse-of-the-chosen-policy).
     """
@@ -216,6 +254,7 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
 
     br = best_response(build_attacker_mdp(g, pi_d))
     n = g.k * g.k
+    f, w, r_eff, sd, sa = _effective_tables(g, pi_d)
 
     if g.k <= 3:
         pols, u_d, u_a = _policy_values_batch(g, pi_d)
@@ -224,40 +263,37 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
         policy = tuple(int(x) + 1 for x in pols[chosen])
         pair = UtilityPair(float(u_d[chosen]), float(u_a[chosen]))
     else:
-        gain_ref = br.gain
-        candidates = [np.asarray(br.policy, dtype=int)]
-        candidates += [np.full(n, m, dtype=int) for m in range(1, g.k + 1)]
-        best_pol, best_pair = None, None
+        floor = br.gain - TIE_TOL
+        candidates = [np.asarray(br.policy, dtype=int) - 1]
+        candidates += [np.full(n, m, dtype=int) for m in range(g.k)]
+        pol, best_pair = None, None
         for cand in candidates:
-            ud, ua = _policy_value(g, pi_d, cand)
-            if ua < gain_ref - TIE_TOL:
+            ud, ua = _chain_values(f, w, sd, sa, cand)
+            if ua < floor:
                 continue
             if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
-                best_pol, best_pair = cand.copy(), (ud, ua)
-        pol = best_pol
+                pol, best_pair = cand.copy(), (ud, ua)
+        fund = _fundamental(f, w, sd, sa, pol)
         improved = True
         guard = 0
         while improved and guard < 50:
             improved = False
             guard += 1
             for s in range(n):
+                ud, ua = _swap_values(f, w, fund, pol, s)
                 orig = pol[s]
-                for a in range(1, g.k + 1):
-                    if a == orig:
-                        continue
-                    pol[s] = a
-                    ud, ua = _policy_value(g, pi_d, pol)
-                    if ua >= gain_ref - TIE_TOL and ud > best_pair[0] + _SWITCH_TOL:
-                        best_pair = (ud, ua)
+                for a in range(g.k):
+                    if a != orig and ua[a] >= floor and ud[a] > best_pair[0] + _SWITCH_TOL:
+                        best_pair = (ud[a], ua[a])
                         orig = a
-                        improved = True
-                    else:
-                        pol[s] = orig
-                pol[s] = orig
-        policy = tuple(int(x) for x in pol)
+                if orig != pol[s]:
+                    pol[s] = orig
+                    best_pair = _chain_values(f, w, sd, sa, pol)
+                    fund = _fundamental(f, w, sd, sa, pol)
+                    improved = True
+        policy = tuple(int(x) + 1 for x in pol)
         pair = UtilityPair(*best_pair)
 
-    f, w, r_eff, _, _ = _effective_tables(g, pi_d)
     _, h, _ = _evaluate(f, w, r_eff, np.asarray(policy) - 1)
     chosen_br = BestResponse(policy, pair.u_a, h, br.policies_evaluated)
     return pair, chosen_br

@@ -9,7 +9,14 @@ import numpy as np
 
 from zdmtd.game import GameSpec
 from zdmtd.markov import EPSILON_MIX
-from zdmtd.mdp import defender_utility_under_br
+from zdmtd.mdp import (
+    TIE_TOL,
+    _SWITCH_TOL,
+    _policy_value,
+    best_response,
+    build_attacker_mdp,
+    defender_utility_under_br,
+)
 from zdmtd.programs import ZdSolveResult, realize_params, solve_optimal
 
 
@@ -133,3 +140,44 @@ def pipeline_value(g: GameSpec, result: ZdSolveResult = None):
     strategy, _, _ = built
     pair, _ = defender_utility_under_br(g, strategy)
     return pair.u_d
+
+
+def swap_search_direct(g: GameSpec, pi_d):
+    """Reference for the optimistic tie search above K = 3: the same start
+    policies, state order and first-improvement acceptance as
+    `defender_utility_under_br`, with every candidate scored by its own dense
+    stationary solve.  Returns (1-based policy tuple, (u_d, u_a))."""
+    assert g.k > 3
+    n = g.k * g.k
+    br = best_response(build_attacker_mdp(g, pi_d))
+    gain_ref = br.gain
+    candidates = [np.asarray(br.policy, dtype=int)]
+    candidates += [np.full(n, m, dtype=int) for m in range(1, g.k + 1)]
+    best_pol, best_pair = None, None
+    for cand in candidates:
+        ud, ua = _policy_value(g, pi_d, cand)
+        if ua < gain_ref - TIE_TOL:
+            continue
+        if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
+            best_pol, best_pair = cand.copy(), (ud, ua)
+    pol = best_pol
+    improved = True
+    guard = 0
+    while improved and guard < 50:
+        improved = False
+        guard += 1
+        for s in range(n):
+            orig = pol[s]
+            for a in range(1, g.k + 1):
+                if a == orig:
+                    continue
+                pol[s] = a
+                ud, ua = _policy_value(g, pi_d, pol)
+                if ua >= gain_ref - TIE_TOL and ud > best_pair[0] + _SWITCH_TOL:
+                    best_pair = (ud, ua)
+                    orig = a
+                    improved = True
+                else:
+                    pol[s] = orig
+            pol[s] = orig
+    return tuple(int(x) for x in pol), best_pair

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from zdmtd.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main, solve_game
+from zdmtd.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, solve_game
 from zdmtd.game import GameSpec, game_to_dict
+from zdmtd.lp import LpNumericalError
+from zdmtd.markov import SingularChainError, StationaryError
+from zdmtd.mdp import PolicyIterationCycleError
 from zdmtd.scenarios import crowd_game, crowd_scenario, scenario_to_dict, with_switching
+from zdmtd.zd import ZdConstructionError
 
 from oracles import random_game
 
@@ -126,6 +130,25 @@ def test_simulate_deterministic(tmp_path):
     header = out_a.read_text().splitlines()
     assert header[1] == "step,avg_u_d,avg_u_a,regime"
     assert header[2].endswith(("honest", "malicious"))
+    for line in header[2:]:
+        _, avg_u_d, avg_u_a, _ = line.split(",")
+        float(avg_u_d), float(avg_u_a)  # plain floats, not np.float64(...)
+
+
+@pytest.mark.parametrize("exc", [LpNumericalError, StationaryError, SingularChainError,
+                                 PolicyIterationCycleError, ZdConstructionError])
+def test_numerical_errors_exit_verify(tmp_path, monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr("zdmtd.cli.solve_game", fail)
+    game = write_game(tmp_path / "game.json", COR1)
+    for argv in (["solve", "--game", game, "--out", str(tmp_path / "out")],
+                 ["compare", "--game", game, "--out", str(tmp_path / "c.csv")]):
+        assert main(argv) == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "boom" in err
+        assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_solve_game_function_modes():

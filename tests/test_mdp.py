@@ -9,8 +9,15 @@ from zdmtd.mdp import (
     build_attacker_mdp,
     defender_utility_under_br,
     exhaustive_br,
+    _chain,
+    _effective_tables,
+    _fundamental,
     _policy_value,
+    _swap_values,
 )
+from zdmtd.programs import realize_params, solve_ideal
+
+from oracles import ideal_feasible_game, swap_search_direct
 
 
 def random_game(k, rng, scale=1.0):
@@ -176,3 +183,73 @@ def test_policy_value_matches_long_run_for_interior_defender():
     u = long_run_utilities(g, pi_d, pi_a)
     assert ud == pytest.approx(u.u_d, abs=1e-10)
     assert ua == pytest.approx(u.u_a, abs=1e-10)
+
+
+def _zd_strategy(k, rng):
+    g = ideal_feasible_game(k, rng)
+    ideal = solve_ideal(g)
+    assert ideal.found
+    built = realize_params(g, ideal.params, ideal.role1, ideal.role_k)
+    assert built is not None
+    return g, built[0]
+
+
+def _condition(f, w, pol):
+    """||Z||_inf of the policy's fundamental matrix, the sensitivity of its
+    stationary vector to rounding."""
+    n = f.shape[0]
+    return np.abs(np.linalg.inv(np.eye(n) - _chain(f, w[pol]) + 1.0 / n)).sum(axis=1).max()
+
+
+@pytest.mark.parametrize("k", [4, 5, 7])
+@pytest.mark.parametrize("kind", ["random", "zd"])
+def test_rank_one_swap_values_match_direct_solves(k, kind):
+    # 1e-12 wherever the base and swapped chains are well conditioned
+    # (||Z|| <= 100, every random-strategy chain here).  A ZD strategy's
+    # 1e-9 floor entries make nearly decomposable chains (||Z|| ~ 1e8),
+    # either the base policy's or one a swap creates by closing a rarely
+    # entered class around s.  The rounding-error bound of both the update
+    # and the direct solve is then about eps * ||Z||, and the tolerance grows
+    # with it.  In the second case the update is the less accurate of the
+    # two (it divides v_s ~ 1e-9 by 1 - (delta Z)_s ~ 1e-8; 1.1e-9 off at
+    # K = 4 where the direct solve is within 3e-15 of a 40-digit solve),
+    # which is why an accepted swap is re-scored by a direct solve.
+    rng = np.random.default_rng(100 + k)
+    if kind == "random":
+        g = random_game(k, rng)
+        pi_d = random_strategy(k, rng)
+    else:
+        g, pi_d = _zd_strategy(k, rng)
+    f, w, _, sd, sa = _effective_tables(g, pi_d)
+    pol = rng.integers(0, k, size=k * k)
+    fund = _fundamental(f, w, sd, sa, pol)
+    base = _condition(f, w, pol)
+    for s in range(k * k):
+        ud, ua = _swap_values(f, w, fund, pol, s)
+        for a in range(k):
+            swapped = pol.copy()
+            swapped[s] = a
+            tol = 1e-12 * max(1.0, base / 100, _condition(f, w, swapped) / 100)
+            if kind == "random":
+                assert tol == 1e-12
+            ref_d, ref_a = _policy_value(g, pi_d, swapped + 1)
+            assert abs(ud[a] - ref_d) <= tol
+            assert abs(ua[a] - ref_a) <= tol
+
+
+def test_swap_search_matches_direct_solve_reference():
+    rng = np.random.default_rng(2605)
+    cases = []
+    for k in range(4, 9):
+        for _ in range(3):
+            cases.append((random_game(k, rng), None))
+        for _ in range(3):
+            cases.append(_zd_strategy(k, rng))
+    for g, pi_d in cases:
+        if pi_d is None:
+            pi_d = random_strategy(g.k, rng)
+        pair, chosen = defender_utility_under_br(g, pi_d)
+        policy, (ref_d, ref_a) = swap_search_direct(g, pi_d)
+        assert chosen.policy == policy
+        assert abs(pair.u_d - ref_d) <= 1e-12
+        assert abs(pair.u_a - ref_a) <= 1e-12
