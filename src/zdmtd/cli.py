@@ -23,7 +23,7 @@ import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, canonicalize, game_to_dict, load_game
 from .lp import LpNumericalError
-from .markov import SingularChainError, StationaryError, UtilityPair
+from .markov import SingularChainError, StationaryError, UtilityPair, max_line_residual
 from .mdp import PolicyIterationCycleError, defender_utility_under_br
 from .programs import realize_params, solve_ideal, solve_optimal
 from .rng import stream
@@ -112,14 +112,8 @@ def solve_game(
     residual = defining_residual(g, strategy, params, phi)
     worst = None
     if verify_samples > 0:
-        rng = stream(seed, "solve-verify")
-        from .markov import zd_residual
-
-        worst = 0.0
-        for _ in range(verify_samples):
-            pi_a = MemoryOneStrategy(g.k, rng.dirichlet(np.ones(g.k), size=g.k * g.k))
-            worst = max(worst, zd_residual(g, strategy, pi_a,
-                                           params.alpha, params.beta, params.gamma))
+        worst = max_line_residual(g, strategy, params.alpha, params.beta, params.gamma,
+                                  verify_samples, stream(seed, "solve-verify"))
 
     realized = None
     if evaluate_br is None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_TOL = 1e-12
+MAX_PAYOFF = 1e100  # larger magnitudes overflow the hull and line algebra
 
 
 def flat_index(k: int, i: int, j: int) -> int:
@@ -37,6 +38,8 @@ def _as_vector(x, k: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must have length {k}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
+    if np.max(np.abs(v)) > MAX_PAYOFF:
+        raise ValueError(f"{name} has an entry of magnitude above {MAX_PAYOFF:.0e}")
     v = v.copy()
     v.setflags(write=False)
     return v
@@ -49,7 +52,8 @@ class GameSpec:
     u_d_cov[k]/u_d_unc[k] are the defender's profits when the attacked
     target k is covered/uncovered; u_a_cov/u_a_unc likewise for the
     attacker.  Covered defender profit must strictly exceed uncovered
-    (the defender has an incentive to protect), checked at construction.
+    (the defender has an incentive to protect), and no payoff may exceed
+    1e100 in magnitude; both are checked at construction.
     """
 
     k: int

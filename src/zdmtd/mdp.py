@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, profit_vector
-from .markov import EPSILON_MIX
+from .markov import EPSILON_MIX, UtilityPair, _direct, chain, eps_mixed
 
 BELLMAN_TOL = 1e-9
 TIE_TOL = 1e-9
@@ -64,21 +64,12 @@ def build_attacker_mdp(g: GameSpec, pi_d: MemoryOneStrategy) -> AttackerMdp:
     return AttackerMdp(g, pi_d, pi_d.rows @ ua)
 
 
-def _mix_matrix(k: int, eps: float = EPSILON_MIX) -> np.ndarray:
-    """W[a, a'] = probability of executing a' when the policy picks a."""
-    return (1.0 - eps) * np.eye(k) + eps / k
-
-
-def _defender_matrix(pi_d: MemoryOneStrategy) -> np.ndarray:
-    if np.min(pi_d.rows) <= 0.0:
-        return (1.0 - EPSILON_MIX) * pi_d.rows + EPSILON_MIX / pi_d.k
-    return pi_d.rows
-
-
 def _effective_tables(g: GameSpec, pi_d: MemoryOneStrategy):
-    """(F, W, R_eff, S_d, S_a): defender matrix, action mix, mixed rewards."""
-    f = _defender_matrix(pi_d)
-    w = _mix_matrix(g.k)
+    """(F, W, R_eff, S_d, S_a): defender matrix (blended only if it has
+    zeros), action mix W[a, a'] (probability of executing a' when the policy
+    picks a), mixed rewards and profit vectors."""
+    f = eps_mixed(pi_d).rows if np.min(pi_d.rows) <= 0.0 else pi_d.rows
+    w = (1.0 - EPSILON_MIX) * np.eye(g.k) + EPSILON_MIX / g.k
     _, ua = g.payoff_matrices()
     r_eff = (f @ ua) @ w.T
     sd = profit_vector(g, "defender").entries
@@ -86,24 +77,9 @@ def _effective_tables(g: GameSpec, pi_d: MemoryOneStrategy):
     return f, w, r_eff, sd, sa
 
 
-def _chain(f: np.ndarray, wrows: np.ndarray) -> np.ndarray:
-    """Chain matrix from defender matrix f and per-state executed-action rows."""
-    n, k = f.shape[0], f.shape[1]
-    return np.einsum("sd,sa->sda", f, wrows).reshape(n, n)
-
-
-def _stationary_direct(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    a = m.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
-
-
 def _chain_values(f, w, sd, sa, policy_idx) -> tuple[float, float]:
     """(u_d, u_a) of a 0-based deterministic policy on prebuilt tables."""
-    v = _stationary_direct(_chain(f, w[policy_idx]))
+    v = _direct(chain(f, w[policy_idx]))
     return float(v @ sd), float(v @ sa)
 
 
@@ -118,7 +94,7 @@ def _fundamental(f, w, sd, sa, policy_idx):
     """(Z, v, Z S_d, Z S_a) of a 0-based policy's chain P, where
     Z = (I - P + 1c^T)^-1 with c uniform and v = cZ is the stationary vector."""
     n = f.shape[0]
-    a = np.eye(n) - _chain(f, w[policy_idx]) + 1.0 / n
+    a = np.eye(n) - chain(f, w[policy_idx]) + 1.0 / n
     z = np.linalg.solve(a, np.eye(n))
     return z, z.mean(axis=0), z @ sd, z @ sa
 
@@ -143,7 +119,7 @@ def _swap_values(f, w, fund, policy_idx, s):
 def _evaluate(f, w, r_eff, policy_idx):
     """Gain and bias (h[0] = 0) of a policy on the effective MDP."""
     n = f.shape[0]
-    p = _chain(f, w[policy_idx])
+    p = chain(f, w[policy_idx])
     r = r_eff[np.arange(n), policy_idx]
     a = np.zeros((n + 1, n + 1))
     a[:n, :n] = np.eye(n) - p
@@ -208,15 +184,8 @@ def _enumerate_policies(k: int) -> np.ndarray:
 def _policy_values_batch(g: GameSpec, pi_d: MemoryOneStrategy):
     """(u_d, u_a) for every deterministic policy, evaluated like _policy_value."""
     f, w, _, sd, sa = _effective_tables(g, pi_d)
-    n = g.k * g.k
     pols = _enumerate_policies(g.k)
-    wrows = w[pols]  # P x n x k
-    m = np.einsum("sd,psa->psda", f, wrows).reshape(len(pols), n, n)
-    a = np.transpose(m, (0, 2, 1)) - np.eye(n)
-    a[:, -1, :] = 1.0
-    b = np.zeros((n, 1))
-    b[-1, 0] = 1.0
-    v = np.linalg.solve(a, np.broadcast_to(b, (len(pols), n, 1)))[..., 0]
+    v = _direct(chain(f, w[pols]))
     return pols, v @ sd, v @ sa
 
 
@@ -250,8 +219,6 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
 
     Returns ((u_d, u_a), BestResponse-of-the-chosen-policy).
     """
-    from .markov import UtilityPair
-
     br = best_response(build_attacker_mdp(g, pi_d))
     n = g.k * g.k
     f, w, r_eff, sd, sa = _effective_tables(g, pi_d)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, hat_indicator, profit_vector
 from .lp import GE, check_feasible
-from .markov import zd_residual
+from .markov import max_line_residual
 from .rng import stream
 
 EQ5_TOL = 1e-8
@@ -399,19 +399,13 @@ def defining_residual(g: GameSpec, strategy: MemoryOneStrategy,
 def verify(g: GameSpec, zd: ZdStrategy, n_samples: int = 1000, seed: int = 0) -> VerifyReport:
     """Re-check the algebraic defining equality and the enforced line against
     sampled random attacker strategies."""
-    k = g.k
     rows = zd.strategy.rows
     eq5 = defining_residual(g, zd.strategy, zd.params, zd.phi)
 
     worst = float("nan")
     if n_samples > 0:
-        rng = stream(seed, "zd-verify")
-        worst = 0.0
-        for _ in range(n_samples):
-            pi_a = MemoryOneStrategy(k, rng.dirichlet(np.ones(k), size=k * k))
-            res = zd_residual(g, zd.strategy, pi_a,
-                              zd.params.alpha, zd.params.beta, zd.params.gamma)
-            worst = max(worst, res)
+        worst = max_line_residual(g, zd.strategy, zd.params.alpha, zd.params.beta,
+                                  zd.params.gamma, n_samples, stream(seed, "zd-verify"))
 
     return VerifyReport(
         eq5_residual=eq5,

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +166,49 @@ def test_solve_game_function_modes():
 
     forced = solve_game(g, mode="optimal", verify_samples=0)
     assert forced.kind == "optimal"
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_solve(tmp_path, game, *python_flags, timeout=20):
+    """`zdmtd solve` in a fresh interpreter; (exit code, stderr, seconds)."""
+    path = write_game(tmp_path / "game.json", game)
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *python_flags, "-m", "zdmtd.cli", "solve",
+                           "--game", path, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+    return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("game", [
+    {"k": 2, "u_d_cov": [1, 1], "u_d_unc": [0, 0], "u_a_cov": [0, 0], "u_a_unc": [1, 1]},
+    {"k": 3, "u_d_cov": [1, 1, 1], "u_d_unc": [0, 0, 0], "u_a_cov": [0, 0, 0],
+     "u_a_unc": [1, 1, 1]},
+    {"k": 2, "u_d_cov": [2, 2], "u_d_unc": [1, 1], "u_a_cov": [1, 1], "u_a_unc": [2, 2]},
+], ids=["k2-unit", "k3-unit", "k2-shifted"])
+def test_solve_tied_games_finish(tmp_path, game):
+    # tied payoffs: the sampled chains of the verification step are reducible
+    code, err, seconds = run_solve(tmp_path, game)
+    assert code == EXIT_OK, err
+    assert seconds < 10, seconds
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert result["residuals"]["defining_equality"] <= 1e-8
+    assert result["residuals"]["line_samples_max"] <= 1e-8
+
+
+def test_solve_rejects_overflowing_payoffs(tmp_path):
+    game = {"k": 2, "u_d_cov": [1e300, 5e299], "u_d_unc": [0, 1],
+            "u_a_cov": [2, -1e300], "u_a_unc": [3e299, 1]}
+    code, err, _ = run_solve(tmp_path, game, "-W", "error::RuntimeWarning")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: u_d_cov ")
+
+
+def test_solve_largest_payoffs_raise_no_warning(tmp_path):
+    game = {"k": 2, "u_d_cov": [1e100, 5e99], "u_d_unc": [0, 1],
+            "u_a_cov": [2, -1e100], "u_a_unc": [3e99, 1]}
+    code, err, _ = run_solve(tmp_path, game, "-W", "error::RuntimeWarning")
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_VERIFY), err
+    assert "Warning" not in err and "Traceback" not in err

@@ -95,6 +95,14 @@ def test_assumption_violation_rejected():
         GameSpec(2, (1, np.inf), (0, 0), (0, 0), (0, 0))
 
 
+def test_payoff_magnitude_bound():
+    GameSpec(2, (1e100, 1), (0, -1e100), (-1e100, 0), (0, 1e100))
+    with pytest.raises(ValueError, match="u_a_cov"):
+        GameSpec(2, (1, 1), (0, 0), (2, -1e300), (0, 0))
+    with pytest.raises(ValueError, match="u_d_unc"):
+        GameSpec(2, (1, 1), (0, -2e100), (0, 0), (0, 0))
+
+
 def test_canonicalize_sorts_by_covered_profit():
     g = GameSpec(3, (3, 7, 5), (0, 0, 0), (0, 0, 0), (1, 1, 1))
     cg, cp = canonicalize(g)
@@ -165,3 +173,31 @@ def test_game_json_strict():
         game_from_dict({k: v for k, v in d.items() if k != "u_a_cov"})
     with pytest.raises(ValueError, match="length"):
         game_from_dict({**d, "u_d_cov": [1, 1, 1]})
+
+
+def test_canonicalize_then_invert_is_identity_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # small integers make covered-profit ties common; floats cover the rest
+    value = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    gap = st.one_of(st.integers(1, 3).map(float), st.floats(1e-6, 1e6))
+
+    @st.composite
+    def games(draw):
+        k = draw(st.integers(2, 5))
+        vec = st.lists(value, min_size=k, max_size=k)
+        unc = draw(vec)
+        gaps = draw(st.lists(gap, min_size=k, max_size=k))
+        cov = [u + d for u, d in zip(unc, gaps)]
+        return GameSpec(k, cov, unc, draw(vec), draw(vec))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(games())
+    def check(g):
+        gc, cp = canonicalize(g)
+        assert np.all(np.diff(gc.u_d_cov) <= 0)
+        assert game_to_dict(cp.invert_game(gc)) == game_to_dict(g)
+
+    check()

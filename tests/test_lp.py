@@ -157,3 +157,48 @@ def test_dimension_errors():
         LinearProgram([1.0], "best", [])
     with pytest.raises(LpError):
         LinearProgram([1.0], "max", [(np.array([1.0]), "<", 1.0)])
+
+
+def _linprog_oracle(lp):
+    """(status, optimum) of the same program from scipy's HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sign = -1.0 if lp.sense == "max" else 1.0
+    ub, ub_rhs, eq, eq_rhs = [], [], [], []
+    for row, rel, rhs in lp.constraints:
+        if rel == EQ:
+            eq.append(row)
+            eq_rhs.append(rhs)
+        else:
+            flip = 1.0 if rel == LE else -1.0
+            ub.append(flip * row)
+            ub_rhs.append(flip * rhs)
+    res = optimize.linprog(sign * lp.objective, A_ub=np.array(ub) if ub else None,
+                           b_ub=ub_rhs or None, A_eq=np.array(eq) if eq else None,
+                           b_eq=eq_rhs or None, bounds=list(lp.bounds), method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (sign * res.fun if status == "optimal" else None)
+
+
+def test_solve_lp_matches_scipy_highs():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(2024)
+    counts = {"optimal": 0, "infeasible": 0}
+    for trial in range(120):
+        n = int(rng.integers(2, 6))
+        rows = []
+        for _ in range(int(rng.integers(1, 7))):
+            rel = (LE, GE, EQ)[int(rng.choice(3, p=[0.45, 0.45, 0.1]))]
+            rows.append((rng.normal(size=n).round(3), rel, round(float(rng.normal()), 3)))
+        if trial % 4 == 0:  # a contradictory pair: infeasible by construction
+            row = rng.normal(size=n).round(3)
+            rows += [(row, LE, -1.0), (row, GE, 1.0)]
+        bounds = [(float(-rng.uniform(1, 5)), float(rng.uniform(1, 5))) for _ in range(n)]
+        lp = LinearProgram(rng.normal(size=n).round(3), ("max", "min")[trial % 2],
+                           rows, bounds)
+        status, optimum = _linprog_oracle(lp)
+        out = solve_lp(lp)
+        assert out.status == status, (trial, lp.dump())
+        counts[status] += 1
+        if status == "optimal":
+            assert abs(out.objective - optimum) <= 1e-8 * max(1.0, abs(optimum)), (trial, lp.dump())
+    assert counts["optimal"] >= 30 and counts["infeasible"] >= 30, counts

@@ -10,15 +10,20 @@ from zdmtd.game import (
     random_strategy,
     uniform_strategy,
 )
+from zdmtd import markov
 from zdmtd.markov import (
     SingularChainError,
+    TransitionMatrix,
     build_transition,
+    chain,
     det_utilities,
     eps_mixed,
     long_run_utilities,
+    max_line_residual,
     stationary,
     zd_residual,
 )
+from zdmtd.rng import stream
 
 PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
 
@@ -170,3 +175,75 @@ def test_eps_mixed_preserves_stochasticity():
     m = eps_mixed(s)
     assert np.allclose(m.rows.sum(axis=1), 1, atol=1e-15)
     assert np.min(m.rows) > 0
+
+
+def test_stationary_reducible_closed_forms():
+    # closed classes {1} and {2, 3}; state 0 is transient and is absorbed
+    # into {1} with probability 0.3 / 0.8
+    m = np.array([[.2, .3, .5, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    st = stationary(TransitionMatrix(2, m))
+    assert st.method == "reducible"
+    assert np.allclose(st.v, [0, .34375, .328125, .328125], rtol=0, atol=1e-15)
+
+    # two periodic closed classes, {0, 1} of period 2 and {2, 3, 4} of
+    # period 3, and four transient states that reach them by different paths
+    m = np.zeros((9, 9))
+    m[0, 1] = m[1, 0] = 1.0
+    m[2, 3] = m[3, 4] = m[4, 2] = 1.0
+    m[5, 0] = m[5, 2] = 0.5
+    m[6, 5] = 1.0
+    m[7, 7] = m[7, 1] = 0.5
+    m[8, 6], m[8, 3] = 0.25, 0.75
+    st = stationary(TransitionMatrix(3, m))
+    # absorption into {0, 1} from states 5..8 is 1/2, 1/2, 1, 1/8
+    expect = np.array([11 / 48] * 2 + [13 / 72] * 3 + [0] * 4)
+    assert st.method == "reducible"
+    assert np.allclose(st.v, expect, rtol=0, atol=1e-15)
+    assert st.residual <= 1e-15
+    # the same limit as averaging the iterates from the uniform start
+    avg, v = np.zeros(9), np.full(9, 1 / 9)
+    for _ in range(6000):
+        avg += v
+        v = v @ m
+    assert np.max(np.abs(avg / 6000 - expect)) < 1e-3
+
+
+def test_stationary_repeated_actions_average_the_classes():
+    # both players repeat their own action: (1,1) and (2,2) absorb, and the
+    # uniform start reaches each from one of the two off-diagonal states
+    st = stationary(build_transition(repeat_own_action(2), repeat_own_action(2)))
+    assert st.method == "reducible"
+    assert np.array_equal(st.v, [.5, 0, 0, .5])
+
+
+def test_stationary_stack_matches_chain_by_chain():
+    rng = np.random.default_rng(11)
+    k = 3
+    d_rows = random_strategy(k, rng).rows
+    chains = [chain(d_rows, random_strategy(k, rng).rows) for _ in range(5)]
+    chains.insert(2, build_transition(repeat_own_action(k), random_strategy(k, rng)).m)
+    chains.append(np.eye(9))  # every state absorbing: the direct system is exactly singular
+    stacked = stationary(TransitionMatrix(k, np.stack(chains)))
+    singles = [stationary(TransitionMatrix(k, m)) for m in chains]
+    assert stacked.v.shape == (7, 9)
+    for row, single in zip(stacked.v, singles):
+        assert np.array_equal(row, single.v)
+    assert [s.method for s in singles] == ["direct"] * 2 + ["reducible"] + ["direct"] * 3 + ["reducible"]
+    assert np.allclose(singles[-1].v, 1 / 9, rtol=0, atol=1e-15)
+    assert stacked.method == "reducible"
+    assert stacked.residual == max(s.residual for s in singles)
+    direct_only = stationary(TransitionMatrix(k, np.stack(chains[:2])))
+    assert direct_only.method == "direct"
+
+
+def test_max_line_residual_matches_sample_by_sample(monkeypatch):
+    g = GameSpec(3, (2, 1, 3), (0, -1, 1), (-2, 0, 1), (4, 2, 3))
+    pi_d = random_strategy(3, np.random.default_rng(3))
+    alpha, beta, gamma = 0.5, -1.0, 0.25
+    rng = stream(9, "zd-verify")
+    expect = max(zd_residual(g, pi_d, MemoryOneStrategy(3, rng.dirichlet(np.ones(3), size=9)),
+                             alpha, beta, gamma) for _ in range(10))
+    # stacks of 3, 3, 3 and 1 chains draw the same attackers in the same order
+    monkeypatch.setattr(markov, "VERIFY_STACK_ENTRIES", 3 * 81)
+    got = max_line_residual(g, pi_d, alpha, beta, gamma, 10, stream(9, "zd-verify"))
+    assert abs(got - expect) <= 1e-15 * max(1.0, expect)

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from zdmtd.game import GameSpec, flat_index, pure_strategy, random_strategy, uniform_strategy
-from zdmtd.markov import long_run_utilities
+from zdmtd.markov import chain, long_run_utilities
 from zdmtd.mdp import (
     bellman_residual,
     best_response,
     build_attacker_mdp,
     defender_utility_under_br,
     exhaustive_br,
-    _chain,
     _effective_tables,
     _fundamental,
     _policy_value,
@@ -198,7 +197,7 @@ def _condition(f, w, pol):
     """||Z||_inf of the policy's fundamental matrix, the sensitivity of its
     stationary vector to rounding."""
     n = f.shape[0]
-    return np.abs(np.linalg.inv(np.eye(n) - _chain(f, w[pol]) + 1.0 / n)).sum(axis=1).max()
+    return np.abs(np.linalg.inv(np.eye(n) - chain(f, w[pol]) + 1.0 / n)).sum(axis=1).max()
 
 
 @pytest.mark.parametrize("k", [4, 5, 7])

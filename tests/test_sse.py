@@ -157,3 +157,26 @@ def test_zd_seed_keeps_theorem2_sandwich():
     base = baselines(g, budget=6, seed=2, seeds_in=[strategy])
     assert zd_pair.u_d <= base.search.value + 1e-9
     assert base.search.value <= base.upper_bound + 1e-9
+
+
+def test_mip_parse_render_reproduces_model_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def games(draw):
+        k = draw(st.integers(2, 3))
+        vec = st.lists(value, min_size=k, max_size=k)
+        unc = draw(vec)
+        gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k))
+        return GameSpec(k, [u + d for u, d in zip(unc, gaps)], unc, draw(vec), draw(vec))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(games())
+    def check(g):
+        model = build_mip(g)
+        assert parse_mip(render_mip(model)) == model
+
+    check()
