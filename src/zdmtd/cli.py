@@ -25,9 +25,9 @@ from .game import GameSpec, MemoryOneStrategy, canonicalize, game_to_dict, load_
 from .lp import LpNumericalError
 from .markov import SingularChainError, StationaryError, UtilityPair, max_line_residual
 from .mdp import PolicyIterationCycleError, defender_utility_under_br
-from .programs import realize_params, solve_ideal, solve_optimal
+from .programs import _BR_EVAL_MAX_K, realize_params, solve_ideal, solve_optimal
 from .rng import stream
-from .scenarios import CrowdScenario, scenario_from_dict
+from .scenarios import CrowdScenario, scenario_from_dict, scenario_to_dict
 from .sse import baselines, build_mip, emit_mip, exhaustive_sse, search_sse
 from .sim import switching_experiment
 from .zd import WeightParams, ZdConstructionError, ZdLinearParams, classify, defining_residual
@@ -117,7 +117,7 @@ def solve_game(
 
     realized = None
     if evaluate_br is None:
-        evaluate_br = g.k <= 12
+        evaluate_br = g.k <= _BR_EVAL_MAX_K
     if evaluate_br:
         pair, _ = defender_utility_under_br(g, strategy)
         realized = pair
@@ -331,7 +331,7 @@ def _load_strategy(path: str):
         zd = obj["zd"]
         params = ZdLinearParams(zd["alpha"], zd["beta"], zd["gamma"])
         phi = np.asarray(zd["phi"], dtype=float)
-    return strategy, params, phi
+    return strategy, params, phi, {key: obj.get(key) for key in ("k", "pi", "zd")}
 
 
 def cmd_simulate(args) -> int:
@@ -340,9 +340,10 @@ def cmd_simulate(args) -> int:
     if not isinstance(scenario, CrowdScenario):
         raise ValueError("simulate currently drives crowdsourcing scenarios; "
                          "see compare/bench for the IoT family")
-    strategy, params, phi = _load_strategy(args.strategy)
+    strategy, params, phi, content = _load_strategy(args.strategy)
     hash_ = config_hash({
-        "command": "simulate", "scenario": args.scenario, "seed": args.seed,
+        "command": "simulate", "scenario": scenario_to_dict(scenario),
+        "strategy": content, "seed": args.seed,
         "steps": args.steps, "stride": args.stride, "version": __version__,
     })
     report = switching_experiment(scenario, strategy, steps=args.steps,

@@ -181,9 +181,10 @@ def _enumerate_policies(k: int) -> np.ndarray:
     return (p // (k ** (n - 1 - states))) % k
 
 
-def _policy_values_batch(g: GameSpec, pi_d: MemoryOneStrategy):
-    """(u_d, u_a) for every deterministic policy, evaluated like _policy_value."""
-    f, w, _, sd, sa = _effective_tables(g, pi_d)
+def _policy_values_batch(g: GameSpec, pi_d: MemoryOneStrategy, tables=None):
+    """(u_d, u_a) for every deterministic policy, evaluated like _policy_value;
+    `tables` are the caller's _effective_tables(g, pi_d), if it has them."""
+    f, w, _, sd, sa = tables or _effective_tables(g, pi_d)
     pols = _enumerate_policies(g.k)
     v = _direct(chain(f, w[pols]))
     return pols, v @ sd, v @ sa
@@ -195,10 +196,10 @@ def exhaustive_br(g: GameSpec, pi_d: MemoryOneStrategy) -> BestResponse:
     lexicographically smallest policy)."""
     if g.k > 3:
         raise ValueError(f"exhaustive enumeration guarded to K <= 3, got K={g.k}")
-    pols, _, u_a = _policy_values_batch(g, pi_d)
+    tables = f, w, r_eff, _, _ = _effective_tables(g, pi_d)
+    pols, _, u_a = _policy_values_batch(g, pi_d, tables)
     best = int(np.argmax(u_a))
     policy = tuple(int(x) + 1 for x in pols[best])
-    f, w, r_eff, _, _ = _effective_tables(g, pi_d)
     _, h, _ = _evaluate(f, w, r_eff, pols[best])
     return BestResponse(policy, float(u_a[best]), h, policies_evaluated=len(pols))
 
@@ -221,10 +222,10 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     """
     br = best_response(build_attacker_mdp(g, pi_d))
     n = g.k * g.k
-    f, w, r_eff, sd, sa = _effective_tables(g, pi_d)
+    tables = f, w, r_eff, sd, sa = _effective_tables(g, pi_d)
 
     if g.k <= 3:
-        pols, u_d, u_a = _policy_values_batch(g, pi_d)
+        pols, u_d, u_a = _policy_values_batch(g, pi_d, tables)
         tie = np.nonzero(u_a >= np.max(u_a) - TIE_TOL)[0]
         chosen = tie[int(np.argmax(u_d[tie]))]
         policy = tuple(int(x) + 1 for x in pols[chosen])

@@ -37,6 +37,7 @@ from .zd import (
     ZdConstructionError,
     ZdLinearParams,
     _eq8_existence,
+    _require_canonical,
     construct_strategy,
 )
 
@@ -176,8 +177,7 @@ def solve_ideal(g: GameSpec) -> IdealResult:
     the all-zero solution with the lossless normalization beta - alpha >= 1
     (the system is homogeneous with alpha <= 0 <= beta).
     """
-    if g.u_d_cov[0] < np.max(g.u_d_cov) - 1e-12:
-        raise ValueError("game must be canonicalized (label 1 carries max covered profit)")
+    _require_canonical(g)
     top = [t for t in range(1, g.k + 1) if g.u_d_cov[t - 1] >= np.max(g.u_d_cov) - 1e-9]
     for role1 in top:
         for role_k in range(1, g.k + 1):
@@ -217,8 +217,7 @@ def check_corollaries(g: GameSpec, theta: float = 0.0, tol: float = FEAS_TOL) ->
     beta); see the repo notes on the orientation of the printed lists.
     Requires canonical labels; theta is the caller's surplus baseline.
     """
-    if g.u_d_cov[0] < np.max(g.u_d_cov) - 1e-12:
-        raise ValueError("game must be canonicalized (label 1 carries max covered profit)")
+    _require_canonical(g)
     k = g.k
     t1, tk = 1, k
 
@@ -448,8 +447,7 @@ def solve_optimal(g: GameSpec, run_ideal_first: bool = True,
     realized and scored by its defender utility under attacker best
     response, otherwise by the predicted hull value.
     """
-    if g.u_d_cov[0] < np.max(g.u_d_cov) - 1e-12:
-        raise ValueError("game must be canonicalized (label 1 carries max covered profit)")
+    _require_canonical(g)
     if evaluate_br is None:
         evaluate_br = g.k <= _BR_EVAL_MAX_K
 

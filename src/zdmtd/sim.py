@@ -2,7 +2,7 @@
 
 Samples play of a committed defender strategy against an attacker profile
 (fixed strategy, best responder, or a worker whose type switches
-periodically), with Kahan-compensated running averages, per-regime segment
+periodically), with compensated running averages, per-regime segment
 summaries, and bit-identical replay from a seed via the package's
 counter-based random streams.
 
@@ -24,6 +24,7 @@ artifact that no run length can average away).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,18 +98,32 @@ class TrajectoryStats:
     segments: tuple  # SegmentStat per maximal same-regime stretch
 
 
-class _Kahan:
-    __slots__ = ("s", "c")
+_CHUNK = 1 << 14  # stages drawn and turned into Python floats at once
 
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
 
-    def add(self, x: float):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
+def _phase(t: np.ndarray, period: int) -> np.ndarray:
+    """Regime index (0 or 1) of stage indices `t`; negative ones count as 0."""
+    return (np.maximum(t, 0) // period) % 2
+
+
+def _within(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    return x[(x >= lo) & (x < hi)]
+
+
+def _running_sums(x: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Running sums along the rows of `x`, continuing from the last column
+    of a previous result `carry` (2, rows), so blocks chain bit-identically.
+
+    Returns (2, rows, n): np.cumsum adds in order, so TwoSum recovers each
+    partial sum's rounding error exactly, and the errors are summed apart
+    (Ogita, Rump & Oishi's Sum2): the two layers add up to the exact running
+    sum within about (n * eps)**2 * sum(|x|).
+    """
+    c = np.cumsum(np.concatenate([carry[0][:, None], x], axis=1), axis=1)
+    prev, s = c[:, :-1], c[:, 1:]
+    z = s - prev
+    err = np.concatenate([carry[1][:, None], (prev - (s - z)) + (x - z)], axis=1)
+    return np.stack([s, np.cumsum(err, axis=1)[:, 1:]])
 
 
 def _policy_rows(g: GameSpec, pi_d: MemoryOneStrategy) -> np.ndarray:
@@ -134,9 +149,14 @@ def simulate(
     stage draws both actions from their conditional rows, realizes the
     current game's utilities, and advances the state.  Running averages are
     recorded every `stride` stages (and at the final stage).
+
+    Only the state recursion runs step by step; utilities, running averages
+    and segment statistics are gathered from each block of states.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     k = g.k
     if pi_d.k != k:
         raise ValueError("strategy K mismatch")
@@ -154,20 +174,16 @@ def simulate(
         for _, game, _ in regimes:
             if game.k != k:
                 raise ValueError("profile game K mismatch")
+    names = np.array([name for name, _, _ in regimes], dtype=object)
 
-    sd = {name: profit_vector(game, "defender").entries for name, game, _ in regimes}
-    sa = {name: profit_vector(game, "attacker").entries for name, game, _ in regimes}
-    ref_sd = ref_sa = None
+    # utility tables [quantity, regime, state]: realized u_d and u_a, then
+    # the reference game's, which do not depend on the regime
+    tables = [[profit_vector(game, role).entries for _, game, _ in regimes]
+              for role in ("defender", "attacker")]
     if reference_game is not None:
-        ref_sd = profit_vector(reference_game, "defender").entries
-        ref_sa = profit_vector(reference_game, "attacker").entries
-
-    cum_d = np.cumsum(pi_d.rows, axis=1)
-    cums_a = {name: np.cumsum(rows, axis=1) for name, _, rows in regimes}
-
-    rng = stream(seed, "simulate")
-    s = int(rng.integers(k * k))
-    draws = rng.random((steps, 2))
+        tables += [[profit_vector(reference_game, role).entries] * len(regimes)
+                   for role in ("defender", "attacker")]
+    tables = np.array(tables)
 
     phi = None
     if gauge_phi is not None:
@@ -175,84 +191,60 @@ def simulate(
         if phi.shape != (k,):
             raise ValueError("gauge_phi must list one multiplier per target")
 
-    total_d, total_a = _Kahan(), _Kahan()
-    series_step, series_ud, series_ua, series_regime = [], [], [], []
-    segments = []
-    seg_start, seg_regime = 0, None
-    seg_d = seg_a = seg_rd = seg_ra = None
-    seg_phi_first = None
+    switching = profile.kind == "type_switching"
+    period = profile.period if switching else steps
+    # the attacker's policy may adapt `lag` stages after the type flips
+    lag = profile.lag if switching else 0
+    marks = np.unique(np.append(np.arange(stride, steps + 1, stride), steps))
+    bounds = np.append(np.arange(0, steps, period), steps)
 
-    def close_segment(end, d_after):
-        n = end - seg_start
-        if n <= 0:
-            return
-        boundary = None
-        if phi is not None and seg_phi_first is not None:
-            boundary = float(phi[d_after] - seg_phi_first)
-        segments.append(SegmentStat(
-            seg_regime, seg_start, n,
-            seg_d.s / n, seg_a.s / n,
-            (seg_rd.s / n) if ref_sd is not None else None,
-            (seg_ra.s / n) if ref_sd is not None else None,
-            boundary,
-        ))
+    cum_d = np.cumsum(pi_d.rows, axis=1).tolist()
+    cum_a = [np.cumsum(rows, axis=1).tolist() for _, _, rows in regimes]
+    rng = stream(seed, "simulate")
+    s = int(rng.integers(k * k))
 
-    period = profile.period if profile.kind == "type_switching" else None
-    lag = profile.lag if profile.kind == "type_switching" else 0
-
-    for t in range(steps):
-        if period is None:
-            regime_idx = 0
-        else:
-            regime_idx = (t // period) % 2
-        # the attacker's policy may adapt `lag` stages after the type flips
-        if period is None:
-            policy_idx = 0
-        else:
-            policy_idx = (max(t - lag, 0) // period) % 2
-        name, _, _ = regimes[regime_idx]
-
-        d = int(np.searchsorted(cum_d[s], draws[t, 0], side="right"))
-        a = int(np.searchsorted(cums_a[regimes[policy_idx][0]][s], draws[t, 1], side="right"))
-        d, a = min(d, k - 1), min(a, k - 1)
-
-        if name != seg_regime:
-            close_segment(t, d)
-            seg_start, seg_regime = t, name
-            seg_d, seg_a = _Kahan(), _Kahan()
-            seg_rd, seg_ra = _Kahan(), _Kahan()
-            seg_phi_first = float(phi[d]) if phi is not None else None
-
-        s = d * k + a
-
-        ud, ua = sd[name][s], sa[name][s]
-        total_d.add(ud)
-        total_a.add(ua)
-        seg_d.add(ud)
-        seg_a.add(ua)
-        if ref_sd is not None:
-            seg_rd.add(ref_sd[s])
-            seg_ra.add(ref_sa[s])
-
-        if (t + 1) % stride == 0 or t + 1 == steps:
-            series_step.append(t + 1)
-            series_ud.append(total_d.s / (t + 1))
-            series_ua.append(total_a.s / (t + 1))
-            series_regime.append(name)
+    # draws come a block at a time, in the order of one (steps, 2) array
+    acc = np.zeros((2, len(tables), 1))
+    avg, at_bounds, d_bounds = [], [acc], []
+    for first in range(0, steps, _CHUNK):
+        t = np.arange(first, min(first + _CHUNK, steps))
+        states = []
+        for u0, u1, p in zip(*rng.random((len(t), 2)).T.tolist(),
+                             _phase(t - lag, period).tolist()):
+            d = min(bisect_right(cum_d[s], u0), k - 1)
+            a = min(bisect_right(cum_a[p][s], u1), k - 1)
+            s = d * k + a
+            states.append(s)
+        states, end = np.array(states), first + len(t)
+        acc = _running_sums(tables[:, _phase(t, period), states], acc[..., -1])
+        m = _within(marks, first + 1, end + 1)
+        avg.append(acc[:, :2, m - 1 - first].sum(0) / m)
+        at_bounds.append(acc[..., _within(bounds, first + 1, end + 1) - 1 - first])
+        d_bounds.append(states[_within(bounds, first, end) - first] // k)
     # one extra defender draw closes the final segment's boundary term
-    d_last = int(min(np.searchsorted(cum_d[s], rng.random(), side="right"), k - 1))
-    close_segment(steps, d_last)
+    d_bounds.append([min(bisect_right(cum_d[s], rng.random()), k - 1)])
+
+    avg = np.concatenate(avg, axis=1)
+    lengths = np.diff(bounds)
+    means = (np.diff(np.concatenate(at_bounds, axis=2), axis=2).sum(0) / lengths).tolist()
+    if reference_game is None:
+        means += [[None] * len(lengths)] * 2
+    boundary = [None] * len(lengths)
+    if phi is not None:
+        boundary = np.diff(phi[np.concatenate(d_bounds)]).tolist()
+    segments = tuple(map(SegmentStat, names[_phase(bounds[:-1], period)],
+                         bounds[:-1].tolist(), lengths.tolist(), *means, boundary))
 
     return TrajectoryStats(
         steps=steps,
         stride=stride,
         seed=seed,
-        series_step=np.asarray(series_step),
-        series_avg_u_d=np.asarray(series_ud),
-        series_avg_u_a=np.asarray(series_ua),
-        series_regime=tuple(series_regime),
-        final=UtilityPair(total_d.s / steps, total_a.s / steps),
-        segments=tuple(segments),
+        series_step=marks,
+        series_avg_u_d=avg[0],
+        series_avg_u_a=avg[1],
+        series_regime=tuple(names[_phase(marks - 1, period)]),
+        final=UtilityPair(float(avg[0, -1]), float(avg[1, -1])),
+        segments=segments,
     )
 
 

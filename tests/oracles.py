@@ -5,9 +5,11 @@ grids, exhaustive enumeration, direct linear algebra) rather than through
 the code paths they check.
 """
 
+import math
+
 import numpy as np
 
-from zdmtd.game import GameSpec
+from zdmtd.game import GameSpec, profit_vector
 from zdmtd.markov import EPSILON_MIX
 from zdmtd.mdp import (
     TIE_TOL,
@@ -18,6 +20,7 @@ from zdmtd.mdp import (
     defender_utility_under_br,
 )
 from zdmtd.programs import ZdSolveResult, realize_params, solve_optimal
+from zdmtd.rng import stream
 
 
 def random_game(k, rng, scale=1.0):
@@ -181,3 +184,75 @@ def swap_search_direct(g: GameSpec, pi_d):
                     pol[s] = orig
             pol[s] = orig
     return tuple(int(x) for x in pol), best_pair
+
+
+def simulate_reference(g: GameSpec, pi_d, profile, steps, seed, stride=1,
+                       reference_game=None, gauge_phi=None):
+    """Per-step reference for `sim.simulate`: the same `stream(seed,
+    "simulate")` draws (start state, one (steps, 2) block, one closing
+    defender draw), actions by np.searchsorted on each cumulative row,
+    segments grouped naively whenever the regime name changes, and every sum
+    a math.fsum.  Returns a dict of plain lists."""
+    k = g.k
+    switching = profile.kind == "type_switching"
+    if profile.kind == "fixed":
+        regimes = [("fixed", g, profile.strategy.rows)]
+    else:
+        games = list(profile.games) if switching else [("best_response", g)]
+        if switching and games[0][0] != profile.initial_type:
+            games.reverse()
+        regimes = [(name, game, np.eye(k)[np.asarray(
+            best_response(build_attacker_mdp(game, pi_d)).policy) - 1])
+            for name, game in games]
+
+    tables = [(profit_vector(game, "defender").entries, profit_vector(game, "attacker").entries)
+              for _, game, _ in regimes]
+    if reference_game is not None:
+        ref = (profit_vector(reference_game, "defender").entries,
+               profit_vector(reference_game, "attacker").entries)
+
+    def pick(row, u):
+        return min(int(np.searchsorted(np.cumsum(row), u, side="right")), k - 1)
+
+    rng = stream(seed, "simulate")
+    s = int(rng.integers(k * k))
+    draws = rng.random((steps, 2))
+    names, ds, u_d, u_a, r_d, r_a = [], [], [], [], [], []
+    for t in range(steps):
+        regime = (t // profile.period) % 2 if switching else 0
+        policy = (max(t - profile.lag, 0) // profile.period) % 2 if switching else 0
+        d = pick(pi_d.rows[s], draws[t, 0])
+        a = pick(regimes[policy][2][s], draws[t, 1])
+        s = d * k + a
+        names.append(regimes[regime][0])
+        ds.append(d)
+        u_d.append(tables[regime][0][s])
+        u_a.append(tables[regime][1][s])
+        if reference_game is not None:
+            r_d.append(ref[0][s])
+            r_a.append(ref[1][s])
+    ds.append(pick(pi_d.rows[s], rng.random()))
+
+    marks = [t + 1 for t in range(steps) if (t + 1) % stride == 0 or t + 1 == steps]
+    segments, start = [], 0
+    for t in range(1, steps + 1):
+        if t == steps or names[t] != names[start]:
+            n = t - start
+            seg = {"regime": names[start], "start": start, "length": n,
+                   "mean_u_d": math.fsum(u_d[start:t]) / n,
+                   "mean_u_a": math.fsum(u_a[start:t]) / n}
+            if reference_game is not None:
+                seg["ref_mean_u_d"] = math.fsum(r_d[start:t]) / n
+                seg["ref_mean_u_a"] = math.fsum(r_a[start:t]) / n
+            if gauge_phi is not None:
+                seg["phi_boundary"] = float(gauge_phi[ds[t]] - gauge_phi[ds[start]])
+            segments.append(seg)
+            start = t
+    return {
+        "series_step": marks,
+        "series_regime": [names[m - 1] for m in marks],
+        "series_avg_u_d": [math.fsum(u_d[:m]) / m for m in marks],
+        "series_avg_u_a": [math.fsum(u_a[:m]) / m for m in marks],
+        "final": (math.fsum(u_d) / steps, math.fsum(u_a) / steps),
+        "segments": segments,
+    }

@@ -140,6 +140,29 @@ def test_simulate_deterministic(tmp_path):
         float(avg_u_d), float(avg_u_a)  # plain floats, not np.float64(...)
 
 
+def test_simulate_hash_follows_content(tmp_path):
+    scenario = with_switching(crowd_scenario("honest", 50), "malicious", 10)
+    mal = crowd_game(scenario, "malicious")
+    game = write_game(tmp_path / "game.json", game_to_dict(mal))
+    assert main(["solve", "--game", game, "--out", str(tmp_path)]) == EXIT_OK
+    strategy = json.loads((tmp_path / "strategy.json").read_text())
+
+    def header(directory, strategy_obj):
+        directory.mkdir()
+        (directory / "scenario.json").write_text(json.dumps(scenario_to_dict(scenario)))
+        (directory / "strategy.json").write_text(json.dumps(strategy_obj))
+        out = directory / "trajectory.csv"
+        assert main(["simulate", "--scenario", str(directory / "scenario.json"),
+                     "--strategy", str(directory / "strategy.json"),
+                     "--steps", "200", "--seed", "4", "--out", str(out)]) == EXIT_OK
+        return out.read_text().splitlines()[0]
+
+    first = header(tmp_path / "a", strategy)
+    assert header(tmp_path / "b", strategy) == first
+    changed = dict(strategy, pi=[[1.0 / mal.k] * mal.k] * (mal.k * mal.k))
+    assert header(tmp_path / "c", changed) != first
+
+
 @pytest.mark.parametrize("exc", [LpNumericalError, StationaryError, SingularChainError,
                                  PolicyIterationCycleError, ZdConstructionError])
 def test_numerical_errors_exit_verify(tmp_path, monkeypatch, capsys, exc):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,15 @@ from zdmtd.markov import long_run_utilities
 from zdmtd.programs import realize_params, solve_optimal
 from zdmtd.scenarios import crowd_game, crowd_scenario, with_switching
 from zdmtd.sim import (
+    _running_sums,
     best_response_profile,
     fixed_profile,
     simulate,
     switching_experiment,
     switching_profile,
 )
+
+from oracles import random_game, simulate_reference
 
 PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
 
@@ -159,3 +164,89 @@ def test_profile_validation():
     with pytest.raises(ValueError, match="steps"):
         simulate(PENNIES, pure_strategy(2, 1), fixed_profile(pure_strategy(2, 1)),
                  steps=0, seed=0)
+    with pytest.raises(ValueError, match="stride"):
+        simulate(PENNIES, pure_strategy(2, 1), fixed_profile(pure_strategy(2, 1)),
+                 steps=10, seed=0, stride=0)
+
+
+def assert_matches_reference(stats, ref):
+    """Exact trajectory bookkeeping, sums within 1e-12 of math.fsum."""
+    assert stats.series_step.tolist() == ref["series_step"]
+    assert list(stats.series_regime) == ref["series_regime"]
+    assert np.allclose(stats.series_avg_u_d, ref["series_avg_u_d"], rtol=0, atol=1e-12)
+    assert np.allclose(stats.series_avg_u_a, ref["series_avg_u_a"], rtol=0, atol=1e-12)
+    assert np.allclose((stats.final.u_d, stats.final.u_a), ref["final"], rtol=0, atol=1e-12)
+    assert len(stats.segments) == len(ref["segments"])
+    for seg, want in zip(stats.segments, ref["segments"]):
+        assert (seg.regime, seg.start, seg.length) == \
+            (want["regime"], want["start"], want["length"])
+        assert seg.phi_boundary == want.get("phi_boundary")
+        for key in ("mean_u_d", "mean_u_a", "ref_mean_u_d", "ref_mean_u_a"):
+            got = getattr(seg, key)
+            if key not in want:
+                assert got is None
+            else:
+                assert abs(got - want[key]) <= 1e-12, (key, got, want[key])
+
+
+def reference_case(seed=0):
+    rng = np.random.default_rng(seed)
+    honest, malicious = random_game(3, rng), random_game(3, rng)
+    return honest, malicious, random_strategy(3, rng), random_strategy(3, rng), \
+        rng.normal(size=3)
+
+
+@pytest.mark.parametrize("kind,steps,stride", [
+    ("fixed", 1000, 7),
+    ("fixed", 1, 1),
+    ("best_response", 999, 10),
+    ("best_response", 1, 3),
+    ("switching", 20_000, 1000),  # more stages than one block of draws
+    ("switching", 500, 1),
+    ("switching", 1, 1),
+])
+def test_simulate_matches_per_step_reference(kind, steps, stride):
+    honest, malicious, pi_d, pi_a, phi = reference_case()
+    kwargs = {}
+    if kind == "fixed":
+        profile = fixed_profile(pi_a)
+    elif kind == "best_response":
+        profile = best_response_profile()
+        kwargs = {"reference_game": malicious}
+    else:
+        profile = switching_profile(13, "malicious", honest, malicious, lag=5)
+        kwargs = {"reference_game": malicious, "gauge_phi": phi}
+    stats = simulate(honest, pi_d, profile, steps, seed=21, stride=stride, **kwargs)
+    assert_matches_reference(stats, simulate_reference(
+        honest, pi_d, profile, steps, 21, stride=stride, **kwargs))
+
+
+def test_simulate_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    honest, malicious, pi_d, _, phi = reference_case(1)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(1, 400), st.integers(1, 60), st.integers(0, 80),
+                      st.integers(1, 50), st.integers(0, 2**31), st.booleans())
+    def check(steps, period, lag, stride, seed, honest_first):
+        profile = switching_profile(period, "honest" if honest_first else "malicious",
+                                    honest, malicious, lag=lag)
+        kwargs = {"reference_game": malicious, "gauge_phi": phi}
+        stats = simulate(honest, pi_d, profile, steps, seed, stride=stride, **kwargs)
+        assert_matches_reference(stats, simulate_reference(
+            honest, pi_d, profile, steps, seed, stride=stride, **kwargs))
+
+    check()
+
+
+def test_running_sums_are_compensated_across_blocks():
+    x = np.array([[1.0] + [1e-16] * 999, [0.1] * 1000])
+    exact = [[math.fsum(row[:i + 1]) for i in range(row.size)] for row in x]
+    whole = _running_sums(x, np.zeros((2, 2)))
+    first = _running_sums(x[:, :300], np.zeros((2, 2)))
+    rest = _running_sums(x[:, 300:], first[..., -1])
+    assert np.array_equal(np.concatenate([first, rest], axis=2), whole)
+    assert np.all(np.abs(whole.sum(0) - exact) <= 2.3e-16 * np.abs(exact))
+    # a plain running sum drops every 1e-16 after the leading 1.0
+    assert np.cumsum(x[0])[-1] == 1.0 and exact[0][-1] > 1.0
