@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ EXIT_VERIFY = 3
 EXIT_USAGE = 64
 
 VERIFY_TOL = 1e-8
+_CSV_BLOCK = 2 ** 16  # trajectory rows formatted per write
 
 NUMERICAL_ERRORS = (LpNumericalError, StationaryError, SingularChainError,
                     PolicyIterationCycleError, ZdConstructionError)
@@ -137,11 +139,19 @@ def config_hash(payload) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def atomic_write(path: str, text: str) -> None:
+@contextmanager
+def atomic_open(path: str):
+    """Text file handle on a temporary sibling that replaces path on a
+    clean exit, so readers never see a partial file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        yield fh
     os.replace(tmp, path)
+
+
+def atomic_write(path: str, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path: str, obj) -> None:
@@ -350,12 +360,14 @@ def cmd_simulate(args) -> int:
                                   seed=args.seed, zd_params=params, zd_phi=phi,
                                   stride=args.stride)
     stats = report.stats
-    lines = [f"# zdmtd simulate seed={args.seed} config_hash={hash_}",
-             "step,avg_u_d,avg_u_a,regime"]
-    for i in range(len(stats.series_step)):
-        lines.append(f"{stats.series_step[i]},{float(stats.series_avg_u_d[i])!r},"
-                     f"{float(stats.series_avg_u_a[i])!r},{stats.series_regime[i]}")
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    with atomic_open(args.out) as fh:
+        fh.write(f"# zdmtd simulate seed={args.seed} config_hash={hash_}\n"
+                 "step,avg_u_d,avg_u_a,regime\n")
+        for lo in range(0, len(stats.series_step), _CSV_BLOCK):
+            rows = slice(lo, lo + _CSV_BLOCK)
+            fh.writelines(f"{step},{u_d!r},{u_a!r},{regime}\n" for step, u_d, u_a, regime in zip(
+                stats.series_step[rows].tolist(), stats.series_avg_u_d[rows].tolist(),
+                stats.series_avg_u_a[rows].tolist(), stats.series_regime[rows]))
     for name, summary in report.regimes.items():
         print(f"regime={name} steps={summary.n_steps} "
               f"mean_u_d={summary.mean_u_d:.6g} mean_u_a={summary.mean_u_a:.6g} "

@@ -15,11 +15,13 @@ Two programs, mirroring the construction algorithm's first step:
 The bilinear coupling between the line coefficients and the utility point
 disappears inside a cell: the coefficients live in a low-dimensional cone,
 so the search reduces to finitely many candidate rays (cone extreme rays,
-lines through hull vertices, and an angular sweep with local refinement),
-each certified by direct constraint re-verification.  Candidates are also
-screened through the existence inequalities in the construction frame, and
-at desk scale each surviving candidate is realized and scored under actual
-attacker best response.
+lines through hull vertices, and an angular sweep at 1e-3 rad with local
+refinement, every sample of a slice scored in one array pass), each
+certified by direct constraint re-verification.  Cells whose equality rows
+are certified to have rank 3 (no candidate) are skipped before any
+candidate is built.  Candidates are also screened through the existence
+inequalities in the construction frame, and at desk scale each surviving
+candidate is realized and scored under actual attacker best response.
 """
 
 from __future__ import annotations
@@ -260,6 +262,23 @@ def _null_space(rows: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
+def _rank3_triples(unc: np.ndarray) -> list:
+    """Disjoint row triples unc[3j:3j+3] that certify rank 3.
+
+    Rows added to a matrix never lower its singular values (interlacing),
+    and no row subset has a larger sigma_1 than unc.  So when a triple has
+    sigma_3 > 2 FEAS_TOL max(1, sigma_1(unc)), every cell whose equality
+    rows keep that triple has a null space of dimension 0 in ``_null_space``
+    (the factor 2 covers the rounding of both SVDs) and no candidate."""
+    if len(unc) < 5:  # every triple then meets each cell's (i1, i2)
+        return []
+    n = len(unc) // 3
+    s1 = np.linalg.svd(unc, compute_uv=False)[0]
+    s3 = np.linalg.svd(unc[:3 * n].reshape(n, 3, 3), compute_uv=False)[:, 2]
+    return [range(3 * j, 3 * j + 3)
+            for j in np.flatnonzero(s3 > 2 * FEAS_TOL * max(1.0, s1))]
+
+
 def _cell_ineq_rows(g: GameSpec, cell: LambdaCell) -> np.ndarray:
     """Rows r with the cell requiring r @ p >= 0."""
     return np.array([
@@ -300,39 +319,72 @@ def _cone_rays_3d(gmat: np.ndarray):
     return rays
 
 
-def _sweep_2d(gmat: np.ndarray, basis: np.ndarray, value):
+def _pencil_values(ps: np.ndarray, hp: HullPolygon) -> np.ndarray:
+    """Predicted value of each line ps[:, j] (rows alpha, beta, gamma):
+    ``line_section`` followed by ``_directional_value``, one column per line,
+    NaN where the line misses the hull."""
+    a, b, c = ps
+    norm = np.hypot(a, b)
+    ok = norm >= 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        an, bn, cn = (a / norm)[:, None], (b / norm)[:, None], (c / norm)[:, None]
+        use_max = (np.abs(a) <= 1e-12) | ((np.abs(b) > 1e-12) & (-a / b >= 0))
+    v = hp.vertices
+    scale = max(1.0, float(np.max(np.abs(v))))
+    f = an * v[:, 0] + bn * v[:, 1] + cn
+    xs, keep = [np.broadcast_to(v[:, 0], f.shape)], [np.abs(f) <= FEAS_TOL * scale]
+    m = hp.n if hp.n > 2 else hp.n - 1
+    if m > 0:  # edge (i, i + 1 mod n) crossed strictly
+        i = np.arange(m)
+        j = (i + 1) % hp.n
+        fi, fj = f[:, i], f[:, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs.append(v[i, 0] + fi / (fi - fj) * (v[j, 0] - v[i, 0]))
+        keep.append(fi * fj < 0)
+    xs, keep = np.hstack(xs), np.hstack(keep) & ok[:, None]
+    hi = np.where(keep, xs, -np.inf).max(axis=1)
+    lo = np.where(keep, xs, np.inf).min(axis=1)
+    return np.where(keep.any(axis=1), np.where(use_max, hi, lo), np.nan)
+
+
+def _sweep_2d(gmat: np.ndarray, basis: np.ndarray, hp: HullPolygon):
     """Angular sweep over the unit circle of the 2-d coefficient space with
-    local refinement around the best feasible sample."""
+    local refinement around the best feasible sample.
+
+    The samples are 1e-3 rad apart; all of a slice's samples are scored in
+    one array pass, and the winner is the first best one (in angle order).
+    The 24-step ternary refinement then scores two angles per step."""
     gb = gmat @ basis
     scale = max(1.0, float(np.max(np.abs(gb))))
+
+    def values(ts):
+        z = np.array([np.cos(ts), np.sin(ts)])
+        feas = np.all(gb @ z >= -FEAS_TOL * scale, axis=0)
+        out = np.full(len(ts), np.nan)
+        out[feas] = _pencil_values(basis @ z[:, feas], hp)
+        return out
+
     ts = np.arange(0.0, 2 * np.pi, _SWEEP_STEP)
-    best_t, best_v = None, -np.inf
-    for t in ts:
-        z = np.array([np.cos(t), np.sin(t)])
-        if np.any(gb @ z < -FEAS_TOL * scale):
-            continue
-        v = value(basis @ z)
-        if v is not None and v > best_v:
-            best_t, best_v = t, v
-    if best_t is None:
+    vs = values(ts)
+    if np.all(np.isnan(vs)):
         return []
+    best = int(np.nanargmax(vs))
+    best_t, best_v = ts[best], vs[best]
     lo, hi = best_t - _SWEEP_STEP, best_t + _SWEEP_STEP
     for _ in range(24):
-        for t in (lo + (hi - lo) / 3, hi - (hi - lo) / 3):
-            z = np.array([np.cos(t), np.sin(t)])
-            if np.all(gb @ z >= -FEAS_TOL * scale):
-                v = value(basis @ z)
-                if v is not None and v > best_v:
-                    best_t, best_v = t, v
+        pair = np.array([lo + (hi - lo) / 3, hi - (hi - lo) / 3])
+        for t, v in zip(pair, values(pair)):
+            if v > best_v:
+                best_t, best_v = t, v
         lo, hi = best_t - (hi - lo) / 3, best_t + (hi - lo) / 3
     return [basis @ np.array([np.cos(best_t), np.sin(best_t)])]
 
 
-def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon):
-    """Finite family of candidate coefficient vectors for one cell."""
-    eq_rows = np.array([_unc_row(g, t) for t in range(1, g.k + 1)
-                        if t not in (cell.i1, cell.i2)])
-    basis = _null_space(eq_rows.reshape(-1, 3) if eq_rows.size else np.zeros((0, 3)))
+def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon, unc: np.ndarray):
+    """Finite family of candidate coefficient vectors for one cell; unc is
+    the K x 3 matrix of uncovered rows (``_unc_row`` for t = 1..K)."""
+    eq_rows = np.delete(unc, [cell.i1 - 1, cell.i2 - 1], axis=0)
+    basis = _null_space(eq_rows)
     d = basis.shape[1]
     if d == 0:
         return []
@@ -341,12 +393,6 @@ def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon):
 
     def feasible(p):
         return np.all(gmat @ p >= -FEAS_TOL * scale)
-
-    def predicted_value(p):
-        pts = hp.line_section(p[0], p[1], p[2])
-        if not pts:
-            return None
-        return _directional_value(p, pts)
 
     cands = []
     if d == 1:
@@ -358,9 +404,7 @@ def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon):
 
     def sub_candidates(extra_row):
         """Candidates on the slice where one extra homogeneous row binds."""
-        stacked = (np.vstack([eq_rows.reshape(-1, 3), extra_row])
-                   if eq_rows.size else extra_row.reshape(1, 3))
-        sub = _null_space(stacked)
+        sub = _null_space(np.vstack([eq_rows, extra_row]))
         dd = sub.shape[1]
         if dd == 1:
             for s in (1.0, -1.0):
@@ -369,7 +413,7 @@ def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon):
                     cands.append(p)
         elif dd == 2:
             cands.extend(r for r in _cone_rays_2d(gmat, sub) if feasible(r))
-            cands.extend(_sweep_2d(gmat, sub, predicted_value))
+            cands.extend(_sweep_2d(gmat, sub, hp))
 
     if d == 2:
         cands.extend(r for r in _cone_rays_2d(gmat, basis) if feasible(r))
@@ -383,7 +427,7 @@ def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon):
         sub_candidates(np.array([vx, vy, 1.0]))
 
     if d == 2:
-        cands.extend(_sweep_2d(gmat, basis, predicted_value))
+        cands.extend(_sweep_2d(gmat, basis, hp))
     return cands
 
 
@@ -464,16 +508,18 @@ def solve_optimal(g: GameSpec, run_ideal_first: bool = True,
                                  certificate=cert)
 
     hp = hull(g)
+    unc = np.column_stack([g.u_d_unc, g.u_a_unc, np.ones(g.k)])
+    triples = _rank3_triples(unc)
     best = None  # (score_key, result)
     for i1 in range(1, g.k + 1):
         for i2 in range(1, g.k + 1):
-            if i1 == i2:
+            if i1 == i2 or any(i1 - 1 not in t and i2 - 1 not in t for t in triples):
                 continue
             cell = LambdaCell(i1, i2)
             gmat = _cell_ineq_rows(g, cell)
             scale = max(1.0, float(np.max(np.abs(gmat))))
             shortlist = []  # (corr-sign, proxy value, params, max-u_d point)
-            for raw in _cell_candidates(g, cell, hp):
+            for raw in _cell_candidates(g, cell, hp, unc):
                 p = _normalize(raw)
                 vec = p.as_array()
                 if np.max(np.abs(vec)) < 1e-12:

@@ -19,7 +19,14 @@ from zdmtd.mdp import (
     build_attacker_mdp,
     defender_utility_under_br,
 )
-from zdmtd.programs import ZdSolveResult, realize_params, solve_optimal
+from zdmtd.programs import (
+    FEAS_TOL,
+    _SWEEP_STEP,
+    ZdSolveResult,
+    _directional_value,
+    realize_params,
+    solve_optimal,
+)
 from zdmtd.rng import stream
 
 
@@ -125,6 +132,40 @@ def k2_grid_oracle(g: GameSpec, step: float = 1e-2, tol: float = 1e-9):
     tie = u_a >= gain[:, None] - 1e-9
     value = np.where(tie, u_d, -np.inf).max(axis=1)
     return float(value.max()), n
+
+
+def sweep_2d_reference(gmat, basis, hp):
+    """The optimal program's angular sweep, one angle at a time: each sample
+    is checked against the cell rows and scored through
+    ``HullPolygon.line_section`` and ``_directional_value``; the first
+    strictly better sample wins, then a 24-step ternary refinement."""
+    gb = gmat @ basis
+    scale = max(1.0, float(np.max(np.abs(gb))))
+
+    def value(p):
+        pts = hp.line_section(p[0], p[1], p[2])
+        return _directional_value(p, pts) if pts else None
+
+    best_t, best_v = None, -np.inf
+    for t in np.arange(0.0, 2 * np.pi, _SWEEP_STEP):
+        z = np.array([np.cos(t), np.sin(t)])
+        if np.any(gb @ z < -FEAS_TOL * scale):
+            continue
+        v = value(basis @ z)
+        if v is not None and v > best_v:
+            best_t, best_v = t, v
+    if best_t is None:
+        return []
+    lo, hi = best_t - _SWEEP_STEP, best_t + _SWEEP_STEP
+    for _ in range(24):
+        for t in (lo + (hi - lo) / 3, hi - (hi - lo) / 3):
+            z = np.array([np.cos(t), np.sin(t)])
+            if np.all(gb @ z >= -FEAS_TOL * scale):
+                v = value(basis @ z)
+                if v is not None and v > best_v:
+                    best_t, best_v = t, v
+        lo, hi = best_t - (hi - lo) / 3, best_t + (hi - lo) / 3
+    return [basis @ np.array([np.cos(best_t), np.sin(best_t)])]
 
 
 def pipeline_value(g: GameSpec, result: ZdSolveResult = None):

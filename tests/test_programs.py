@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from zdmtd.game import GameSpec
+from zdmtd import programs
 from zdmtd.programs import (
     HullPolygon,
     LambdaCell,
+    _null_space,
+    _sweep_2d,
     check_corollaries,
     hull,
     realize_params,
@@ -13,7 +16,13 @@ from zdmtd.programs import (
 )
 from zdmtd.zd import verify
 
-from oracles import ideal_feasible_game, k2_grid_oracle, pipeline_value, random_game
+from oracles import (
+    ideal_feasible_game,
+    k2_grid_oracle,
+    pipeline_value,
+    random_game,
+    sweep_2d_reference,
+)
 
 COR1 = GameSpec(3, (5, 4, 3), (0, 0, 0), (-2, 1, 0), (3, -2, -4))
 EXTORT = GameSpec(3, (2.0, 1.2, 1.0), (1.5, 0.6, -1.0), (1.0, 0.5, 2.0), (1.0, 0.3, -1.0))
@@ -277,3 +286,114 @@ def test_realize_params_verifies():
 def test_lambda_cell_validation():
     with pytest.raises(ValueError):
         LambdaCell(2, 2)
+
+
+def _recorded_slices(monkeypatch, games):
+    """Every (gmat, basis, hull) the optimal program sweeps on these games."""
+    calls = []
+
+    def record(gmat, basis, hp):
+        calls.append((gmat, basis, hp))
+        return []
+
+    monkeypatch.setattr(programs, "_sweep_2d", record)
+    for g in games:
+        solve_optimal(g, run_ideal_first=False, evaluate_br=False)
+    monkeypatch.undo()
+    return calls
+
+
+def test_sweep_2d_matches_reference_loop(monkeypatch):
+    # bit identity, not a tolerance: on flat stretches of the value, ulp
+    # noise decides the winning angle, so any reordered arithmetic shows
+    rng = np.random.default_rng(23)
+    games = [random_game(k, rng, scale) for k in (2, 3) for scale in (1.0, 10.0, 1.0, 10.0)]
+    slices = _recorded_slices(monkeypatch, games)
+    hits = [sl for sl in slices if _sweep_2d(*sl)]
+    misses = [sl for sl in slices if not _sweep_2d(*sl)]
+    assert len(hits) >= 4 and len(misses) >= 4
+    for sl in hits[:16] + misses[:8]:
+        got, want = _sweep_2d(*sl), sweep_2d_reference(*sl)
+        assert len(got) == len(want)
+        if want:
+            assert np.array_equal(got[0], want[0])
+
+
+@pytest.mark.parametrize("case", ["point", "segment", "infeasible", "miss", "all-miss"])
+def test_sweep_2d_matches_reference_on_degenerate_slices(case):
+    square = HullPolygon(np.array([[10.0, 10.0], [11.0, 10.0], [11.0, 11.0], [10.0, 11.0]]))
+    open_cone = np.zeros((4, 3))
+    through_origin = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    rng = np.random.default_rng(5)
+    basis = np.linalg.qr(rng.normal(size=(3, 2)))[0]
+    gmat, hp = {
+        "point": (open_cone, HullPolygon(np.array([[0.3, -0.2]]))),
+        "segment": (open_cone, HullPolygon(np.array([[-1.0, 0.5], [2.0, 1.5]]))),
+        # x >= 0, -x >= 0, y >= 0, -y >= 0 leaves no unit vector
+        "infeasible": (np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]]), square),
+        # lines through the origin: most miss the square, a few cross it
+        "miss": (open_cone, square),
+        # alpha, beta >= 0: every line through the origin misses the square
+        "all-miss": (np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0], [0, 0, 0]]), square),
+    }[case]
+    if case in ("miss", "all-miss"):
+        basis = through_origin
+    if case == "point":  # every line passes through the point: a flat value
+        basis = _null_space(np.array([[0.3, -0.2, 1.0]]))
+    got, want = _sweep_2d(gmat, basis, hp), sweep_2d_reference(gmat, basis, hp)
+    assert len(got) == len(want)
+    assert (len(want) == 0) == (case in ("infeasible", "all-miss"))
+    if want:
+        assert np.array_equal(got[0], want[0])
+
+
+def _visited_cells(monkeypatch, g):
+    visited = []
+    original = programs._cell_candidates
+
+    def record(g, cell, hp, unc):
+        visited.append((cell.i1, cell.i2))
+        return original(g, cell, hp, unc)
+
+    monkeypatch.setattr(programs, "_cell_candidates", record)
+    res = solve_optimal(g, run_ideal_first=False, evaluate_br=False)
+    monkeypatch.undo()
+    return res, set(visited)
+
+
+@pytest.mark.parametrize("k", [5, 8, 50])
+def test_rank_certificate_skips_only_empty_cells(monkeypatch, k):
+    rng = np.random.default_rng(k)
+    g = random_game(k, rng)
+    _, visited = _visited_cells(monkeypatch, g)
+    unc = np.column_stack([g.u_d_unc, g.u_a_unc, np.ones(k)])
+    cells = {(i1, i2) for i1 in range(1, k + 1) for i2 in range(1, k + 1) if i1 != i2}
+    skipped = cells - visited
+    assert skipped  # random uncovered pairs are in general position
+    for i1, i2 in skipped:
+        assert _null_space(np.delete(unc, [i1 - 1, i2 - 1], axis=0)).shape[1] == 0
+
+
+def test_rank_certificate_skips_no_cell_on_collinear_pairs(monkeypatch):
+    # uncovered pairs on one line to 1e-12: every cell keeps a null vector
+    rng = np.random.default_rng(8)
+    base = random_game(8, rng)
+    u_a_unc = 0.5 * base.u_d_unc - 1.0 + rng.uniform(-1e-12, 1e-12, size=8)
+    g = GameSpec(8, base.u_d_cov, base.u_d_unc, base.u_a_cov, u_a_unc)
+    _, visited = _visited_cells(monkeypatch, g)
+    assert len(visited) == 8 * 7
+
+
+def test_solve_optimal_k50_proves_none_in_few_svds(monkeypatch):
+    g = random_game(50, np.random.default_rng(50))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    res = solve_optimal(g, run_ideal_first=False)
+    assert res.kind == "none"
+    assert len(calls) <= 20
