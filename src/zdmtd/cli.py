@@ -29,9 +29,9 @@ from .mdp import PolicyIterationCycleError, defender_utility_under_br
 from .programs import _BR_EVAL_MAX_K, realize_params, solve_ideal, solve_optimal
 from .rng import stream
 from .scenarios import CrowdScenario, scenario_from_dict, scenario_to_dict
-from .sse import baselines, build_mip, emit_mip, exhaustive_sse, search_sse
+from .sse import baselines, build_mip, emit_mip, exhaustive_sse, oneshot_sse, search_sse
 from .sim import switching_experiment
-from .zd import WeightParams, ZdConstructionError, ZdLinearParams, classify, defining_residual
+from .zd import ZdConstructionError, ZdLinearParams, classify, defining_residual
 from . import __version__
 
 EXIT_OK = 0
@@ -68,30 +68,30 @@ class SolveOutput:
 def solve_game(
     g: GameSpec,
     mode: str = "auto",
-    omega: WeightParams = None,
     verify_samples: int = 64,
     seed: int = 0,
     evaluate_br: bool = None,
 ) -> SolveOutput:
     """Canonicalize, find line parameters (ideal program first unless mode
     says otherwise), construct the strategy, verify, and map everything back
-    to the caller's target labels."""
+    to the caller's target labels.  An optimal line comes with its strategy
+    built by `solve_optimal`; an ideal one is built here."""
     if mode not in ("auto", "ideal", "optimal"):
         raise ValueError("mode must be auto, ideal or optimal")
+    if evaluate_br is None:
+        evaluate_br = g.k <= _BR_EVAL_MAX_K
     gc, cp = canonicalize(g)
 
     kind = None
-    params = None
-    predicted = None
-    frame_pair = None  # (label-1 target, label-K target) in canonical labels
     if mode in ("auto", "ideal"):
         ideal = solve_ideal(gc)
         if ideal.found:
             kind = "ideal"
             params = ideal.params
-            frame_pair = (ideal.role1, ideal.role_k)
+            frame_pair = (ideal.role1, ideal.role_k)  # canonical labels
             t = ideal.role1 - 1
             predicted = UtilityPair(float(gc.u_d_cov[t]), float(gc.u_a_cov[t]))
+            built = realize_params(gc, params, ideal.role1, ideal.role_k)
         elif mode == "ideal":
             return SolveOutput("infeasible")
     if kind is None:
@@ -102,8 +102,7 @@ def solve_game(
         params = opt.params
         frame_pair = (opt.cell.i1, opt.cell.i2)
         predicted = opt.predicted
-
-    built = realize_params(gc, params, frame_pair[0], frame_pair[1], omega)
+        built = opt.realization
     if built is None:
         return SolveOutput("none")
     strategy_canon, zd_w, frame = built
@@ -118,11 +117,8 @@ def solve_game(
                                   verify_samples, stream(seed, "solve-verify"))
 
     realized = None
-    if evaluate_br is None:
-        evaluate_br = g.k <= _BR_EVAL_MAX_K
-    if evaluate_br:
-        pair, _ = defender_utility_under_br(g, strategy)
-        realized = pair
+    if evaluate_br:  # in the caller's labels, as the caller would score it
+        realized, _ = defender_utility_under_br(g, strategy)
 
     return SolveOutput(
         kind=kind, params=params, strategy=strategy, phi=phi, residual=residual,
@@ -233,20 +229,21 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     out = solve_game(g, mode="auto", verify_samples=0, seed=args.seed,
                      evaluate_br=False)
+    one = None
     if out.kind in ("ideal", "optimal"):
         zd_strategy = out.strategy
     else:
         # no enforceable line exists: fall back to the lifted one-shot
         # strategy and flag the row
-        from .sse import oneshot_sse
-
-        zd_strategy = oneshot_sse(g).lifted(g.k)
+        one = oneshot_sse(g)
+        zd_strategy = one.lifted(g.k)
         flags.append("# zd_fallback=oneshot_lift (no enforceable line)")
     pair, _ = defender_utility_under_br(g, zd_strategy)
     rows.append(("zd", pair.u_d, time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    base = baselines(g, budget=args.budget, seed=args.seed, seeds_in=[zd_strategy])
+    base = baselines(g, budget=args.budget, seed=args.seed, seeds_in=[zd_strategy],
+                     oneshot=one, scored=[(zd_strategy, pair)])
     t_base = time.perf_counter() - t0
     rows.append(("oneshot_sse", base.oneshot.value, t_base))
     rows.append(("search_sse", base.search.value, t_base))

@@ -5,10 +5,21 @@ tens of constraints).  The pivot rule is fixed -- entering variable is the
 lowest-index column with negative reduced cost, leaving row breaks ratio
 ties by the lowest basis index -- so identical inputs always produce
 identical outcomes and cycling is impossible.
+
+Each pivot is a few array passes over the tableau: the entering column is
+the first index below -_EPS, the ratio test one vectorized minimum (rows
+are scanned in order only when a second ratio lies within _EPS of the
+minimum without equalling it), and the elimination one outer-product update
+of the rows with a nonzero pivot-column entry.  Every entry goes through
+the same floating-point operations as in a row-at-a-time elimination, so
+the outcome does not depend on how the passes are grouped.  The phase-1
+and phase-2 objective rows are built row by row, because their summation
+order is part of the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +29,7 @@ _EPS = 1e-9
 _MAX_PIVOTS = 50_000
 
 LE, EQ, GE = "<=", "=", ">="
+_REL_SIGN = {LE: -1, EQ: 0, GE: 1}
 
 
 class LpError(ValueError):
@@ -98,49 +110,38 @@ def _standardize(lp: LinearProgram):
     """Rewrite in nonnegative variables y >= 0: x_i = shift_i + sign_i * y_col.
 
     Free variables split into a positive and a negative part.  Finite upper
-    bounds become extra <= rows.  Returns (c, rows, mapping) where mapping
-    reconstructs x from y.
+    bounds become extra <= rows.  Returns (c, a, rels, rhs, back): the
+    objective and the row matrix in y, the relations as -1, 0, +1 for <=, =,
+    >=, and the map from y back to x.
     """
     n = lp.n
-    cols = []  # per original variable: list of (col_index, sign)
+    var, sign = [], []  # per y column: original variable and its sign
     shifts = np.zeros(n)
-    extra_rows = []
-    ncol = 0
+    upper = []  # (y column, width of the bound interval)
     for i, (lo, hi) in enumerate(lp.bounds):
         if lo is None and hi is None:
-            cols.append([(ncol, 1.0), (ncol + 1, -1.0)])
-            ncol += 2
-        elif lo is not None and hi is None:
-            shifts[i] = lo
-            cols.append([(ncol, 1.0)])
-            ncol += 1
-        elif lo is None and hi is not None:
-            shifts[i] = hi
-            cols.append([(ncol, -1.0)])
-            ncol += 1
-        else:
+            var += [i, i]
+            sign += [1.0, -1.0]
+            continue
+        if lo is not None and hi is not None:
             if hi < lo:
                 raise LpError(f"variable {i} has empty bound interval [{lo}, {hi}]")
-            shifts[i] = lo
-            cols.append([(ncol, 1.0)])
-            extra_rows.append((i, ncol, hi - lo))
-            ncol += 1
+            upper.append((len(var), hi - lo))
+        shifts[i] = lo if lo is not None else hi
+        var.append(i)
+        sign.append(1.0 if lo is not None else -1.0)
+    var, sign = np.array(var), np.array(sign)
+    ncol = len(var)
 
-    def to_y(row):
-        out = np.zeros(ncol)
-        for i, coef in enumerate(row):
-            if coef != 0.0:
-                for c, s in cols[i]:
-                    out[c] += coef * s
-        return out
+    def to_y(rows):  # each y column reads one variable: no sums, and no -0.0
+        return np.where(rows[..., var] != 0.0, rows[..., var] * sign, 0.0)
 
-    rows = []
-    for row, rel, rhs in lp.constraints:
-        rows.append((to_y(row), rel, rhs - float(row @ shifts)))
-    for _, c, ub in extra_rows:
-        r = np.zeros(ncol)
-        r[c] = 1.0
-        rows.append((r, LE, ub))
+    cons = lp.constraints
+    a = np.vstack([to_y(np.array([row for row, _, _ in cons]).reshape(-1, n)),
+                   np.eye(ncol)[[c for c, _ in upper]].reshape(-1, ncol)])
+    rels = np.array([_REL_SIGN[rel] for _, rel, _ in cons] + [-1] * len(upper))
+    rhs = np.array([rhs - float(row @ shifts) for row, _, rhs in cons]
+                   + [ub for _, ub in upper], dtype=float)
 
     c = to_y(lp.objective)
     if lp.sense == "max":
@@ -148,127 +149,120 @@ def _standardize(lp: LinearProgram):
 
     def back(y):
         x = shifts.copy()
-        for i in range(n):
-            for col, s in cols[i]:
-                x[i] += s * y[col]
+        np.add.at(x, var, sign * y)  # in column order, as a sequential sum
         return x
 
-    return c, rows, ncol, back
+    return c, a, rels, rhs, back
 
 
-def _simplex(c: np.ndarray, rows, ncol: int):
-    """Two-phase primal simplex on min c@y, rows, y >= 0 with Bland's rule.
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Scale the pivot row, then eliminate the column from every other row
+    where it is nonzero, in one outer-product update."""
+    T[row] /= T[row, col]
+    rows = T[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col, None] * T[row]
+
+
+def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
+    """Ratio test with Bland's tie rule: the row of the smallest ratio, ties
+    within _EPS going to the lowest basis index; -1 when the column is
+    unbounded.
+
+    One array pass settles it when every ratio within _EPS of the minimum
+    equals it exactly (the lowest basis index among them wins).  Otherwise
+    the rows are scanned in order, since a chain of near-ties then decides."""
+    col = T[:, enter]
+    cand = (col > _EPS).nonzero()[0]
+    if not len(cand):
+        return -1
+    ratios = T[cand, -1] / col[cand]
+    r = ratios.min()
+    if math.isfinite(r):
+        near = (ratios - _EPS <= r) | (ratios - r <= _EPS)  # not strictly beaten by r
+        tied = cand[near]
+        if len(tied) == 1:
+            return int(tied[0])
+        if (ratios[near] == r).all():
+            return int(tied[basis[tied].argmin()])
+    leave, best = -1, np.inf
+    for i, ratio in zip(cand, ratios):
+        if ratio < best - _EPS or (
+            abs(ratio - best) <= _EPS and (leave < 0 or basis[i] < basis[leave])
+        ):
+            best, leave = ratio, i
+    return int(leave)
+
+
+def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
+    """Two-phase primal simplex on min c@y, rows a@y (rels) rhs, y >= 0 with
+    Bland's rule; rels holds -1, 0, +1 for <=, =, >=.
 
     Returns (status, y) with status in optimal/infeasible/unbounded.
     """
-    m = len(rows)
+    m, ncol = a.shape
     if m == 0:
         if np.any(c < -_EPS):
             return "unbounded", None
         return "optimal", np.zeros(ncol)
 
-    # scale rows, force nonnegative rhs
-    A = np.zeros((m, ncol))
-    b = np.zeros(m)
-    rels = []
-    for i, (row, rel, rhs) in enumerate(rows):
-        scale = max(1.0, np.max(np.abs(row))) if row.size else 1.0
-        r, rv = row / scale, rhs / scale
-        if rv < 0:
-            r, rv = -r, -rv
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        A[i], b[i] = r, rv
-        rels.append(rel)
+    # scale rows, force nonnegative rhs (a flipped row flips its relation)
+    scale = np.fmax(1.0, np.abs(a).max(axis=1))
+    a, b = a / scale[:, None], rhs / scale
+    flip = b < 0
+    a[flip], b[flip], rels = -a[flip], -b[flip], np.where(flip, -rels, rels)
 
-    # slack / surplus / artificial columns
-    n_slack = sum(1 for r in rels if r != EQ)
-    n_art = sum(1 for r in rels if r != LE)
+    # slack / surplus / artificial columns, numbered in row order
+    has_slack, has_art = rels != 0, rels >= 0
+    n_slack, n_art = int(has_slack.sum()), int(has_art.sum())
     width = ncol + n_slack + n_art
+    slack_col = ncol + has_slack.cumsum() - 1
+    art_col = ncol + n_slack + has_art.cumsum() - 1
     T = np.zeros((m, width + 1))
-    T[:, :ncol] = A
+    T[:, :ncol] = a
     T[:, -1] = b
-    basis = np.empty(m, dtype=int)
-    si, ai = ncol, ncol + n_slack
-    art_cols = []
-    for i, rel in enumerate(rels):
-        if rel == LE:
-            T[i, si] = 1.0
-            basis[i] = si
-            si += 1
-        elif rel == GE:
-            T[i, si] = -1.0
-            si += 1
-            T[i, ai] = 1.0
-            basis[i] = ai
-            art_cols.append(ai)
-            ai += 1
-        else:
-            T[i, ai] = 1.0
-            basis[i] = ai
-            art_cols.append(ai)
-            ai += 1
+    s_rows, a_rows = has_slack.nonzero()[0], has_art.nonzero()[0]
+    T[s_rows, slack_col[s_rows]] = -rels[s_rows]  # +1 slack, -1 surplus
+    T[a_rows, art_col[a_rows]] = 1.0
+    basis = np.where(has_art, art_col, slack_col)
+    art_cols = art_col[a_rows]
 
     def run(obj_row):
         """Bland simplex on the current tableau with the given objective row."""
         pivots = 0
         while True:
-            enter = -1
-            for j in range(width):
-                if obj_row[j] < -_EPS:
-                    enter = j
-                    break
-            if enter < 0:
+            enter = int((obj_row[:width] < -_EPS).argmax())  # lowest improving column
+            if not obj_row[enter] < -_EPS:
                 return "optimal"
-            leave, best = -1, np.inf
-            for i in range(m):
-                a = T[i, enter]
-                if a > _EPS:
-                    ratio = T[i, -1] / a
-                    if ratio < best - _EPS or (
-                        abs(ratio - best) <= _EPS and (leave < 0 or basis[i] < basis[leave])
-                    ):
-                        best, leave = ratio, i
+            leave = _leaving_row(T, basis, enter)
             if leave < 0:
                 return "unbounded"
-            piv = T[leave, enter]
-            T[leave] /= piv
-            for i in range(m):
-                if i != leave and T[i, enter] != 0.0:
-                    T[i] -= T[i, enter] * T[leave]
+            _pivot(T, leave, enter)
             obj_row -= obj_row[enter] * T[leave]
             basis[leave] = enter
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise LpNumericalError("pivot budget exhausted (degenerate basis?)")
 
-    if art_cols:
+    if n_art:
         w = np.zeros(width + 1)
-        for j in art_cols:
-            w[j] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                w -= T[i]
+        w[art_cols] = 1.0
+        for i in a_rows:  # row by row: the summation order is part of the result
+            w -= T[i]
         status = run(w)
         if status != "optimal":
             raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
         if -w[-1] > FEAS_TOL:  # w stores -(current value) in the rhs slot
             return "infeasible", None
         # drive remaining zero-level artificials out of the basis
-        art_set = set(art_cols)
-        for i in range(m):
-            if basis[i] in art_set:
-                for j in range(ncol + n_slack):
-                    if abs(T[i, j]) > 1e-7:
-                        piv = T[i, j]
-                        T[i] /= piv
-                        for r in range(m):
-                            if r != i and T[r, j] != 0.0:
-                                T[r] -= T[r, j] * T[i]
-                        basis[i] = j
-                        break
+        for i in (basis >= ncol + n_slack).nonzero()[0]:
+            big = np.abs(T[i, :ncol + n_slack]) > 1e-7
+            if big.any():
+                j = int(big.argmax())
+                _pivot(T, i, j)
+                basis[i] = j
         # zero out any artificial column still in the basis (redundant row)
-        for j in art_cols:
-            T[:, j] = 0.0
+        T[:, art_cols] = 0.0
 
     z = np.zeros(width + 1)
     z[:ncol] = c
@@ -280,8 +274,7 @@ def _simplex(c: np.ndarray, rows, ncol: int):
         return "unbounded", None
 
     y = np.zeros(width)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
+    y[basis] = T[:, -1]
     return "optimal", np.maximum(y[:ncol], 0.0)
 
 
@@ -302,8 +295,8 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve the program; optimal answers are re-verified against the original
     rows and a violation above the feasibility tolerance is a hard error."""
-    c, rows, ncol, back = _standardize(lp)
-    status, y = _simplex(c, rows, ncol)
+    c, a, rels, rhs, back = _standardize(lp)
+    status, y = _simplex(c, a, rels, rhs)
     if status != "optimal":
         return LpOutcome(status=status)
     x = back(y)

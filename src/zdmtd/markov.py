@@ -121,10 +121,10 @@ def _direct_or_nan(stack: np.ndarray) -> np.ndarray:
         return np.concatenate([_direct_or_nan(m[None]) for m in stack])
 
 
-def _closed_classes(m: np.ndarray) -> list:
-    """Boolean masks of the closed classes of a chain, from the transitive
-    closure of its support graph."""
-    reach, prev = (m > 0.0) | np.eye(len(m), dtype=bool), None
+def _closed_classes(support: np.ndarray) -> list:
+    """Boolean masks of the closed classes of a chain with the given boolean
+    support graph, from the transitive closure of that graph."""
+    reach, prev = support | np.eye(len(support), dtype=bool), None
     while not np.array_equal(reach, prev):  # repeated squaring
         prev, reach = reach, (reach.astype(float) @ reach.astype(float)) > 0.0
     recurrent = np.all(reach <= reach.T, axis=1)  # every state it reaches leads back
@@ -158,9 +158,13 @@ def stationary(tm: TransitionMatrix) -> StationaryDist:
     stack = tm.m.reshape(-1, n, n)
     v = _direct_or_nan(stack)
     direct = (_fixed_point_residual(v, stack) <= DIRECT_RESIDUAL_TOL) & (v.min(axis=1) >= -1e-9)
-    reducible = []
+    reducible, classes_of = [], {}  # the chains of a stack often share one support graph
     for i in np.nonzero(~direct | (stack.min(axis=(1, 2)) <= 0.0))[0]:
-        classes = _closed_classes(stack[i])
+        support = stack[i] > 0.0
+        key = support.tobytes()
+        if key not in classes_of:
+            classes_of[key] = _closed_classes(support)
+        classes = classes_of[key]
         if not direct[i] or len(classes) > 1:
             v[i] = _closed_class_limit(stack[i], classes)
             reducible.append(i)

@@ -26,7 +26,7 @@ candidate is realized and scored under actual attacker best response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,6 +123,7 @@ class ZdSolveResult:
     role1: int = None
     role_k: int = None
     certificate: dict = field(default_factory=dict)
+    realization: tuple = None  # realize_params output for an optimal winner
 
 
 def hull(g: GameSpec) -> HullPolygon:
@@ -489,7 +490,13 @@ def solve_optimal(g: GameSpec, run_ideal_first: bool = True,
     inequalities in their construction frame, and line/hull membership; at
     desk scale (or when evaluate_br is set) each surviving candidate is
     realized and scored by its defender utility under attacker best
-    response, otherwise by the predicted hull value.
+    response, otherwise by the predicted hull value.  The winner comes with
+    its ``realize_params`` output (``realization``, None when it cannot be
+    built).
+
+    Scores are taken in g's own labels, so relabeled copies of one game
+    rank their candidates alike: two cells often realize one line, and their
+    scores then differ only by rounding that depends on the label order.
     """
     _require_canonical(g)
     if evaluate_br is None:
@@ -538,14 +545,12 @@ def solve_optimal(g: GameSpec, run_ideal_first: bool = True,
                     shortlist.append((corr, proxy, vec, (x, y)))
             for _, proxy, vec, (x, y) in sorted(shortlist, key=lambda s: s[0]):
                 p = ZdLinearParams(*vec)
-                realized = None
+                built = realized = None
                 if evaluate_br:
                     built = realize_params(g, p, i1, i2)
                     if built is None:
                         continue
-                    strategy, _, _ = built
-                    pair, _ = defender_utility_under_br(g, strategy)
-                    realized = pair
+                    realized, _ = defender_utility_under_br(g, built[0])
                 else:
                     frame = relabeling(g.k, i1, i2)
                     if not _eq8_existence(frame.apply_game(g), p).exists:
@@ -561,7 +566,10 @@ def solve_optimal(g: GameSpec, run_ideal_first: bool = True,
                 ):
                     best = (score, ZdSolveResult(
                         "optimal", p, UtilityPair(x, y), realized, cell,
-                        certificate=cert))
+                        certificate=cert, realization=built))
     if best is None:
         return ZdSolveResult("none")
+    if not evaluate_br:  # scored by prediction: only the winner is built
+        cell = best[1].cell
+        return replace(best[1], realization=realize_params(g, best[1].params, cell.i1, cell.i2))
     return best[1]

@@ -307,14 +307,18 @@ def _score(g: GameSpec, strategy: MemoryOneStrategy):
     return pair
 
 
-def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), workers: int = None) -> SseSearch:
+def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), workers: int = None,
+               scored=()) -> SseSearch:
     """Annealed random-restart local search over defender memory-one
     strategies, scored by defender utility under attacker best response.
 
     Proposals resample each row from Dirichlet(kappa * current + 0.1) with
     kappa annealed 1 -> 100 over the budget.  seeds_in strategies are always
-    evaluated first, so the result never scores below them.  Deterministic
-    given (budget, seed, seeds_in) regardless of worker count.
+    evaluated first, so the result never scores below them; a seed whose
+    rows equal a strategy already scored (an earlier seed, or one of the
+    (strategy, UtilityPair) pairs in scored) reuses that pair, and still
+    counts as an iteration.  Deterministic given (budget, seed, seeds_in)
+    regardless of worker count.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -327,9 +331,13 @@ def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), workers: int = 
     if not candidates:
         candidates = [MemoryOneStrategy(k, rng.dirichlet(np.ones(k), size=k * k))]
     evals = 0
+    known = list(scored)
     best_strategy, best_pair = None, None
     for cand in candidates:
-        pair = _score(g, cand)
+        pair = next((p for s, p in known if np.array_equal(s.rows, cand.rows)), None)
+        if pair is None:
+            pair = _score(g, cand)
+            known.append((cand, pair))
         evals += 1
         if best_pair is None or pair.u_d > best_pair.u_d + 1e-12:
             best_strategy, best_pair = cand, pair
@@ -367,8 +375,9 @@ def exhaustive_sse(g: GameSpec):
     best response computed per candidate (K <= 3; K^(K^2) candidates).
 
     A desk-scale lower bound on the equilibrium value: deterministic
-    strategies are a subset of memory-one ones and ties are scored
-    pessimistically for the defender.
+    strategies are a subset of memory-one ones.  Each candidate is scored at
+    Howard's best response, which breaks the attacker's ties by the lowest
+    action index, not in the defender's favour or against it.
     """
     if g.k > 3:
         raise ValueError(f"exhaustive search guarded to K <= 3, got K={g.k}")
@@ -393,10 +402,12 @@ class SseBaseline:
     upper_bound: float
 
 
-def baselines(g: GameSpec, budget: int, seed: int, seeds_in=()) -> SseBaseline:
+def baselines(g: GameSpec, budget: int, seed: int, seeds_in=(), oneshot: OneshotSse = None,
+              scored=()) -> SseBaseline:
     """One-shot proxy, seeded search (one-shot lift always included), and
-    the analytic upper bound."""
-    one = oneshot_sse(g)
+    the analytic upper bound.  A caller that already has the one-shot
+    equilibrium or scored pairs (see `search_sse`) passes them in."""
+    one = oneshot_sse(g) if oneshot is None else oneshot
     seeds = [one.lifted(g.k)] + list(seeds_in)
-    search = search_sse(g, budget, seed, seeds)
+    search = search_sse(g, budget, seed, seeds, scored=scored)
     return SseBaseline(one, search, sse_upper_bound(g))

@@ -10,6 +10,8 @@ import math
 import numpy as np
 
 from zdmtd.game import GameSpec, profit_vector
+from zdmtd.lp import EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LpError, LpNumericalError, LpOutcome
+from zdmtd.lp import _violation
 from zdmtd.markov import EPSILON_MIX
 from zdmtd.mdp import (
     TIE_TOL,
@@ -297,3 +299,177 @@ def simulate_reference(g: GameSpec, pi_d, profile, steps, seed, stride=1,
         "final": (math.fsum(u_d) / steps, math.fsum(u_a) / steps),
         "segments": segments,
     }
+
+
+def simplex_reference(lp):
+    """Reference for `lp.solve_lp`: the same standard form, two-phase simplex
+    and Bland rule, with every row mapped, scaled, ratio-tested and pivoted
+    one at a time in Python loops.  Returns an LpOutcome; raises as
+    `solve_lp` does."""
+    n = lp.n
+    cols, shifts, extra_rows, ncol = [], np.zeros(n), [], 0
+    for i, (lo, hi) in enumerate(lp.bounds):
+        if lo is None and hi is None:
+            cols.append([(ncol, 1.0), (ncol + 1, -1.0)])
+            ncol += 2
+        elif lo is not None and hi is None:
+            shifts[i] = lo
+            cols.append([(ncol, 1.0)])
+            ncol += 1
+        elif lo is None and hi is not None:
+            shifts[i] = hi
+            cols.append([(ncol, -1.0)])
+            ncol += 1
+        else:
+            if hi < lo:
+                raise LpError(f"variable {i} has empty bound interval [{lo}, {hi}]")
+            shifts[i] = lo
+            cols.append([(ncol, 1.0)])
+            extra_rows.append((ncol, hi - lo))
+            ncol += 1
+
+    def to_y(row):
+        out = np.zeros(ncol)
+        for i, coef in enumerate(row):
+            if coef != 0.0:
+                for c, s in cols[i]:
+                    out[c] += coef * s
+        return out
+
+    rows = [(to_y(row), rel, rhs - float(row @ shifts)) for row, rel, rhs in lp.constraints]
+    for c, ub in extra_rows:
+        r = np.zeros(ncol)
+        r[c] = 1.0
+        rows.append((r, LE, ub))
+    c = to_y(lp.objective)
+    if lp.sense == "max":
+        c = -c
+
+    status, y = _simplex_rows(c, rows, ncol)
+    if status != "optimal":
+        return LpOutcome(status=status)
+    x = shifts.copy()
+    for i in range(n):
+        for col, s in cols[i]:
+            x[i] += s * y[col]
+    for i, (lo, hi) in enumerate(lp.bounds):
+        if lo is not None and x[i] < lo:
+            x[i] = lo
+        if hi is not None and x[i] > hi:
+            x[i] = hi
+    viol = _violation(lp, x)
+    if viol > LP_FEAS_TOL:
+        raise LpNumericalError(
+            f"simplex returned 'optimal' but the point violates constraints by {viol:.3e}")
+    return LpOutcome("optimal", x, float(lp.objective @ x), viol)
+
+
+def _simplex_rows(c, rows, ncol, eps=1e-9, max_pivots=50_000):
+    m = len(rows)
+    if m == 0:
+        if np.any(c < -eps):
+            return "unbounded", None
+        return "optimal", np.zeros(ncol)
+    A, b, rels = np.zeros((m, ncol)), np.zeros(m), []
+    for i, (row, rel, rhs) in enumerate(rows):
+        scale = max(1.0, np.max(np.abs(row))) if row.size else 1.0
+        r, rv = row / scale, rhs / scale
+        if rv < 0:
+            r, rv = -r, -rv
+            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+        A[i], b[i] = r, rv
+        rels.append(rel)
+    n_slack = sum(1 for r in rels if r != EQ)
+    n_art = sum(1 for r in rels if r != LE)
+    width = ncol + n_slack + n_art
+    T = np.zeros((m, width + 1))
+    T[:, :ncol] = A
+    T[:, -1] = b
+    basis = np.empty(m, dtype=int)
+    si, ai, art_cols = ncol, ncol + n_slack, []
+    for i, rel in enumerate(rels):
+        if rel == LE:
+            T[i, si] = 1.0
+            basis[i] = si
+            si += 1
+        elif rel == GE:
+            T[i, si] = -1.0
+            si += 1
+            T[i, ai] = 1.0
+            basis[i] = ai
+            art_cols.append(ai)
+            ai += 1
+        else:
+            T[i, ai] = 1.0
+            basis[i] = ai
+            art_cols.append(ai)
+            ai += 1
+
+    def run(obj_row):
+        pivots = 0
+        while True:
+            enter = -1
+            for j in range(width):
+                if obj_row[j] < -eps:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            leave, best = -1, np.inf
+            for i in range(m):
+                a = T[i, enter]
+                if a > eps:
+                    ratio = T[i, -1] / a
+                    if ratio < best - eps or (
+                        abs(ratio - best) <= eps and (leave < 0 or basis[i] < basis[leave])
+                    ):
+                        best, leave = ratio, i
+            if leave < 0:
+                return "unbounded"
+            piv = T[leave, enter]
+            T[leave] /= piv
+            for i in range(m):
+                if i != leave and T[i, enter] != 0.0:
+                    T[i] -= T[i, enter] * T[leave]
+            obj_row -= obj_row[enter] * T[leave]
+            basis[leave] = enter
+            pivots += 1
+            if pivots > max_pivots:
+                raise LpNumericalError("pivot budget exhausted (degenerate basis?)")
+
+    if art_cols:
+        w = np.zeros(width + 1)
+        for j in art_cols:
+            w[j] = 1.0
+        for i in range(m):
+            if basis[i] in art_cols:
+                w -= T[i]
+        if run(w) != "optimal":
+            raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
+        if -w[-1] > LP_FEAS_TOL:
+            return "infeasible", None
+        art_set = set(art_cols)
+        for i in range(m):
+            if basis[i] in art_set:
+                for j in range(ncol + n_slack):
+                    if abs(T[i, j]) > 1e-7:
+                        piv = T[i, j]
+                        T[i] /= piv
+                        for r in range(m):
+                            if r != i and T[r, j] != 0.0:
+                                T[r] -= T[r, j] * T[i]
+                        basis[i] = j
+                        break
+        for j in art_cols:
+            T[:, j] = 0.0
+    z = np.zeros(width + 1)
+    z[:ncol] = c
+    for i in range(m):
+        if z[basis[i]] != 0.0:
+            z -= z[basis[i]] * T[i]
+    if run(z) != "optimal":
+        return "unbounded", None
+    y = np.zeros(width)
+    for i in range(m):
+        y[basis[i]] = T[i, -1]
+    return "optimal", np.maximum(y[:ncol], 0.0)

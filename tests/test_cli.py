@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -189,6 +190,125 @@ def test_solve_game_function_modes():
 
     forced = solve_game(g, mode="optimal", verify_samples=0)
     assert forced.kind == "optimal"
+
+
+def test_solve_game_builds_each_candidate_once(monkeypatch):
+    # games with unsorted labels reach the optimal program: the winner is the
+    # candidate solve_optimal built and scored, not built again; solve_game
+    # scores it once more, in the caller's labels
+    from zdmtd import cli, programs
+    from zdmtd.mdp import defender_utility_under_br
+
+    log = []  # (what, inside solve_optimal)
+    inside = []
+
+    def spy(name, fn, counts=lambda out: True):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if counts(out):
+                log.append((name, bool(inside)))
+            return out
+        return wrapper
+
+    def optimal(*args, **kwargs):
+        inside.append(True)
+        try:
+            return programs.solve_optimal(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    score = spy("score", defender_utility_under_br)
+    build = spy("build", programs.realize_params, lambda out: out is not None)
+    for module in (cli, programs):
+        monkeypatch.setattr(module, "defender_utility_under_br", score)
+        monkeypatch.setattr(module, "realize_params", build)
+    monkeypatch.setattr(cli, "solve_optimal", optimal)
+
+    rng = np.random.default_rng(8)
+    optimal_games = 0
+    for trial in range(24):
+        k = 2 + trial % 2
+        base = random_game(k, rng)
+        perm = rng.permutation(k)
+        while np.array_equal(perm, np.arange(k)):
+            perm = rng.permutation(k)
+        g = GameSpec(k, base.u_d_cov[perm], base.u_d_unc[perm],
+                     base.u_a_cov[perm], base.u_a_unc[perm])
+        log.clear()
+        out = solve_game(g, verify_samples=0)
+        if out.kind != "optimal":
+            continue
+        optimal_games += 1
+        shortlisted = log.count(("build", True))
+        assert shortlisted >= 1
+        assert log.count(("score", True)) == shortlisted
+        assert log.count(("score", False)) == 1 and ("build", False) not in log
+        fresh, _ = defender_utility_under_br(g, out.strategy)
+        assert out.realized.u_d == fresh.u_d and out.realized.u_a == fresh.u_a
+    assert optimal_games >= 8, optimal_games
+
+
+def test_solve_game_ignores_label_order(monkeypatch):
+    # two cells often realize one line, and their scores then differ only by
+    # rounding that depends on the label order: relabeled copies of a game
+    # must still get the same line from the same targets
+    from zdmtd import programs
+
+    rng = np.random.default_rng(1)
+    drawn = [random_game(2 + t % 2, rng) for t in range(44)]
+    near_tied = [drawn[35], drawn[43],
+                 GameSpec(2, (2.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-2.0, 1.0))]
+    score = programs.defender_utility_under_br
+    for base in drawn[:6] + near_tied:
+        seen = set()
+        for perm in itertools.permutations(range(base.k)):
+            perm = np.array(perm)
+            g = GameSpec(base.k, np.asarray(base.u_d_cov)[perm], np.asarray(base.u_d_unc)[perm],
+                         np.asarray(base.u_a_cov)[perm], np.asarray(base.u_a_unc)[perm])
+            scores = []
+
+            def spy(*args):
+                scored = score(*args)
+                scores.append(scored[0].u_d)
+                return scored
+
+            monkeypatch.setattr(programs, "defender_utility_under_br", spy)
+            out = solve_game(g, verify_samples=0)
+            if any(base is b for b in near_tied):
+                top = sorted(scores)[-2:]
+                assert out.kind == "optimal" and top[1] - top[0] < 1e-8
+            seen.add((out.kind, out.params.as_array().tobytes() if out.params else None,
+                      out.cell and tuple(int(perm[c - 1]) for c in out.cell)))
+        assert len(seen) == 1, seen
+
+
+def test_compare_scores_the_zd_strategy_once(tmp_path, monkeypatch):
+    # the IoT family falls back to the one-shot lift, which is also the
+    # search's first seed: one one-shot LP pass and one scoring for both
+    from zdmtd import cli, programs, sse
+    from zdmtd.mdp import defender_utility_under_br
+    from zdmtd.scenarios import iot_game, iot_scenario
+
+    counts = {"score": 0, "oneshot": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    score = counted("score", defender_utility_under_br)
+    for module in (cli, programs, sse):
+        monkeypatch.setattr(module, "defender_utility_under_br", score)
+    oneshot = counted("oneshot", sse.oneshot_sse)
+    monkeypatch.setattr(cli, "oneshot_sse", oneshot)
+    monkeypatch.setattr(sse, "oneshot_sse", oneshot)
+
+    game = write_game(tmp_path / "game.json", game_to_dict(iot_game(iot_scenario(3, 1))))
+    budget = 8
+    assert main(["compare", "--game", game, "--budget", str(budget), "--seed", "0",
+                 "--out", str(tmp_path / "cmp.csv")]) == EXIT_OK
+    assert counts == {"score": 1 + budget, "oneshot": 1}
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

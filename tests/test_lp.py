@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from zdmtd import lp as lp_module
+from zdmtd import sse
 from zdmtd.lp import (
+    _EPS,
     EQ,
     GE,
     LE,
@@ -10,6 +13,9 @@ from zdmtd.lp import (
     check_feasible,
     solve_lp,
 )
+from zdmtd.programs import solve_ideal
+
+from oracles import random_game, simplex_reference
 
 
 def test_single_bound_example():
@@ -202,3 +208,87 @@ def test_solve_lp_matches_scipy_highs():
         if status == "optimal":
             assert abs(out.objective - optimum) <= 1e-8 * max(1.0, abs(optimum)), (trial, lp.dump())
     assert counts["optimal"] >= 30 and counts["infeasible"] >= 30, counts
+
+
+def _outcome(solve, lp):
+    """Everything a solve reports, bit for bit, or the error it raises."""
+    try:
+        out = solve(lp)
+    except Exception as err:  # compared by type and message
+        return type(err).__name__, str(err)
+    x = None if out.x is None else out.x.tobytes()
+    return out.status, x, out.objective, out.max_violation
+
+
+def _random_lp(rng, integer):
+    """Random rows, relations, senses and bound kinds; integer entries in
+    -3..3 make degenerate vertices and exact ratio ties common."""
+    def draw(size):
+        if integer:
+            return rng.integers(-3, 4, size=size).astype(float)
+        return rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e3])
+
+    n, m = int(rng.integers(1, 6)), int(rng.integers(0, 10))
+    rows = []
+    for _ in range(m):
+        row = draw(n)
+        row[rng.random(n) < 0.2] = 0.0
+        rows.append((row, (LE, EQ, GE)[int(rng.integers(3))], float(draw(1)[0])))
+    bounds = []
+    for _ in range(n):
+        lo = float(draw(1)[0]) - 1.0
+        bounds.append([(None, None), (lo, None), (None, lo),
+                       (lo, lo + abs(float(draw(1)[0])))][int(rng.integers(4))])
+    return LinearProgram(draw(n), ("max", "min")[int(rng.integers(2))], rows, bounds)
+
+
+def _near_tie_lp(rng):
+    """Rows whose ratios at the first pivots differ by less than _EPS."""
+    d = rng.uniform(-2 * _EPS, 2 * _EPS, size=3)
+    rows = [(np.array([1.0, 1.0]), LE, 1.0 + d[0]), (np.array([1.0, 1.0 + d[1]]), LE, 1.0),
+            (np.array([2.0, 1.0]), LE, 2.0 + d[2]), (np.array([1.0, -1.0]), GE, -1.0)]
+    order = rng.permutation(len(rows))
+    return LinearProgram(rng.normal(size=2), "max", [rows[i] for i in order],
+                         [(0.0, None), (0.0, None)])
+
+
+def test_solve_lp_matches_per_row_reference(monkeypatch):
+    rng = np.random.default_rng(31)
+    lps = [_random_lp(rng, integer=i % 2 == 0) for i in range(900)]
+    lps += [_near_tie_lp(rng) for _ in range(150)]
+
+    recorded = []  # the ideal programs (K = 2..50) and one-shot LPs of real games
+
+    def record(lp):
+        recorded.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(lp_module, "solve_lp", record)
+    monkeypatch.setattr(sse, "solve_lp", record)
+    for k in (2, 3, 4, 6, 9, 50):
+        g = random_game(k, rng)
+        solve_ideal(g)
+        sse.oneshot_sse(g)
+    monkeypatch.undo()
+    assert sum(lp.n == 3 and len(lp.constraints) == 50 + 5 for lp in recorded) == 49
+    lps += recorded
+
+    near_ties = []  # ratio tests with a second ratio within _EPS of the minimum, not equal to it
+    leaving_row = lp_module._leaving_row
+
+    def spy(T, basis, enter):
+        col = T[:, enter]
+        ratios = T[col > _EPS, -1] / col[col > _EPS]
+        gap = ratios - ratios.min() if ratios.size else ratios
+        near_ties.append(bool(np.any((gap > 0) & (gap <= _EPS))))
+        return leaving_row(T, basis, enter)
+
+    monkeypatch.setattr(lp_module, "_leaving_row", spy)
+    statuses = {}
+    for i, lp in enumerate(lps):
+        got = _outcome(solve_lp, lp)
+        assert got == _outcome(simplex_reference, lp), (i, lp.dump())
+        statuses[got[0]] = statuses.get(got[0], 0) + 1
+    assert len(lps) >= 1000
+    assert min(statuses.get(s, 0) for s in ("optimal", "infeasible", "unbounded")) >= 100, statuses
+    assert sum(near_ties) >= 20, sum(near_ties)

@@ -247,3 +247,20 @@ def test_max_line_residual_matches_sample_by_sample(monkeypatch):
     monkeypatch.setattr(markov, "VERIFY_STACK_ENTRIES", 3 * 81)
     got = max_line_residual(g, pi_d, alpha, beta, gamma, 10, stream(9, "zd-verify"))
     assert abs(got - expect) <= 1e-15 * max(1.0, expect)
+
+
+def test_stack_sharing_a_support_finds_its_classes_once(monkeypatch):
+    # a defender strategy with zero entries against positive attackers: every
+    # chain of the stack has the same support graph
+    rng = np.random.default_rng(4)
+    d_rows = random_strategy(3, rng).rows.copy()
+    d_rows[:, 2] = 0.0
+    d_rows /= d_rows.sum(axis=1, keepdims=True)
+    chains = [chain(d_rows, random_strategy(3, rng).rows) for _ in range(6)]
+    calls = []
+    find = markov._closed_classes
+    monkeypatch.setattr(markov, "_closed_classes", lambda s: calls.append(1) or find(s))
+    stacked = stationary(TransitionMatrix(3, np.stack(chains)))
+    assert len(calls) == 1
+    for row, m in zip(stacked.v, chains):
+        assert np.array_equal(row, stationary(TransitionMatrix(3, m)).v)
