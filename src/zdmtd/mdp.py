@@ -8,18 +8,25 @@ defender's strategy is blended the same way only when it contains zero
 entries.  Under this rule every induced chain is strictly positive, so the
 direct stationary solve always applies and policy iteration and exhaustive
 enumeration score policies identically.
+
+The K <= 3 enumeration scores all K^(K^2) policies with one gather and one
+stacked solve: each policy's direct system A = P^T - I (last row ones) is
+read through a cached per-K flat index from a small table of the products
+F[s, d] W[b, a], the diagonal products minus 1 and the constant 1.  Every
+entry is the same floating-point operation as in `chain` and `_direct`, so
+the values are bit-identical to solving the chain stack.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, profit_vector
-from .markov import EPSILON_MIX, UtilityPair, _direct, chain, eps_mixed
+from .markov import EPSILON_MIX, UtilityPair, _direct, _solve_direct, chain, eps_mixed
 
-BELLMAN_TOL = 1e-9
 TIE_TOL = 1e-9
 _SWITCH_TOL = 1e-12
 
@@ -40,13 +47,6 @@ class AttackerMdp:
     @property
     def k(self) -> int:
         return self.g.k
-
-    def transition(self, s: int, a: int) -> np.ndarray:
-        """Dense next-state distribution for (state s, 1-based action a)."""
-        k = self.k
-        out = np.zeros(k * k)
-        out[np.arange(k) * k + (a - 1)] = self.pi_d.rows[s]
-        return out
 
 
 @dataclass(frozen=True)
@@ -163,15 +163,6 @@ def best_response(mdp: AttackerMdp) -> BestResponse:
     raise PolicyIterationCycleError("policy iteration exceeded its iteration budget")
 
 
-def bellman_residual(mdp: AttackerMdp, br: BestResponse) -> float:
-    """max_s |gain + h(s) - max_a Q(s, a)| on the effective MDP."""
-    g, pi_d = mdp.g, mdp.pi_d
-    k, n = g.k, g.k * g.k
-    f, w, r_eff, _, _ = _effective_tables(g, pi_d)
-    q = r_eff + f @ (br.bias.reshape(k, k) @ w.T)
-    return float(np.max(np.abs(br.gain + br.bias - q.max(axis=1))))
-
-
 def _enumerate_policies(k: int) -> np.ndarray:
     """All deterministic policies in lexicographic order, 0-based actions."""
     n = k * k
@@ -181,12 +172,37 @@ def _enumerate_policies(k: int) -> np.ndarray:
     return (p // (k ** (n - 1 - states))) % k
 
 
+@functools.lru_cache(maxsize=None)
+def _policy_index(k: int):
+    """(pols, idx), read-only: every policy, and the flat index into the value
+    table of _policy_values_batch with A[p] = table[idx[p]] the direct system
+    of policy p.  Row j = flat(d, a), column s of A holds F[s, d] W[pols[p, s], a]
+    at ((s K + d) K + pols[p, s]) K + a, its diagonal product minus 1 at
+    K^5 + s K + pols[p, s], and the last row the constant 1 at K^5 + K^3."""
+    pols = _enumerate_policies(k)
+    n, k5 = k * k, k**5
+    j, s = np.arange(n)[:, None], np.arange(n)[None, :]
+    base = np.where(j == s, k5 + s * k, (s * k + j // k) * k * k + j % k)
+    step = np.where(j == s, 1, k)
+    base[-1], step[-1] = k5 + k * n, 0
+    idx = base + step * pols[:, None, :]
+    pols.setflags(write=False)
+    idx.setflags(write=False)
+    return pols, idx
+
+
 def _policy_values_batch(g: GameSpec, pi_d: MemoryOneStrategy, tables=None):
-    """(u_d, u_a) for every deterministic policy, evaluated like _policy_value;
-    `tables` are the caller's _effective_tables(g, pi_d), if it has them."""
+    """(pols, u_d, u_a) for every deterministic policy, evaluated like
+    _policy_value; `tables` are the caller's _effective_tables(g, pi_d), if it
+    has them.  One gather of the policies' direct systems and one stacked
+    solve, bit-identical to `_direct(chain(F, W[pols]))`: each entry is the
+    same product, minus 1 on the diagonal."""
     f, w, _, sd, sa = tables or _effective_tables(g, pi_d)
-    pols = _enumerate_policies(g.k)
-    v = _direct(chain(f, w[pols]))
+    pols, idx = _policy_index(g.k)
+    j = np.arange(g.k * g.k)
+    prod = f[:, :, None, None] * w  # [s, d, b, a] = F[s, d] W[b, a]
+    diag = prod[j, j // g.k, :, j % g.k] - 1.0  # [j, b] at s = j = flat(d, a)
+    v = _solve_direct(np.concatenate([prod.ravel(), diag.ravel(), [1.0]])[idx])
     return pols, v @ sd, v @ sa
 
 

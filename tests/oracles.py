@@ -12,10 +12,12 @@ import numpy as np
 from zdmtd.game import GameSpec, profit_vector
 from zdmtd.lp import EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LpError, LpNumericalError, LpOutcome
 from zdmtd.lp import _violation
-from zdmtd.markov import EPSILON_MIX
+from zdmtd.markov import EPSILON_MIX, _direct, chain
 from zdmtd.mdp import (
     TIE_TOL,
     _SWITCH_TOL,
+    _effective_tables,
+    _enumerate_policies,
     _policy_value,
     best_response,
     build_attacker_mdp,
@@ -186,6 +188,25 @@ def pipeline_value(g: GameSpec, result: ZdSolveResult = None):
     strategy, _, _ = built
     pair, _ = defender_utility_under_br(g, strategy)
     return pair.u_d
+
+
+def policy_values_reference(g: GameSpec, pi_d, tables=None):
+    """Reference for `mdp._policy_values_batch`: every policy's chain built by
+    `chain(F, W[pols])` and solved by `markov._direct`, with the policy table
+    enumerated afresh.  Returns (pols, u_d, u_a)."""
+    f, w, _, sd, sa = tables or _effective_tables(g, pi_d)
+    pols = _enumerate_policies(g.k)
+    v = _direct(chain(f, w[pols]))
+    return pols, v @ sd, v @ sa
+
+
+def bellman_residual(g: GameSpec, pi_d, br) -> float:
+    """max_s |gain + h(s) - max_a Q(s, a)| of a best response on the
+    effective MDP."""
+    k = g.k
+    f, w, r_eff, _, _ = _effective_tables(g, pi_d)
+    q = r_eff + f @ (br.bias.reshape(k, k) @ w.T)
+    return float(np.max(np.abs(br.gain + br.bias - q.max(axis=1))))
 
 
 def swap_search_direct(g: GameSpec, pi_d):

@@ -1,22 +1,35 @@
 import numpy as np
 import pytest
 
-from zdmtd.game import GameSpec, flat_index, pure_strategy, random_strategy, uniform_strategy
+from zdmtd import mdp as mdp_module
+from zdmtd.cli import solve_game
+from zdmtd.game import (
+    GameSpec,
+    MemoryOneStrategy,
+    flat_index,
+    pure_strategy,
+    random_strategy,
+    uniform_strategy,
+)
 from zdmtd.markov import chain, long_run_utilities
 from zdmtd.mdp import (
-    bellman_residual,
+    TIE_TOL,
     best_response,
     build_attacker_mdp,
     defender_utility_under_br,
     exhaustive_br,
     _effective_tables,
     _fundamental,
+    _policy_index,
     _policy_value,
+    _policy_values_batch,
     _swap_values,
 )
 from zdmtd.programs import realize_params, solve_ideal
+from zdmtd.scenarios import iot_game, iot_scenario
+from zdmtd.sse import oneshot_sse
 
-from oracles import ideal_feasible_game, swap_search_direct
+from oracles import bellman_residual, ideal_feasible_game, policy_values_reference, swap_search_direct
 
 
 def random_game(k, rng, scale=1.0):
@@ -31,7 +44,7 @@ def test_build_mdp_pure_defender():
     for s in range(4):
         for a in (1, 2):
             assert mdp.rewards[s, a - 1] == g.one_shot(1, a)[1]
-            t = mdp.transition(s, a)
+            t = chain(mdp.pi_d.rows, np.eye(2)[[a - 1] * 4])[s]
             assert t[flat_index(2, 1, a)] == 1.0
             assert t.sum() == pytest.approx(1.0)
 
@@ -115,9 +128,8 @@ def test_bellman_residual_bound():
     for k in (2, 3, 4):
         g = random_game(k, rng)
         pi_d = random_strategy(k, rng)
-        mdp = build_attacker_mdp(g, pi_d)
-        br = best_response(mdp)
-        assert bellman_residual(mdp, br) <= 1e-9
+        br = best_response(build_attacker_mdp(g, pi_d))
+        assert bellman_residual(g, pi_d, br) <= 1e-9
 
 
 def test_defender_utility_matches_exhaustive_tieset():
@@ -125,7 +137,6 @@ def test_defender_utility_matches_exhaustive_tieset():
     g = random_game(2, rng)
     pair, br = defender_utility_under_br(g, uniform_strategy(2))
     # exhaustive reference: best attacker gain, then best defender value in ties
-    from zdmtd.mdp import _policy_values_batch
     pols, u_d, u_a = _policy_values_batch(g, uniform_strategy(2))
     tie = u_a >= u_a.max() - 1e-9
     assert pair.u_a == pytest.approx(u_a.max(), abs=1e-9)
@@ -252,3 +263,99 @@ def test_swap_search_matches_direct_solve_reference():
         assert chosen.policy == policy
         assert abs(pair.u_d - ref_d) <= 1e-12
         assert abs(pair.u_a - ref_a) <= 1e-12
+
+
+def _batch_inputs(k, kind):
+    """(game, strategy) pairs for the enumeration kernel checks."""
+    rng = np.random.default_rng(700 + k)
+    if kind == "random":
+        return [(random_game(k, rng), random_strategy(k, rng)) for _ in range(3)]
+    if kind == "zd":  # the pipeline's strategies, floor entries and zeros included
+        cases = []
+        while len(cases) < 4:
+            g = random_game(k, rng)
+            out = solve_game(g, verify_samples=0, evaluate_br=False)
+            if out.strategy is not None:
+                cases.append((g, out.strategy))
+        return cases
+    if kind == "zeros":  # exact zero entries take the eps_mixed path
+        rows = random_strategy(k, rng).rows * (rng.random((k * k, k)) < 0.6)
+        rows[:, 0] += rows.sum(axis=1) == 0.0
+        return [(random_game(k, rng), pure_strategy(k, 1)),
+                (random_game(k, rng), MemoryOneStrategy(k, rows / rows.sum(axis=1, keepdims=True)))]
+    g = iot_game(iot_scenario(k, 2, theta=0.5))  # memoryless: every policy ties
+    return [(g, oneshot_sse(g).lifted(k))]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["random", "zd", "zeros", "oneshot"])
+def test_policy_values_batch_matches_chain_kernel(k, kind):
+    cases = _batch_inputs(k, kind)
+    if kind == "zd" and k == 2:
+        assert any(0.0 < s.rows.min() <= 1e-8 for _, s in cases)
+    if kind == "zeros":
+        assert all(s.rows.min() == 0.0 for _, s in cases)
+    for g, pi_d in cases:
+        got = _policy_values_batch(g, pi_d)
+        ref = policy_values_reference(g, pi_d)
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, y)
+        if kind == "oneshot":
+            u_a = got[2]
+            assert np.all(u_a >= u_a.max() - TIE_TOL)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_best_response_paths_match_reference_kernel(k, monkeypatch):
+    cases = [case for kind in ("random", "zd", "zeros", "oneshot") for case in _batch_inputs(k, kind)]
+    got = [(defender_utility_under_br(g, s), exhaustive_br(g, s)) for g, s in cases]
+    monkeypatch.setattr(mdp_module, "_policy_values_batch", policy_values_reference)
+    for ((pair, chosen), ex), (g, s) in zip(got, cases):
+        (ref_pair, ref_chosen), ref_ex = defender_utility_under_br(g, s), exhaustive_br(g, s)
+        assert pair == ref_pair
+        for a, b in ((chosen, ref_chosen), (ex, ref_ex)):
+            assert a.policy == b.policy and a.gain == b.gain
+            assert a.policies_evaluated == b.policies_evaluated
+            assert np.array_equal(a.bias, b.bias)
+
+
+def test_policy_values_batch_matches_chain_kernel_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3]), st.integers(0, 2**31), st.floats(0.0, 0.9))
+    def check(k, seed, zero_frac):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(k), size=k * k) * (rng.random((k * k, k)) >= zero_frac)
+        rows[:, 0] += rows.sum(axis=1) == 0.0
+        g = random_game(k, rng, scale=float(rng.uniform(0.1, 100.0)))
+        pi_d = MemoryOneStrategy(k, rows / rows.sum(axis=1, keepdims=True))
+        for x, y in zip(_policy_values_batch(g, pi_d), policy_values_reference(g, pi_d)):
+            assert np.array_equal(x, y)
+
+    check()
+
+
+def test_policy_index_enumerates_once_per_k_read_only(monkeypatch):
+    calls = []
+    enumerate_policies = mdp_module._enumerate_policies
+
+    def spy(k):
+        calls.append(k)
+        return enumerate_policies(k)
+
+    monkeypatch.setattr(mdp_module, "_enumerate_policies", spy)
+    _policy_index.cache_clear()
+    try:
+        rng = np.random.default_rng(3)
+        for k in (2, 3, 2, 3, 3):
+            pols, _, _ = _policy_values_batch(random_game(k, rng), random_strategy(k, rng))
+            assert np.array_equal(pols, enumerate_policies(k))
+            with pytest.raises(ValueError, match="read-only"):
+                pols[0, 0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                _policy_index(k)[1][0, 0, 0] = 0
+        assert sorted(calls) == [2, 3]
+    finally:
+        _policy_index.cache_clear()
