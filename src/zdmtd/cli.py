@@ -117,7 +117,9 @@ def solve_game(
                                   verify_samples, stream(seed, "solve-verify"))
 
     realized = None
-    if evaluate_br:  # in the caller's labels, as the caller would score it
+    if evaluate_br and kind == "optimal" and cp.is_identity():
+        realized = opt.realized  # solve_optimal scored these very inputs
+    elif evaluate_br:  # in the caller's labels, as the caller would score it
         realized, _ = defender_utility_under_br(g, strategy)
 
     return SolveOutput(

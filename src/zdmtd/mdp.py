@@ -9,12 +9,33 @@ entries.  Under this rule every induced chain is strictly positive, so the
 direct stationary solve always applies and policy iteration and exhaustive
 enumeration score policies identically.
 
-The K <= 3 enumeration scores all K^(K^2) policies with one gather and one
+The K <= 3 enumeration scores the K^(K^2) policies with one gather and one
 stacked solve: each policy's direct system A = P^T - I (last row ones) is
 read through a cached per-K flat index from a small table of the products
 F[s, d] W[b, a], the diagonal products minus 1 and the constant 1.  Every
 entry is the same floating-point operation as in `chain` and `_direct`, so
 the values are bit-identical to solving the chain stack.
+
+Only the policies that can reach the tie set are solved.  With Howard's gain
+g*, bias h and Bellman gaps delta(s, b) = g* + h(s) - Q(s, b), every policy mu
+with stationary vector pi_mu has the gain deficit
+g* - g_mu = sum_s pi_mu(s) delta(s, mu(s)) (Puterman 1994, ch. 8).  Let
+f_min(d) = min_s F[s, d], rho_mu the law of the attacker's last action and
+delta+ = max(delta, 0):
+  (i)  pi_mu(d, a) >= f_min(d) rho_mu(a), so the deficit is at least
+       sum_a rho_mu(a) c_a with c_a = sum_d f_min(d) delta+((d, a), mu(d, a)),
+       less the negative gaps max(0, -min delta);
+  (ii) rho_mu(b) >= (1 - eps) sum_{mu(d, a) = b} f_min(d) rho_mu(a), so
+       sum_a rho_mu(a) c_a is also at least sum_a rho_mu(a) l_a, with the
+       leak l_a = (1 - eps) sum_{d: mu(d, a) != a} f_min(d) c_{mu(d, a)}.
+Hence LB(mu) = max(min_a c_a, 1/2 min_a (c_a + l_a)).  A policy with LB(mu)
+above TIE_TOL + max(0, -min delta) + 1e-6 max(1, |h|, |S_a|) (the last term
+covers rounding in h, Q and the stationary solves) is neither the maximum
+nor in the tie set; it is not solved and scores u_a = -inf.  The solved
+stationary vectors are scattered into the full stack before the products
+with the profit vectors, which BLAS rounds by a row's position in the stack,
+so the chosen policy and its values are bit-identical to solving every
+policy.
 """
 
 from __future__ import annotations
@@ -163,13 +184,15 @@ def best_response(mdp: AttackerMdp) -> BestResponse:
     raise PolicyIterationCycleError("policy iteration exceeded its iteration budget")
 
 
+def _codes(k: int, length: int) -> np.ndarray:
+    """All base-k codes of the given length in lexicographic order, one digit
+    per column."""
+    return (np.arange(k**length)[:, None] // k ** np.arange(length - 1, -1, -1)) % k
+
+
 def _enumerate_policies(k: int) -> np.ndarray:
     """All deterministic policies in lexicographic order, 0-based actions."""
-    n = k * k
-    count = k**n
-    states = np.arange(n)
-    p = np.arange(count)[:, None]
-    return (p // (k ** (n - 1 - states))) % k
+    return _codes(k, k * k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,19 +214,79 @@ def _policy_index(k: int):
     return pols, idx
 
 
-def _policy_values_batch(g: GameSpec, pi_d: MemoryOneStrategy, tables=None):
+def _policy_values_batch(g: GameSpec, pi_d: MemoryOneStrategy, tables=None, solve=None):
     """(pols, u_d, u_a) for every deterministic policy, evaluated like
     _policy_value; `tables` are the caller's _effective_tables(g, pi_d), if it
     has them.  One gather of the policies' direct systems and one stacked
     solve, bit-identical to `_direct(chain(F, W[pols]))`: each entry is the
-    same product, minus 1 on the diagonal."""
+    same product, minus 1 on the diagonal.  A boolean mask `solve` over the
+    policies solves only those; the others score u_d = 0 and u_a = -inf."""
     f, w, _, sd, sa = tables or _effective_tables(g, pi_d)
     pols, idx = _policy_index(g.k)
     j = np.arange(g.k * g.k)
     prod = f[:, :, None, None] * w  # [s, d, b, a] = F[s, d] W[b, a]
     diag = prod[j, j // g.k, :, j % g.k] - 1.0  # [j, b] at s = j = flat(d, a)
-    v = _solve_direct(np.concatenate([prod.ravel(), diag.ravel(), [1.0]])[idx])
-    return pols, v @ sd, v @ sa
+    table = np.concatenate([prod.ravel(), diag.ravel(), [1.0]])
+    if solve is None:
+        v = _solve_direct(table[idx])
+    else:  # scattered into the full stack: BLAS rounds a row by its position
+        kept = np.flatnonzero(solve)
+        v = np.zeros((len(pols), g.k * g.k))
+        v[kept] = _solve_direct(table[idx[kept]])
+    u_d, u_a = v @ sd, v @ sa
+    if solve is not None:
+        u_a[~solve] = -np.inf
+    return pols, u_d, u_a
+
+
+def _gap_tables(f, w, r_eff, sa, br: BestResponse):
+    """(c, to, margin) of the gain-gap certificate at Howard's optimum br.
+
+    Block a holds the K states (d, a); a block's action code x lists the
+    policy's actions at d = 0..K-1.  c[a, x] = sum_d f_min(d) delta+((d, a), x_d)
+    and to[x, b] = sum_{d: x_d = b} f_min(d), with delta the Bellman gaps at br;
+    margin is the deficit up to which a policy must be solved."""
+    k = w.shape[0]
+    h = br.bias
+    delta = br.gain + h[:, None] - (r_eff + f @ (h.reshape(k, k) @ w.T))
+    scale = max(1.0, float(np.max(np.abs(h))), float(np.max(np.abs(sa))))
+    margin = TIE_TOL + max(0.0, -float(np.min(delta))) + 1e-6 * scale
+    f_min = f.min(axis=0)
+    codes = _codes(k, k)  # [x, d]
+    gaps = np.maximum(delta, 0.0).reshape(k, k, k)[np.arange(k), :, codes]  # [x, d, a]
+    c = np.einsum("d,xda->ax", f_min, gaps)
+    to = f_min @ (codes[:, :, None] == np.arange(k)).astype(float)  # [x, b]
+    return c, to, margin
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_order(k: int) -> np.ndarray:
+    """Read-only flat grid index of every policy, in policy order: grid digit
+    axis a K + d holds mu(d, a), policy digit s = flat(d, a) = d K + a."""
+    n = k * k
+    order = np.arange(k**n).reshape((k,) * n).transpose([(s % k) * k + s // k for s in range(n)])
+    order = order.ravel()
+    order.setflags(write=False)
+    return order
+
+
+def _deficit_bound(c, to) -> np.ndarray:
+    """LB(mu) = max(min_a c_a, 1/2 min_a (c_a + l_a)) of every policy, in
+    policy order, with c_a = c[a, x_a] and
+    l_a = (1 - eps) sum_{b != a} to[x_a, b] c[b, x_b], where x_a is the
+    policy's code on block a.  Computed on the grid of the K blocks' codes."""
+    k, m = c.shape
+
+    def along(v, a):  # v laid on grid axis a
+        return v.reshape((1,) * a + (m,) + (1,) * (k - 1 - a))
+
+    leak = (1.0 - EPSILON_MIX) * to
+    cs = [along(c[a], a) for a in range(k)]
+    direct = functools.reduce(np.minimum, cs)
+    pooled = functools.reduce(np.minimum, [
+        functools.reduce(np.add, [along(leak[:, b], a) * cs[b] for b in range(k) if b != a], cs[a])
+        for a in range(k)])
+    return np.maximum(direct, 0.5 * pooled).ravel()[_grid_order(k)]
 
 
 def exhaustive_br(g: GameSpec, pi_d: MemoryOneStrategy) -> BestResponse:
@@ -225,14 +308,16 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     policies within TIE_TOL of the optimal gain, pick one maximizing the
     defender's utility.
 
-    K <= 3 enumerates every policy exactly.  Above, the search starts from
-    the best of K + 1 policies (the Howard optimum and the K constant ones)
-    and, state by state, takes in action order each action that raises the
-    defender's utility further while staying in the tie set, until a sweep
-    changes nothing (a local optimum, not an exhaustive one); each
-    state's K actions are scored by rank-one updates of one fundamental
-    matrix, re-formed only after an accepted swap, whose (u_d, u_a) is then
-    recorded from a direct solve.
+    K <= 3 enumerates the policies exactly, solving only those the gain-gap
+    certificate at Howard's optimum keeps (see the module docstring); the
+    returned BestResponse counts them in policies_evaluated.  Above, the
+    search starts from the best of K + 1 policies (the Howard optimum and
+    the K constant ones) and, state by state, takes in action order each
+    action that raises the defender's utility further while staying in the
+    tie set, until a sweep changes nothing (a local optimum, not an
+    exhaustive one); each state's K actions are scored by rank-one updates
+    of one fundamental matrix, re-formed only after an accepted swap, whose
+    (u_d, u_a) is then recorded from a direct solve.
 
     Returns ((u_d, u_a), BestResponse-of-the-chosen-policy).
     """
@@ -240,8 +325,13 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     n = g.k * g.k
     tables = f, w, r_eff, sd, sa = _effective_tables(g, pi_d)
 
+    evaluated = None
     if g.k <= 3:
-        pols, u_d, u_a = _policy_values_batch(g, pi_d, tables)
+        c, to, margin = _gap_tables(f, w, r_eff, sa, br)
+        # LB <= max(c) as sum_d f_min(d) <= 1; a NaN bound keeps its policy
+        solve = ~(_deficit_bound(c, to) > margin) if np.max(c) > margin else None
+        pols, u_d, u_a = _policy_values_batch(g, pi_d, tables, solve)
+        evaluated = len(pols) if solve is None else int(np.count_nonzero(solve))
         tie = np.nonzero(u_a >= np.max(u_a) - TIE_TOL)[0]
         chosen = tie[int(np.argmax(u_d[tie]))]
         policy = tuple(int(x) + 1 for x in pols[chosen])
@@ -279,5 +369,5 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
         pair = UtilityPair(*best_pair)
 
     _, h, _ = _evaluate(f, w, r_eff, np.asarray(policy) - 1)
-    chosen_br = BestResponse(policy, pair.u_a, h, br.policies_evaluated)
+    chosen_br = BestResponse(policy, pair.u_a, h, evaluated)
     return pair, chosen_br

@@ -190,14 +190,28 @@ def pipeline_value(g: GameSpec, result: ZdSolveResult = None):
     return pair.u_d
 
 
-def policy_values_reference(g: GameSpec, pi_d, tables=None):
+def policy_values_reference(g: GameSpec, pi_d, tables=None, solve=None):
     """Reference for `mdp._policy_values_batch`: every policy's chain built by
     `chain(F, W[pols])` and solved by `markov._direct`, with the policy table
-    enumerated afresh.  Returns (pols, u_d, u_a)."""
+    enumerated afresh.  Returns (pols, u_d, u_a); with a boolean mask `solve`,
+    the policies outside it score u_d = 0 and u_a = -inf."""
     f, w, _, sd, sa = tables or _effective_tables(g, pi_d)
     pols = _enumerate_policies(g.k)
     v = _direct(chain(f, w[pols]))
-    return pols, v @ sd, v @ sa
+    u_d, u_a = v @ sd, v @ sa
+    if solve is not None:
+        u_d, u_a = np.where(solve, u_d, 0.0), np.where(solve, u_a, -np.inf)
+    return pols, u_d, u_a
+
+
+def tie_choice_reference(g: GameSpec, pi_d):
+    """The optimistic-follower choice over every policy, each solved on the
+    full chain stack: (1-based policy, u_d, u_a) of the first policy that
+    maximizes u_d among those within TIE_TOL of the best u_a."""
+    pols, u_d, u_a = policy_values_reference(g, pi_d)
+    tie = np.nonzero(u_a >= np.max(u_a) - TIE_TOL)[0]
+    chosen = tie[int(np.argmax(u_d[tie]))]
+    return tuple(int(x) + 1 for x in pols[chosen]), float(u_d[chosen]), float(u_a[chosen])
 
 
 def bellman_residual(g: GameSpec, pi_d, br) -> float:

@@ -248,6 +248,41 @@ def test_solve_game_builds_each_candidate_once(monkeypatch):
     assert optimal_games >= 8, optimal_games
 
 
+def test_solve_game_reuses_the_winner_score_in_canonical_labels(monkeypatch):
+    # when the caller's labels are already canonical, solve_optimal scored
+    # the winner on the very game and strategy solve_game returns: no second
+    # scoring call, and the same values a fresh call gives
+    from zdmtd import cli, programs
+    from zdmtd.game import canonicalize
+    from zdmtd.mdp import defender_utility_under_br
+
+    calls = {"cli": 0, "programs": 0}
+
+    def spy(where):
+        def wrapper(*args):
+            calls[where] += 1
+            return defender_utility_under_br(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "defender_utility_under_br", spy("cli"))
+    monkeypatch.setattr(programs, "defender_utility_under_br", spy("programs"))
+    rng = np.random.default_rng(8)
+    optimal_games = 0
+    for trial in range(24):
+        g, _ = canonicalize(random_game(2 + trial % 2, rng))
+        assert canonicalize(g)[1].is_identity()
+        calls.update(cli=0, programs=0)
+        out = solve_game(g, verify_samples=0)
+        if out.kind != "optimal":
+            assert calls["cli"] == (out.kind == "ideal")
+            continue
+        optimal_games += 1
+        assert calls["cli"] == 0 and calls["programs"] >= 1
+        fresh, _ = defender_utility_under_br(g, out.strategy)
+        assert out.realized == fresh
+    assert optimal_games >= 8, optimal_games
+
+
 def test_solve_game_ignores_label_order(monkeypatch):
     # two cells often realize one line, and their scores then differ only by
     # rounding that depends on the label order: relabeled copies of a game

@@ -11,15 +11,17 @@ from zdmtd.game import (
     random_strategy,
     uniform_strategy,
 )
-from zdmtd.markov import chain, long_run_utilities
+from zdmtd.markov import UtilityPair, chain, long_run_utilities
 from zdmtd.mdp import (
     TIE_TOL,
     best_response,
     build_attacker_mdp,
     defender_utility_under_br,
     exhaustive_br,
+    _deficit_bound,
     _effective_tables,
     _fundamental,
+    _gap_tables,
     _policy_index,
     _policy_value,
     _policy_values_batch,
@@ -29,7 +31,13 @@ from zdmtd.programs import realize_params, solve_ideal
 from zdmtd.scenarios import iot_game, iot_scenario
 from zdmtd.sse import oneshot_sse
 
-from oracles import bellman_residual, ideal_feasible_game, policy_values_reference, swap_search_direct
+from oracles import (
+    bellman_residual,
+    ideal_feasible_game,
+    policy_values_reference,
+    swap_search_direct,
+    tie_choice_reference,
+)
 
 
 def random_game(k, rng, scale=1.0):
@@ -359,3 +367,146 @@ def test_policy_index_enumerates_once_per_k_read_only(monkeypatch):
         assert sorted(calls) == [2, 3]
     finally:
         _policy_index.cache_clear()
+
+
+def _dirichlet_strategy(k, rng, concentration, zero_frac=0.0, floor=0.0):
+    """Dirichlet rows, some entries set to zero, then `floor` added and the
+    rows renormalized."""
+    rows = rng.dirichlet(np.full(k, concentration), size=k * k)
+    rows *= rng.random((k * k, k)) >= zero_frac
+    rows[:, 0] += rows.sum(axis=1) == 0.0
+    rows += floor
+    return MemoryOneStrategy(k, rows / rows.sum(axis=1, keepdims=True))
+
+
+def _certificate_inputs(k):
+    """(game, strategy) pairs for the gain-gap certificate: the enumeration
+    kernel's inputs, Dirichlet rows from spread to concentrated, exact zeros,
+    near-deterministic rows, payoff scales 1e-3..1e6 and attacker payoffs
+    tied to within 1e-10."""
+    cases = [case for kind in ("random", "zd", "zeros", "oneshot") for case in _batch_inputs(k, kind)]
+    rng = np.random.default_rng(900 + k)
+    for scale in (1e-3, 1.0, 1e6):
+        for concentration in (0.05, 1.0, 20.0):
+            cases.append((random_game(k, rng, scale), _dirichlet_strategy(k, rng, concentration)))
+        cases.append((random_game(k, rng, scale), _dirichlet_strategy(k, rng, 1.0, zero_frac=0.4)))
+        cases.append((random_game(k, rng, scale), _dirichlet_strategy(k, rng, 0.05, floor=1e-12)))
+    for concentration in (1.0, 20.0):
+        base = random_game(k, rng)
+        tied = GameSpec(k, base.u_d_cov, base.u_d_unc, 1.0 + 1e-10 * rng.normal(size=k),
+                        0.5 + 1e-10 * rng.normal(size=k))
+        cases.append((tied, _dirichlet_strategy(k, rng, concentration)))
+    return cases
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_gain_gap_certificate_is_sound(k):
+    # LB(mu) never exceeds the deficit g* - u_a(mu) of the fully solved stack
+    # by more than the negative gaps and a tenth of the certificate's
+    # rounding allowance, and it does prune
+    pruned = 0
+    for g, pi_d in _certificate_inputs(k):
+        tables = f, w, r_eff, _, sa = _effective_tables(g, pi_d)
+        br = best_response(build_attacker_mdp(g, pi_d))
+        c, to, margin = _gap_tables(f, w, r_eff, sa, br)
+        lb = _deficit_bound(c, to)
+        _, _, u_a = policy_values_reference(g, pi_d, tables)
+        q = r_eff + f @ (br.bias.reshape(k, k) @ w.T)
+        negative = max(0.0, -float(np.min(br.gain + br.bias[:, None] - q)))
+        allowance = margin - TIE_TOL - negative
+        assert allowance >= 1e-6
+        assert np.all(lb >= 0.0)
+        assert np.all(lb <= br.gain - u_a + negative + 0.1 * allowance)
+        if np.max(c) <= margin:  # the early exit: nothing can be pruned
+            assert np.all(lb <= margin)
+        pruned += int(np.count_nonzero(lb > margin))
+    assert pruned > 0
+
+
+def _without_pruning(monkeypatch):
+    gap_tables = mdp_module._gap_tables
+
+    def no_margin(*args):
+        c, to, _ = gap_tables(*args)
+        return c, to, np.inf
+
+    monkeypatch.setattr(mdp_module, "_gap_tables", no_margin)
+
+
+def _assert_choice_matches_full_enumeration(g, pi_d, monkeypatch=None):
+    pair, chosen = defender_utility_under_br(g, pi_d)
+    policy, u_d, u_a = tie_choice_reference(g, pi_d)
+    assert chosen.policy == policy and pair == UtilityPair(u_d, u_a) and chosen.gain == u_a
+    assert 1 <= chosen.policies_evaluated <= g.k ** (g.k * g.k)
+    if monkeypatch is not None:
+        with monkeypatch.context() as m:
+            _without_pruning(m)
+            full_pair, full = defender_utility_under_br(g, pi_d)
+        assert full_pair == pair and full.policy == chosen.policy and full.gain == chosen.gain
+        assert np.array_equal(full.bias, chosen.bias)
+        assert full.policies_evaluated == g.k ** (g.k * g.k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pruned_enumeration_is_bit_identical(k, monkeypatch):
+    for g, pi_d in _certificate_inputs(k):
+        _assert_choice_matches_full_enumeration(g, pi_d, monkeypatch)
+
+
+def test_pruned_enumeration_is_bit_identical_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=15, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3]), st.integers(0, 2**31),
+                      st.sampled_from([0.05, 1.0, 20.0]), st.floats(0.0, 0.6),
+                      st.sampled_from([0.0, 1e-12, 1e-9]), st.integers(-3, 6))
+    def check(k, seed, concentration, zero_frac, floor, exponent):
+        rng = np.random.default_rng(seed)
+        g = random_game(k, rng, scale=10.0**exponent)
+        _assert_choice_matches_full_enumeration(
+            g, _dirichlet_strategy(k, rng, concentration, zero_frac, floor))
+
+    check()
+
+
+def test_enumeration_solves_only_certified_policies(monkeypatch):
+    # a spread Dirichlet strategy prunes; a ZD strategy (zero and 1e-9 floor
+    # entries) and the lifted one-shot strategy (every policy ties) do not,
+    # and policies_evaluated counts the systems actually solved
+    solved = []
+    solve_direct = mdp_module._solve_direct
+
+    def spy(a):
+        solved.append(a.shape[0])
+        return solve_direct(a)
+
+    monkeypatch.setattr(mdp_module, "_solve_direct", spy)
+    rng = np.random.default_rng(31)
+    cases = [(random_game(3, rng), _dirichlet_strategy(3, rng, 1.0))]
+    cases += [_batch_inputs(3, "zd")[0], _batch_inputs(3, "oneshot")[0]]
+    counts = []
+    for g, pi_d in cases:
+        solved.clear()
+        _, chosen = defender_utility_under_br(g, pi_d)
+        assert chosen.policies_evaluated == sum(solved)
+        counts.append(sum(solved))
+    assert counts[0] < 3**9 and counts[1:] == [3**9, 3**9]
+    _, chosen = defender_utility_under_br(random_game(4, rng), random_strategy(4, rng))
+    assert chosen.policies_evaluated is None  # the swap search above K = 3
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_masked_values_match_the_full_stack(k):
+    # the solved policies keep the values they have in the full stack: the
+    # products with the profit vectors are taken on the full stack, whose
+    # rows BLAS rounds by their position
+    rng = np.random.default_rng(40 + k)
+    for g, pi_d in _batch_inputs(k, "random"):
+        for frac in (0.02, 0.1, 0.5):
+            solve = rng.random(k ** (k * k)) < frac
+            solve[rng.integers(len(solve))] = True
+            got = _policy_values_batch(g, pi_d, solve=solve)
+            for x, y in zip(got, policy_values_reference(g, pi_d, solve=solve)):
+                assert np.array_equal(x, y)
+            assert np.all(got[2][~solve] == -np.inf)
