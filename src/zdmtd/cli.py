@@ -26,7 +26,7 @@ from .game import GameSpec, MemoryOneStrategy, canonicalize, game_to_dict, load_
 from .lp import LpNumericalError
 from .markov import SingularChainError, StationaryError, UtilityPair, max_line_residual
 from .mdp import PolicyIterationCycleError, defender_utility_under_br
-from .programs import _BR_EVAL_MAX_K, realize_params, solve_ideal, solve_optimal
+from .programs import realize_params, solve_ideal, solve_optimal
 from .rng import stream
 from .scenarios import CrowdScenario, scenario_from_dict, scenario_to_dict
 from .sse import baselines, build_mip, emit_mip, exhaustive_sse, oneshot_sse, search_sse
@@ -40,6 +40,7 @@ EXIT_VERIFY = 3
 EXIT_USAGE = 64
 
 VERIFY_TOL = 1e-8
+_BR_EVAL_MAX_K = 12  # candidates are scored under attacker best response up to here
 _CSV_BLOCK = 2 ** 16  # trajectory rows formatted per write
 
 NUMERICAL_ERRORS = (LpNumericalError, StationaryError, SingularChainError,
@@ -58,8 +59,6 @@ class SolveOutput:
     predicted: UtilityPair = None
     realized: UtilityPair = None
     cell: tuple = None
-    role1: int = None
-    role_k: int = None
     classification: str = None
     max_line_residual: float = None
     verify_samples: int = 0
@@ -95,7 +94,7 @@ def solve_game(
         elif mode == "ideal":
             return SolveOutput("infeasible")
     if kind is None:
-        opt = solve_optimal(gc, run_ideal_first=False, evaluate_br=evaluate_br)
+        opt = solve_optimal(gc, evaluate_br)
         if opt.kind == "none":
             return SolveOutput("none")
         kind = "optimal"
@@ -126,7 +125,6 @@ def solve_game(
         kind=kind, params=params, strategy=strategy, phi=phi, residual=residual,
         predicted=predicted, realized=realized,
         cell=(cp.inverse[frame_pair[0] - 1], cp.inverse[frame_pair[1] - 1]),
-        role1=cp.inverse[frame_pair[0] - 1], role_k=cp.inverse[frame_pair[1] - 1],
         classification=classify(params).kind,
         max_line_residual=worst, verify_samples=verify_samples,
     )

@@ -57,20 +57,6 @@ class PolicyIterationCycleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AttackerMdp:
-    """States are flat previous-action pairs; playing a from state s moves to
-    flat(d, a) with probability pi_d(d|s) and pays sum_d pi_d(d|s) u_a(d, a)."""
-
-    g: GameSpec
-    pi_d: MemoryOneStrategy
-    rewards: np.ndarray  # K^2 x K
-
-    @property
-    def k(self) -> int:
-        return self.g.k
-
-
-@dataclass(frozen=True)
 class BestResponse:
     policy: tuple  # 1-based target per flat state
     gain: float
@@ -78,17 +64,12 @@ class BestResponse:
     policies_evaluated: int = None
 
 
-def build_attacker_mdp(g: GameSpec, pi_d: MemoryOneStrategy) -> AttackerMdp:
-    if g.k != pi_d.k:
-        raise ValueError(f"K mismatch: game {g.k}, strategy {pi_d.k}")
-    _, ua = g.payoff_matrices()
-    return AttackerMdp(g, pi_d, pi_d.rows @ ua)
-
-
 def _effective_tables(g: GameSpec, pi_d: MemoryOneStrategy):
     """(F, W, R_eff, S_d, S_a): defender matrix (blended only if it has
     zeros), action mix W[a, a'] (probability of executing a' when the policy
     picks a), mixed rewards and profit vectors."""
+    if g.k != pi_d.k:
+        raise ValueError(f"K mismatch: game {g.k}, strategy {pi_d.k}")
     f = eps_mixed(pi_d).rows if np.min(pi_d.rows) <= 0.0 else pi_d.rows
     w = (1.0 - EPSILON_MIX) * np.eye(g.k) + EPSILON_MIX / g.k
     _, ua = g.payoff_matrices()
@@ -152,15 +133,18 @@ def _evaluate(f, w, r_eff, policy_idx):
     return sol[n], sol[:n], p
 
 
-def best_response(mdp: AttackerMdp) -> BestResponse:
-    """Howard policy iteration for the average-reward optimum.
+def best_response(g: GameSpec, pi_d: MemoryOneStrategy, tables=None) -> BestResponse:
+    """Howard policy iteration for the average-reward optimum of the attacker
+    MDP: states are flat previous-action pairs, and playing a from state s
+    moves to flat(d, a') with probability F[s, d] W[a, a'] and pays
+    R_eff[s, a].  `tables` are the caller's _effective_tables(g, pi_d), if
+    it has them.
 
     Deterministic: ties in the improvement step go to the lowest action
     index, and a state switches action only on a strict Q improvement.
     """
-    g, pi_d = mdp.g, mdp.pi_d
     k, n = g.k, g.k * g.k
-    f, w, r_eff, _, _ = _effective_tables(g, pi_d)
+    f, w, r_eff, _, _ = tables or _effective_tables(g, pi_d)
 
     policy = np.argmax(r_eff, axis=1)
     seen = {tuple(policy)}
@@ -321,9 +305,9 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
 
     Returns ((u_d, u_a), BestResponse-of-the-chosen-policy).
     """
-    br = best_response(build_attacker_mdp(g, pi_d))
-    n = g.k * g.k
     tables = f, w, r_eff, sd, sa = _effective_tables(g, pi_d)
+    br = best_response(g, pi_d, tables)
+    n = g.k * g.k
 
     evaluated = None
     if g.k <= 3:

@@ -1,27 +1,31 @@
 """Linear-parameter search for zero-determinant strategies.
 
-Two programs, mirroring the construction algorithm's first step:
+Two programs, mirroring the construction algorithm's first step;
+``cli.solve_game`` runs the ideal program and, only when no ideal line
+exists, the optimal one:
 
 * the ideal program -- a small feasibility LP pinning the enforced line
   through the best covered outcome (label 1) with sign conditions at a
   second reference target; feasible parameters give the defender the full
   Stackelberg value under attacker best response;
-* the optimal program -- when no ideal line exists, enumerate the cells of
-  parameter space cut out by the uncovered-value equalities (all targets
-  except an ordered pair (i1, i2)), and on each cell maximize the
-  defender's coordinate over the intersection of the enforced line with
-  the convex hull of attainable utility pairs.
+* the optimal program -- enumerate the cells of parameter space cut out by
+  the uncovered-value equalities (all targets except an ordered pair
+  (i1, i2)), and on each cell maximize the defender's coordinate over the
+  intersection of the enforced line with the convex hull of attainable
+  utility pairs.
 
 The bilinear coupling between the line coefficients and the utility point
 disappears inside a cell: the coefficients live in a low-dimensional cone,
 so the search reduces to finitely many candidate rays (cone extreme rays,
 lines through hull vertices, and an angular sweep at 1e-3 rad with local
-refinement, every sample of a slice scored in one array pass), each
-certified by direct constraint re-verification.  Cells whose equality rows
-are certified to have rank 3 (no candidate) are skipped before any
-candidate is built.  Candidates are also screened through the existence
-inequalities in the construction frame, and at desk scale each surviving
-candidate is realized and scored under actual attacker best response.
+refinement), each certified by direct constraint re-verification.  One
+kernel, ``_pencil_values``, scores lines against the hull: every sample of
+a sweep slice in one array pass, and a cell's surviving candidates in one
+more.  Cells whose equality rows are certified to have rank 3 (no
+candidate) are skipped before any candidate is built.  Candidates are also
+screened through the existence inequalities in the construction frame, and
+at desk scale each surviving candidate is realized and scored under actual
+attacker best response.
 """
 
 from __future__ import annotations
@@ -30,23 +34,24 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .game import GameSpec, relabeling
+from .game import GameSpec, relabeling, repeat_strategy
 from .lp import EQ, GE, LE, check_feasible
 from .markov import UtilityPair
 from .mdp import defender_utility_under_br
 from .zd import (
-    WeightParams,
     ZdConstructionError,
     ZdLinearParams,
+    ZdStrategy,
     _eq8_existence,
     _require_canonical,
+    classify,
     construct_strategy,
+    defining_residual,
 )
 
 FEAS_TOL = 1e-9
 CERT_TOL = 1e-8
 _SWEEP_STEP = 1e-3  # radians
-_BR_EVAL_MAX_K = 12
 
 
 @dataclass(frozen=True)
@@ -92,36 +97,14 @@ class HullPolygon:
                 return False
         return True
 
-    def line_section(self, a: float, b: float, c: float, tol: float = FEAS_TOL):
-        """Points where the line a*x + b*y + c = 0 meets the hull boundary
-        (plus vertices lying on it); empty when the line misses the hull."""
-        norm = np.hypot(a, b)
-        if norm < 1e-300:
-            return []
-        a, b, c = a / norm, b / norm, c / norm
-        v = self.vertices
-        scale = max(1.0, float(np.max(np.abs(v))))
-        f = a * v[:, 0] + b * v[:, 1] + c
-        pts = [tuple(v[i]) for i in range(self.n) if abs(f[i]) <= tol * scale]
-        m = self.n if self.n > 2 else self.n - 1
-        for i in range(max(m, 0)):
-            j = (i + 1) % self.n
-            if f[i] * f[j] < 0:
-                t = f[i] / (f[i] - f[j])
-                p = v[i] + t * (v[j] - v[i])
-                pts.append((float(p[0]), float(p[1])))
-        return pts
-
 
 @dataclass(frozen=True)
 class ZdSolveResult:
-    kind: str  # ideal | optimal | none
+    kind: str  # optimal | none
     params: ZdLinearParams = None
     predicted: UtilityPair = None
     realized: UtilityPair = None
     cell: LambdaCell = None
-    role1: int = None
-    role_k: int = None
     certificate: dict = field(default_factory=dict)
     realization: tuple = None  # realize_params output for an optimal winner
 
@@ -320,32 +303,39 @@ def _cone_rays_3d(gmat: np.ndarray):
     return rays
 
 
-def _pencil_values(ps: np.ndarray, hp: HullPolygon) -> np.ndarray:
-    """Predicted value of each line ps[:, j] (rows alpha, beta, gamma):
-    ``line_section`` followed by ``_directional_value``, one column per line,
-    NaN where the line misses the hull."""
+def _pencil_values(ps: np.ndarray, hp: HullPolygon):
+    """(value, x, y) of each line ps[:, j] (rows alpha, beta, gamma), one
+    entry per line, NaN where the line misses the hull.
+
+    The section is the hull vertices within tolerance of the line and the
+    points where it crosses an edge strictly, vertices first; (x, y) is the
+    first section point of largest u_d.  The value is the defender utility
+    a best-responding attacker lets the line realize: the attacker maximizes
+    its own coordinate along the section, which is the max-u_d end with
+    nonnegative correlation (or an indifferent attacker under the optimistic
+    tie rule) and the min-u_d end otherwise."""
     a, b, c = ps
     norm = np.hypot(a, b)
-    ok = norm >= 1e-300
     with np.errstate(divide="ignore", invalid="ignore"):
         an, bn, cn = (a / norm)[:, None], (b / norm)[:, None], (c / norm)[:, None]
         use_max = (np.abs(a) <= 1e-12) | ((np.abs(b) > 1e-12) & (-a / b >= 0))
-    v = hp.vertices
+    v, n = hp.vertices, hp.n
     scale = max(1.0, float(np.max(np.abs(v))))
     f = an * v[:, 0] + bn * v[:, 1] + cn
-    xs, keep = [np.broadcast_to(v[:, 0], f.shape)], [np.abs(f) <= FEAS_TOL * scale]
-    m = hp.n if hp.n > 2 else hp.n - 1
-    if m > 0:  # edge (i, i + 1 mod n) crossed strictly
-        i = np.arange(m)
-        j = (i + 1) % hp.n
-        fi, fj = f[:, i], f[:, j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs.append(v[i, 0] + fi / (fi - fj) * (v[j, 0] - v[i, 0]))
-        keep.append(fi * fj < 0)
-    xs, keep = np.hstack(xs), np.hstack(keep) & ok[:, None]
-    hi = np.where(keep, xs, -np.inf).max(axis=1)
-    lo = np.where(keep, xs, np.inf).min(axis=1)
-    return np.where(keep.any(axis=1), np.where(use_max, hi, lo), np.nan)
+    i = np.arange(n if n > 2 else n - 1)  # edges (i, i + 1 mod n), crossed strictly
+    j = (i + 1) % n
+    fi, fj = f[:, i], f[:, j]
+    vt = v.T[:, None, :]  # [coordinate, 1, vertex]
+    pts = np.empty((2, len(f), n + len(i)))  # [coordinate, line, section point]
+    pts[:, :, :n] = vt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts[:, :, n:] = vt[:, :, i] + fi / (fi - fj) * (vt[:, :, j] - vt[:, :, i])
+    keep = np.hstack([np.abs(f) <= FEAS_TOL * scale, fi * fj < 0]) & (norm >= 1e-300)[:, None]
+    top = np.where(keep, pts[0], -np.inf).argmax(axis=1)
+    x, y = pts[:, np.arange(len(top)), top]
+    value = np.where(use_max, x, np.where(keep, pts[0], np.inf).min(axis=1))
+    hit = keep.any(axis=1)
+    return tuple(np.where(hit, col, np.nan) for col in (value, x, y))
 
 
 def _sweep_2d(gmat: np.ndarray, basis: np.ndarray, hp: HullPolygon):
@@ -362,7 +352,7 @@ def _sweep_2d(gmat: np.ndarray, basis: np.ndarray, hp: HullPolygon):
         z = np.array([np.cos(ts), np.sin(ts)])
         feas = np.all(gb @ z >= -FEAS_TOL * scale, axis=0)
         out = np.full(len(ts), np.nan)
-        out[feas] = _pencil_values(basis @ z[:, feas], hp)
+        out[feas] = _pencil_values(basis @ z[:, feas], hp)[0]
         return out
 
     ts = np.arange(0.0, 2 * np.pi, _SWEEP_STEP)
@@ -436,21 +426,7 @@ def _normalize(p: np.ndarray) -> ZdLinearParams:
     return ZdLinearParams(*p).normalized()
 
 
-def _directional_value(p, pts) -> float:
-    """Defender value a best-responding attacker lets the line realize.
-
-    The attacker maximizes its own coordinate along the enforced segment:
-    with nonnegative correlation (or an indifferent attacker under the
-    optimistic tie rule) that is the max-u_d end, otherwise the min-u_d end.
-    """
-    xs = [x for x, _ in pts]
-    if abs(p[0]) <= 1e-12 or (abs(p[1]) > 1e-12 and -p[0] / p[1] >= 0):
-        return max(xs)
-    return min(xs)
-
-
-def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int,
-                   omega: WeightParams = None):
+def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int):
     """Build the strategy for cell-frame (i1 -> label 1, i2 -> label K) and
     return (strategy-in-g-labels, phi-in-frame, frame) or None.
 
@@ -458,16 +434,13 @@ def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int,
     uncovered pairs), enforcement is vacuous and the recursion has nothing to
     divide by; the trivial repeat-own-action strategy realizes it.
     """
-    from .game import repeat_strategy
-    from .zd import ZdStrategy, classify, defining_residual
-
     frame = relabeling(g.k, i1, i2)
     gw = frame.apply_game(g)
     ex = _eq8_existence(gw, p)
     if not ex.exists:
         return None
     try:
-        zd = construct_strategy(gw, p, ex.phi, omega)
+        zd = construct_strategy(gw, p, ex.phi)
     except ZdConstructionError:
         line_values = np.concatenate([
             p.alpha * gw.u_d_cov + p.beta * gw.u_a_cov + p.gamma,
@@ -481,39 +454,21 @@ def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int,
     return frame.invert_strategy(zd.strategy), zd, frame
 
 
-def solve_optimal(g: GameSpec, run_ideal_first: bool = True,
-                  evaluate_br: bool = None) -> ZdSolveResult:
+def solve_optimal(g: GameSpec, evaluate_br: bool) -> ZdSolveResult:
     """Cell-enumeration search for the best enforceable line.
 
-    With run_ideal_first, a feasible ideal program short-circuits (kind
-    "ideal").  Candidates must pass the cell constraints, the existence
-    inequalities in their construction frame, and line/hull membership; at
-    desk scale (or when evaluate_br is set) each surviving candidate is
-    realized and scored by its defender utility under attacker best
-    response, otherwise by the predicted hull value.  The winner comes with
-    its ``realize_params`` output (``realization``, None when it cannot be
-    built).
+    Candidates must pass the cell constraints, the existence inequalities in
+    their construction frame, and line/hull membership.  With evaluate_br
+    each surviving candidate is realized and scored by its defender utility
+    under attacker best response, otherwise by the predicted hull value.
+    The winner comes with its ``realize_params`` output (``realization``,
+    None when it cannot be built).
 
     Scores are taken in g's own labels, so relabeled copies of one game
     rank their candidates alike: two cells often realize one line, and their
     scores then differ only by rounding that depends on the label order.
     """
     _require_canonical(g)
-    if evaluate_br is None:
-        evaluate_br = g.k <= _BR_EVAL_MAX_K
-
-    if run_ideal_first:
-        ideal = solve_ideal(g)
-        if ideal.found:
-            t = ideal.role1 - 1
-            pred = UtilityPair(float(g.u_d_cov[t]), float(g.u_a_cov[t]))
-            cert = {"line_at_predicted": abs(ideal.params.alpha * pred.u_d
-                                             + ideal.params.beta * pred.u_a
-                                             + ideal.params.gamma)}
-            return ZdSolveResult("ideal", ideal.params, pred,
-                                 role1=ideal.role1, role_k=ideal.role_k,
-                                 certificate=cert)
-
     hp = hull(g)
     unc = np.column_stack([g.u_d_unc, g.u_a_unc, np.ones(g.k)])
     triples = _rank3_triples(unc)
@@ -525,24 +480,23 @@ def solve_optimal(g: GameSpec, run_ideal_first: bool = True,
             cell = LambdaCell(i1, i2)
             gmat = _cell_ineq_rows(g, cell)
             scale = max(1.0, float(np.max(np.abs(gmat))))
-            shortlist = []  # (corr-sign, proxy value, params, max-u_d point)
+            vecs = []
             for raw in _cell_candidates(g, cell, hp, unc):
-                p = _normalize(raw)
-                vec = p.as_array()
-                if np.max(np.abs(vec)) < 1e-12:
+                vec = _normalize(raw).as_array()
+                if np.max(np.abs(vec)) < 1e-12 or np.any(gmat @ vec < -FEAS_TOL * scale):
                     continue
-                if np.any(gmat @ vec < -FEAS_TOL * scale):
+                vecs.append(vec)
+            if not vecs:
+                continue
+            shortlist = []  # (corr-sign, proxy value, params, max-u_d point)
+            for vec, proxy, x, y in zip(vecs, *_pencil_values(np.array(vecs).T, hp)):
+                if np.isnan(proxy):  # the line misses the hull
                     continue
-                pts = hp.line_section(vec[0], vec[1], vec[2])
-                if not pts:
-                    continue
-                x, y = max(pts, key=lambda q: q[0])
-                proxy = _directional_value(vec, pts)
                 corr = 0 if abs(vec[0]) <= 1e-12 else (0 if -vec[1] / vec[0] >= 0 else 1)
                 cur = next((s for s in shortlist if s[0] == corr), None)
                 if cur is None or proxy > cur[1] + 1e-12:
                     shortlist = [s for s in shortlist if s[0] != corr]
-                    shortlist.append((corr, proxy, vec, (x, y)))
+                    shortlist.append((corr, proxy, vec, (float(x), float(y))))
             for _, proxy, vec, (x, y) in sorted(shortlist, key=lambda s: s[0]):
                 p = ZdLinearParams(*vec)
                 built = realized = None

@@ -31,7 +31,7 @@ import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, profit_vector
 from .markov import UtilityPair
-from .mdp import best_response, build_attacker_mdp
+from .mdp import best_response
 from .rng import stream
 from .scenarios import CrowdScenario, crowd_game
 
@@ -127,7 +127,7 @@ def _running_sums(x: np.ndarray, carry: np.ndarray) -> np.ndarray:
 
 
 def _policy_rows(g: GameSpec, pi_d: MemoryOneStrategy) -> np.ndarray:
-    br = best_response(build_attacker_mdp(g, pi_d))
+    br = best_response(g, pi_d)
     rows = np.zeros((g.k * g.k, g.k))
     rows[np.arange(g.k * g.k), np.asarray(br.policy) - 1] = 1.0
     return rows

@@ -19,7 +19,7 @@ import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy
 from .lp import EQ, GE, LinearProgram, solve_lp
-from .mdp import _policy_value, best_response, build_attacker_mdp, defender_utility_under_br
+from .mdp import _policy_value, best_response, defender_utility_under_br
 from .rng import stream
 
 SANDWICH_SLACK = 1e-9
@@ -388,7 +388,7 @@ def exhaustive_sse(g: GameSpec):
         rows = np.zeros((n, k))
         rows[np.arange(n), actions] = 1.0
         strategy = MemoryOneStrategy(k, rows)
-        br = best_response(build_attacker_mdp(g, strategy))
+        br = best_response(g, strategy)
         u_d, _ = _policy_value(g, strategy, br.policy)
         if best is None or u_d > best[0] + 1e-12:
             best = (u_d, strategy)

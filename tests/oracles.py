@@ -20,17 +20,10 @@ from zdmtd.mdp import (
     _enumerate_policies,
     _policy_value,
     best_response,
-    build_attacker_mdp,
     defender_utility_under_br,
 )
-from zdmtd.programs import (
-    FEAS_TOL,
-    _SWEEP_STEP,
-    ZdSolveResult,
-    _directional_value,
-    realize_params,
-    solve_optimal,
-)
+from zdmtd.cli import solve_game
+from zdmtd.programs import FEAS_TOL, _SWEEP_STEP
 from zdmtd.rng import stream
 
 
@@ -138,17 +131,51 @@ def k2_grid_oracle(g: GameSpec, step: float = 1e-2, tol: float = 1e-9):
     return float(value.max()), n
 
 
+def line_section(hp, a, b, c, tol=FEAS_TOL):
+    """Reference for the section in `programs._pencil_values`, one line at a
+    time: the points where a*x + b*y + c = 0 meets the boundary of the hull
+    polygon hp (its vertices on the line first, then strict edge crossings);
+    empty when the line misses the hull."""
+    norm = np.hypot(a, b)
+    if norm < 1e-300:
+        return []
+    a, b, c = a / norm, b / norm, c / norm
+    v = hp.vertices
+    scale = max(1.0, float(np.max(np.abs(v))))
+    f = a * v[:, 0] + b * v[:, 1] + c
+    pts = [tuple(v[i]) for i in range(hp.n) if abs(f[i]) <= tol * scale]
+    m = hp.n if hp.n > 2 else hp.n - 1
+    for i in range(max(m, 0)):
+        j = (i + 1) % hp.n
+        if f[i] * f[j] < 0:
+            t = f[i] / (f[i] - f[j])
+            p = v[i] + t * (v[j] - v[i])
+            pts.append((float(p[0]), float(p[1])))
+    return pts
+
+
+def directional_value(p, pts) -> float:
+    """Reference for the value in `programs._pencil_values`: the defender
+    value a best-responding attacker lets the line p realize on its section
+    pts.  With nonnegative correlation (or an indifferent attacker under the
+    optimistic tie rule) that is the max-u_d end, otherwise the min-u_d end."""
+    xs = [x for x, _ in pts]
+    if abs(p[0]) <= 1e-12 or (abs(p[1]) > 1e-12 and -p[0] / p[1] >= 0):
+        return max(xs)
+    return min(xs)
+
+
 def sweep_2d_reference(gmat, basis, hp):
     """The optimal program's angular sweep, one angle at a time: each sample
-    is checked against the cell rows and scored through
-    ``HullPolygon.line_section`` and ``_directional_value``; the first
-    strictly better sample wins, then a 24-step ternary refinement."""
+    is checked against the cell rows and scored through ``line_section`` and
+    ``directional_value``; the first strictly better sample wins, then a
+    24-step ternary refinement."""
     gb = gmat @ basis
     scale = max(1.0, float(np.max(np.abs(gb))))
 
     def value(p):
-        pts = hp.line_section(p[0], p[1], p[2])
-        return _directional_value(p, pts) if pts else None
+        pts = line_section(hp, p[0], p[1], p[2])
+        return directional_value(p, pts) if pts else None
 
     best_t, best_v = None, -np.inf
     for t in np.arange(0.0, 2 * np.pi, _SWEEP_STEP):
@@ -172,21 +199,15 @@ def sweep_2d_reference(gmat, basis, hp):
     return [basis @ np.array([np.cos(best_t), np.sin(best_t)])]
 
 
-def pipeline_value(g: GameSpec, result: ZdSolveResult = None):
+def pipeline_value(g: GameSpec, out=None):
     """Realized defender utility of the solve pipeline's strategy under
-    attacker best response (None when no strategy exists)."""
-    if result is None:
-        result = solve_optimal(g)
-    if result.kind == "none":
+    attacker best response, scored afresh (None when no strategy exists);
+    out is `solve_game(g, verify_samples=0)` when the caller has it."""
+    if out is None:
+        out = solve_game(g, verify_samples=0)
+    if out.kind not in ("ideal", "optimal"):
         return None
-    if result.kind == "ideal":
-        built = realize_params(g, result.params, result.role1, result.role_k)
-    else:
-        built = realize_params(g, result.params, result.cell.i1, result.cell.i2)
-    if built is None:
-        return None
-    strategy, _, _ = built
-    pair, _ = defender_utility_under_br(g, strategy)
+    pair, _ = defender_utility_under_br(g, out.strategy)
     return pair.u_d
 
 
@@ -230,7 +251,7 @@ def swap_search_direct(g: GameSpec, pi_d):
     stationary solve.  Returns (1-based policy tuple, (u_d, u_a))."""
     assert g.k > 3
     n = g.k * g.k
-    br = best_response(build_attacker_mdp(g, pi_d))
+    br = best_response(g, pi_d)
     gain_ref = br.gain
     candidates = [np.asarray(br.policy, dtype=int)]
     candidates += [np.full(n, m, dtype=int) for m in range(1, g.k + 1)]
@@ -280,7 +301,7 @@ def simulate_reference(g: GameSpec, pi_d, profile, steps, seed, stride=1,
         if switching and games[0][0] != profile.initial_type:
             games.reverse()
         regimes = [(name, game, np.eye(k)[np.asarray(
-            best_response(build_attacker_mdp(game, pi_d)).policy) - 1])
+            best_response(game, pi_d).policy) - 1])
             for name, game in games]
 
     tables = [(profit_vector(game, "defender").entries, profit_vector(game, "attacker").entries)

@@ -26,8 +26,7 @@ from zdmtd.game import (
     random_strategy,
 )
 from zdmtd.markov import det_utilities, long_run_utilities
-from zdmtd.mdp import best_response, build_attacker_mdp, defender_utility_under_br, exhaustive_br
-from zdmtd.programs import solve_optimal
+from zdmtd.mdp import best_response, defender_utility_under_br, exhaustive_br
 from zdmtd.rng import stream
 from zdmtd.scenarios import crowd_game, crowd_scenario, default_suites
 from zdmtd.sim import switching_experiment
@@ -244,7 +243,7 @@ def test_06_br_oracle_equivalence():
             for _ in range(50):
                 g = random_game(k, rng)
                 pi_d = random_strategy(k, rng)
-                pi = best_response(build_attacker_mdp(g, pi_d))
+                pi = best_response(g, pi_d)
                 ex = exhaustive_br(g, pi_d)
                 assert ex.policies_evaluated == count
                 assert abs(pi.gain - ex.gain) <= 1e-8
@@ -259,8 +258,7 @@ def test_07_desk_scale_optimality():
         rng = np.random.default_rng(77)
         for i in range(20):
             g = random_game(2, rng)
-            res = solve_optimal(g)
-            value = pipeline_value(g, res)
+            value = pipeline_value(g, solve_game(g, verify_samples=0))
             oracle, n_feasible = k2_grid_oracle(g)
             if value is None:
                 assert n_feasible == 0 or oracle == -np.inf, i

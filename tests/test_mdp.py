@@ -15,7 +15,6 @@ from zdmtd.markov import UtilityPair, chain, long_run_utilities
 from zdmtd.mdp import (
     TIE_TOL,
     best_response,
-    build_attacker_mdp,
     defender_utility_under_br,
     exhaustive_br,
     _deficit_bound,
@@ -46,39 +45,54 @@ def random_game(k, rng, scale=1.0):
                     rng.normal(size=k) * scale, rng.normal(size=k) * scale)
 
 
+def r_eff_bruteforce(g, f, w, s, a):
+    """sum_d F[s, d] sum_a' W[a, a'] u_a(d, a'), 1-based action a."""
+    return sum(f[s, d - 1] * sum(w[a - 1, b - 1] * g.one_shot(d, b)[1]
+                                 for b in range(1, g.k + 1))
+               for d in range(1, g.k + 1))
+
+
 def test_build_mdp_pure_defender():
     g = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
-    mdp = build_attacker_mdp(g, pure_strategy(2, 1))
+    pi_d = pure_strategy(2, 1)
+    f, w, r_eff, _, _ = _effective_tables(g, pi_d)
     for s in range(4):
         for a in (1, 2):
-            assert mdp.rewards[s, a - 1] == g.one_shot(1, a)[1]
-            t = chain(mdp.pi_d.rows, np.eye(2)[[a - 1] * 4])[s]
+            # the blended sums round apart from the brute-force order by an ulp
+            assert r_eff[s, a - 1] == pytest.approx(r_eff_bruteforce(g, f, w, s, a), abs=1e-15)
+            t = chain(pi_d.rows, np.eye(2)[[a - 1] * 4])[s]
             assert t[flat_index(2, 1, a)] == 1.0
             assert t.sum() == pytest.approx(1.0)
 
 
 def test_build_mdp_uniform_defender():
     g = GameSpec(3, (2, 1, 3), (0, -1, 1), (-2, 0, 1), (4, 2, 3))
-    mdp = build_attacker_mdp(g, uniform_strategy(3))
-    for a in range(3):
-        expect = g.u_a_cov[a] / 3 + (1 - 1 / 3) * g.u_a_unc[a]
-        assert np.allclose(mdp.rewards[:, a], expect)
+    f, w, r_eff, _, _ = _effective_tables(g, uniform_strategy(3))
+    for a in range(1, 4):
+        expect = [r_eff_bruteforce(g, f, w, s, a) for s in range(9)]
+        assert np.allclose(r_eff[:, a - 1], expect)
 
 
 def test_build_mdp_matches_bruteforce_sum():
     rng = np.random.default_rng(11)
     g = random_game(2, rng)
     pi_d = random_strategy(2, rng)
-    mdp = build_attacker_mdp(g, pi_d)
+    f, w, r_eff, _, _ = _effective_tables(g, pi_d)
     for s in range(4):
         for a in (1, 2):
-            expect = sum(pi_d.rows[s, d - 1] * g.one_shot(d, a)[1] for d in (1, 2))
-            assert mdp.rewards[s, a - 1] == pytest.approx(expect, abs=1e-14)
+            assert r_eff[s, a - 1] == pytest.approx(r_eff_bruteforce(g, f, w, s, a), abs=1e-14)
+
+
+@pytest.mark.parametrize("fn", [best_response, defender_utility_under_br, exhaustive_br])
+def test_k_mismatch_is_rejected(fn):
+    g = GameSpec(3, (2, 1, 3), (0, -1, 1), (-2, 0, 1), (4, 2, 3))
+    with pytest.raises(ValueError, match="K mismatch"):
+        fn(g, uniform_strategy(2))
 
 
 def test_best_response_dominant_target():
     g = GameSpec(3, (1, 1, 1), (0, 0, 0), (0, 3, 0), (0, 2, 0))
-    br = best_response(build_attacker_mdp(g, uniform_strategy(3)))
+    br = best_response(g, uniform_strategy(3))
     assert br.policy == tuple([2] * 9)
     expect = 3 / 3 + (1 - 1 / 3) * 2
     assert br.gain == pytest.approx(expect, abs=1e-7)
@@ -104,7 +118,7 @@ def test_policy_iteration_matches_exhaustive_seeded(k, seed):
     rng = np.random.default_rng(seed)
     g = random_game(k, rng)
     pi_d = random_strategy(k, rng)
-    pi = best_response(build_attacker_mdp(g, pi_d))
+    pi = best_response(g, pi_d)
     ex = exhaustive_br(g, pi_d)
     assert abs(pi.gain - ex.gain) <= 1e-8
 
@@ -115,7 +129,7 @@ def test_policy_iteration_matches_exhaustive_many():
         for _ in range(trials):
             g = random_game(k, rng)
             pi_d = random_strategy(k, rng)
-            pi = best_response(build_attacker_mdp(g, pi_d))
+            pi = best_response(g, pi_d)
             ex = exhaustive_br(g, pi_d)
             assert abs(pi.gain - ex.gain) <= 1e-8
 
@@ -124,7 +138,7 @@ def test_gain_dominates_random_attackers():
     rng = np.random.default_rng(99)
     g = random_game(2, rng)
     pi_d = random_strategy(2, rng)
-    br = best_response(build_attacker_mdp(g, pi_d))
+    br = best_response(g, pi_d)
     for _ in range(1000):
         pi_a = random_strategy(2, rng)
         u = long_run_utilities(g, pi_d, pi_a)
@@ -136,7 +150,7 @@ def test_bellman_residual_bound():
     for k in (2, 3, 4):
         g = random_game(k, rng)
         pi_d = random_strategy(k, rng)
-        br = best_response(build_attacker_mdp(g, pi_d))
+        br = best_response(g, pi_d)
         assert bellman_residual(g, pi_d, br) <= 1e-9
 
 
@@ -156,7 +170,7 @@ def test_defender_favoring_tie_choice():
     # response; the optimistic follower must attack the defender's favorite
     g = GameSpec(2, (1, 2), (0, 0), (0, 0), (0, 0))
     pi_d = uniform_strategy(2)
-    plain = best_response(build_attacker_mdp(g, pi_d))
+    plain = best_response(g, pi_d)
     assert plain.policy == (1, 1, 1, 1)  # lexicographic tie rule
     pair, chosen = defender_utility_under_br(g, pi_d)
     assert chosen.policy == (2, 2, 2, 2)
@@ -407,7 +421,7 @@ def test_gain_gap_certificate_is_sound(k):
     pruned = 0
     for g, pi_d in _certificate_inputs(k):
         tables = f, w, r_eff, _, sa = _effective_tables(g, pi_d)
-        br = best_response(build_attacker_mdp(g, pi_d))
+        br = best_response(g, pi_d)
         c, to, margin = _gap_tables(f, w, r_eff, sa, br)
         lb = _deficit_bound(c, to)
         _, _, u_a = policy_values_reference(g, pi_d, tables)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from zdmtd import cli, programs
+from zdmtd.cli import solve_game
 from zdmtd.game import GameSpec
-from zdmtd import programs
 from zdmtd.programs import (
     HullPolygon,
     LambdaCell,
     _null_space,
+    _pencil_values,
     _sweep_2d,
     check_corollaries,
     hull,
@@ -17,8 +19,10 @@ from zdmtd.programs import (
 from zdmtd.zd import verify
 
 from oracles import (
+    directional_value,
     ideal_feasible_game,
     k2_grid_oracle,
+    line_section,
     pipeline_value,
     random_game,
     sweep_2d_reference,
@@ -161,7 +165,7 @@ def test_hull_square_and_degenerate():
 
     seg = HullPolygon(np.array([[0.0, 0.0], [1.0, 1.0]]))
     assert seg.contains(0.5, 0.5) and not seg.contains(0.5, 0.6)
-    sec = seg.line_section(1.0, 1.0, -1.0)  # x + y = 1 crosses the segment
+    sec = line_section(seg, 1.0, 1.0, -1.0)  # x + y = 1 crosses the segment
     assert len(sec) >= 1
     assert sec[0] == pytest.approx((0.5, 0.5))
 
@@ -190,16 +194,28 @@ def test_hull_matches_orientation_oracle():
     assert got == edge_points
 
 
-def test_solve_optimal_short_circuits_on_ideal():
-    res = solve_optimal(COR1)
+def test_solve_game_short_circuits_on_ideal():
+    res = solve_game(COR1, verify_samples=0)
     assert res.kind == "ideal"
     assert res.predicted.u_d == pytest.approx(5.0, abs=1e-9)
 
 
-def test_solve_optimal_k2_beats_grid_oracle_seed9():
+def test_solve_game_never_enters_solve_optimal_on_ideal_games(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("solve_optimal ran on an ideal-feasible game")
+
+    for module in (cli, programs):
+        monkeypatch.setattr(module, "solve_optimal", spy)
+    rng = np.random.default_rng(31)
+    games = [COR1, EXTORT] + [ideal_feasible_game(k, rng) for k in (2, 3, 5) for _ in range(2)]
+    for g in games:
+        assert solve_game(g, verify_samples=0).kind == "ideal"
+
+
+def test_solve_game_k2_beats_grid_oracle_seed9():
     rng = np.random.default_rng(9)
     g = random_game(2, rng)
-    res = solve_optimal(g)
+    res = solve_game(g, verify_samples=0)
     value = pipeline_value(g, res)
     assert value is not None
     oracle, n_checked = k2_grid_oracle(g)
@@ -219,7 +235,7 @@ def test_solve_optimal_reports_unique_consistent_cell():
         (0.0, 3.0, 1.5, 0.5, 1.0),
         (2.0, 0.0, 1.0, 1.0, 1.0),
     )
-    res = solve_optimal(g, run_ideal_first=False)
+    res = solve_optimal(g, evaluate_br=True)
     assert res.kind == "optimal"
     assert {res.cell.i1, res.cell.i2} == {1, 2}
     assert (res.cell.i1, res.cell.i2) == (1, 2)
@@ -232,7 +248,7 @@ def test_optimal_predicted_on_line_and_in_hull():
     found = 0
     for _ in range(10):
         g = random_game(2, rng)
-        res = solve_optimal(g, run_ideal_first=False)
+        res = solve_optimal(g, evaluate_br=True)
         if res.kind != "optimal":
             continue
         found += 1
@@ -257,7 +273,7 @@ def test_theorem2_upper_bound_property():
     for k in (2, 3):
         for _ in range(6):
             g = ideal_feasible_game(k, rng)
-            res = solve_optimal(g)
+            res = solve_game(g, verify_samples=0)
             value = pipeline_value(g, res)
             assert value is not None
             assert value <= np.max(g.u_d_cov) + 1e-9
@@ -268,7 +284,7 @@ def test_theorem3_value_on_ideal_instances():
     for k in (3, 5):
         for _ in range(4):
             g = ideal_feasible_game(k, rng)
-            res = solve_optimal(g)
+            res = solve_game(g, verify_samples=0)
             assert res.kind == "ideal"
             value = pipeline_value(g, res)
             assert value == pytest.approx(float(np.max(g.u_d_cov)), abs=1e-6)
@@ -298,7 +314,7 @@ def _recorded_slices(monkeypatch, games):
 
     monkeypatch.setattr(programs, "_sweep_2d", record)
     for g in games:
-        solve_optimal(g, run_ideal_first=False, evaluate_br=False)
+        solve_optimal(g, evaluate_br=False)
     monkeypatch.undo()
     return calls
 
@@ -347,6 +363,72 @@ def test_sweep_2d_matches_reference_on_degenerate_slices(case):
         assert np.array_equal(got[0], want[0])
 
 
+def _section_reference(ps, hp):
+    """(value, x, y) rows of the scalar reference for each line ps[:, j]: the
+    first section point of largest u_d, NaN where the line misses."""
+    out = []
+    for p in ps.T:
+        pts = line_section(hp, *p)
+        if pts:
+            x, y = max(pts, key=lambda q: q[0])
+            out.append((directional_value(p, pts), x, y))
+        else:
+            out.append((np.nan, np.nan, np.nan))
+    return np.array(out).T
+
+
+def test_pencil_values_match_reference_on_recorded_candidates(monkeypatch):
+    # bit identity: solve_optimal reports the point and ranks by the value
+    recorded = []
+    original = programs._cell_candidates
+
+    def record(g, cell, hp, unc):
+        cands = original(g, cell, hp, unc)
+        if cands:
+            recorded.append((np.array([programs._normalize(c).as_array() for c in cands]).T, hp))
+        return cands
+
+    monkeypatch.setattr(programs, "_cell_candidates", record)
+    rng = np.random.default_rng(12)
+    for k in (2, 3, 4, 5):
+        for _ in range(3):
+            solve_optimal(random_game(k, rng), evaluate_br=False)
+    monkeypatch.undo()
+    hits = 0
+    for ps, hp in recorded:
+        got, want = np.array(_pencil_values(ps, hp)), _section_reference(ps, hp)
+        assert np.array_equal(got, want, equal_nan=True)
+        hits += int(np.count_nonzero(~np.isnan(want[0])))
+    assert len(recorded) >= 10 and hits >= 10
+
+
+@pytest.mark.parametrize("case", ["point", "segment", "vertical-edge", "vertex", "miss"])
+def test_pencil_values_match_reference_on_special_lines(case):
+    square = HullPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    hp, lines = {
+        # through the point, and two lines that pass it by
+        "point": (HullPolygon(np.array([[0.3, -0.2]])),
+                  [(1.0, 0.0, -0.3), (2.0, 1.0, -0.4), (0.0, 1.0, 1.0), (1.0, 1.0, 0.0)]),
+        # across the segment, through one end, and missing it
+        "segment": (HullPolygon(np.array([[-1.0, 0.5], [2.0, 1.5]])),
+                    [(1.0, 1.0, -1.0), (1.0, 0.0, 1.0), (-1.0, 3.0, 0.0), (0.0, 1.0, 5.0)]),
+        # x = 1 holds the edge from (1, 0) to (1, 1): both tie on max x and
+        # the first must win; the lines parallel to an edge divide by zero
+        "vertical-edge": (square, [(1.0, 0.0, -1.0), (-2.0, 0.0, 2.0), (1.0, 0.0, -0.5),
+                                   (0.0, 1.0, -0.5), (0.0, 1.0, -1.0)]),
+        # the line touches the square at (0, 0) or (1, 0) only
+        "vertex": (square, [(1.0, 1.0, 0.0), (-1.0, -1.0, 0.0), (1.0, -1.0, -1.0)]),
+        # off the square, and the all-zero pencil direction (alpha = beta = 0)
+        "miss": (square, [(1.0, 1.0, 5.0), (1.0, -1.0, 3.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)]),
+    }[case]
+    ps = np.array(lines).T
+    got, want = np.array(_pencil_values(ps, hp)), _section_reference(ps, hp)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.all(np.isnan(want[0])) == (case == "miss")
+    if case == "vertical-edge":
+        assert (want[1, 0], want[2, 0]) == (1.0, 0.0)
+
+
 def _visited_cells(monkeypatch, g):
     visited = []
     original = programs._cell_candidates
@@ -356,7 +438,7 @@ def _visited_cells(monkeypatch, g):
         return original(g, cell, hp, unc)
 
     monkeypatch.setattr(programs, "_cell_candidates", record)
-    res = solve_optimal(g, run_ideal_first=False, evaluate_br=False)
+    res = solve_optimal(g, evaluate_br=False)
     monkeypatch.undo()
     return res, set(visited)
 
@@ -394,6 +476,6 @@ def test_solve_optimal_k50_proves_none_in_few_svds(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    res = solve_optimal(g, run_ideal_first=False)
+    res = solve_optimal(g, evaluate_br=False)
     assert res.kind == "none"
     assert len(calls) <= 20

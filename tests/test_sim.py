@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from zdmtd.game import GameSpec, canonicalize, pure_strategy, random_strategy
+from zdmtd.cli import solve_game
+from zdmtd.game import GameSpec, pure_strategy, random_strategy
 from zdmtd.markov import long_run_utilities
-from zdmtd.programs import realize_params, solve_optimal
 from zdmtd.scenarios import crowd_game, crowd_scenario, with_switching
 from zdmtd.sim import (
     _running_sums,
@@ -82,17 +82,9 @@ def test_switching_with_period_equal_steps_reduces_to_fixed_type():
 def crowd_zd_strategy(s):
     """Optimal-line strategy for the malicious-type game, in original labels,
     together with its parameters and multipliers."""
-    mal = crowd_game(s, "malicious")
-    gc, cp = canonicalize(mal)
-    res = solve_optimal(gc)
-    assert res.kind in ("ideal", "optimal")
-    if res.kind == "ideal":
-        built = realize_params(gc, res.params, res.role1, res.role_k)
-    else:
-        built = realize_params(gc, res.params, res.cell.i1, res.cell.i2)
-    strategy_canon, zd, frame = built
-    full = cp.compose(frame)
-    return cp.invert_strategy(strategy_canon), res.params, full.invert_phi(zd.phi.phi)
+    out = solve_game(crowd_game(s, "malicious"), verify_samples=0)
+    assert out.kind in ("ideal", "optimal")
+    return out.strategy, out.params, out.phi
 
 
 def test_switching_long_regimes_residuals():
