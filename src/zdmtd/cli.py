@@ -330,12 +330,20 @@ def cmd_bench(args) -> int:
 
 
 def _load_strategy(path: str):
+    """Strategy JSON as `solve` writes it: k and pi, and an optional zd block
+    whose alpha, beta, gamma and phi are then all required."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    zd = obj.get("zd") if isinstance(obj, dict) else None
+    if not isinstance(obj, dict) or not isinstance(zd or {}, dict):
+        raise ValueError("strategy JSON and its zd block must be objects")
+    missing = [key for key in ("k", "pi") if key not in obj]
+    missing += [f"zd.{key}" for key in ("alpha", "beta", "gamma", "phi") if zd and key not in zd]
+    if missing:
+        raise ValueError(f"missing keys in strategy JSON: {missing}")
     strategy = MemoryOneStrategy(obj["k"], np.asarray(obj["pi"], dtype=float))
     params = phi = None
-    if obj.get("zd"):
-        zd = obj["zd"]
+    if zd:
         params = ZdLinearParams(zd["alpha"], zd["beta"], zd["gamma"])
         phi = np.asarray(zd["phi"], dtype=float)
     return strategy, params, phi, {key: obj.get(key) for key in ("k", "pi", "zd")}
@@ -387,10 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zdmtd",
         description="Zero-determinant moving-target-defense strategies for "
                     "repeated security games, with Stackelberg baselines.",
-        epilog="Parallelism is capped by the ZDMTD_THREADS environment "
-               "variable.  Module tolerance defaults: defining equality and "
-               "sampled line residuals 1e-8; program feasibility 1e-9; "
-               "stationary solves 1e-10; action blending 1e-8.",
+        epilog="Module tolerance defaults: defining equality and sampled line "
+               "residuals 1e-8; program feasibility 1e-9; stationary solves "
+               "1e-10; action blending 1e-8.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

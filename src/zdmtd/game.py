@@ -75,10 +75,6 @@ class GameSpec:
                 f"violated at target(s) {[int(b) + 1 for b in bad]}"
             )
 
-    @property
-    def n_states(self) -> int:
-        return self.k * self.k
-
     def one_shot(self, d: int, a: int) -> tuple[float, float]:
         """One-shot utilities (u_d, u_a) for defender action d, attacker action a."""
         if not (1 <= d <= self.k and 1 <= a <= self.k):
@@ -97,29 +93,9 @@ class GameSpec:
         return ud, ua
 
 
-def one_shot_utilities(g: GameSpec, d: int, a: int) -> tuple[float, float]:
-    """Utilities of the profile (d, a): covered values if d == a, else uncovered."""
-    return g.one_shot(d, a)
-
-
-@dataclass(frozen=True)
-class ProfitVector:
-    """Length-K^2 profit vector over flat states: entry at (i, j) is the
-    owning player's covered profit of j if i == j, else the uncovered one."""
-
-    player: str
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.player not in ("defender", "attacker"):
-            raise ValueError(f"player must be 'defender' or 'attacker', got {self.player!r}")
-        e = np.asarray(self.entries, dtype=float).copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-
-def profit_vector(g: GameSpec, player: str) -> ProfitVector:
-    """Stack the per-state one-shot profits into flat order."""
+def profit_vector(g: GameSpec, player: str) -> np.ndarray:
+    """Read-only length-K^2 profit vector over flat states: entry at (i, j) is
+    the player's covered profit of j if i == j, else the uncovered one."""
     if player == "defender":
         cov, unc = g.u_d_cov, g.u_d_unc
     elif player == "attacker":
@@ -129,7 +105,8 @@ def profit_vector(g: GameSpec, player: str) -> ProfitVector:
     entries = np.tile(unc, g.k)
     for t in range(g.k):
         entries[flat_index(g.k, t + 1, t + 1)] = cov[t]
-    return ProfitVector(player, entries)
+    entries.setflags(write=False)
+    return entries
 
 
 def hat_indicator(k: int, target: int) -> np.ndarray:
@@ -268,15 +245,14 @@ class CanonicalPermutation:
         """Relabel a strategy from canonical back into original labels."""
         return MemoryOneStrategy(s.k, self._permute_rows(s.rows, self.perm))
 
-    def apply_profit(self, p: ProfitVector) -> ProfitVector:
+    def apply_profit(self, p: np.ndarray) -> np.ndarray:
+        """Relabel a profit vector from original into canonical labels."""
         k = self.k
         out = np.empty(k * k)
         for i in range(1, k + 1):
             for j in range(1, k + 1):
-                out[flat_index(k, self.perm[i - 1], self.perm[j - 1])] = p.entries[
-                    flat_index(k, i, j)
-                ]
-        return ProfitVector(p.player, out)
+                out[flat_index(k, self.perm[i - 1], self.perm[j - 1])] = p[flat_index(k, i, j)]
+        return out
 
     def invert_phi(self, phi: np.ndarray) -> np.ndarray:
         """Map per-canonical-label multipliers back to original labels."""
@@ -345,9 +321,3 @@ def game_to_dict(g: GameSpec) -> dict:
 def load_game(path) -> GameSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return game_from_dict(json.load(fh))
-
-
-def save_game(g: GameSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(g), fh, indent=1)
-        fh.write("\n")

@@ -20,7 +20,7 @@ order is part of the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class LpOutcome:
 class Feasibility:
     feasible: bool
     x: np.ndarray = None
-    violated: tuple = field(default=())  # indices of violated rows at the LP's answer
 
 
 def _standardize(lp: LinearProgram):
@@ -318,9 +317,4 @@ def check_feasible(constraints, n: int, bounds=None) -> Feasibility:
     """Phase-1 wrapper: find any point satisfying the rows (zero objective)."""
     lp = LinearProgram(np.zeros(n), "min", tuple(constraints), bounds)
     out = solve_lp(lp)
-    if out.status == "optimal":
-        return Feasibility(True, out.x)
-    violated = []
-    if out.status == "infeasible":
-        violated = list(range(len(lp.constraints)))
-    return Feasibility(False, violated=tuple(violated))
+    return Feasibility(out.status == "optimal", out.x)

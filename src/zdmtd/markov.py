@@ -192,8 +192,8 @@ def long_run_utilities(g: GameSpec, pi_d: MemoryOneStrategy, pi_a: MemoryOneStra
     if not (g.k == pi_d.k == pi_a.k):
         raise ValueError("K mismatch between game and strategies")
     v = stationary(build_transition(pi_d, pi_a)).v
-    sd = profit_vector(g, "defender").entries
-    sa = profit_vector(g, "attacker").entries
+    sd = profit_vector(g, "defender")
+    sa = profit_vector(g, "attacker")
     return UtilityPair(float(v @ sd), float(v @ sa))
 
 
@@ -225,7 +225,7 @@ def det_utilities(g: GameSpec, pi_d: MemoryOneStrategy, pi_a: MemoryOneStrategy)
     out = []
     for player in ("defender", "attacker"):
         num = base.copy()
-        num[:, -1] = profit_vector(g, player).entries
+        num[:, -1] = profit_vector(g, player)
         sign_num, log_num = np.linalg.slogdet(num)
         if sign_num == 0:
             out.append(0.0)
@@ -250,8 +250,8 @@ def max_line_residual(g: GameSpec, pi_d: MemoryOneStrategy, alpha: float, beta: 
     if g.k != pi_d.k:
         raise ValueError(f"K mismatch: game {g.k}, strategy {pi_d.k}")
     k, n = g.k, g.k * g.k
-    sd = profit_vector(g, "defender").entries
-    sa = profit_vector(g, "attacker").entries
+    sd = profit_vector(g, "defender")
+    sa = profit_vector(g, "attacker")
     size = max(1, VERIFY_STACK_ENTRIES // n**2)
     worst = 0.0
     for start in range(0, n_samples, size):

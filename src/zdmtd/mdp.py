@@ -74,8 +74,8 @@ def _effective_tables(g: GameSpec, pi_d: MemoryOneStrategy):
     w = (1.0 - EPSILON_MIX) * np.eye(g.k) + EPSILON_MIX / g.k
     _, ua = g.payoff_matrices()
     r_eff = (f @ ua) @ w.T
-    sd = profit_vector(g, "defender").entries
-    sa = profit_vector(g, "attacker").entries
+    sd = profit_vector(g, "defender")
+    sa = profit_vector(g, "attacker")
     return f, w, r_eff, sd, sa
 
 
@@ -130,7 +130,7 @@ def _evaluate(f, w, r_eff, policy_idx):
     b = np.zeros(n + 1)
     b[:n] = r
     sol = np.linalg.solve(a, b)
-    return sol[n], sol[:n], p
+    return sol[n], sol[:n]
 
 
 def best_response(g: GameSpec, pi_d: MemoryOneStrategy, tables=None) -> BestResponse:
@@ -149,7 +149,7 @@ def best_response(g: GameSpec, pi_d: MemoryOneStrategy, tables=None) -> BestResp
     policy = np.argmax(r_eff, axis=1)
     seen = {tuple(policy)}
     for _ in range(n * k + 100):
-        gain, h, _ = _evaluate(f, w, r_eff, policy)
+        gain, h = _evaluate(f, w, r_eff, policy)
         # Q(s, a) = R_eff(s, a) + sum_d F[s, d] * sum_a' W[a, a'] h[flat(d, a')]
         q = r_eff + f @ (h.reshape(k, k) @ w.T)
         best = np.argmax(q, axis=1)
@@ -283,7 +283,7 @@ def exhaustive_br(g: GameSpec, pi_d: MemoryOneStrategy) -> BestResponse:
     pols, _, u_a = _policy_values_batch(g, pi_d, tables)
     best = int(np.argmax(u_a))
     policy = tuple(int(x) + 1 for x in pols[best])
-    _, h, _ = _evaluate(f, w, r_eff, pols[best])
+    _, h = _evaluate(f, w, r_eff, pols[best])
     return BestResponse(policy, float(u_a[best]), h, policies_evaluated=len(pols))
 
 
@@ -352,6 +352,6 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
         policy = tuple(int(x) + 1 for x in pol)
         pair = UtilityPair(*best_pair)
 
-    _, h, _ = _evaluate(f, w, r_eff, np.asarray(policy) - 1)
+    _, h = _evaluate(f, w, r_eff, np.asarray(policy) - 1)
     chosen_br = BestResponse(policy, pair.u_a, h, evaluated)
     return pair, chosen_br

@@ -50,7 +50,6 @@ from .zd import (
 )
 
 FEAS_TOL = 1e-9
-CERT_TOL = 1e-8
 _SWEEP_STEP = 1e-3  # radians
 
 
@@ -352,7 +351,8 @@ def _sweep_2d(gmat: np.ndarray, basis: np.ndarray, hp: HullPolygon):
         z = np.array([np.cos(ts), np.sin(ts)])
         feas = np.all(gb @ z >= -FEAS_TOL * scale, axis=0)
         out = np.full(len(ts), np.nan)
-        out[feas] = _pencil_values(basis @ z[:, feas], hp)[0]
+        if feas.any():  # a slice with no feasible angle has no line to score
+            out[feas] = _pencil_values(basis @ z[:, feas], hp)[0]
         return out
 
     ts = np.arange(0.0, 2 * np.pi, _SWEEP_STEP)
@@ -450,7 +450,7 @@ def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int):
             return None
         rep = repeat_strategy(g.k)
         zd = ZdStrategy(rep, p, ex.phi,
-                        defining_residual(gw, rep, p, ex.phi), classify(p))
+                        defining_residual(gw, rep, p, ex.phi.phi), classify(p))
     return frame.invert_strategy(zd.strategy), zd, frame
 
 

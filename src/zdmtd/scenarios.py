@@ -11,7 +11,7 @@ crowdsourcing generator validates it and reports the offending task.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -185,16 +185,21 @@ def default_suites():
 
 
 def scenario_from_dict(obj: dict):
-    """Scenario envelope: {"scenario": "iot" | "crowd", ...fields...}."""
+    """Strict scenario envelope: {"scenario": "iot" | "crowd", ...fields...},
+    every field without a default present and no other key."""
     if not isinstance(obj, dict) or "scenario" not in obj:
         raise ValueError("scenario JSON must carry a 'scenario' tag")
     kind = obj["scenario"]
+    cls = {"iot": IotScenario, "crowd": CrowdScenario}.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown scenario kind {kind!r}")
     body = {k: v for k, v in obj.items() if k != "scenario"}
-    if kind == "iot":
-        return IotScenario(**body)
-    if kind == "crowd":
-        return CrowdScenario(**body)
-    raise ValueError(f"unknown scenario kind {kind!r}")
+    unknown = set(body) - {f.name for f in fields(cls)}
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(body)
+    for what, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ValueError(f"{what} keys in {kind} scenario JSON: {sorted(keys)}")
+    return cls(**body)
 
 
 def scenario_to_dict(s) -> dict:

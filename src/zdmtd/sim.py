@@ -178,10 +178,10 @@ def simulate(
 
     # utility tables [quantity, regime, state]: realized u_d and u_a, then
     # the reference game's, which do not depend on the regime
-    tables = [[profit_vector(game, role).entries for _, game, _ in regimes]
+    tables = [[profit_vector(game, role) for _, game, _ in regimes]
               for role in ("defender", "attacker")]
     if reference_game is not None:
-        tables += [[profit_vector(reference_game, role).entries] * len(regimes)
+        tables += [[profit_vector(reference_game, role)] * len(regimes)
                    for role in ("defender", "attacker")]
     tables = np.array(tables)
 
@@ -305,22 +305,19 @@ def switching_experiment(
     seed: int,
     zd_params=None,
     zd_phi=None,
-    reference_type: str = "malicious",
     stride: int = None,
-    lag: int = 0,
 ) -> SwitchingReport:
     """Run the periodic-type crowdsourcing experiment for a committed
-    defender strategy; defaults gauge the enforced-line residual against the
+    defender strategy, gauging the enforced-line residual against the
     malicious-type game (the one the defense is built against).  Passing the
     strategy's phi multipliers (in the game's own labels) enables the exact
     boundary compensation of the per-regime residuals."""
     honest = crowd_game(s, "honest")
     malicious = crowd_game(s, "malicious")
-    profile = switching_profile(s.period, s.initial_type, honest, malicious, lag=lag)
-    reference = malicious if reference_type == "malicious" else honest
+    profile = switching_profile(s.period, s.initial_type, honest, malicious)
     if stride is None:
         stride = max(1, steps // 2000)
     stats = simulate(honest, pi_d, profile, steps, seed, stride=stride,
-                     reference_game=reference if zd_params is not None else None,
+                     reference_game=malicious if zd_params is not None else None,
                      gauge_phi=zd_phi)
     return SwitchingReport(stats, regime_summaries(stats, zd_params))

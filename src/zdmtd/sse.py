@@ -10,9 +10,7 @@ defender strategies (K <= 3), and the analytic upper bound max_k U_d^c(k).
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +19,6 @@ from .game import GameSpec, MemoryOneStrategy
 from .lp import EQ, GE, LinearProgram, solve_lp
 from .mdp import _policy_value, best_response, defender_utility_under_br
 from .rng import stream
-
-SANDWICH_SLACK = 1e-9
 
 
 def big_m(g: GameSpec) -> float:
@@ -307,8 +303,7 @@ def _score(g: GameSpec, strategy: MemoryOneStrategy):
     return pair
 
 
-def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), workers: int = None,
-               scored=()) -> SseSearch:
+def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), scored=()) -> SseSearch:
     """Annealed random-restart local search over defender memory-one
     strategies, scored by defender utility under attacker best response.
 
@@ -317,13 +312,10 @@ def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), workers: int = 
     evaluated first, so the result never scores below them; a seed whose
     rows equal a strategy already scored (an earlier seed, or one of the
     (strategy, UtilityPair) pairs in scored) reuses that pair, and still
-    counts as an iteration.  Deterministic given (budget, seed, seeds_in)
-    regardless of worker count.
+    counts as an iteration.  Deterministic given (budget, seed, seeds_in).
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if workers is None:
-        workers = max(1, int(os.environ.get("ZDMTD_THREADS", "1")))
     rng = stream(seed, "sse-search")
     k = g.k
 
@@ -344,7 +336,7 @@ def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), workers: int = 
 
     incumbent = best_strategy
     restart_every = max(8, budget // 4) if budget else 1
-    batch_size = 4  # fixed so the trajectory does not depend on worker count
+    batch_size = 4  # proposals per incumbent; part of every seeded trajectory
     step = 0
     while step < budget:
         batch = min(batch_size, budget - step)
@@ -354,13 +346,9 @@ def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), workers: int = 
             conc = kappa * incumbent.rows + 0.1
             rows = np.vstack([rng.dirichlet(conc[s]) for s in range(k * k)])
             proposals.append(MemoryOneStrategy(k, rows))
-        if workers > 1 and len(proposals) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pairs = list(pool.map(lambda s: _score(g, s), proposals))
-        else:
-            pairs = [_score(g, s) for s in proposals]
         evals += len(proposals)
-        for cand, pair in zip(proposals, pairs):  # index order: deterministic
+        for cand in proposals:
+            pair = _score(g, cand)
             if pair.u_d > best_pair.u_d + 1e-12:
                 best_strategy, best_pair = cand, pair
                 incumbent = cand

@@ -77,30 +77,6 @@ class FeasibilityParams:
     def k(self) -> int:
         return self.phi.size
 
-    @property
-    def phi_max(self) -> float:
-        return float(np.max(self.phi))
-
-    @property
-    def phi_min(self) -> float:
-        return float(np.min(self.phi))
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    """Per-step weight shifts; Algorithm inputs sum to one."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float).copy()
-        if om.ndim != 1:
-            raise ValueError("omega must be a vector")
-        if abs(om.sum() - 1.0) > 1e-9:
-            raise ValueError(f"omega must sum to 1, got {om.sum()!r}")
-        om.setflags(write=False)
-        object.__setattr__(self, "omega", om)
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -262,15 +238,14 @@ def existence_check(g: GameSpec, p: ZdLinearParams) -> ExistenceResult:
     return _eq8_existence(g, p)
 
 
-def _construct(g: GameSpec, p: ZdLinearParams, fp: FeasibilityParams,
-               omega: np.ndarray, zeta: float):
+def _construct(g: GameSpec, p: ZdLinearParams, fp: FeasibilityParams, zeta: float):
     """One construction attempt with positivity floor zeta; returns (rows,
     residual) or raises ZdConstructionError."""
     k = g.k
     n = k * k
     phi = fp.phi
-    r = (p.alpha * profit_vector(g, "defender").entries
-         + p.beta * profit_vector(g, "attacker").entries
+    r = (p.alpha * profit_vector(g, "defender")
+         + p.beta * profit_vector(g, "attacker")
          + p.gamma * np.ones(n))
     cols = np.zeros((n, k))
     total = np.zeros(n)
@@ -298,7 +273,7 @@ def _construct(g: GameSpec, p: ZdLinearParams, fp: FeasibilityParams,
                 )
             w = 0.0
         elif lo <= hi:
-            w = float(omega[idx]) if lo <= omega[idx] <= hi else 0.5 * (lo + hi)
+            w = 1.0 / k if lo <= 1.0 / k <= hi else 0.5 * (lo + hi)
         else:
             # empty no-clamp interval: wipe the column (shift large enough to
             # clamp every entry to the floor).  Later steps absorb the
@@ -326,13 +301,12 @@ def construct_strategy(
     g: GameSpec,
     p: ZdLinearParams,
     fp: FeasibilityParams,
-    omega: WeightParams = None,
 ) -> ZdStrategy:
     """Sequential strategy construction for targets K-1 down to 1.
 
     The per-step shift is chosen from the closed-form interval keeping the
-    column inside [0, 1] and the running sums below 1 (user-supplied omega
-    is honored when it lies in that interval, midpoint otherwise).  A small
+    column inside [0, 1] and the running sums below 1: the uniform weight
+    1/K when it lies in that interval, the midpoint otherwise.  A small
     positivity floor keeps rows interior so downstream best-response
     evaluation needs no epsilon blending; it is dropped automatically for
     boundary-tight instances.  The defining equality is re-verified and a
@@ -345,14 +319,11 @@ def construct_strategy(
         )
     if fp.k != g.k:
         raise ValueError("phi length must equal K")
-    om = omega.omega if omega is not None else np.full(g.k, 1.0 / g.k)
-    if om.size != g.k:
-        raise ValueError("omega length must equal K")
 
     last_err = None
     for zeta in (POSITIVITY_FLOOR, 0.0):
         try:
-            cols, residual = _construct(g, p, fp, om, zeta)
+            cols, residual = _construct(g, p, fp, zeta)
         except ZdConstructionError as err:
             last_err = err
             continue
@@ -378,17 +349,15 @@ class VerifyReport:
 
 
 def defining_residual(g: GameSpec, strategy: MemoryOneStrategy,
-                      p: ZdLinearParams, fp) -> float:
+                      p: ZdLinearParams, phi: np.ndarray) -> float:
     """Max-norm defect of sum_k phi_k (pi_d(k) - hat(k)) = alpha S_d + beta S_a + gamma 1.
 
-    fp may be a FeasibilityParams or a bare multiplier vector (the latter is
-    used after relabeling back to the caller's targets, where the zero
-    multiplier is no longer at the last label).
+    phi is the multiplier vector in g's labels (after relabeling back to the
+    caller's targets the zero multiplier is no longer at the last label).
     """
     k = g.k
-    phi = fp.phi if isinstance(fp, FeasibilityParams) else np.asarray(fp, dtype=float)
-    r = (p.alpha * profit_vector(g, "defender").entries
-         + p.beta * profit_vector(g, "attacker").entries
+    r = (p.alpha * profit_vector(g, "defender")
+         + p.beta * profit_vector(g, "attacker")
          + p.gamma * np.ones(k * k))
     acc = np.zeros(k * k)
     for target in range(1, k + 1):
@@ -400,7 +369,7 @@ def verify(g: GameSpec, zd: ZdStrategy, n_samples: int = 1000, seed: int = 0) ->
     """Re-check the algebraic defining equality and the enforced line against
     sampled random attacker strategies."""
     rows = zd.strategy.rows
-    eq5 = defining_residual(g, zd.strategy, zd.params, zd.phi)
+    eq5 = defining_residual(g, zd.strategy, zd.params, zd.phi.phi)
 
     worst = float("nan")
     if n_samples > 0:

@@ -304,11 +304,11 @@ def simulate_reference(g: GameSpec, pi_d, profile, steps, seed, stride=1,
             best_response(game, pi_d).policy) - 1])
             for name, game in games]
 
-    tables = [(profit_vector(game, "defender").entries, profit_vector(game, "attacker").entries)
+    tables = [(profit_vector(game, "defender"), profit_vector(game, "attacker"))
               for _, game, _ in regimes]
     if reference_game is not None:
-        ref = (profit_vector(reference_game, "defender").entries,
-               profit_vector(reference_game, "attacker").entries)
+        ref = (profit_vector(reference_game, "defender"),
+               profit_vector(reference_game, "attacker"))
 
     def pick(row, u):
         return min(int(np.searchsorted(np.cumsum(row), u, side="right")), k - 1)

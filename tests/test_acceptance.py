@@ -83,8 +83,8 @@ def batch_line_residual(g, strategy, params, n_samples, seed, chunk=250):
     """Max |alpha u_d + beta u_a + gamma| over sampled attacker strategies,
     evaluated by batched direct stationary solves (with a safe fallback)."""
     k, n = g.k, g.k * g.k
-    sd = profit_vector(g, "defender").entries
-    sa = profit_vector(g, "attacker").entries
+    sd = profit_vector(g, "defender")
+    sa = profit_vector(g, "attacker")
     rng = stream(seed, "acceptance-1")
     worst = 0.0
     left = n_samples

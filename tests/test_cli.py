@@ -164,6 +164,46 @@ def test_simulate_hash_follows_content(tmp_path):
     assert header(tmp_path / "c", changed) != first
 
 
+def _simulate_usage_error(tmp_path, capsys, scenario_obj, strategy_obj):
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario_obj))
+    (tmp_path / "strategy.json").write_text(json.dumps(strategy_obj))
+    code = main(["simulate", "--scenario", str(tmp_path / "scenario.json"),
+                 "--strategy", str(tmp_path / "strategy.json"), "--steps", "100",
+                 "--out", str(tmp_path / "trajectory.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1  # no traceback
+    assert not (tmp_path / "trajectory.csv").exists()
+    return err
+
+
+UNIFORM3 = {"k": 3, "pi": [[1 / 3] * 3] * 9}
+ZD3 = {"alpha": 0.0, "beta": 1.0, "gamma": -1.0, "phi": [1.0, 0.5, 0.0]}
+
+
+@pytest.mark.parametrize("strategy_obj,named", [
+    ({"k": 3}, "'pi'"),
+    ({"pi": UNIFORM3["pi"]}, "'k'"),
+    ({**UNIFORM3, "zd": {key: v for key, v in ZD3.items() if key != "phi"}}, "'zd.phi'"),
+    ({**UNIFORM3, "zd": [1.0]}, "zd block"),
+], ids=["no-pi", "no-k", "zd-without-phi", "zd-not-an-object"])
+def test_simulate_malformed_strategy_exits_usage(tmp_path, capsys, strategy_obj, named):
+    scenario = scenario_to_dict(crowd_scenario("honest", 10))
+    err = _simulate_usage_error(tmp_path, capsys, scenario, strategy_obj)
+    assert named in err
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda sc: {**sc, "bonus": 1.0}, "unknown keys in crowd scenario JSON: ['bonus']"),
+    (lambda sc: {key: v for key, v in sc.items() if key != "r_r"},
+     "missing keys in crowd scenario JSON: ['r_r']"),
+], ids=["unknown-key", "missing-key"])
+def test_simulate_malformed_scenario_exits_usage(tmp_path, capsys, edit, named):
+    scenario = edit(scenario_to_dict(crowd_scenario("honest", 10)))
+    err = _simulate_usage_error(tmp_path, capsys, scenario, UNIFORM3)
+    assert named in err
+
+
 @pytest.mark.parametrize("exc", [LpNumericalError, StationaryError, SingularChainError,
                                  PolicyIterationCycleError, ZdConstructionError])
 def test_numerical_errors_exit_verify(tmp_path, monkeypatch, capsys, exc):

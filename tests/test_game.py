@@ -11,7 +11,6 @@ from zdmtd.game import (
     game_from_dict,
     game_to_dict,
     hat_indicator,
-    one_shot_utilities,
     profit_vector,
     pure_strategy,
     random_strategy,
@@ -36,22 +35,26 @@ def test_flat_index_roundtrip():
 
 def test_one_shot_utilities_examples():
     g = MATCHING_PENNIES
-    assert one_shot_utilities(g, 1, 1) == (1, -1)
-    assert one_shot_utilities(g, 1, 2) == (-1, 1)
-    assert one_shot_utilities(g, 2, 2) == (1, -1)
+    assert g.one_shot(1, 1) == (1, -1)
+    assert g.one_shot(1, 2) == (-1, 1)
+    assert g.one_shot(2, 2) == (1, -1)
     with pytest.raises(IndexError):
-        one_shot_utilities(g, 0, 1)
+        g.one_shot(0, 1)
     with pytest.raises(IndexError):
-        one_shot_utilities(g, 1, 3)
+        g.one_shot(1, 3)
 
 
 def test_profit_vector_examples():
     g = GameSpec(2, (1, 4), (0, 2), (-1, -3), (5, 6))
-    assert profit_vector(g, "defender").entries.tolist() == [1, 2, 0, 4]
-    assert profit_vector(g, "attacker").entries.tolist() == [-1, 6, 5, -3]
+    assert profit_vector(g, "defender").tolist() == [1, 2, 0, 4]
+    assert profit_vector(g, "attacker").tolist() == [-1, 6, 5, -3]
+    with pytest.raises(ValueError, match="read-only"):
+        profit_vector(g, "defender")[0] = 0.0
+    with pytest.raises(ValueError, match="player"):
+        profit_vector(g, "worker")
 
     g3 = GameSpec(3, (1, 1, 1), (0, 0, 0), (0, 0, 0), (1, 1, 1))
-    v = profit_vector(g3, "defender").entries
+    v = profit_vector(g3, "defender")
     expect = np.zeros(9)
     expect[[0, 4, 8]] = 1
     assert np.array_equal(v, expect)
@@ -63,11 +66,11 @@ def test_profit_vector_matches_one_shot():
         unc = rng.normal(size=k)
         g = GameSpec(k, unc + rng.uniform(0.1, 2, size=k), unc,
                      rng.normal(size=k), rng.normal(size=k))
-        sd = profit_vector(g, "defender").entries
-        sa = profit_vector(g, "attacker").entries
+        sd = profit_vector(g, "defender")
+        sa = profit_vector(g, "attacker")
         for d in range(1, k + 1):
             for a in range(1, k + 1):
-                ud, ua = one_shot_utilities(g, d, a)
+                ud, ua = g.one_shot(d, a)
                 assert sd[flat_index(k, d, a)] == ud
                 assert sa[flat_index(k, d, a)] == ua
 
@@ -130,8 +133,7 @@ def test_permutation_roundtrips_strategy_and_profit():
     assert np.allclose(back.rows, s.rows, atol=0)
 
     p = profit_vector(g, "attacker")
-    assert np.allclose(cp.apply_profit(p).entries,
-                       profit_vector(cg, "attacker").entries)
+    assert np.allclose(cp.apply_profit(p), profit_vector(cg, "attacker"))
 
     # relabeled strategy agrees pointwise with the label map
     cs = cp.apply_strategy(s)

@@ -102,8 +102,8 @@ def _mc_average(g, pi_d, pi_a, steps, seed):
     k = g.k
     cum_d = np.cumsum(pi_d.rows, axis=1)
     cum_a = np.cumsum(pi_a.rows, axis=1)
-    sd = profit_vector(g, "defender").entries
-    sa = profit_vector(g, "attacker").entries
+    sd = profit_vector(g, "defender")
+    sa = profit_vector(g, "attacker")
     draws = rng.random((steps, 2))
     s = int(rng.integers(k * k))
     ud = np.empty(steps)

@@ -363,6 +363,26 @@ def test_sweep_2d_matches_reference_on_degenerate_slices(case):
         assert np.array_equal(got[0], want[0])
 
 
+def test_sweep_2d_skips_the_kernel_without_a_line(monkeypatch):
+    # a slice or a cell with no feasible line makes no zero-width kernel call
+    widths = []
+
+    def spy(ps, hp):
+        widths.append(ps.shape[1])
+        return _pencil_values(ps, hp)
+
+    monkeypatch.setattr(programs, "_pencil_values", spy)
+    square = HullPolygon(np.array([[10.0, 10.0], [11.0, 10.0], [11.0, 11.0], [10.0, 11.0]]))
+    infeasible = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+    basis = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 2)))[0]
+    assert _sweep_2d(infeasible, basis, square) == []
+    assert widths == []
+    rng = np.random.default_rng(23)
+    for g in [random_game(k, rng, scale) for k in (2, 3) for scale in (1.0, 10.0)]:
+        solve_optimal(g, evaluate_br=False)
+    assert widths and min(widths) > 0
+
+
 def _section_reference(ps, hp):
     """(value, x, y) rows of the scalar reference for each line ps[:, j]: the
     first section point of largest u_d, NaN where the line misses."""

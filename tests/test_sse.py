@@ -105,14 +105,13 @@ def test_search_seeded_inclusion_and_zero_budget():
     assert res2.value >= res.value - 1e-12
 
 
-def test_search_deterministic_and_worker_invariant():
+def test_search_deterministic():
     rng = np.random.default_rng(5)
     g = random_game(2, rng)
     a = search_sse(g, budget=12, seed=7)
     b = search_sse(g, budget=12, seed=7)
-    c = search_sse(g, budget=12, seed=7, workers=3)
-    assert a.value == b.value == c.value
-    assert np.array_equal(a.strategy.rows, c.strategy.rows)
+    assert a.value == b.value
+    assert np.array_equal(a.strategy.rows, b.strategy.rows)
 
 
 def test_upper_bound_and_sandwich():

@@ -5,7 +5,6 @@ from zdmtd.game import GameSpec, MemoryOneStrategy
 from zdmtd.markov import zd_residual
 from zdmtd.zd import (
     FeasibilityParams,
-    WeightParams,
     ZdConstructionError,
     ZdLinearParams,
     classify,
@@ -151,22 +150,21 @@ def test_verify_without_samples_and_perturbation_pin():
     rows[0, 0] += 0.05
     rows[0] /= rows[0].sum()
     perturbed = MemoryOneStrategy(2, rows)
-    res = defining_residual(g, perturbed, p, zd.phi)
+    res = defining_residual(g, perturbed, p, zd.phi.phi)
     # pinned: phi_1 * (0.30/1.05 - 0.25) = 2 * 0.0357142857...
     assert res == pytest.approx(0.0714285714285714, abs=1e-12)
     assert res > 1e-3
 
 
-def test_user_omega_honored_when_interval_allows():
+def test_uniform_weight_construction_enforces_line():
     g = GameSpec(3, (3, 2, 1), (0, 0, 0), (-2, 1, 0), (3, -2, -4))
     p = ZdLinearParams(0, 1, 2)  # gamma = -beta * u_a_cov[0]
     res = existence_check(g, p)
     assert res.exists
-    for om in (WeightParams(np.full(3, 1 / 3)), WeightParams([0.5, 0.3, 0.2])):
-        zd = construct_strategy(g, p, res.phi, om)
-        assert zd.residual <= 1e-8
-        rep = verify(g, zd, n_samples=100, seed=4)
-        assert rep.max_line_residual <= 1e-8
+    zd = construct_strategy(g, p, res.phi)
+    assert zd.residual <= 1e-8
+    rep = verify(g, zd, n_samples=100, seed=4)
+    assert rep.max_line_residual <= 1e-8
 
 
 def equalizer_instance(k, rng):
@@ -217,12 +215,6 @@ def test_existence_implies_construction_and_enforcement():
                 r = zd_residual(g, zd.strategy, pi_a, p.alpha, p.beta, p.gamma)
                 assert r <= 1e-8
     assert built >= 30  # the draw must actually exercise the construction
-
-
-def test_weight_params_validation():
-    with pytest.raises(ValueError, match="sum"):
-        WeightParams([0.5, 0.2])
-    WeightParams([0.5, 0.5])
 
 
 def test_feasibility_params_validation():
