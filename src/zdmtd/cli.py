@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, MemoryOneStrategy, canonicalize, game_to_dict, load_game
+from .game import (GameSpec, MemoryOneStrategy, canonicalize, game_to_dict, load_game,
+                   require_number)
 from .lp import LpNumericalError
 from .markov import SingularChainError, StationaryError, UtilityPair, max_line_residual
 from .mdp import PolicyIterationCycleError, defender_utility_under_br
@@ -341,9 +342,12 @@ def _load_strategy(path: str):
     missing += [f"zd.{key}" for key in ("alpha", "beta", "gamma", "phi") if zd and key not in zd]
     if missing:
         raise ValueError(f"missing keys in strategy JSON: {missing}")
+    require_number(obj["k"], "strategy k", integer=True)
     strategy = MemoryOneStrategy(obj["k"], np.asarray(obj["pi"], dtype=float))
     params = phi = None
     if zd:
+        for key in ("alpha", "beta", "gamma"):
+            require_number(zd[key], f"zd.{key}")
         params = ZdLinearParams(zd["alpha"], zd["beta"], zd["gamma"])
         phi = np.asarray(zd["phi"], dtype=float)
     return strategy, params, phi, {key: obj.get(key) for key in ("k", "pi", "zd")}

@@ -10,12 +10,22 @@ by every file format in the repo.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 PROB_TOL = 1e-12
 MAX_PAYOFF = 1e100  # larger magnitudes overflow the hull and line algebra
+
+
+def require_number(value, name: str, integer: bool = False) -> None:
+    """Raise ValueError unless `value` is a real number (an integer when
+    `integer` is set); bool is neither, so a JSON true is rejected too."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def flat_index(k: int, i: int, j: int) -> int:

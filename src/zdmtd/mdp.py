@@ -93,12 +93,14 @@ def _policy_value(g: GameSpec, pi_d: MemoryOneStrategy, policy) -> tuple[float, 
 
 
 def _fundamental(f, w, sd, sa, policy_idx):
-    """(Z, v, Z S_d, Z S_a) of a 0-based policy's chain P, where
-    Z = (I - P + 1c^T)^-1 with c uniform and v = cZ is the stationary vector."""
+    """(Z, v, Z S_d, Z S_a, mean Z S_d, mean Z S_a) of a 0-based policy's
+    chain P, where Z = (I - P + 1c^T)^-1 with c uniform and v = cZ is the
+    stationary vector; the two means are the policy's (u_d, u_a)."""
     n = f.shape[0]
     a = np.eye(n) - chain(f, w[policy_idx]) + 1.0 / n
     z = np.linalg.solve(a, np.eye(n))
-    return z, z.mean(axis=0), z @ sd, z @ sa
+    zsd, zsa = z @ sd, z @ sa
+    return z, z.mean(axis=0), zsd, zsa, zsd.mean(), zsa.mean()
 
 
 def _swap_values(f, w, fund, policy_idx, s):
@@ -109,13 +111,13 @@ def _swap_values(f, w, fund, policy_idx, s):
     delta = F[s] (x) (W[a] - W[a0]); the stationary vector becomes
     v + v'_s delta Z with v'_s = v_s / (1 - (delta Z)_s).
     """
-    z, v, zsd, zsa = fund
+    z, v, zsd, zsa, ud, ua = fund
     k = w.shape[0]
     x = np.stack([zsd, zsa, z[:, s]], axis=1).reshape(k, 3 * k)  # [d, (a, j)]
     y = w @ (f[s] @ x).reshape(k, 3)  # y[a, j] = (F[s] (x) W[a]) . x_j
     dy = y - y[policy_idx[s]]
     vs = v[s] / (1.0 - dy[:, 2])
-    return zsd.mean() + vs * dy[:, 0], zsa.mean() + vs * dy[:, 1]
+    return ud + vs * dy[:, 0], ua + vs * dy[:, 1]
 
 
 def _evaluate(f, w, r_eff, policy_idx):

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .game import GameSpec
+from .game import GameSpec, require_number
 
 
 def _load_config(name: str) -> dict:
@@ -79,6 +79,9 @@ class CrowdScenario:
     period: int = 50
 
     def __post_init__(self):
+        require_number(self.k, "k", integer=True)
+        require_number(self.c, "verification cost c")
+        require_number(self.period, "switching period", integer=True)
         for name in ("r_r", "m", "r_w", "r_w_bar", "a_extra"):
             v = np.asarray(getattr(self, name), dtype=float).copy()
             if v.shape != (self.k,):

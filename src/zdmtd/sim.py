@@ -126,6 +126,18 @@ def _running_sums(x: np.ndarray, carry: np.ndarray) -> np.ndarray:
     return np.stack([s, np.cumsum(err, axis=1)[:, 1:]])
 
 
+def _cumulative_rows(rows: np.ndarray) -> list:
+    """Row-wise cumulative sums as lists, the last entry set to +inf.  On a
+    nondecreasing row (nonnegative entries) bisect_right then returns exactly
+    min(bisect_right(cumsum, u), K - 1): both count the entries <= u among
+    the first K - 1, even for a draw above a top entry left below 1.  A
+    negative last entry (admitted down to -PROB_TOL) can change the pick
+    only for a draw in the gap it opens below the entry before it."""
+    cum = np.cumsum(rows, axis=1)
+    cum[:, -1] = np.inf
+    return cum.tolist()
+
+
 def _policy_rows(g: GameSpec, pi_d: MemoryOneStrategy) -> np.ndarray:
     br = best_response(g, pi_d)
     rows = np.zeros((g.k * g.k, g.k))
@@ -150,8 +162,10 @@ def simulate(
     current game's utilities, and advances the state.  Running averages are
     recorded every `stride` stages (and at the final stage).
 
-    Only the state recursion runs step by step; utilities, running averages
-    and segment statistics are gathered from each block of states.
+    Only the state recursion runs step by step: one bisect_right per action
+    on cumulative rows topped with +inf, which needs no clamp.  Utilities,
+    running averages and segment statistics are gathered from each block of
+    states.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -198,8 +212,8 @@ def simulate(
     marks = np.unique(np.append(np.arange(stride, steps + 1, stride), steps))
     bounds = np.append(np.arange(0, steps, period), steps)
 
-    cum_d = np.cumsum(pi_d.rows, axis=1).tolist()
-    cum_a = [np.cumsum(rows, axis=1).tolist() for _, _, rows in regimes]
+    cum_d = _cumulative_rows(pi_d.rows)
+    cum_a = [_cumulative_rows(rows) for _, _, rows in regimes]
     rng = stream(seed, "simulate")
     s = int(rng.integers(k * k))
 
@@ -211,9 +225,7 @@ def simulate(
         states = []
         for u0, u1, p in zip(*rng.random((len(t), 2)).T.tolist(),
                              _phase(t - lag, period).tolist()):
-            d = min(bisect_right(cum_d[s], u0), k - 1)
-            a = min(bisect_right(cum_a[p][s], u1), k - 1)
-            s = d * k + a
+            s = bisect_right(cum_d[s], u0) * k + bisect_right(cum_a[p][s], u1)
             states.append(s)
         states, end = np.array(states), first + len(t)
         acc = _running_sums(tables[:, _phase(t, period), states], acc[..., -1])
@@ -222,7 +234,7 @@ def simulate(
         at_bounds.append(acc[..., _within(bounds, first + 1, end + 1) - 1 - first])
         d_bounds.append(states[_within(bounds, first, end) - first] // k)
     # one extra defender draw closes the final segment's boundary term
-    d_bounds.append([min(bisect_right(cum_d[s], rng.random()), k - 1)])
+    d_bounds.append([bisect_right(cum_d[s], rng.random())])
 
     avg = np.concatenate(avg, axis=1)
     lengths = np.diff(bounds)

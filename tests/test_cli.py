@@ -186,7 +186,9 @@ ZD3 = {"alpha": 0.0, "beta": 1.0, "gamma": -1.0, "phi": [1.0, 0.5, 0.0]}
     ({"pi": UNIFORM3["pi"]}, "'k'"),
     ({**UNIFORM3, "zd": {key: v for key, v in ZD3.items() if key != "phi"}}, "'zd.phi'"),
     ({**UNIFORM3, "zd": [1.0]}, "zd block"),
-], ids=["no-pi", "no-k", "zd-without-phi", "zd-not-an-object"])
+    ({**UNIFORM3, "k": "3"}, "strategy k must be an integer, got '3'"),
+    ({**UNIFORM3, "zd": {**ZD3, "alpha": "0"}}, "zd.alpha must be a number, got '0'"),
+], ids=["no-pi", "no-k", "zd-without-phi", "zd-not-an-object", "k-string", "alpha-string"])
 def test_simulate_malformed_strategy_exits_usage(tmp_path, capsys, strategy_obj, named):
     scenario = scenario_to_dict(crowd_scenario("honest", 10))
     err = _simulate_usage_error(tmp_path, capsys, scenario, strategy_obj)
@@ -197,7 +199,10 @@ def test_simulate_malformed_strategy_exits_usage(tmp_path, capsys, strategy_obj,
     (lambda sc: {**sc, "bonus": 1.0}, "unknown keys in crowd scenario JSON: ['bonus']"),
     (lambda sc: {key: v for key, v in sc.items() if key != "r_r"},
      "missing keys in crowd scenario JSON: ['r_r']"),
-], ids=["unknown-key", "missing-key"])
+    (lambda sc: {**sc, "period": "10"}, "switching period must be an integer, got '10'"),
+    (lambda sc: {**sc, "period": 10.0}, "switching period must be an integer, got 10.0"),
+    (lambda sc: {**sc, "c": "1"}, "verification cost c must be a number, got '1'"),
+], ids=["unknown-key", "missing-key", "period-string", "period-float", "cost-string"])
 def test_simulate_malformed_scenario_exits_usage(tmp_path, capsys, edit, named):
     scenario = edit(scenario_to_dict(crowd_scenario("honest", 10)))
     err = _simulate_usage_error(tmp_path, capsys, scenario, UNIFORM3)

@@ -1,13 +1,16 @@
+import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from zdmtd.cli import solve_game
-from zdmtd.game import GameSpec, pure_strategy, random_strategy
+from zdmtd.cli import _load_strategy, main, solve_game
+from zdmtd.game import GameSpec, MemoryOneStrategy, pure_strategy, random_strategy
 from zdmtd.markov import long_run_utilities
-from zdmtd.scenarios import crowd_game, crowd_scenario, with_switching
+from zdmtd.scenarios import crowd_game, crowd_scenario, scenario_to_dict, with_switching
 from zdmtd.sim import (
+    _cumulative_rows,
     _running_sums,
     best_response_profile,
     fixed_profile,
@@ -242,3 +245,134 @@ def test_running_sums_are_compensated_across_blocks():
     assert np.all(np.abs(whole.sum(0) - exact) <= 2.3e-16 * np.abs(exact))
     # a plain running sum drops every 1e-16 after the leading 1.0
     assert np.cumsum(x[0])[-1] == 1.0 and exact[0][-1] > 1.0
+
+
+class ScriptedStream:
+    """Stands in for `stream(seed, "simulate")`: a fixed start state, then
+    the scripted draws in order, whether taken a block or one at a time."""
+
+    def __init__(self, start, draws):
+        self.start, self.draws = start, list(draws)
+
+    def integers(self, n):
+        return self.start % n
+
+    def random(self, shape=None):
+        if shape is None:
+            return self.draws.pop(0)
+        n = int(np.prod(shape))
+        block, self.draws = self.draws[:n], self.draws[n:]
+        return np.array(block).reshape(shape)
+
+
+def script_stream(monkeypatch, start, draws):
+    """Give `simulate` and the reference the same scripted draws."""
+    monkeypatch.setattr("zdmtd.sim.stream", lambda *_: ScriptedStream(start, draws))
+    monkeypatch.setattr("oracles.stream", lambda *_: ScriptedStream(start, draws))
+
+
+def clamped_pick(row, u):
+    """The clamped search on the plain cumulative row, as the reference
+    simulator makes it."""
+    return min(bisect_right(np.cumsum(row).tolist(), u), len(row) - 1)
+
+
+def row_kinds(k):
+    """Rows where the clamp mattered: one-hot, zero-probability tails and a
+    sum 1e-13 short of 1 (top cumulative entry below 1)."""
+    short = np.full(k, 1.0 / k)
+    short[-1] -= 1e-13
+    tail = np.zeros(k)
+    tail[:2] = (0.3, 0.7)
+    short_tail = np.zeros(k)
+    short_tail[:2] = (0.5, 0.5 - 1e-13)
+    return {"one-hot": np.eye(k)[0], "zero-tail": tail, "short": short,
+            "short-zero-tail": short_tail}
+
+
+def rolled(row, k, shift):
+    return np.array([np.roll(row, shift(s)) for s in range(k * k)])
+
+
+def edge_draws(rows, rng, n):
+    """Draws from a pool of every cumulative entry of `rows`, the next float
+    above each (past the top entry when it is below 1), 1.0 itself, and
+    uniforms; `n` of them."""
+    entries = np.unique(np.concatenate([np.cumsum(r, axis=1).ravel() for r in rows]))
+    pool = np.concatenate([entries, np.nextafter(entries, np.inf), [1.0],
+                           rng.random(entries.size)])
+    return rng.choice(pool, size=n).tolist()
+
+
+@pytest.mark.parametrize("kind", ["one-hot", "zero-tail", "short", "short-zero-tail"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_unclamped_search_matches_clamped_reference(monkeypatch, k, kind):
+    rng = np.random.default_rng(100 * k + len(kind))
+    row = row_kinds(k)[kind]
+    pi_d = MemoryOneStrategy(k, rolled(row, k, lambda s: s % k))
+    pi_a = MemoryOneStrategy(k, rolled(row, k, lambda s: (s // k + 1) % k))
+    draws = edge_draws([pi_d.rows, pi_a.rows], rng, 4001)
+    for rows in (pi_d.rows, pi_a.rows):
+        tops = _cumulative_rows(rows)
+        assert all(bisect_right(tops[s], u) == clamped_pick(rows[s], u)
+                   for s in range(k * k) for u in draws)
+
+    honest, malicious = random_game(k, rng), random_game(k, rng)
+    phi = 10.0 ** np.arange(k)  # exact defender actions through phi_boundary
+    for profile, kwargs in [(fixed_profile(pi_a), {}),
+                            (switching_profile(1, "honest", honest, malicious),
+                             {"gauge_phi": phi})]:
+        script_stream(monkeypatch, 7, draws)
+        stats = simulate(honest, pi_d, profile, 2000, seed=0, **kwargs)
+        assert_matches_reference(stats, simulate_reference(
+            honest, pi_d, profile, 2000, 0, **kwargs))
+
+
+def test_negative_top_entry_where_the_forms_part():
+    # entries down to -PROB_TOL pass validation, and a negative last entry
+    # makes the top cumulative entry drop below the one before it; the
+    # +inf-topped search then keeps K - 2 for a draw in that gap, where the
+    # clamped one picks the last action whenever binary search probes the
+    # top entry from lo = K - 2
+    parts = {}
+    for k in range(2, 9):
+        row = np.zeros(k)
+        row[-2:] = (1.0, -1e-13)
+        MemoryOneStrategy(k, np.tile(row, (k * k, 1)))  # admitted
+        top = float(np.cumsum(row)[-1])
+        gap = [top, (top + 1.0) / 2, np.nextafter(1.0, 0.0)]
+        for u in gap + [0.0, 0.5, 1.0]:
+            got = bisect_right(_cumulative_rows(row[None])[0], u)
+            want = clamped_pick(row, u)
+            assert got == (k - 2 if u in gap else want)
+        parts[k] = clamped_pick(row, gap[0]) != k - 2
+    assert parts == {2: True, 3: False, 4: False, 5: True, 6: True, 7: False, 8: False}
+
+
+def test_json_strategy_with_negative_entry(tmp_path, monkeypatch, capsys):
+    # package strategies never carry a negative entry (zd.py clips its
+    # columns); a strategy file may, down to -PROB_TOL.  At the crowd
+    # scenario's K = 3 the two searches agree on every draw, gap included
+    sc = with_switching(crowd_scenario("honest", 10), "malicious", 7)
+    k = sc.k
+    rows = rolled(np.array([0.2, 0.8, -1e-13]), k, lambda s: s % k)
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario_to_dict(sc)))
+    (tmp_path / "strategy.json").write_text(json.dumps({"k": k, "pi": rows.tolist()}))
+    argv = ["simulate", "--scenario", str(tmp_path / "scenario.json"),
+            "--strategy", str(tmp_path / "strategy.json"), "--steps", "3000",
+            "--stride", "1", "--out", str(tmp_path / "trajectory.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    pi_d = _load_strategy(str(tmp_path / "strategy.json"))[0]
+    assert pi_d.rows.min() == -1e-13
+    honest, malicious = crowd_game(sc, "honest"), crowd_game(sc, "malicious")
+    profile = switching_profile(sc.period, sc.initial_type, honest, malicious)
+    top = float(np.cumsum(pi_d.rows[0])[-1])
+    draws = edge_draws([pi_d.rows], np.random.default_rng(5), 6001)
+    draws[::3] = [top] * len(draws[::3])  # in the gap [top, 1.0) of rows ending in -1e-13
+    phi = np.array([1.0, 10.0, 100.0])
+    script_stream(monkeypatch, 4, draws)
+    stats = simulate(honest, pi_d, profile, 3000, seed=0, gauge_phi=phi)
+    assert_matches_reference(stats, simulate_reference(
+        honest, pi_d, profile, 3000, 0, gauge_phi=phi))
