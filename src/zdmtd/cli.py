@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import (GameSpec, MemoryOneStrategy, canonicalize, game_to_dict, load_game,
-                   require_number)
+                   require_number, require_numbers)
 from .lp import LpNumericalError
 from .markov import SingularChainError, StationaryError, UtilityPair, max_line_residual
 from .mdp import PolicyIterationCycleError, defender_utility_under_br
@@ -343,13 +343,13 @@ def _load_strategy(path: str):
     if missing:
         raise ValueError(f"missing keys in strategy JSON: {missing}")
     require_number(obj["k"], "strategy k", integer=True)
-    strategy = MemoryOneStrategy(obj["k"], np.asarray(obj["pi"], dtype=float))
+    strategy = MemoryOneStrategy(obj["k"], require_numbers(obj["pi"], "pi"))
     params = phi = None
     if zd:
         for key in ("alpha", "beta", "gamma"):
             require_number(zd[key], f"zd.{key}")
         params = ZdLinearParams(zd["alpha"], zd["beta"], zd["gamma"])
-        phi = np.asarray(zd["phi"], dtype=float)
+        phi = require_numbers(zd["phi"], "zd.phi")
     return strategy, params, phi, {key: obj.get(key) for key in ("k", "pi", "zd")}
 
 

@@ -28,6 +28,23 @@ def require_number(value, name: str, integer: bool = False) -> None:
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
+def require_numbers(value, name: str) -> np.ndarray:
+    """`value` as a float array, after a ValueError unless every entry of its
+    (nested) lists is a finite real number: a JSON string, object, bool or
+    null inside an array is rejected, not converted to a float or to NaN."""
+    pending = [value]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, (list, tuple)):
+            pending.extend(x)
+        elif not isinstance(x, np.ndarray):
+            require_number(x, f"each entry of {name}")
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return v
+
+
 def flat_index(k: int, i: int, j: int) -> int:
     """Zero-based flat state index of previous actions (i, j), 1-based."""
     if not (1 <= i <= k and 1 <= j <= k):
@@ -143,10 +160,11 @@ class MemoryOneStrategy:
             raise ValueError(
                 f"strategy must be {self.k * self.k} x {self.k}, got shape {rows.shape}"
             )
-        if np.min(rows) < -PROB_TOL or np.max(rows) > 1 + PROB_TOL:
-            raise ValueError("strategy entries must lie in [0, 1]")
+        # written so that a NaN fails the checks: every comparison with it is False
+        if not (np.min(rows) >= -PROB_TOL and np.max(rows) <= 1 + PROB_TOL):
+            raise ValueError("strategy entries must be finite and lie in [0, 1]")
         defects = np.abs(rows.sum(axis=1) - 1.0)
-        if np.max(defects) > PROB_TOL:
+        if not np.max(defects) <= PROB_TOL:
             raise ValueError(
                 f"strategy rows must sum to 1 (max defect {np.max(defects):.3e})"
             )
@@ -315,7 +333,7 @@ def game_from_dict(obj: dict) -> GameSpec:
     missing = set(GAME_JSON_KEYS) - set(obj)
     if missing:
         raise ValueError(f"missing keys in game JSON: {sorted(missing)}")
-    return GameSpec(obj["k"], obj["u_d_cov"], obj["u_d_unc"], obj["u_a_cov"], obj["u_a_unc"])
+    return GameSpec(obj["k"], *(require_numbers(obj[key], key) for key in GAME_JSON_KEYS[1:]))
 
 
 def game_to_dict(g: GameSpec) -> dict:

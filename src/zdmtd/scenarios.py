@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .game import GameSpec, require_number
+from .game import GameSpec, require_number, require_numbers
 
 
 def _load_config(name: str) -> dict:
@@ -47,8 +47,11 @@ class IotScenario:
     zeta: int = None     # attacker cost profile index, if any
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        require_number(self.k, "k", integer=True)
+        require_number(self.s, "protection gain s")
+        require_number(self.r, "attack reward r")
+        y = require_numbers(self.y, "migration costs y")
+        c = require_numbers(self.c, "attack costs c")
         if self.s <= 0 or self.r <= 0:
             raise ValueError("protection gain s and attack reward r must be positive")
         if y.shape != (self.k, self.k) or np.min(y) < 0:
@@ -83,7 +86,7 @@ class CrowdScenario:
         require_number(self.c, "verification cost c")
         require_number(self.period, "switching period", integer=True)
         for name in ("r_r", "m", "r_w", "r_w_bar", "a_extra"):
-            v = np.asarray(getattr(self, name), dtype=float).copy()
+            v = require_numbers(getattr(self, name), name).copy()
             if v.shape != (self.k,):
                 raise ValueError(f"{name} must have length {self.k}")
             v.setflags(write=False)

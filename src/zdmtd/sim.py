@@ -6,6 +6,13 @@ periodically), with compensated running averages, per-regime segment
 summaries, and bit-identical replay from a seed via the package's
 counter-based random streams.
 
+A stage picks each action as `bisect_right` on the current state's
+cumulative row would, without searching: every block of draws is placed
+once in a grid of all the cumulative entries, and a table built once per run
+maps (state, grid cell) to the pick, so a step is two list lookups whatever
+K is (`_pick_table`).  Segment statistics stay columns of the trajectory,
+and per-regime summaries are pooled from those columns.
+
 For type-switching runs the realized utilities follow the current type's
 game.  A reference game (the one a zero-determinant strategy was built
 against) can be tracked in parallel: its utilities evaluated along the same
@@ -95,10 +102,25 @@ class TrajectoryStats:
     series_avg_u_a: np.ndarray
     series_regime: tuple
     final: UtilityPair
-    segments: tuple  # SegmentStat per maximal same-regime stretch
+    # one column entry per maximal same-regime stretch (segment)
+    segment_regime: np.ndarray  # regime name
+    segment_bounds: np.ndarray  # stage index of each first step, then `steps`
+    segment_means: np.ndarray   # rows mean u_d, u_a, then the reference game's if tracked
+    segment_phi_boundary: np.ndarray = None  # see SegmentStat.phi_boundary
+
+    @property
+    def segments(self) -> tuple:
+        """The segment columns as one SegmentStat per segment."""
+        n = len(self.segment_regime)
+        means = self.segment_means.tolist() + [[None] * n] * (4 - len(self.segment_means))
+        boundary = [None] * n
+        if self.segment_phi_boundary is not None:
+            boundary = self.segment_phi_boundary.tolist()
+        return tuple(map(SegmentStat, self.segment_regime, self.segment_bounds[:-1].tolist(),
+                         np.diff(self.segment_bounds).tolist(), *means, boundary))
 
 
-_CHUNK = 1 << 14  # stages drawn and turned into Python floats at once
+_CHUNK = 1 << 12  # stages per block of draws, states and sums; any size gives the same bits
 
 
 def _phase(t: np.ndarray, period: int) -> np.ndarray:
@@ -126,16 +148,43 @@ def _running_sums(x: np.ndarray, carry: np.ndarray) -> np.ndarray:
     return np.stack([s, np.cumsum(err, axis=1)[:, 1:]])
 
 
-def _cumulative_rows(rows: np.ndarray) -> list:
-    """Row-wise cumulative sums as lists, the last entry set to +inf.  On a
-    nondecreasing row (nonnegative entries) bisect_right then returns exactly
-    min(bisect_right(cumsum, u), K - 1): both count the entries <= u among
-    the first K - 1, even for a draw above a top entry left below 1.  A
-    negative last entry (admitted down to -PROB_TOL) can change the pick
-    only for a draw in the gap it opens below the entry before it."""
+def _cumulative_rows(rows: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sums with the last entry set to +inf.
+
+    `bisect_right(row, u)` on such a row is the action a uniform draw `u`
+    picks: the number of entries <= u among the first K - 1, on a
+    nondecreasing row.  The +inf top stands in for a clamp to K - 1, so a
+    draw above a top entry left below 1 still picks the last action.
+    Entries admitted down to -PROB_TOL can make a row decrease; the pick is
+    then whatever `bisect_right` returns, which `_pick_table` reproduces."""
     cum = np.cumsum(rows, axis=1)
     cum[:, -1] = np.inf
-    return cum.tolist()
+    return cum
+
+
+def _pick_table(cum: np.ndarray, grid: np.ndarray, scale: int) -> list:
+    """`bisect_right(cum[r], u) * scale` for every row r of `cum` (cumulative
+    rows topped with +inf) and every cell of `grid`, the sorted finite
+    entries of `cum`: a flat list, the cells of a row adjacent.  Cell c holds
+    the draws u with grid[c - 1] <= u < grid[c] (no bound beyond the ends).
+
+    Binary search compares u only with entries of the row, and each of them
+    is on the grid, so every u in a cell takes the same branches: one value
+    per cell is exact for any row.  It is also nondecreasing in u (where two
+    draws part, the larger goes right), and it moves only at the row's
+    entries, so `bisect_right` runs at -inf and at those K - 1 entries
+    alone, and each value is carried forward over the cells up to the next
+    entry."""
+    rows = cum.shape[0]
+    entries = cum[:, :-1]
+    picks = np.array([[bisect_right(row, u) for u in [-np.inf] + row[:-1]]
+                      for row in cum.tolist()])
+    table = np.zeros((rows, grid.size + 1), dtype=np.intp)
+    table[:, 0] = picks[:, 0]
+    # the cell whose lower end is an entry starts that entry's value
+    np.maximum.at(table, (np.arange(rows)[:, None], np.searchsorted(grid, entries) + 1),
+                  picks[:, 1:])
+    return (np.maximum.accumulate(table, axis=1) * scale).ravel().tolist()
 
 
 def _policy_rows(g: GameSpec, pi_d: MemoryOneStrategy) -> np.ndarray:
@@ -162,10 +211,12 @@ def simulate(
     current game's utilities, and advances the state.  Running averages are
     recorded every `stride` stages (and at the final stage).
 
-    Only the state recursion runs step by step: one bisect_right per action
-    on cumulative rows topped with +inf, which needs no clamp.  Utilities,
-    running averages and segment statistics are gathered from each block of
-    states.
+    Only the state recursion runs step by step, as two list lookups: each
+    block of draws is first placed in a grid of the cumulative rows' entries
+    (one np.searchsorted per player), and a table built once per call maps
+    (state, grid cell) to the action `bisect_right` picks (`_pick_table`).
+    Utilities, running averages and segment statistics are gathered from
+    each block of states.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -212,8 +263,13 @@ def simulate(
     marks = np.unique(np.append(np.arange(stride, steps + 1, stride), steps))
     bounds = np.append(np.arange(0, steps, period), steps)
 
+    # the attacker's rows of every regime share one grid and one table;
+    # a draw's cell index carries its regime's offset into that table
     cum_d = _cumulative_rows(pi_d.rows)
-    cum_a = [_cumulative_rows(rows) for _, _, rows in regimes]
+    cum_a = _cumulative_rows(np.concatenate([rows for _, _, rows in regimes]))
+    grid_d, grid_a = np.unique(cum_d[:, :-1]), np.unique(cum_a[:, :-1])
+    w_d, w_a = grid_d.size + 1, grid_a.size + 1
+    pick_d, pick_a = _pick_table(cum_d, grid_d, k), _pick_table(cum_a, grid_a, 1)
     rng = stream(seed, "simulate")
     s = int(rng.integers(k * k))
 
@@ -222,10 +278,13 @@ def simulate(
     avg, at_bounds, d_bounds = [], [acc], []
     for first in range(0, steps, _CHUNK):
         t = np.arange(first, min(first + _CHUNK, steps))
+        u = rng.random((len(t), 2))
+        cells_d = np.searchsorted(grid_d, u[:, 0], "right").tolist()
+        cells_a = (np.searchsorted(grid_a, u[:, 1], "right")
+                   + _phase(t - lag, period) * (k * k * w_a)).tolist()
         states = []
-        for u0, u1, p in zip(*rng.random((len(t), 2)).T.tolist(),
-                             _phase(t - lag, period).tolist()):
-            s = bisect_right(cum_d[s], u0) * k + bisect_right(cum_a[p][s], u1)
+        for i0, i1 in zip(cells_d, cells_a):
+            s = pick_d[s * w_d + i0] + pick_a[s * w_a + i1]
             states.append(s)
         states, end = np.array(states), first + len(t)
         acc = _running_sums(tables[:, _phase(t, period), states], acc[..., -1])
@@ -234,18 +293,11 @@ def simulate(
         at_bounds.append(acc[..., _within(bounds, first + 1, end + 1) - 1 - first])
         d_bounds.append(states[_within(bounds, first, end) - first] // k)
     # one extra defender draw closes the final segment's boundary term
-    d_bounds.append([bisect_right(cum_d[s], rng.random())])
+    cell = int(np.searchsorted(grid_d, rng.random(), "right"))
+    d_bounds.append([pick_d[s * w_d + cell] // k])
 
     avg = np.concatenate(avg, axis=1)
-    lengths = np.diff(bounds)
-    means = (np.diff(np.concatenate(at_bounds, axis=2), axis=2).sum(0) / lengths).tolist()
-    if reference_game is None:
-        means += [[None] * len(lengths)] * 2
-    boundary = [None] * len(lengths)
-    if phi is not None:
-        boundary = np.diff(phi[np.concatenate(d_bounds)]).tolist()
-    segments = tuple(map(SegmentStat, names[_phase(bounds[:-1], period)],
-                         bounds[:-1].tolist(), lengths.tolist(), *means, boundary))
+    means = np.diff(np.concatenate(at_bounds, axis=2), axis=2).sum(0) / np.diff(bounds)
 
     return TrajectoryStats(
         steps=steps,
@@ -256,7 +308,10 @@ def simulate(
         series_avg_u_a=avg[1],
         series_regime=tuple(names[_phase(marks - 1, period)]),
         final=UtilityPair(float(avg[0, -1]), float(avg[1, -1])),
-        segments=segments,
+        segment_regime=names[_phase(bounds[:-1], period)],
+        segment_bounds=bounds,
+        segment_means=means,
+        segment_phi_boundary=None if phi is None else np.diff(phi[np.concatenate(d_bounds)]),
     )
 
 
@@ -279,33 +334,37 @@ class SwitchingReport:
 
 
 def regime_summaries(stats: TrajectoryStats, zd_params=None) -> dict:
-    """Pool segment statistics per regime.
+    """Pool segment statistics per regime, from the trajectory's segment
+    columns.
 
-    With line parameters, the enforced-line residual at the reference-game
-    regime means is reported raw and with the exact per-segment boundary
-    compensation (phi-weight difference at the segment endpoints, when the
-    trajectory tracked it); the standard error is estimated across segments.
+    Regime means are length-weighted sums of the segment means, added in
+    segment order.  With line parameters, the enforced-line residual at the
+    reference-game regime means is reported raw and with the exact
+    per-segment boundary compensation (phi-weight difference at the segment
+    endpoints, when the trajectory tracked it); the standard error is
+    estimated across segments.
     """
     out = {}
-    for name in dict.fromkeys(seg.regime for seg in stats.segments):
-        segs = [seg for seg in stats.segments if seg.regime == name]
-        n = sum(seg.length for seg in segs)
-        mean_d = sum(seg.mean_u_d * seg.length for seg in segs) / n
-        mean_a = sum(seg.mean_u_a * seg.length for seg in segs) / n
+    lengths = np.diff(stats.segment_bounds)
+    for name in dict.fromkeys(stats.segment_regime.tolist()):
+        mine = stats.segment_regime == name
+        counts = lengths[mine].tolist()
+        n = sum(counts)
+        mean_d, mean_a = (sum(m * c for m, c in zip(col, counts)) / n
+                          for col in stats.segment_means[:2, mine].tolist())
         residual = raw = se = None
-        if zd_params is not None and segs[0].ref_mean_u_d is not None:
+        if zd_params is not None and len(stats.segment_means) == 4:
             a_, b_, c_ = zd_params.alpha, zd_params.beta, zd_params.gamma
-            vals = np.array([a_ * seg.ref_mean_u_d + b_ * seg.ref_mean_u_a + c_
-                             for seg in segs])
-            weights = np.array([seg.length for seg in segs], dtype=float)
+            vals = a_ * stats.segment_means[2, mine] + b_ * stats.segment_means[3, mine] + c_
+            weights = lengths[mine].astype(float)
             raw = abs(float(vals @ weights) / n)
             comp = vals
-            if segs[0].phi_boundary is not None:
-                comp = vals - np.array([seg.phi_boundary for seg in segs]) / weights
+            if stats.segment_phi_boundary is not None:
+                comp = vals - stats.segment_phi_boundary[mine] / weights
             residual = abs(float(comp @ weights) / n)
             if len(comp) >= 2:
                 se = float(comp.std(ddof=1) / np.sqrt(len(comp)))
-        out[name] = RegimeSummary(name, n, len(segs), mean_d, mean_a,
+        out[name] = RegimeSummary(name, n, len(counts), mean_d, mean_a,
                                   residual, raw, se)
     return out
 

@@ -12,7 +12,7 @@ import numpy as np
 from zdmtd.game import GameSpec, profit_vector
 from zdmtd.lp import EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LpError, LpNumericalError, LpOutcome
 from zdmtd.lp import _violation
-from zdmtd.markov import EPSILON_MIX, _direct, chain
+from zdmtd.markov import EPSILON_MIX, UtilityPair, _direct, chain
 from zdmtd.mdp import (
     TIE_TOL,
     _SWITCH_TOL,
@@ -25,6 +25,7 @@ from zdmtd.mdp import (
 from zdmtd.cli import solve_game
 from zdmtd.programs import FEAS_TOL, _SWEEP_STEP
 from zdmtd.rng import stream
+from zdmtd.sim import RegimeSummary
 
 
 def random_game(k, rng, scale=1.0):
@@ -355,6 +356,51 @@ def simulate_reference(g: GameSpec, pi_d, profile, steps, seed, stride=1,
         "final": (math.fsum(u_d) / steps, math.fsum(u_a) / steps),
         "segments": segments,
     }
+
+
+def memory_two_utilities(g: GameSpec, pi_d, attacker_rows) -> UtilityPair:
+    """Exact long-run (u_d, u_a) of a memory-one defender against a
+    memory-two attacker, whose row `attacker_rows[s1 * K^2 + s2]` is its
+    distribution over targets after the states s1 then s2.  The chain runs
+    on the K^4 pairs of consecutive states, (s1, s2) -> (s2, d * K + a),
+    solved by `markov._direct`; utilities come from the marginal of the
+    later state."""
+    n = g.k * g.k
+    # step[s1, s2, s3]: probability of the next state s3 = d * K + a
+    step = np.einsum("td,rta->rtda", pi_d.rows,
+                     np.asarray(attacker_rows).reshape(n, n, g.k)).reshape(n, n, n)
+    m = np.zeros((n, n, n, n))
+    m[:, np.arange(n), np.arange(n), :] = step
+    last = _direct(m.reshape(n * n, n * n)).reshape(n, n).sum(axis=0)
+    return UtilityPair(float(last @ profit_vector(g, "defender")),
+                       float(last @ profit_vector(g, "attacker")))
+
+
+def regime_summaries_reference(segments, zd_params):
+    """`sim.regime_summaries` pooled from SegmentStat objects, one regime at
+    a time with Python sums in segment order: the arithmetic the column
+    version must reproduce bit for bit."""
+    out = {}
+    for name in dict.fromkeys(seg.regime for seg in segments):
+        segs = [seg for seg in segments if seg.regime == name]
+        n = sum(seg.length for seg in segs)
+        mean_d = sum(seg.mean_u_d * seg.length for seg in segs) / n
+        mean_a = sum(seg.mean_u_a * seg.length for seg in segs) / n
+        residual = raw = se = None
+        if zd_params is not None and segs[0].ref_mean_u_d is not None:
+            a_, b_, c_ = zd_params.alpha, zd_params.beta, zd_params.gamma
+            vals = np.array([a_ * seg.ref_mean_u_d + b_ * seg.ref_mean_u_a + c_
+                             for seg in segs])
+            weights = np.array([seg.length for seg in segs], dtype=float)
+            raw = abs(float(vals @ weights) / n)
+            comp = vals
+            if segs[0].phi_boundary is not None:
+                comp = vals - np.array([seg.phi_boundary for seg in segs]) / weights
+            residual = abs(float(comp @ weights) / n)
+            if len(comp) >= 2:
+                se = float(comp.std(ddof=1) / np.sqrt(len(comp)))
+        out[name] = RegimeSummary(name, n, len(segs), mean_d, mean_a, residual, raw, se)
+    return out
 
 
 def simplex_reference(lp):

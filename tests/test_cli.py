@@ -14,7 +14,8 @@ from zdmtd.game import GameSpec, game_to_dict
 from zdmtd.lp import LpNumericalError
 from zdmtd.markov import SingularChainError, StationaryError
 from zdmtd.mdp import PolicyIterationCycleError
-from zdmtd.scenarios import crowd_game, crowd_scenario, scenario_to_dict, with_switching
+from zdmtd.scenarios import (crowd_game, crowd_scenario, iot_scenario, scenario_to_dict,
+                              with_switching)
 from zdmtd.zd import ZdConstructionError
 
 from oracles import random_game
@@ -188,7 +189,20 @@ ZD3 = {"alpha": 0.0, "beta": 1.0, "gamma": -1.0, "phi": [1.0, 0.5, 0.0]}
     ({**UNIFORM3, "zd": [1.0]}, "zd block"),
     ({**UNIFORM3, "k": "3"}, "strategy k must be an integer, got '3'"),
     ({**UNIFORM3, "zd": {**ZD3, "alpha": "0"}}, "zd.alpha must be a number, got '0'"),
-], ids=["no-pi", "no-k", "zd-without-phi", "zd-not-an-object", "k-string", "alpha-string"])
+    ({**UNIFORM3, "pi": [[{}, 0.5, 0.5]] + UNIFORM3["pi"][1:]},
+     "each entry of pi must be a number, got {}"),
+    ({**UNIFORM3, "pi": UNIFORM3["pi"][:8] + [[None, 0.5, 0.5]]},
+     "each entry of pi must be a number, got None"),
+    ({**UNIFORM3, "pi": [["0.5", 0.25, 0.25]] + UNIFORM3["pi"][1:]},
+     "each entry of pi must be a number, got '0.5'"),
+    ({**UNIFORM3, "pi": [[True, 0.0, 0.0]] + UNIFORM3["pi"][1:]},
+     "each entry of pi must be a number, got True"),
+    ({**UNIFORM3, "pi": [[float("nan"), 0.5, 0.5]] + UNIFORM3["pi"][1:]},
+     "pi contains non-finite entries"),
+    ({**UNIFORM3, "zd": {**ZD3, "phi": [None, 0.5, 0.0]}},
+     "each entry of zd.phi must be a number, got None"),
+], ids=["no-pi", "no-k", "zd-without-phi", "zd-not-an-object", "k-string", "alpha-string",
+        "pi-object", "pi-null", "pi-string", "pi-bool", "pi-nan", "phi-null"])
 def test_simulate_malformed_strategy_exits_usage(tmp_path, capsys, strategy_obj, named):
     scenario = scenario_to_dict(crowd_scenario("honest", 10))
     err = _simulate_usage_error(tmp_path, capsys, scenario, strategy_obj)
@@ -202,7 +216,14 @@ def test_simulate_malformed_strategy_exits_usage(tmp_path, capsys, strategy_obj,
     (lambda sc: {**sc, "period": "10"}, "switching period must be an integer, got '10'"),
     (lambda sc: {**sc, "period": 10.0}, "switching period must be an integer, got 10.0"),
     (lambda sc: {**sc, "c": "1"}, "verification cost c must be a number, got '1'"),
-], ids=["unknown-key", "missing-key", "period-string", "period-float", "cost-string"])
+    (lambda sc: {**sc, "r_r": [{}] + sc["r_r"][1:]}, "each entry of r_r must be a number, got {}"),
+    (lambda sc: {**sc, "m": sc["m"][:-1] + [None]}, "each entry of m must be a number, got None"),
+    (lambda sc: {**scenario_to_dict(iot_scenario(3, 1)), "s": "1"},
+     "protection gain s must be a number, got '1'"),
+    (lambda sc: {**scenario_to_dict(iot_scenario(3, 1)), "c": [1.0, "1", 1.0]},
+     "each entry of attack costs c must be a number, got '1'"),
+], ids=["unknown-key", "missing-key", "period-string", "period-float", "cost-string",
+        "rewards-object", "losses-null", "iot-gain-string", "iot-costs-string"])
 def test_simulate_malformed_scenario_exits_usage(tmp_path, capsys, edit, named):
     scenario = edit(scenario_to_dict(crowd_scenario("honest", 10)))
     err = _simulate_usage_error(tmp_path, capsys, scenario, UNIFORM3)

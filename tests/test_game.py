@@ -157,6 +157,12 @@ def test_strategy_validation():
         MemoryOneStrategy(2, np.full((4, 2), 0.4))
     with pytest.raises(ValueError):
         MemoryOneStrategy(2, np.array([[1.2, -0.2]] * 4))
+    # every comparison with NaN is False, so a NaN must fail the range check
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.full((4, 2), 0.5)
+        rows[1] = (bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            MemoryOneStrategy(2, rows)
     s = uniform_strategy(3)
     assert np.allclose(s.rows.sum(axis=1), 1)
     p = pure_strategy(2, 2)
@@ -175,6 +181,12 @@ def test_game_json_strict():
         game_from_dict({k: v for k, v in d.items() if k != "u_a_cov"})
     with pytest.raises(ValueError, match="length"):
         game_from_dict({**d, "u_d_cov": [1, 1, 1]})
+    # an entry that is not a JSON number is rejected, not converted
+    for entry in ("1", None, {}, True):
+        with pytest.raises(ValueError, match="each entry of u_a_unc must be a number"):
+            game_from_dict({**d, "u_a_unc": [1, entry]})
+    with pytest.raises(ValueError, match="u_a_unc contains non-finite entries"):
+        game_from_dict({**d, "u_a_unc": [1, float("nan")]})
 
 
 def test_canonicalize_then_invert_is_identity_property():

@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 
 from zdmtd.cli import _load_strategy, main, solve_game
-from zdmtd.game import GameSpec, MemoryOneStrategy, pure_strategy, random_strategy
+from zdmtd.game import PROB_TOL, GameSpec, MemoryOneStrategy, pure_strategy, random_strategy
 from zdmtd.markov import long_run_utilities
 from zdmtd.scenarios import crowd_game, crowd_scenario, scenario_to_dict, with_switching
 from zdmtd.sim import (
+    _CHUNK,
     _cumulative_rows,
+    _pick_table,
     _running_sums,
     best_response_profile,
     fixed_profile,
+    regime_summaries,
     simulate,
     switching_experiment,
     switching_profile,
 )
+from zdmtd.zd import ZdLinearParams
 
-from oracles import random_game, simulate_reference
+from oracles import random_game, regime_summaries_reference, simulate_reference
 
 PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
 
@@ -216,21 +220,75 @@ def test_simulate_matches_per_step_reference(kind, steps, stride):
         honest, pi_d, profile, steps, 21, stride=stride, **kwargs))
 
 
+def edge_row(k, kind, weights, j, neg):
+    """A strategy row of one kind: `weights` normalized (exact zeros kept),
+    one-hot at j, summing to 1 - 1e-13, or with entry j set to -neg
+    (0 <= neg <= PROB_TOL) and the rest scaled to 1 + neg."""
+    row = np.array(weights, dtype=float)
+    if kind == "one-hot" or not row.any():
+        return np.eye(k)[j]
+    row /= row.sum()
+    if kind == "short":
+        row[-1] -= 1e-13
+    elif kind == "negative":
+        row[j] = 0.0
+        if not row.any():
+            row[(j + 1) % k] = 1.0
+        row *= (1.0 + neg) / row.sum()
+        row[j] = -neg
+    return row
+
+
+def edge_example():
+    """A fixed K = 3 case of every row kind, over one block boundary."""
+    kinds = ("mixed", "one-hot", "short", "negative")
+    rows = [edge_row(3, kinds[s % 4], [s % 3, 0.0, 1.0], s % 3, PROB_TOL)
+            for s in range(9)]
+    return 3, np.array(rows), np.array(rows[::-1]), "switching", _CHUNK + 3, 7, 50, 3, True, 11
+
+
 def test_simulate_matches_reference_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    honest, malicious, pi_d, _, phi = reference_case(1)
 
-    @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(st.integers(1, 400), st.integers(1, 60), st.integers(0, 80),
-                      st.integers(1, 50), st.integers(0, 2**31), st.booleans())
-    def check(steps, period, lag, stride, seed, honest_first):
-        profile = switching_profile(period, "honest" if honest_first else "malicious",
-                                    honest, malicious, lag=lag)
-        kwargs = {"reference_game": malicious, "gauge_phi": phi}
+    @st.composite
+    def cases(draw):
+        k = draw(st.sampled_from([2, 3, 4]))
+        weight = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]), st.floats(0.01, 1.0))
+
+        def rows():
+            return np.array([edge_row(
+                k, draw(st.sampled_from(["mixed", "one-hot", "short", "negative"])),
+                draw(st.lists(weight, min_size=k, max_size=k)), draw(st.integers(0, k - 1)),
+                draw(st.floats(0.0, PROB_TOL))) for _ in range(k * k)])
+
+        return (k, rows(), rows(), draw(st.sampled_from(["fixed", "best_response", "switching"])),
+                draw(st.integers(1, 400)), draw(st.integers(1, 50)), draw(st.integers(1, 60)),
+                draw(st.integers(0, 80)), draw(st.booleans()), draw(st.integers(0, 2**31)))
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example(edge_example())
+    def check(case):
+        k, rows_d, rows_a, kind, steps, stride, period, lag, honest_first, seed = case
+        rng = np.random.default_rng(seed)
+        honest, malicious = random_game(k, rng), random_game(k, rng)
+        pi_d = MemoryOneStrategy(k, rows_d)
+        profile = {
+            "fixed": lambda: fixed_profile(MemoryOneStrategy(k, rows_a)),
+            "best_response": best_response_profile,
+            "switching": lambda: switching_profile(
+                period, "honest" if honest_first else "malicious", honest, malicious, lag=lag),
+        }[kind]()
+        # phi = 10^(d - 1) makes every segment's phi_boundary name both defender actions
+        kwargs = {"reference_game": malicious, "gauge_phi": 10.0 ** np.arange(k)}
         stats = simulate(honest, pi_d, profile, steps, seed, stride=stride, **kwargs)
         assert_matches_reference(stats, simulate_reference(
             honest, pi_d, profile, steps, seed, stride=stride, **kwargs))
+        # pooling from the segment columns is the pooling of SegmentStat objects, bit for bit
+        params = ZdLinearParams(*rng.normal(size=3).tolist())
+        assert regime_summaries(stats, params) == \
+            regime_summaries_reference(stats.segments, params)
 
     check()
 
@@ -326,6 +384,28 @@ def test_unclamped_search_matches_clamped_reference(monkeypatch, k, kind):
         stats = simulate(honest, pi_d, profile, 2000, seed=0, **kwargs)
         assert_matches_reference(stats, simulate_reference(
             honest, pi_d, profile, 2000, 0, **kwargs))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+def test_pick_table_matches_bisect_in_every_cell(k):
+    # bisect_right(row, u) moves only at entries of row, so one lookup per
+    # grid cell is exact for every draw in it, on rows that decrease too
+    rng = np.random.default_rng(k)
+    kinds = ("mixed", "one-hot", "short", "negative")
+    rows = np.array([edge_row(k, kinds[s % 4], rng.choice([0.0, 0.5, 1.0], size=k),
+                              int(rng.integers(k)), PROB_TOL * rng.random())
+                     for s in range(4 * k)])
+    cum = _cumulative_rows(rows)
+    assert k < 3 or np.any(np.diff(cum[:, :-1]) < 0)  # some rows decrease
+    grid = np.unique(cum[:, :-1])
+    table = _pick_table(cum, grid, k)
+    lefts, rights = np.append(-np.inf, grid), np.append(grid, np.inf)
+    for c, (lo, hi) in enumerate(zip(lefts, rights)):
+        inside = [u for u in (lo, np.nextafter(hi, -np.inf), (lo + hi) / 2, -1.0, 2.0)
+                  if lo <= u < hi]
+        assert inside and np.searchsorted(grid, inside, "right").tolist() == [c] * len(inside)
+        for r, row in enumerate(cum):
+            assert {bisect_right(row, u) * k for u in inside} == {table[r * (grid.size + 1) + c]}
 
 
 def test_negative_top_entry_where_the_forms_part():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zdmtd.game import GameSpec, MemoryOneStrategy
-from zdmtd.markov import zd_residual
+from zdmtd.markov import long_run_utilities, zd_residual
 from zdmtd.zd import (
     FeasibilityParams,
     ZdConstructionError,
@@ -17,7 +17,9 @@ from zdmtd.zd import (
 )
 
 
-from oracles import phi_grid_feasible_k2
+from zdmtd.cli import solve_game
+
+from oracles import memory_two_utilities, phi_grid_feasible_k2, random_game
 
 
 def test_classify_examples():
@@ -222,3 +224,29 @@ def test_feasibility_params_validation():
         FeasibilityParams([1.0, 0.5])
     with pytest.raises(ValueError, match="nonnegative"):
         FeasibilityParams([-1.0, 0.0])
+
+
+def test_line_holds_against_memory_two_attackers():
+    # the enforced line binds the defender's memory-one strategy against any
+    # attacker (Press & Dyson 2012), not only the memory-one ones sampled
+    # elsewhere: exact solves of the K^4-state chain of a memory-two attacker
+    games, attackers = np.random.default_rng(2012), np.random.default_rng(4)
+    strategies = 0
+    for k in (2, 3):
+        for _ in range(10):
+            g = random_game(k, games)
+            out = solve_game(g, verify_samples=0)
+            if out.params is None:  # no enforceable line
+                continue
+            strategies += 1
+            p = out.params
+            # an attacker that forgets the older state is a memory-one one
+            pi_a = MemoryOneStrategy(k, attackers.dirichlet(np.ones(k), size=k * k))
+            u = memory_two_utilities(g, out.strategy, np.tile(pi_a.rows, (k * k, 1)))
+            exact = long_run_utilities(g, out.strategy, pi_a)
+            assert np.allclose((u.u_d, u.u_a), (exact.u_d, exact.u_a), rtol=0, atol=1e-12)
+            for i in range(50):
+                rows = attackers.dirichlet(np.full(k, (0.05, 1.0, 20.0)[i % 3]), size=k ** 4)
+                u = memory_two_utilities(g, out.strategy, rows)
+                assert abs(p.alpha * u.u_d + p.beta * u.u_a + p.gamma) <= 1e-8, (k, i)
+    assert strategies >= 15
