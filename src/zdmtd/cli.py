@@ -4,9 +4,9 @@ Batch commands reading JSON inputs and writing CSV/JSON artifacts; every
 output carries a config hash and replays bit-identically from its seed.
 Exit codes are stable API: 0 success, 2 no enforceable line (infeasible),
 3 verification failure, 64 usage error.  A numerical failure inside the
-package (LpNumericalError, StationaryError, SingularChainError,
-PolicyIterationCycleError, ZdConstructionError) also exits 3, with one
-``error:`` line on stderr instead of a traceback.
+package (LpNumericalError, StationaryError, PolicyIterationCycleError,
+ZdConstructionError) also exits 3, with one ``error:`` line on stderr
+instead of a traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +25,12 @@ import numpy as np
 from .game import (GameSpec, MemoryOneStrategy, canonicalize, game_to_dict, load_game,
                    require_number, require_numbers)
 from .lp import LpNumericalError
-from .markov import SingularChainError, StationaryError, UtilityPair, max_line_residual
+from .markov import StationaryError, UtilityPair, max_line_residual
 from .mdp import PolicyIterationCycleError, defender_utility_under_br
 from .programs import realize_params, solve_ideal, solve_optimal
 from .rng import stream
 from .scenarios import CrowdScenario, scenario_from_dict, scenario_to_dict
-from .sse import baselines, build_mip, emit_mip, exhaustive_sse, oneshot_sse, search_sse
+from .sse import baselines, build_mip, exhaustive_sse, oneshot_sse, render_mip, search_sse
 from .sim import switching_experiment
 from .zd import ZdConstructionError, ZdLinearParams, classify, defining_residual
 from . import __version__
@@ -44,8 +44,8 @@ VERIFY_TOL = 1e-8
 _BR_EVAL_MAX_K = 12  # candidates are scored under attacker best response up to here
 _CSV_BLOCK = 2 ** 16  # trajectory rows formatted per write
 
-NUMERICAL_ERRORS = (LpNumericalError, StationaryError, SingularChainError,
-                    PolicyIterationCycleError, ZdConstructionError)
+NUMERICAL_ERRORS = (LpNumericalError, StationaryError, PolicyIterationCycleError,
+                    ZdConstructionError)
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,8 @@ def solve_game(
     built by `solve_optimal`; an ideal one is built here."""
     if mode not in ("auto", "ideal", "optimal"):
         raise ValueError("mode must be auto, ideal or optimal")
+    if verify_samples < 0:
+        raise ValueError(f"verify samples must be >= 0 (0 skips sampling), got {verify_samples}")
     if evaluate_br is None:
         evaluate_br = g.k <= _BR_EVAL_MAX_K
     gc, cp = canonicalize(g)
@@ -139,11 +141,17 @@ def config_hash(payload) -> str:
 @contextmanager
 def atomic_open(path: str):
     """Text file handle on a temporary sibling that replaces path on a
-    clean exit, so readers never see a partial file."""
+    clean exit, so readers never see a partial file; when the body raises,
+    the sibling is removed and path is left as it was."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -387,7 +395,7 @@ def cmd_simulate(args) -> int:
 def cmd_emit_mip(args) -> int:
     g = load_game(args.game)
     model = build_mip(g)
-    atomic_write(args.out, emit_mip(g))
+    atomic_write(args.out, render_mip(model))
     print(f"k={model.k} binaries={model.n_binary} "
           f"strategy_vars={model.n_strategy_vars} value_vars={model.n_value_vars} "
           f"constraints={len(model.constraints)} z={model.z!r}")

@@ -52,13 +52,6 @@ def flat_index(k: int, i: int, j: int) -> int:
     return (i - 1) * k + (j - 1)
 
 
-def unflat(k: int, s: int) -> tuple[int, int]:
-    """Inverse of flat_index: flat state -> 1-based (i, j)."""
-    if not (0 <= s < k * k):
-        raise IndexError(f"flat state {s} out of range for K={k}")
-    return s // k + 1, s % k + 1
-
-
 def _as_vector(x, k: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (k,):
@@ -172,21 +165,6 @@ class MemoryOneStrategy:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
-    def column(self, target: int) -> np.ndarray:
-        """Probability of playing `target` in each flat state (length K^2)."""
-        return self.rows[:, target - 1].copy()
-
-
-def uniform_strategy(k: int) -> MemoryOneStrategy:
-    return MemoryOneStrategy(k, np.full((k * k, k), 1.0 / k))
-
-
-def pure_strategy(k: int, target: int) -> MemoryOneStrategy:
-    """Always play `target` regardless of state."""
-    rows = np.zeros((k * k, k))
-    rows[:, target - 1] = 1.0
-    return MemoryOneStrategy(k, rows)
-
 
 def repeat_strategy(k: int) -> MemoryOneStrategy:
     """Always repeat one's own previous action."""
@@ -194,11 +172,6 @@ def repeat_strategy(k: int) -> MemoryOneStrategy:
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             rows[flat_index(k, i, j), i - 1] = 1.0
-    return MemoryOneStrategy(k, rows)
-
-
-def random_strategy(k: int, rng: np.random.Generator) -> MemoryOneStrategy:
-    rows = rng.dirichlet(np.ones(k), size=k * k)
     return MemoryOneStrategy(k, rows)
 
 

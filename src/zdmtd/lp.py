@@ -82,14 +82,6 @@ class LinearProgram:
     def n(self) -> int:
         return self.objective.size
 
-    def dump(self) -> str:
-        """Plain-text rendering for bug reports."""
-        lines = [f"{self.sense} {self.objective.tolist()}"]
-        for row, rel, rhs in self.constraints:
-            lines.append(f"  {row.tolist()} {rel} {rhs}")
-        lines.append(f"  bounds: {list(self.bounds)}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LpOutcome:

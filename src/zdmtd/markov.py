@@ -1,7 +1,6 @@
 """Markov analysis of a strategy pair: induced K^2-state chain, stationary
-distribution, long-run average utilities, the determinant-ratio form of the
-same utilities used to cross-check the linear-algebra path, and the sampled
-check that a strategy enforces its line.
+distribution, long-run average utilities, and the sampled check that a
+strategy enforces its line.
 
 This is the package's one chain kernel: `chain` builds a chain or a stack of
 chains, `_direct` solves them for their stationary vectors through
@@ -26,7 +25,6 @@ import numpy as np
 from .game import GameSpec, MemoryOneStrategy, profit_vector
 
 DIRECT_RESIDUAL_TOL = 1e-10
-DET_SINGULAR_TOL = 1e-12
 EPSILON_MIX = 1e-8  # shared with the best-response module so oracles agree
 VERIFY_STACK_ENTRIES = 2**16  # chain-matrix entries per stacked verification solve
 
@@ -37,11 +35,6 @@ class StationaryError(RuntimeError):
     def __init__(self, msg, residual=None):
         super().__init__(msg)
         self.residual = residual
-
-
-class SingularChainError(RuntimeError):
-    """Determinant denominator vanished (reducible chain); use the
-    stationary-based evaluator instead."""
 
 
 @dataclass(frozen=True)
@@ -195,43 +188,6 @@ def long_run_utilities(g: GameSpec, pi_d: MemoryOneStrategy, pi_a: MemoryOneStra
     sd = profit_vector(g, "defender")
     sa = profit_vector(g, "attacker")
     return UtilityPair(float(v @ sd), float(v @ sa))
-
-
-def det_utilities(g: GameSpec, pi_d: MemoryOneStrategy, pi_a: MemoryOneStrategy) -> UtilityPair:
-    """Determinant-ratio utilities: det with last column replaced by the
-    profit vector over det with it replaced by the ones vector.
-
-    The common scale of both determinants cancels in the ratio; the
-    denominator is tested against a Hadamard-scaled threshold and a
-    singular chain is reported rather than evaluated.
-    """
-    if not (g.k == pi_d.k == pi_a.k):
-        raise ValueError("K mismatch between game and strategies")
-    m = build_transition(pi_d, pi_a).m
-    base = m - np.eye(m.shape[0])
-    ones = np.ones(m.shape[0])
-
-    den_base = base.copy()
-    den_base[:, -1] = ones
-    row_norms = np.linalg.norm(den_base, axis=1)
-    log_hadamard = float(np.sum(np.log(np.maximum(row_norms, 1e-300))))
-    sign_den, log_den = np.linalg.slogdet(den_base)
-    if sign_den == 0 or log_den - log_hadamard < np.log(DET_SINGULAR_TOL):
-        raise SingularChainError(
-            "denominator determinant vanishes (reducible chain); "
-            "evaluate via the stationary distribution instead"
-        )
-
-    out = []
-    for player in ("defender", "attacker"):
-        num = base.copy()
-        num[:, -1] = profit_vector(g, player)
-        sign_num, log_num = np.linalg.slogdet(num)
-        if sign_num == 0:
-            out.append(0.0)
-        else:
-            out.append(float(sign_num * sign_den * np.exp(log_num - log_den)))
-    return UtilityPair(out[0], out[1])
 
 
 def zd_residual(g: GameSpec, pi_d: MemoryOneStrategy, pi_a: MemoryOneStrategy,

@@ -275,20 +275,6 @@ def _deficit_bound(c, to) -> np.ndarray:
     return np.maximum(direct, 0.5 * pooled).ravel()[_grid_order(k)]
 
 
-def exhaustive_br(g: GameSpec, pi_d: MemoryOneStrategy) -> BestResponse:
-    """Oracle: enumerate all K^(K^2) deterministic memory-one policies and
-    return the maximizer of the attacker's long-run utility (ties go to the
-    lexicographically smallest policy)."""
-    if g.k > 3:
-        raise ValueError(f"exhaustive enumeration guarded to K <= 3, got K={g.k}")
-    tables = f, w, r_eff, _, _ = _effective_tables(g, pi_d)
-    pols, _, u_a = _policy_values_batch(g, pi_d, tables)
-    best = int(np.argmax(u_a))
-    policy = tuple(int(x) + 1 for x in pols[best])
-    _, h = _evaluate(f, w, r_eff, pols[best])
-    return BestResponse(policy, float(u_a[best]), h, policies_evaluated=len(pols))
-
-
 def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     """Best response with the optimistic-follower tie rule: among attacker
     policies within TIE_TOL of the optimal gain, pick one maximizing the

@@ -18,19 +18,19 @@ The bilinear coupling between the line coefficients and the utility point
 disappears inside a cell: the coefficients live in a low-dimensional cone,
 so the search reduces to finitely many candidate rays (cone extreme rays,
 lines through hull vertices, and an angular sweep at 1e-3 rad with local
-refinement), each certified by direct constraint re-verification.  One
-kernel, ``_pencil_values``, scores lines against the hull: every sample of
-a sweep slice in one array pass, and a cell's surviving candidates in one
-more.  Cells whose equality rows are certified to have rank 3 (no
-candidate) are skipped before any candidate is built.  Candidates are also
-screened through the existence inequalities in the construction frame, and
-at desk scale each surviving candidate is realized and scored under actual
+refinement).  Each candidate passes a feasibility screen (the cell's sign
+conditions, to FEAS_TOL) and then the existence inequalities in its
+construction frame.  One kernel, ``_pencil_values``, scores lines against
+the hull: every sample of a sweep slice in one array pass, and a cell's
+surviving candidates in one more.  Cells whose equality rows are certified
+to have rank 3 (no candidate) are skipped before any candidate is built.
+At desk scale each surviving candidate is realized and scored under actual
 attacker best response.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,25 +77,6 @@ class HullPolygon:
     def n(self) -> int:
         return len(self.vertices)
 
-    def contains(self, x: float, y: float, tol: float = FEAS_TOL) -> bool:
-        v = self.vertices
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if self.n == 1:
-            return bool(np.hypot(x - v[0, 0], y - v[0, 1]) <= tol * scale)
-        if self.n == 2:
-            a, b = v
-            d = b - a
-            t = float(np.clip(np.dot([x - a[0], y - a[1]], d) / max(d @ d, 1e-300), 0, 1))
-            px, py = a + t * d
-            return bool(np.hypot(x - px, y - py) <= tol * scale)
-        for i in range(self.n):
-            ax, ay = v[i]
-            bx, by = v[(i + 1) % self.n]
-            cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
-            if cross < -tol * scale * max(1.0, np.hypot(bx - ax, by - ay)):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class ZdSolveResult:
@@ -104,7 +85,6 @@ class ZdSolveResult:
     predicted: UtilityPair = None
     realized: UtilityPair = None
     cell: LambdaCell = None
-    certificate: dict = field(default_factory=dict)
     realization: tuple = None  # realize_params output for an optimal winner
 
 
@@ -183,57 +163,6 @@ def solve_ideal(g: GameSpec) -> IdealResult:
                 p = ZdLinearParams(*res.x).normalized()
                 return IdealResult(True, p, role1, role_k)
     return IdealResult(False)
-
-
-@dataclass(frozen=True)
-class CorollaryReport:
-    equalizer: bool
-    extortion: bool
-    generous: bool
-    theta: float
-    chi: float = None
-
-
-def check_corollaries(g: GameSpec, theta: float = 0.0, tol: float = FEAS_TOL) -> CorollaryReport:
-    """Fast sufficient conditions for an ideal line of each typical class.
-
-    The extortion/generous conditions are evaluated in the orientation
-    consistent with the ideal program's sign constraints (alpha <= 0 <=
-    beta); see the repo notes on the orientation of the printed lists.
-    Requires canonical labels; theta is the caller's surplus baseline.
-    """
-    _require_canonical(g)
-    k = g.k
-    t1, tk = 1, k
-
-    mids_eq = all(abs(g.u_a_unc[t - 1] - g.u_a_cov[0]) <= tol for t in range(2, k))
-    equalizer = (
-        g.u_a_cov[tk - 1] >= g.u_a_cov[0] - tol
-        and g.u_a_unc[0] >= g.u_a_cov[0] - tol
-        and g.u_a_unc[tk - 1] <= g.u_a_cov[0] + tol
-        and mids_eq
-    )
-
-    if abs(g.u_a_cov[0] - theta) <= 1e-12:
-        raise ValueError(
-            f"chi undefined: attacker covered value at label 1 equals theta={theta}"
-        )
-    chi = (g.u_d_cov[0] - theta) / (g.u_a_cov[0] - theta)
-
-    def expr(ud, ua):
-        return (ud - theta) - chi * (ua - theta)
-
-    shape = (
-        expr(g.u_d_cov[tk - 1], g.u_a_cov[tk - 1]) <= tol
-        and expr(g.u_d_unc[tk - 1], g.u_a_unc[tk - 1]) >= -tol
-        and expr(g.u_d_unc[0], g.u_a_unc[0]) <= tol
-        and all(
-            abs(expr(g.u_d_unc[t - 1], g.u_a_unc[t - 1])) <= tol for t in range(2, k)
-        )
-    )
-    extortion = bool(shape and chi >= 1.0 - 1e-12)
-    generous = bool(shape and -1e-12 <= chi <= 1.0 + 1e-12)
-    return CorollaryReport(bool(equalizer), extortion, generous, theta, chi)
 
 
 def _null_space(rows: np.ndarray) -> np.ndarray:
@@ -509,18 +438,12 @@ def solve_optimal(g: GameSpec, evaluate_br: bool) -> ZdSolveResult:
                     frame = relabeling(g.k, i1, i2)
                     if not _eq8_existence(frame.apply_game(g), p).exists:
                         continue
-                cert = {
-                    "cell_defect": float(max(0.0, -np.min(gmat @ vec) / scale)),
-                    "line_at_predicted": float(abs(vec[0] * x + vec[1] * y + vec[2])),
-                    "hull_member": 0.0 if hp.contains(x, y) else 1.0,
-                }
                 score = (realized.u_d if realized is not None else proxy, x)
                 if best is None or score[0] > best[0][0] + 1e-12 or (
                     abs(score[0] - best[0][0]) <= 1e-12 and score[1] > best[0][1] + 1e-12
                 ):
                     best = (score, ZdSolveResult(
-                        "optimal", p, UtilityPair(x, y), realized, cell,
-                        certificate=cert, realization=built))
+                        "optimal", p, UtilityPair(x, y), realized, cell, realization=built))
     if best is None:
         return ZdSolveResult("none")
     if not evaluate_br:  # scored by prediction: only the winner is built

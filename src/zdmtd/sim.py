@@ -81,18 +81,6 @@ def switching_profile(period: int, initial_type: str, honest: GameSpec,
 
 
 @dataclass(frozen=True)
-class SegmentStat:
-    regime: str
-    start: int   # 0-based stage index of the first step
-    length: int
-    mean_u_d: float
-    mean_u_a: float
-    ref_mean_u_d: float = None
-    ref_mean_u_a: float = None
-    phi_boundary: float = None  # phi[d after segment] - phi[d at first stage]
-
-
-@dataclass(frozen=True)
 class TrajectoryStats:
     steps: int
     stride: int
@@ -106,18 +94,8 @@ class TrajectoryStats:
     segment_regime: np.ndarray  # regime name
     segment_bounds: np.ndarray  # stage index of each first step, then `steps`
     segment_means: np.ndarray   # rows mean u_d, u_a, then the reference game's if tracked
-    segment_phi_boundary: np.ndarray = None  # see SegmentStat.phi_boundary
-
-    @property
-    def segments(self) -> tuple:
-        """The segment columns as one SegmentStat per segment."""
-        n = len(self.segment_regime)
-        means = self.segment_means.tolist() + [[None] * n] * (4 - len(self.segment_means))
-        boundary = [None] * n
-        if self.segment_phi_boundary is not None:
-            boundary = self.segment_phi_boundary.tolist()
-        return tuple(map(SegmentStat, self.segment_regime, self.segment_bounds[:-1].tolist(),
-                         np.diff(self.segment_bounds).tolist(), *means, boundary))
+    # phi[d after the segment] - phi[d at its first stage], when phi was given
+    segment_phi_boundary: np.ndarray = None
 
 
 _CHUNK = 1 << 12  # stages per block of draws, states and sums; any size gives the same bits

@@ -10,7 +10,6 @@ defender strategies (K <= 3), and the analytic upper bound max_k U_d^c(k).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,88 +159,6 @@ def render_mip(model: MipModel) -> str:
     out.append(" " + " ".join(model.binaries))
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-def emit_mip(g: GameSpec) -> str:
-    return render_mip(build_mip(g))
-
-
-def _walk_terms(tokens, line):
-    """Walk '+ coef var' / '+ coef var * var' token triples/quintuples."""
-    out = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] not in ("+", "-") or i + 3 > len(tokens):
-            raise ValueError(f"malformed term near {tokens[i:]!r} in: {line}")
-        coef = float(tokens[i + 1]) * (1 if tokens[i] == "+" else -1)
-        var = tokens[i + 2]
-        i += 3
-        if i < len(tokens) and tokens[i] == "*":
-            if i + 1 >= len(tokens):
-                raise ValueError(f"dangling product in: {line}")
-            out.append((coef, var, tokens[i + 1]))
-            i += 2
-        else:
-            out.append((coef, var))
-    return out
-
-
-def parse_mip(text: str) -> MipModel:
-    """Parse the emitter's own format back into a model (strict grammar)."""
-    lines = text.splitlines()
-    k = z = None
-    idx = 0
-    while idx < len(lines) and lines[idx].startswith("\\"):
-        m = re.match(r"\\ k = (\d+)", lines[idx])
-        if m:
-            k = int(m.group(1))
-        m = re.match(r"\\ z = (\S+)", lines[idx])
-        if m:
-            z = float(m.group(1))
-        idx += 1
-    if k is None or z is None:
-        raise ValueError("missing k/z header comments")
-    if lines[idx] != "Maximize":
-        raise ValueError("expected Maximize section")
-    obj_var = lines[idx + 1].split()[-1]
-    idx += 2
-    if lines[idx] != "Subject To":
-        raise ValueError("expected Subject To section")
-    idx += 1
-    cons = []
-    while lines[idx] != "Bounds":
-        line = lines[idx].strip()
-        name, body = line.split(": ", 1)
-        tokens = body.split()
-        rel, rhs = tokens[-2], float(tokens[-1])
-        if rel not in ("<=", "=", ">="):
-            raise ValueError(f"malformed constraint relation in: {line}")
-        rest = tokens[:-2]
-        if "[" in rest:
-            lb, rb = rest.index("["), rest.index("]")
-            lin_tokens, quad_tokens = rest[:lb], rest[lb + 1 : rb]
-        else:
-            lin_tokens, quad_tokens = rest, []
-        linear = _walk_terms(lin_tokens, line)
-        quad = _walk_terms(quad_tokens, line)
-        if any(len(t) != 2 for t in linear) or any(len(t) != 3 for t in quad):
-            raise ValueError(f"mixed term kinds in: {line}")
-        cons.append(MipConstraint(name, tuple(linear), tuple(quad), rel, rhs))
-        idx += 1
-    idx += 1
-    bounds = []
-    while lines[idx] != "Binaries":
-        line = lines[idx].strip()
-        if line.endswith(" free"):
-            bounds.append((line[: -len(" free")], None, None))
-        else:
-            lo, _, var, _, hi = line.split()
-            bounds.append((var, float(lo), float(hi)))
-        idx += 1
-    binaries = tuple(lines[idx + 1].split())
-    if lines[idx + 2] != "End":
-        raise ValueError("expected End")
-    return MipModel(k, z, obj_var, tuple(cons), tuple(bounds), binaries)
 
 
 @dataclass(frozen=True)

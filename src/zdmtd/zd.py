@@ -1,6 +1,6 @@
 """Zero-determinant strategy machinery: existence of the feasibility
 multipliers, their explicit construction, the sequential strategy
-construction, verification, and classification.
+construction, the defining-equality residual, and classification.
 
 A defender strategy is zero-determinant for linear parameters (alpha, beta,
 gamma) when sum_k phi_k (pi_d(k) - hat(k)) = alpha S_d + beta S_a + gamma 1
@@ -19,8 +19,6 @@ import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, hat_indicator, profit_vector
 from .lp import GE, check_feasible
-from .markov import max_line_residual
-from .rng import stream
 
 EQ5_TOL = 1e-8
 EQ8_TOL = 1e-9
@@ -228,16 +226,6 @@ def _eq8_existence(g: GameSpec, p: ZdLinearParams) -> ExistenceResult:
     return ExistenceResult(False, witness=tuple(witness))
 
 
-def existence_check(g: GameSpec, p: ZdLinearParams) -> ExistenceResult:
-    """Do feasibility multipliers exist for these linear parameters?
-
-    Tries the explicit construction first and falls back to one feasibility
-    LP per candidate argmax index.  The game must be in canonical labels.
-    """
-    _require_canonical(g)
-    return _eq8_existence(g, p)
-
-
 def _construct(g: GameSpec, p: ZdLinearParams, fp: FeasibilityParams, zeta: float):
     """One construction attempt with positivity floor zeta; returns (rows,
     residual) or raises ZdConstructionError."""
@@ -338,16 +326,6 @@ def construct_strategy(
     raise last_err
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    eq5_residual: float
-    max_line_residual: float  # over sampled attacker strategies; nan if none
-    row_sum_defect: float
-    min_entry: float
-    n_samples: int
-    seed: int
-
-
 def defining_residual(g: GameSpec, strategy: MemoryOneStrategy,
                       p: ZdLinearParams, phi: np.ndarray) -> float:
     """Max-norm defect of sum_k phi_k (pi_d(k) - hat(k)) = alpha S_d + beta S_a + gamma 1.
@@ -363,24 +341,3 @@ def defining_residual(g: GameSpec, strategy: MemoryOneStrategy,
     for target in range(1, k + 1):
         acc += phi[target - 1] * (strategy.rows[:, target - 1] - hat_indicator(k, target))
     return float(np.max(np.abs(acc - r)))
-
-
-def verify(g: GameSpec, zd: ZdStrategy, n_samples: int = 1000, seed: int = 0) -> VerifyReport:
-    """Re-check the algebraic defining equality and the enforced line against
-    sampled random attacker strategies."""
-    rows = zd.strategy.rows
-    eq5 = defining_residual(g, zd.strategy, zd.params, zd.phi.phi)
-
-    worst = float("nan")
-    if n_samples > 0:
-        worst = max_line_residual(g, zd.strategy, zd.params.alpha, zd.params.beta,
-                                  zd.params.gamma, n_samples, stream(seed, "zd-verify"))
-
-    return VerifyReport(
-        eq5_residual=eq5,
-        max_line_residual=worst,
-        row_sum_defect=float(np.max(np.abs(rows.sum(axis=1) - 1.0))),
-        min_entry=float(np.min(rows)),
-        n_samples=n_samples,
-        seed=seed,
-    )

@@ -6,19 +6,25 @@ the code paths they check.
 """
 
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from zdmtd.game import GameSpec, profit_vector
+from zdmtd.game import GameSpec, MemoryOneStrategy, profit_vector
 from zdmtd.lp import EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LpError, LpNumericalError, LpOutcome
 from zdmtd.lp import _violation
-from zdmtd.markov import EPSILON_MIX, UtilityPair, _direct, chain
+from zdmtd.markov import (EPSILON_MIX, TransitionMatrix, UtilityPair, _direct, build_transition,
+                          chain, stationary)
 from zdmtd.mdp import (
     TIE_TOL,
     _SWITCH_TOL,
+    BestResponse,
     _effective_tables,
     _enumerate_policies,
+    _evaluate,
     _policy_value,
+    _policy_values_batch,
     best_response,
     defender_utility_under_br,
 )
@@ -26,6 +32,26 @@ from zdmtd.cli import solve_game
 from zdmtd.programs import FEAS_TOL, _SWEEP_STEP
 from zdmtd.rng import stream
 from zdmtd.sim import RegimeSummary
+from zdmtd.sse import MipConstraint, MipModel
+from zdmtd.zd import ExistenceResult, ZdLinearParams, _eq8_existence, _require_canonical
+
+DET_SINGULAR_TOL = 1e-12
+
+
+def uniform_strategy(k: int) -> MemoryOneStrategy:
+    return MemoryOneStrategy(k, np.full((k * k, k), 1.0 / k))
+
+
+def pure_strategy(k: int, target: int) -> MemoryOneStrategy:
+    """Always play `target` regardless of state."""
+    rows = np.zeros((k * k, k))
+    rows[:, target - 1] = 1.0
+    return MemoryOneStrategy(k, rows)
+
+
+def random_strategy(k: int, rng: np.random.Generator) -> MemoryOneStrategy:
+    rows = rng.dirichlet(np.ones(k), size=k * k)
+    return MemoryOneStrategy(k, rows)
 
 
 def random_game(k, rng, scale=1.0):
@@ -363,39 +389,55 @@ def memory_two_utilities(g: GameSpec, pi_d, attacker_rows) -> UtilityPair:
     memory-two attacker, whose row `attacker_rows[s1 * K^2 + s2]` is its
     distribution over targets after the states s1 then s2.  The chain runs
     on the K^4 pairs of consecutive states, (s1, s2) -> (s2, d * K + a),
-    solved by `markov._direct`; utilities come from the marginal of the
-    later state."""
+    solved by `markov.stationary` (the direct solve, or the closed-class
+    limit from the uniform start when the pair chain is reducible);
+    utilities come from the marginal of the later state."""
     n = g.k * g.k
     # step[s1, s2, s3]: probability of the next state s3 = d * K + a
     step = np.einsum("td,rta->rtda", pi_d.rows,
                      np.asarray(attacker_rows).reshape(n, n, g.k)).reshape(n, n, n)
     m = np.zeros((n, n, n, n))
     m[:, np.arange(n), np.arange(n), :] = step
-    last = _direct(m.reshape(n * n, n * n)).reshape(n, n).sum(axis=0)
+    last = stationary(TransitionMatrix(n, m.reshape(n * n, n * n))).v.reshape(n, n).sum(axis=0)
     return UtilityPair(float(last @ profit_vector(g, "defender")),
                        float(last @ profit_vector(g, "attacker")))
 
 
+def segment_records(stats):
+    """The segment columns of `sim.simulate`'s stats as one dict per segment,
+    keyed like `simulate_reference`'s segments, in plain Python numbers; the
+    reference game's means and phi_boundary appear only when tracked."""
+    n = len(stats.segment_regime)
+    columns = {"regime": stats.segment_regime.tolist(),
+               "start": stats.segment_bounds[:-1].tolist(),
+               "length": np.diff(stats.segment_bounds).tolist()}
+    keys = ("mean_u_d", "mean_u_a", "ref_mean_u_d", "ref_mean_u_a")
+    columns.update(zip(keys, stats.segment_means.tolist()))
+    if stats.segment_phi_boundary is not None:
+        columns["phi_boundary"] = stats.segment_phi_boundary.tolist()
+    return [{key: col[i] for key, col in columns.items()} for i in range(n)]
+
+
 def regime_summaries_reference(segments, zd_params):
-    """`sim.regime_summaries` pooled from SegmentStat objects, one regime at
-    a time with Python sums in segment order: the arithmetic the column
+    """`sim.regime_summaries` pooled from `segment_records`, one regime at a
+    time with Python sums in segment order: the arithmetic the column
     version must reproduce bit for bit."""
     out = {}
-    for name in dict.fromkeys(seg.regime for seg in segments):
-        segs = [seg for seg in segments if seg.regime == name]
-        n = sum(seg.length for seg in segs)
-        mean_d = sum(seg.mean_u_d * seg.length for seg in segs) / n
-        mean_a = sum(seg.mean_u_a * seg.length for seg in segs) / n
+    for name in dict.fromkeys(seg["regime"] for seg in segments):
+        segs = [seg for seg in segments if seg["regime"] == name]
+        n = sum(seg["length"] for seg in segs)
+        mean_d = sum(seg["mean_u_d"] * seg["length"] for seg in segs) / n
+        mean_a = sum(seg["mean_u_a"] * seg["length"] for seg in segs) / n
         residual = raw = se = None
-        if zd_params is not None and segs[0].ref_mean_u_d is not None:
+        if zd_params is not None and "ref_mean_u_d" in segs[0]:
             a_, b_, c_ = zd_params.alpha, zd_params.beta, zd_params.gamma
-            vals = np.array([a_ * seg.ref_mean_u_d + b_ * seg.ref_mean_u_a + c_
+            vals = np.array([a_ * seg["ref_mean_u_d"] + b_ * seg["ref_mean_u_a"] + c_
                              for seg in segs])
-            weights = np.array([seg.length for seg in segs], dtype=float)
+            weights = np.array([seg["length"] for seg in segs], dtype=float)
             raw = abs(float(vals @ weights) / n)
             comp = vals
-            if segs[0].phi_boundary is not None:
-                comp = vals - np.array([seg.phi_boundary for seg in segs]) / weights
+            if "phi_boundary" in segs[0]:
+                comp = vals - np.array([seg["phi_boundary"] for seg in segs]) / weights
             residual = abs(float(comp @ weights) / n)
             if len(comp) >= 2:
                 se = float(comp.std(ddof=1) / np.sqrt(len(comp)))
@@ -575,3 +617,218 @@ def _simplex_rows(c, rows, ncol, eps=1e-9, max_pivots=50_000):
     for i in range(m):
         y[basis[i]] = T[i, -1]
     return "optimal", np.maximum(y[:ncol], 0.0)
+
+
+def hull_contains(hp, x, y, tol=FEAS_TOL) -> bool:
+    """Whether (x, y) lies in the hull polygon hp (a point, a segment, or a
+    counterclockwise polygon), to tol times the vertex scale."""
+    v = hp.vertices
+    scale = max(1.0, float(np.max(np.abs(v))))
+    if hp.n == 1:
+        return bool(np.hypot(x - v[0, 0], y - v[0, 1]) <= tol * scale)
+    if hp.n == 2:
+        a, b = v
+        d = b - a
+        t = float(np.clip(np.dot([x - a[0], y - a[1]], d) / max(d @ d, 1e-300), 0, 1))
+        px, py = a + t * d
+        return bool(np.hypot(x - px, y - py) <= tol * scale)
+    for i in range(hp.n):
+        ax, ay = v[i]
+        bx, by = v[(i + 1) % hp.n]
+        cross = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+        if cross < -tol * scale * max(1.0, np.hypot(bx - ax, by - ay)):
+            return False
+    return True
+
+
+def existence_check(g: GameSpec, p: ZdLinearParams) -> ExistenceResult:
+    """Do feasibility multipliers exist for these linear parameters?  The
+    explicit construction first, then one feasibility LP per candidate
+    argmax index; the game must be in canonical labels."""
+    _require_canonical(g)
+    return _eq8_existence(g, p)
+
+
+@dataclass(frozen=True)
+class CorollaryReport:
+    equalizer: bool
+    extortion: bool
+    generous: bool
+    theta: float
+    chi: float = None
+
+
+def check_corollaries(g: GameSpec, theta: float = 0.0, tol: float = FEAS_TOL) -> CorollaryReport:
+    """Fast sufficient conditions for an ideal line of each typical class.
+
+    The extortion/generous conditions are evaluated in the orientation
+    consistent with the ideal program's sign constraints (alpha <= 0 <=
+    beta).  Requires canonical labels; theta is the caller's surplus
+    baseline.
+    """
+    _require_canonical(g)
+    k = g.k
+    t1, tk = 1, k
+
+    mids_eq = all(abs(g.u_a_unc[t - 1] - g.u_a_cov[0]) <= tol for t in range(2, k))
+    equalizer = (
+        g.u_a_cov[tk - 1] >= g.u_a_cov[0] - tol
+        and g.u_a_unc[0] >= g.u_a_cov[0] - tol
+        and g.u_a_unc[tk - 1] <= g.u_a_cov[0] + tol
+        and mids_eq
+    )
+
+    if abs(g.u_a_cov[0] - theta) <= 1e-12:
+        raise ValueError(
+            f"chi undefined: attacker covered value at label 1 equals theta={theta}"
+        )
+    chi = (g.u_d_cov[0] - theta) / (g.u_a_cov[0] - theta)
+
+    def expr(ud, ua):
+        return (ud - theta) - chi * (ua - theta)
+
+    shape = (
+        expr(g.u_d_cov[tk - 1], g.u_a_cov[tk - 1]) <= tol
+        and expr(g.u_d_unc[tk - 1], g.u_a_unc[tk - 1]) >= -tol
+        and expr(g.u_d_unc[0], g.u_a_unc[0]) <= tol
+        and all(
+            abs(expr(g.u_d_unc[t - 1], g.u_a_unc[t - 1])) <= tol for t in range(2, k)
+        )
+    )
+    extortion = bool(shape and chi >= 1.0 - 1e-12)
+    generous = bool(shape and -1e-12 <= chi <= 1.0 + 1e-12)
+    return CorollaryReport(bool(equalizer), extortion, generous, theta, chi)
+
+
+class SingularChainError(RuntimeError):
+    """Determinant denominator vanished (reducible chain); use the
+    stationary-based evaluator instead."""
+
+
+def det_utilities(g: GameSpec, pi_d, pi_a) -> UtilityPair:
+    """Determinant-ratio utilities: det with last column replaced by the
+    profit vector over det with it replaced by the ones vector.
+
+    The common scale of both determinants cancels in the ratio; the
+    denominator is tested against a Hadamard-scaled threshold and a
+    singular chain is reported rather than evaluated.
+    """
+    if not (g.k == pi_d.k == pi_a.k):
+        raise ValueError("K mismatch between game and strategies")
+    m = build_transition(pi_d, pi_a).m
+    base = m - np.eye(m.shape[0])
+    ones = np.ones(m.shape[0])
+
+    den_base = base.copy()
+    den_base[:, -1] = ones
+    row_norms = np.linalg.norm(den_base, axis=1)
+    log_hadamard = float(np.sum(np.log(np.maximum(row_norms, 1e-300))))
+    sign_den, log_den = np.linalg.slogdet(den_base)
+    if sign_den == 0 or log_den - log_hadamard < np.log(DET_SINGULAR_TOL):
+        raise SingularChainError(
+            "denominator determinant vanishes (reducible chain); "
+            "evaluate via the stationary distribution instead"
+        )
+
+    out = []
+    for player in ("defender", "attacker"):
+        num = base.copy()
+        num[:, -1] = profit_vector(g, player)
+        sign_num, log_num = np.linalg.slogdet(num)
+        if sign_num == 0:
+            out.append(0.0)
+        else:
+            out.append(float(sign_num * sign_den * np.exp(log_num - log_den)))
+    return UtilityPair(out[0], out[1])
+
+
+def exhaustive_br(g: GameSpec, pi_d) -> BestResponse:
+    """Enumerate all K^(K^2) deterministic memory-one policies and return the
+    maximizer of the attacker's long-run utility (ties go to the
+    lexicographically smallest policy)."""
+    if g.k > 3:
+        raise ValueError(f"exhaustive enumeration guarded to K <= 3, got K={g.k}")
+    tables = f, w, r_eff, _, _ = _effective_tables(g, pi_d)
+    pols, _, u_a = _policy_values_batch(g, pi_d, tables)
+    best = int(np.argmax(u_a))
+    policy = tuple(int(x) + 1 for x in pols[best])
+    _, h = _evaluate(f, w, r_eff, pols[best])
+    return BestResponse(policy, float(u_a[best]), h, policies_evaluated=len(pols))
+
+
+def _walk_terms(tokens, line):
+    """Walk '+ coef var' / '+ coef var * var' token triples/quintuples."""
+    out = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i] not in ("+", "-") or i + 3 > len(tokens):
+            raise ValueError(f"malformed term near {tokens[i:]!r} in: {line}")
+        coef = float(tokens[i + 1]) * (1 if tokens[i] == "+" else -1)
+        var = tokens[i + 2]
+        i += 3
+        if i < len(tokens) and tokens[i] == "*":
+            if i + 1 >= len(tokens):
+                raise ValueError(f"dangling product in: {line}")
+            out.append((coef, var, tokens[i + 1]))
+            i += 2
+        else:
+            out.append((coef, var))
+    return out
+
+
+def parse_mip(text: str) -> MipModel:
+    """Parse `sse.render_mip`'s format back into a model (strict grammar)."""
+    lines = text.splitlines()
+    k = z = None
+    idx = 0
+    while idx < len(lines) and lines[idx].startswith("\\"):
+        m = re.match(r"\\ k = (\d+)", lines[idx])
+        if m:
+            k = int(m.group(1))
+        m = re.match(r"\\ z = (\S+)", lines[idx])
+        if m:
+            z = float(m.group(1))
+        idx += 1
+    if k is None or z is None:
+        raise ValueError("missing k/z header comments")
+    if lines[idx] != "Maximize":
+        raise ValueError("expected Maximize section")
+    obj_var = lines[idx + 1].split()[-1]
+    idx += 2
+    if lines[idx] != "Subject To":
+        raise ValueError("expected Subject To section")
+    idx += 1
+    cons = []
+    while lines[idx] != "Bounds":
+        line = lines[idx].strip()
+        name, body = line.split(": ", 1)
+        tokens = body.split()
+        rel, rhs = tokens[-2], float(tokens[-1])
+        if rel not in ("<=", "=", ">="):
+            raise ValueError(f"malformed constraint relation in: {line}")
+        rest = tokens[:-2]
+        if "[" in rest:
+            lb, rb = rest.index("["), rest.index("]")
+            lin_tokens, quad_tokens = rest[:lb], rest[lb + 1 : rb]
+        else:
+            lin_tokens, quad_tokens = rest, []
+        linear = _walk_terms(lin_tokens, line)
+        quad = _walk_terms(quad_tokens, line)
+        if any(len(t) != 2 for t in linear) or any(len(t) != 3 for t in quad):
+            raise ValueError(f"mixed term kinds in: {line}")
+        cons.append(MipConstraint(name, tuple(linear), tuple(quad), rel, rhs))
+        idx += 1
+    idx += 1
+    bounds = []
+    while lines[idx] != "Binaries":
+        line = lines[idx].strip()
+        if line.endswith(" free"):
+            bounds.append((line[: -len(" free")], None, None))
+        else:
+            lo, _, var, _, hi = line.split()
+            bounds.append((var, float(lo), float(hi)))
+        idx += 1
+    binaries = tuple(lines[idx + 1].split())
+    if lines[idx + 2] != "End":
+        raise ValueError("expected End")
+    return MipModel(k, z, obj_var, tuple(cons), tuple(bounds), binaries)

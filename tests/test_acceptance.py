@@ -23,22 +23,26 @@ from zdmtd.game import (
     MemoryOneStrategy,
     game_to_dict,
     profit_vector,
-    random_strategy,
 )
-from zdmtd.markov import det_utilities, long_run_utilities
-from zdmtd.mdp import best_response, defender_utility_under_br, exhaustive_br
+from zdmtd.markov import long_run_utilities
+from zdmtd.mdp import best_response, defender_utility_under_br
 from zdmtd.rng import stream
 from zdmtd.scenarios import crowd_game, crowd_scenario, default_suites
 from zdmtd.sim import switching_experiment
 from zdmtd.sse import oneshot_sse, search_sse, sse_upper_bound
-from zdmtd.zd import ZdLinearParams, construct_strategy, existence_check
+from zdmtd.zd import ZdLinearParams, construct_strategy
 
 from oracles import (
+    check_corollaries,
+    det_utilities,
+    exhaustive_br,
+    existence_check,
     ideal_feasible_game,
     k2_grid_oracle,
     phi_grid_feasible_k2,
     pipeline_value,
     random_game,
+    random_strategy,
 )
 
 
@@ -202,7 +206,7 @@ def test_04_ideal_value():
         for k in (3, 5):
             for i in range(10):
                 g = corollary_instance(k, rng, kinds[i % 3])
-                from zdmtd.programs import check_corollaries, solve_ideal
+                from zdmtd.programs import solve_ideal
                 rep = check_corollaries(g)
                 assert rep.equalizer or rep.extortion or rep.generous, (k, i)
                 assert solve_ideal(g).found, (k, i)  # corollary cross-check

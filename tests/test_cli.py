@@ -9,16 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zdmtd.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, solve_game
+from zdmtd import cli, sse
+from zdmtd.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, atomic_open, main,
+                       solve_game)
 from zdmtd.game import GameSpec, game_to_dict
 from zdmtd.lp import LpNumericalError
-from zdmtd.markov import SingularChainError, StationaryError
+from zdmtd.markov import StationaryError
 from zdmtd.mdp import PolicyIterationCycleError
 from zdmtd.scenarios import (crowd_game, crowd_scenario, iot_scenario, scenario_to_dict,
                               with_switching)
 from zdmtd.zd import ZdConstructionError
 
-from oracles import random_game
+from oracles import parse_mip, random_game
 
 COR1 = {"k": 3, "u_d_cov": [5, 4, 3], "u_d_unc": [0, 0, 0],
         "u_a_cov": [-2, 1, 0], "u_a_unc": [3, -2, -4]}
@@ -67,6 +69,34 @@ def test_solve_malformed_json(tmp_path):
     assert main(["solve", "--game", wrong, "--out", str(out)]) == EXIT_USAGE
 
 
+def test_solve_negative_verify_samples_exits_usage(tmp_path, capsys):
+    game = write_game(tmp_path / "game.json", COR1)
+    out = tmp_path / "out"
+    assert main(["solve", "--game", game, "--out", str(out), "--verify-samples", "-5"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "-5" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+    # zero still means: skip the sampled line check
+    assert main(["solve", "--game", game, "--out", str(out), "--verify-samples", "0"]) == EXIT_OK
+    result = json.loads((out / "result.json").read_text())
+    assert set(result["residuals"]) == {"defining_equality"}
+
+
+def test_atomic_open_removes_its_temporary_file_on_failure(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="halfway"):
+        with atomic_open(str(target)) as fh:
+            fh.write("partial")
+            raise RuntimeError("halfway")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    with atomic_open(str(tmp_path / "new.csv")) as fh:
+        fh.write("done\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "out.csv"]
+
+
 def test_usage_error_on_unknown_flag():
     assert main(["solve", "--nonsense"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -107,16 +137,25 @@ def test_bench_csv_shape(tmp_path):
     assert solvers == {"zd_solve", "exhaustive_sse", "search_sse"}
 
 
-def test_emit_mip_counts_and_roundtrip(tmp_path, capsys):
+def test_emit_mip_counts_and_roundtrip(tmp_path, monkeypatch, capsys):
+    calls = []
+    build = cli.build_mip
+
+    def counting(g):
+        calls.append(g.k)
+        return build(g)
+
+    for module in (cli, sse):  # every binding a rendering could reach
+        monkeypatch.setattr(module, "build_mip", counting)
     game = write_game(tmp_path / "game.json", COR1)
     out = tmp_path / "model.lp"
     code = main(["emit-mip", "--game", game, "--out", str(out)])
     assert code == EXIT_OK
+    assert calls == [3]  # the counts and the file come from one model
     printed = capsys.readouterr().out
     assert "binaries=27" in printed
-    from zdmtd.sse import parse_mip, render_mip
     text = out.read_text()
-    assert render_mip(parse_mip(text)) == text
+    assert sse.render_mip(parse_mip(text)) == text
 
 
 def test_simulate_deterministic(tmp_path):
@@ -230,7 +269,7 @@ def test_simulate_malformed_scenario_exits_usage(tmp_path, capsys, edit, named):
     assert named in err
 
 
-@pytest.mark.parametrize("exc", [LpNumericalError, StationaryError, SingularChainError,
+@pytest.mark.parametrize("exc", [LpNumericalError, StationaryError,
                                  PolicyIterationCycleError, ZdConstructionError])
 def test_numerical_errors_exit_verify(tmp_path, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):

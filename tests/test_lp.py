@@ -203,10 +203,10 @@ def test_solve_lp_matches_scipy_highs():
                            rows, bounds)
         status, optimum = _linprog_oracle(lp)
         out = solve_lp(lp)
-        assert out.status == status, (trial, lp.dump())
+        assert out.status == status, (trial, lp)
         counts[status] += 1
         if status == "optimal":
-            assert abs(out.objective - optimum) <= 1e-8 * max(1.0, abs(optimum)), (trial, lp.dump())
+            assert abs(out.objective - optimum) <= 1e-8 * max(1.0, abs(optimum)), (trial, lp)
     assert counts["optimal"] >= 30 and counts["infeasible"] >= 30, counts
 
 
@@ -287,7 +287,7 @@ def test_solve_lp_matches_per_row_reference(monkeypatch):
     statuses = {}
     for i, lp in enumerate(lps):
         got = _outcome(solve_lp, lp)
-        assert got == _outcome(simplex_reference, lp), (i, lp.dump())
+        assert got == _outcome(simplex_reference, lp), (i, lp)
         statuses[got[0]] = statuses.get(got[0], 0) + 1
     assert len(lps) >= 1000
     assert min(statuses.get(s, 0) for s in ("optimal", "infeasible", "unbounded")) >= 100, statuses

@@ -6,17 +6,12 @@ from zdmtd.game import (
     MemoryOneStrategy,
     flat_index,
     profit_vector,
-    pure_strategy,
-    random_strategy,
-    uniform_strategy,
 )
 from zdmtd import markov
 from zdmtd.markov import (
-    SingularChainError,
     TransitionMatrix,
     build_transition,
     chain,
-    det_utilities,
     eps_mixed,
     long_run_utilities,
     max_line_residual,
@@ -24,6 +19,14 @@ from zdmtd.markov import (
     zd_residual,
 )
 from zdmtd.rng import stream
+
+from oracles import (
+    SingularChainError,
+    det_utilities,
+    pure_strategy,
+    random_strategy,
+    uniform_strategy,
+)
 
 PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
 

@@ -7,16 +7,12 @@ from zdmtd.game import (
     GameSpec,
     MemoryOneStrategy,
     flat_index,
-    pure_strategy,
-    random_strategy,
-    uniform_strategy,
 )
 from zdmtd.markov import UtilityPair, chain, long_run_utilities
 from zdmtd.mdp import (
     TIE_TOL,
     best_response,
     defender_utility_under_br,
-    exhaustive_br,
     _deficit_bound,
     _effective_tables,
     _fundamental,
@@ -32,10 +28,14 @@ from zdmtd.sse import oneshot_sse
 
 from oracles import (
     bellman_residual,
+    exhaustive_br,
     ideal_feasible_game,
     policy_values_reference,
+    pure_strategy,
+    random_strategy,
     swap_search_direct,
     tie_choice_reference,
+    uniform_strategy,
 )
 
 

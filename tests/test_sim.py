@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zdmtd.cli import _load_strategy, main, solve_game
-from zdmtd.game import PROB_TOL, GameSpec, MemoryOneStrategy, pure_strategy, random_strategy
+from zdmtd.game import PROB_TOL, GameSpec, MemoryOneStrategy
 from zdmtd.markov import long_run_utilities
 from zdmtd.scenarios import crowd_game, crowd_scenario, scenario_to_dict, with_switching
 from zdmtd.sim import (
@@ -23,7 +23,14 @@ from zdmtd.sim import (
 )
 from zdmtd.zd import ZdLinearParams
 
-from oracles import random_game, regime_summaries_reference, simulate_reference
+from oracles import (
+    pure_strategy,
+    random_game,
+    random_strategy,
+    regime_summaries_reference,
+    segment_records,
+    simulate_reference,
+)
 
 PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
 
@@ -68,7 +75,7 @@ def test_bit_identical_replay():
     assert np.array_equal(a.series_avg_u_d, b.series_avg_u_d)
     assert np.array_equal(a.series_avg_u_a, b.series_avg_u_a)
     assert a.final == b.final
-    assert a.segments == b.segments
+    assert segment_records(a) == segment_records(b)
     c = simulate(g, pi_d, fixed_profile(pi_a), steps=5000, seed=78, stride=100)
     assert not np.array_equal(a.series_avg_u_d, c.series_avg_u_d)
 
@@ -83,7 +90,7 @@ def test_switching_with_period_equal_steps_reduces_to_fixed_type():
     a = simulate(honest, pi_d, profile, steps=steps, seed=5, stride=50)
     b = simulate(honest, pi_d, best_response_profile(), steps=steps, seed=5, stride=50)
     assert np.array_equal(a.series_avg_u_d, b.series_avg_u_d)
-    assert len(a.segments) == 1 and a.segments[0].regime == "honest"
+    assert a.segment_regime.tolist() == ["honest"]
 
 
 def crowd_zd_strategy(s):
@@ -129,8 +136,8 @@ def test_switching_phase_labels():
     pi_d = random_strategy(3, rng)
     a = switching_experiment(s_h, pi_d, steps=200, seed=9)
     b = switching_experiment(s_m, pi_d, steps=200, seed=9)
-    seq_a = [seg.regime for seg in a.stats.segments]
-    seq_b = [seg.regime for seg in b.stats.segments]
+    seq_a = a.stats.segment_regime.tolist()
+    seq_b = b.stats.segment_regime.tolist()
     assert seq_a[0] == "honest" and seq_b[0] == "malicious"
     assert len(seq_a) == len(seq_b) == 20
     assert all(x != y for x, y in zip(seq_a, seq_b))
@@ -147,7 +154,7 @@ def test_best_response_lag():
     lagged = switching_profile(25, "honest", honest, malicious, lag=25)
     a = simulate(honest, pi_d, no_lag, steps=500, seed=6, stride=25)
     b = simulate(honest, pi_d, lagged, steps=500, seed=6, stride=25)
-    assert [seg.regime for seg in a.segments] == [seg.regime for seg in b.segments]
+    assert a.segment_regime.tolist() == b.segment_regime.tolist()
     assert not np.array_equal(a.series_avg_u_a, b.series_avg_u_a)
     b2 = simulate(honest, pi_d, lagged, steps=500, seed=6, stride=25)
     assert np.array_equal(b.series_avg_u_a, b2.series_avg_u_a)
@@ -175,13 +182,14 @@ def assert_matches_reference(stats, ref):
     assert np.allclose(stats.series_avg_u_d, ref["series_avg_u_d"], rtol=0, atol=1e-12)
     assert np.allclose(stats.series_avg_u_a, ref["series_avg_u_a"], rtol=0, atol=1e-12)
     assert np.allclose((stats.final.u_d, stats.final.u_a), ref["final"], rtol=0, atol=1e-12)
-    assert len(stats.segments) == len(ref["segments"])
-    for seg, want in zip(stats.segments, ref["segments"]):
-        assert (seg.regime, seg.start, seg.length) == \
+    segments = segment_records(stats)
+    assert len(segments) == len(ref["segments"])
+    for seg, want in zip(segments, ref["segments"]):
+        assert (seg["regime"], seg["start"], seg["length"]) == \
             (want["regime"], want["start"], want["length"])
-        assert seg.phi_boundary == want.get("phi_boundary")
+        assert seg.get("phi_boundary") == want.get("phi_boundary")
         for key in ("mean_u_d", "mean_u_a", "ref_mean_u_d", "ref_mean_u_a"):
-            got = getattr(seg, key)
+            got = seg.get(key)
             if key not in want:
                 assert got is None
             else:
@@ -285,10 +293,10 @@ def test_simulate_matches_reference_property():
         stats = simulate(honest, pi_d, profile, steps, seed, stride=stride, **kwargs)
         assert_matches_reference(stats, simulate_reference(
             honest, pi_d, profile, steps, seed, stride=stride, **kwargs))
-        # pooling from the segment columns is the pooling of SegmentStat objects, bit for bit
+        # pooling from the segment columns is the pooling of per-segment records, bit for bit
         params = ZdLinearParams(*rng.normal(size=3).tolist())
         assert regime_summaries(stats, params) == \
-            regime_summaries_reference(stats.segments, params)
+            regime_summaries_reference(segment_records(stats), params)
 
     check()
 

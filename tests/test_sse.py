@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from zdmtd.game import GameSpec, uniform_strategy
+from zdmtd.game import GameSpec
 from zdmtd.sse import (
     baselines,
     big_m,
     build_mip,
-    emit_mip,
     exhaustive_sse,
     oneshot_sse,
-    parse_mip,
     render_mip,
     search_sse,
     sse_upper_bound,
 )
 
-from oracles import ideal_feasible_game, random_game
+from oracles import ideal_feasible_game, parse_mip, random_game, uniform_strategy
 
 PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
 
@@ -42,7 +40,7 @@ def test_mip_counts_k3():
 def test_mip_roundtrip_byte_identical():
     for g in (PENNIES, GameSpec(3, (1.5, 2.25, 3.0), (0, 1, 2), (1, -1, 0.125),
                                 (0.5, 0, -0.25))):
-        text = emit_mip(g)
+        text = render_mip(build_mip(g))
         again = render_mip(parse_mip(text))
         assert again == text
 
@@ -50,7 +48,7 @@ def test_mip_roundtrip_byte_identical():
 def test_mip_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_mip("Maximize\n obj: x\nEnd\n")
-    text = emit_mip(PENNIES).replace("br_ub_1_1_1:", "br_ub_1_1_1 BAD")
+    text = render_mip(build_mip(PENNIES)).replace("br_ub_1_1_1:", "br_ub_1_1_1 BAD")
     with pytest.raises(ValueError):
         parse_mip(text)
 
