@@ -31,16 +31,22 @@ delta+ = max(delta, 0):
 Hence LB(mu) = max(min_a c_a, 1/2 min_a (c_a + l_a)).  A policy with LB(mu)
 above TIE_TOL + max(0, -min delta) + 1e-6 max(1, |h|, |S_a|) (the last term
 covers rounding in h, Q and the stationary solves) is neither the maximum
-nor in the tie set; it is not solved and scores u_a = -inf.  The solved
-stationary vectors are scattered into the full stack before the products
-with the profit vectors, which BLAS rounds by a row's position in the stack,
-so the chosen policy and its values are bit-identical to solving every
-policy.
+nor in the tie set; it is not solved and scores u_a = -inf.  LB(mu) never
+exceeds max c, so where max c is within the margin (a ZD strategy's zero and
+1e-9 floor entries put f_min near 0) the bound is vacuous, and the policies
+are screened instead by their deficits g* - u_a(mu), every u_a taken from
+one GTH state reduction shared by all policies (`_screen_values`); the
+margin is the same.  The screen only chooses the chains to solve.  The
+solved stationary vectors are scattered into the full stack before the
+products with the profit vectors, which BLAS rounds by a row's position in
+the stack, so the chosen policy and its values are bit-identical to solving
+every policy.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +231,34 @@ def _policy_values_batch(g: GameSpec, pi_d: MemoryOneStrategy, tables=None, solv
     return pols, u_d, u_a
 
 
+def _screen_values(f, w, sd, sa):
+    """(u_d, u_a) of every deterministic policy, in policy order, from one
+    GTH state reduction shared by all policies (Grassmann, Taksar & Heyman,
+    Oper. Res. 33(5), 1985).  States n-1, ..., 1 are censored in turn; each
+    kept row carries its per-visit defender reward, attacker reward and time
+    and its transitions to the kept states, so u = reward / time once only
+    state 0 is left (renewal-reward).  A row depends on its own action and on
+    the actions of the censored states, the suffix axis x, laid last with the
+    censored state's action as its leading digit.
+
+    The direct system drops the balance equation of state n-1, so each row's
+    rounding defect 1 - sum_j P[i, j] joins its transition into n-1 (kept
+    non-negative, so every divisor stays positive): the reduction then
+    solves the system the chain kernel solves."""
+    k, n = w.shape[0], f.shape[0]
+    p = (f[:, None, :, None] * w[None, :, None, :]).reshape(n, k, n)  # [i, b, flat(d, a)]
+    defect = np.reshape([math.fsum([1.0, *-row]) for row in p.reshape(-1, n)], (n, k))
+    p[..., -1] = np.maximum(p[..., -1] + defect, 0.0)
+    per_visit = np.broadcast_to(np.stack([sd, sa, np.ones(n)], axis=1)[:, :, None], (n, 3, k))
+    t = np.concatenate([per_visit, p.transpose(0, 2, 1)], axis=1)[..., None]  # [i, column, b, x]
+    for m in range(n - 1, 0, -1):
+        row = t[m, :m + 3] / t[m, 3:m + 3].sum(axis=0)  # [column, b_m, x]; GTH: no subtraction
+        step = t[:m, None, m + 3, :, None] * row[None, :, None]  # [i, column, b, b_m, x]
+        step += t[:m, :m + 3, :, None]  # in place: adding into a new array is 2-5x slower
+        t = step.reshape(m, m + 3, k, -1)
+    return (t[0, 0] / t[0, 2]).ravel(), (t[0, 1] / t[0, 2]).ravel()
+
+
 def _gap_tables(f, w, r_eff, sa, br: BestResponse):
     """(c, to, margin) of the gain-gap certificate at Howard's optimum br.
 
@@ -281,8 +315,9 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     defender's utility.
 
     K <= 3 enumerates the policies exactly, solving only those the gain-gap
-    certificate at Howard's optimum keeps (see the module docstring); the
-    returned BestResponse counts them in policies_evaluated.  Above, the
+    certificate at Howard's optimum keeps, or where it is vacuous, those the
+    screened deficits keep (see the module docstring); the returned
+    BestResponse counts them in policies_evaluated.  Above, the
     search starts from the best of K + 1 policies (the Howard optimum and
     the K constant ones) and, state by state, takes in action order each
     action that raises the defender's utility further while staying in the
@@ -300,10 +335,13 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     evaluated = None
     if g.k <= 3:
         c, to, margin = _gap_tables(f, w, r_eff, sa, br)
-        # LB <= max(c) as sum_d f_min(d) <= 1; a NaN bound keeps its policy
-        solve = ~(_deficit_bound(c, to) > margin) if np.max(c) > margin else None
-        pols, u_d, u_a = _policy_values_batch(g, pi_d, tables, solve)
-        evaluated = len(pols) if solve is None else int(np.count_nonzero(solve))
+        if np.max(c) > margin:
+            deficit = _deficit_bound(c, to)
+        else:  # LB <= max(c) as sum_d f_min(d) <= 1: screen the exact deficits
+            deficit = br.gain - _screen_values(f, w, sd, sa)[1]
+        solve = ~(deficit > margin)  # a NaN deficit keeps its policy
+        evaluated = int(np.count_nonzero(solve))
+        pols, u_d, u_a = _policy_values_batch(g, pi_d, tables, None if solve.all() else solve)
         tie = np.nonzero(u_a >= np.max(u_a) - TIE_TOL)[0]
         chosen = tie[int(np.argmax(u_d[tie]))]
         policy = tuple(int(x) + 1 for x in pols[chosen])

@@ -20,8 +20,10 @@ from zdmtd.mdp import (
     _policy_index,
     _policy_value,
     _policy_values_batch,
+    _screen_values,
     _swap_values,
 )
+from zdmtd.lp import LpNumericalError
 from zdmtd.programs import realize_params, solve_ideal
 from zdmtd.scenarios import iot_game, iot_scenario
 from zdmtd.sse import oneshot_sse
@@ -437,6 +439,50 @@ def test_gain_gap_certificate_is_sound(k):
     assert pruned > 0
 
 
+def _screen_errors(g, pi_d):
+    """Worst |screen - chain kernel| over every policy for u_a and u_d, in
+    units of the certificate's rounding allowance 1e-6 max(1, |h|, |S_a|)
+    and of its defender analogue 1e-6 max(1, |S_d|)."""
+    tables = f, w, _, sd, sa = _effective_tables(g, pi_d)
+    br = best_response(g, pi_d, tables)
+    _, ref_d, ref_a = policy_values_reference(g, pi_d, tables)
+    u_d, u_a = _screen_values(f, w, sd, sa)
+    allowance_a = 1e-6 * max(1.0, np.max(np.abs(br.bias)), np.max(np.abs(sa)))
+    allowance_d = 1e-6 * max(1.0, np.max(np.abs(sd)))
+    return np.max(np.abs(u_a - ref_a)) / allowance_a, np.max(np.abs(u_d - ref_d)) / allowance_d
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_screen_values_match_chain_kernel(k):
+    # the state reduction and the stacked direct solve agree to a quarter of
+    # the allowance (0.050 at worst here).  Not to 1e-12: an eps-blended
+    # deterministic attacker makes nearly decomposable chains, on which the
+    # direct solve itself is ~1e-8 max(1, |S_a|) off a 50-digit solve
+    for g, pi_d in _certificate_inputs(k):
+        assert max(_screen_errors(g, pi_d)) <= 0.25
+
+
+def test_screen_values_match_chain_kernel_property():
+    # u_a only, the value the screen decides by: with 1e-12 entries some
+    # K = 2 chains hold entries near 5e-21, and there the direct solve's u_d
+    # is up to 1e-2 off a 60-digit solve of its own system (12 allowances),
+    # while the reduction stays within 3e-13 of it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=15, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3]), st.integers(0, 2**31),
+                      st.sampled_from([0.05, 1.0, 20.0]), st.floats(0.0, 0.6),
+                      st.sampled_from([0.0, 1e-12, 1e-9]), st.integers(-3, 6))
+    def check(k, seed, concentration, zero_frac, floor, exponent):
+        rng = np.random.default_rng(seed)
+        g = random_game(k, rng, scale=10.0**exponent)
+        u_a_error, _ = _screen_errors(g, _dirichlet_strategy(k, rng, concentration, zero_frac, floor))
+        assert u_a_error <= 0.25
+
+    check()
+
+
 def _without_pruning(monkeypatch):
     gap_tables = mdp_module._gap_tables
 
@@ -484,10 +530,39 @@ def test_pruned_enumeration_is_bit_identical_property():
     check()
 
 
+def test_zd_strategy_choice_matches_full_enumeration_property(monkeypatch):
+    # the pipeline's ZD strategies are where the certificate gives up and the
+    # screened deficits choose the chains to solve
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def games(draw):
+        k = draw(st.sampled_from([2, 3]))
+        value = st.floats(-5.0, 5.0)
+        vec = st.lists(value, min_size=k, max_size=k)
+        unc = draw(vec)
+        gaps = draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+        return GameSpec(k, [u + d for u, d in zip(unc, gaps)], unc, draw(vec), draw(vec))
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(games())
+    def check(g):
+        try:
+            out = solve_game(g, verify_samples=0)
+        except LpNumericalError:  # pinned apart: test_programs' near-tolerance LP case
+            hypothesis.reject()
+        hypothesis.assume(out.strategy is not None)
+        _assert_choice_matches_full_enumeration(g, out.strategy, monkeypatch)
+
+    check()
+
+
 def test_enumeration_solves_only_certified_policies(monkeypatch):
-    # a spread Dirichlet strategy prunes; a ZD strategy (zero and 1e-9 floor
-    # entries) and the lifted one-shot strategy (every policy ties) do not,
-    # and policies_evaluated counts the systems actually solved
+    # a spread Dirichlet strategy prunes by the certificate; a ZD strategy
+    # (zero and 1e-9 floor entries, so the certificate gives up) prunes by
+    # the screened deficits; the lifted one-shot strategy (every policy ties)
+    # solves every chain, and policies_evaluated counts the systems solved
     solved = []
     solve_direct = mdp_module._solve_direct
 
@@ -505,7 +580,7 @@ def test_enumeration_solves_only_certified_policies(monkeypatch):
         _, chosen = defender_utility_under_br(g, pi_d)
         assert chosen.policies_evaluated == sum(solved)
         counts.append(sum(solved))
-    assert counts[0] < 3**9 and counts[1:] == [3**9, 3**9]
+    assert counts[0] < 3**9 and counts[1] < 3**9 and counts[2] == 3**9
     _, chosen = defender_utility_under_br(random_game(4, rng), random_strategy(4, rng))
     assert chosen.policies_evaluated is None  # the swap search above K = 3
 
