@@ -294,6 +294,10 @@ def _bench_games(k: int, trials: int, seed: int, family: str):
 def bench_rows(kmax: int, trials: int, seed: int, search_budget: int = 8):
     """Timing table: ZD pipeline per family and K, plus the baseline costs
     (exhaustive search at K <= 3, local search at small K)."""
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+    if kmax < 2:
+        raise ValueError(f"--kmax must be >= 2, got {kmax}")
     rows = []
     ks = [k for k in range(2, kmax + 1)
           if k <= 10 or k % 5 == 0 or k == kmax]

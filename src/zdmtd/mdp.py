@@ -16,31 +16,18 @@ F[s, d] W[b, a], the diagonal products minus 1 and the constant 1.  Every
 entry is the same floating-point operation as in `chain` and `_direct`, so
 the values are bit-identical to solving the chain stack.
 
-Only the policies that can reach the tie set are solved.  With Howard's gain
-g*, bias h and Bellman gaps delta(s, b) = g* + h(s) - Q(s, b), every policy mu
-with stationary vector pi_mu has the gain deficit
-g* - g_mu = sum_s pi_mu(s) delta(s, mu(s)) (Puterman 1994, ch. 8).  Let
-f_min(d) = min_s F[s, d], rho_mu the law of the attacker's last action and
-delta+ = max(delta, 0):
-  (i)  pi_mu(d, a) >= f_min(d) rho_mu(a), so the deficit is at least
-       sum_a rho_mu(a) c_a with c_a = sum_d f_min(d) delta+((d, a), mu(d, a)),
-       less the negative gaps max(0, -min delta);
-  (ii) rho_mu(b) >= (1 - eps) sum_{mu(d, a) = b} f_min(d) rho_mu(a), so
-       sum_a rho_mu(a) c_a is also at least sum_a rho_mu(a) l_a, with the
-       leak l_a = (1 - eps) sum_{d: mu(d, a) != a} f_min(d) c_{mu(d, a)}.
-Hence LB(mu) = max(min_a c_a, 1/2 min_a (c_a + l_a)).  A policy with LB(mu)
-above TIE_TOL + max(0, -min delta) + 1e-6 max(1, |h|, |S_a|) (the last term
-covers rounding in h, Q and the stationary solves) is neither the maximum
-nor in the tie set; it is not solved and scores u_a = -inf.  LB(mu) never
-exceeds max c, so where max c is within the margin (a ZD strategy's zero and
-1e-9 floor entries put f_min near 0) the bound is vacuous, and the policies
-are screened instead by their deficits g* - u_a(mu), every u_a taken from
-one GTH state reduction shared by all policies (`_screen_values`); the
-margin is the same.  The screen only chooses the chains to solve.  The
-solved stationary vectors are scattered into the full stack before the
-products with the profit vectors, which BLAS rounds by a row's position in
-the stack, so the chosen policy and its values are bit-identical to solving
-every policy.
+Only the policies that can reach the tie set are solved.  Every policy's
+u_a comes from one GTH state reduction shared by all policies
+(`_screen_values`), and with Howard's gain g*, bias h and Bellman gaps
+delta(s, b) = g* + h(s) - Q(s, b), a policy whose deficit g* - u_a exceeds the
+margin TIE_TOL + max(0, -min delta) + 1e-6 max(1, |h|, |S_a|) is neither the
+maximum nor in the tie set (the negative gaps allow for Howard's switch
+tolerance, the last term for rounding in h, Q and the stationary solves); it
+is not solved and scores u_a = -inf.  The screen only chooses the chains to
+solve.  The solved stationary vectors are scattered into the full stack
+before the products with the profit vectors, which BLAS rounds by a row's
+position in the stack, so the chosen policy and its values are bit-identical
+to solving every policy.
 """
 
 from __future__ import annotations
@@ -176,15 +163,10 @@ def best_response(g: GameSpec, pi_d: MemoryOneStrategy, tables=None) -> BestResp
     raise PolicyIterationCycleError("policy iteration exceeded its iteration budget")
 
 
-def _codes(k: int, length: int) -> np.ndarray:
-    """All base-k codes of the given length in lexicographic order, one digit
-    per column."""
-    return (np.arange(k**length)[:, None] // k ** np.arange(length - 1, -1, -1)) % k
-
-
 def _enumerate_policies(k: int) -> np.ndarray:
     """All deterministic policies in lexicographic order, 0-based actions."""
-    return _codes(k, k * k)
+    n = k * k
+    return (np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1)) % k
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,54 +241,14 @@ def _screen_values(f, w, sd, sa):
     return (t[0, 0] / t[0, 2]).ravel(), (t[0, 1] / t[0, 2]).ravel()
 
 
-def _gap_tables(f, w, r_eff, sa, br: BestResponse):
-    """(c, to, margin) of the gain-gap certificate at Howard's optimum br.
-
-    Block a holds the K states (d, a); a block's action code x lists the
-    policy's actions at d = 0..K-1.  c[a, x] = sum_d f_min(d) delta+((d, a), x_d)
-    and to[x, b] = sum_{d: x_d = b} f_min(d), with delta the Bellman gaps at br;
-    margin is the deficit up to which a policy must be solved."""
+def _tie_margin(f, w, r_eff, sa, br: BestResponse) -> float:
+    """The deficit g* - u_a up to which a policy must be solved: TIE_TOL, the
+    negative Bellman gaps at Howard's optimum br and a rounding allowance."""
     k = w.shape[0]
     h = br.bias
     delta = br.gain + h[:, None] - (r_eff + f @ (h.reshape(k, k) @ w.T))
     scale = max(1.0, float(np.max(np.abs(h))), float(np.max(np.abs(sa))))
-    margin = TIE_TOL + max(0.0, -float(np.min(delta))) + 1e-6 * scale
-    f_min = f.min(axis=0)
-    codes = _codes(k, k)  # [x, d]
-    gaps = np.maximum(delta, 0.0).reshape(k, k, k)[np.arange(k), :, codes]  # [x, d, a]
-    c = np.einsum("d,xda->ax", f_min, gaps)
-    to = f_min @ (codes[:, :, None] == np.arange(k)).astype(float)  # [x, b]
-    return c, to, margin
-
-
-@functools.lru_cache(maxsize=None)
-def _grid_order(k: int) -> np.ndarray:
-    """Read-only flat grid index of every policy, in policy order: grid digit
-    axis a K + d holds mu(d, a), policy digit s = flat(d, a) = d K + a."""
-    n = k * k
-    order = np.arange(k**n).reshape((k,) * n).transpose([(s % k) * k + s // k for s in range(n)])
-    order = order.ravel()
-    order.setflags(write=False)
-    return order
-
-
-def _deficit_bound(c, to) -> np.ndarray:
-    """LB(mu) = max(min_a c_a, 1/2 min_a (c_a + l_a)) of every policy, in
-    policy order, with c_a = c[a, x_a] and
-    l_a = (1 - eps) sum_{b != a} to[x_a, b] c[b, x_b], where x_a is the
-    policy's code on block a.  Computed on the grid of the K blocks' codes."""
-    k, m = c.shape
-
-    def along(v, a):  # v laid on grid axis a
-        return v.reshape((1,) * a + (m,) + (1,) * (k - 1 - a))
-
-    leak = (1.0 - EPSILON_MIX) * to
-    cs = [along(c[a], a) for a in range(k)]
-    direct = functools.reduce(np.minimum, cs)
-    pooled = functools.reduce(np.minimum, [
-        functools.reduce(np.add, [along(leak[:, b], a) * cs[b] for b in range(k) if b != a], cs[a])
-        for a in range(k)])
-    return np.maximum(direct, 0.5 * pooled).ravel()[_grid_order(k)]
+    return TIE_TOL + max(0.0, -float(np.min(delta))) + 1e-6 * scale
 
 
 def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
@@ -314,17 +256,17 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     policies within TIE_TOL of the optimal gain, pick one maximizing the
     defender's utility.
 
-    K <= 3 enumerates the policies exactly, solving only those the gain-gap
-    certificate at Howard's optimum keeps, or where it is vacuous, those the
-    screened deficits keep (see the module docstring); the returned
-    BestResponse counts them in policies_evaluated.  Above, the
-    search starts from the best of K + 1 policies (the Howard optimum and
-    the K constant ones) and, state by state, takes in action order each
-    action that raises the defender's utility further while staying in the
-    tie set, until a sweep changes nothing (a local optimum, not an
-    exhaustive one); each state's K actions are scored by rank-one updates
-    of one fundamental matrix, re-formed only after an accepted swap, whose
-    (u_d, u_a) is then recorded from a direct solve.
+    K <= 3 enumerates the policies exactly, solving only those whose
+    screened deficits from Howard's optimum are within the margin (see the
+    module docstring); the returned BestResponse counts them in
+    policies_evaluated.  Above, the search starts from the best of K + 1
+    policies (the Howard optimum and the K constant ones) and, state by
+    state, takes in action order each action that raises the defender's
+    utility further while staying in the tie set, until a sweep changes
+    nothing (a local optimum, not an exhaustive one); each state's K actions
+    are scored by rank-one updates of one fundamental matrix, re-formed only
+    after an accepted swap, whose (u_d, u_a) is then recorded from a direct
+    solve.
 
     Returns ((u_d, u_a), BestResponse-of-the-chosen-policy).
     """
@@ -334,12 +276,8 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
 
     evaluated = None
     if g.k <= 3:
-        c, to, margin = _gap_tables(f, w, r_eff, sa, br)
-        if np.max(c) > margin:
-            deficit = _deficit_bound(c, to)
-        else:  # LB <= max(c) as sum_d f_min(d) <= 1: screen the exact deficits
-            deficit = br.gain - _screen_values(f, w, sd, sa)[1]
-        solve = ~(deficit > margin)  # a NaN deficit keeps its policy
+        deficit = br.gain - _screen_values(f, w, sd, sa)[1]
+        solve = ~(deficit > _tie_margin(f, w, r_eff, sa, br))  # a NaN deficit keeps its policy
         evaluated = int(np.count_nonzero(solve))
         pols, u_d, u_a = _policy_values_batch(g, pi_d, tables, None if solve.all() else solve)
         tie = np.nonzero(u_a >= np.max(u_a) - TIE_TOL)[0]

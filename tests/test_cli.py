@@ -137,6 +137,16 @@ def test_bench_csv_shape(tmp_path):
     assert solvers == {"zd_solve", "exhaustive_sse", "search_sse"}
 
 
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-2"), ("--kmax", "1")])
+def test_bench_bad_sizes_exit_usage(tmp_path, capsys, flag, value):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--kmax", "2", "--trials", "1", flag, value, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and value in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_emit_mip_counts_and_roundtrip(tmp_path, monkeypatch, capsys):
     calls = []
     build = cli.build_mip

@@ -13,10 +13,8 @@ from zdmtd.mdp import (
     TIE_TOL,
     best_response,
     defender_utility_under_br,
-    _deficit_bound,
     _effective_tables,
     _fundamental,
-    _gap_tables,
     _policy_index,
     _policy_value,
     _policy_values_batch,
@@ -395,9 +393,9 @@ def _dirichlet_strategy(k, rng, concentration, zero_frac=0.0, floor=0.0):
     return MemoryOneStrategy(k, rows / rows.sum(axis=1, keepdims=True))
 
 
-def _certificate_inputs(k):
-    """(game, strategy) pairs for the gain-gap certificate: the enumeration
-    kernel's inputs, Dirichlet rows from spread to concentrated, exact zeros,
+def _enumeration_inputs(k):
+    """(game, strategy) pairs for the K <= 3 enumeration: the batch kernel's
+    inputs, Dirichlet rows from spread to concentrated, exact zeros,
     near-deterministic rows, payoff scales 1e-3..1e6 and attacker payoffs
     tied to within 1e-10."""
     cases = [case for kind in ("random", "zd", "zeros", "oneshot") for case in _batch_inputs(k, kind)]
@@ -415,34 +413,10 @@ def _certificate_inputs(k):
     return cases
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_gain_gap_certificate_is_sound(k):
-    # LB(mu) never exceeds the deficit g* - u_a(mu) of the fully solved stack
-    # by more than the negative gaps and a tenth of the certificate's
-    # rounding allowance, and it does prune
-    pruned = 0
-    for g, pi_d in _certificate_inputs(k):
-        tables = f, w, r_eff, _, sa = _effective_tables(g, pi_d)
-        br = best_response(g, pi_d)
-        c, to, margin = _gap_tables(f, w, r_eff, sa, br)
-        lb = _deficit_bound(c, to)
-        _, _, u_a = policy_values_reference(g, pi_d, tables)
-        q = r_eff + f @ (br.bias.reshape(k, k) @ w.T)
-        negative = max(0.0, -float(np.min(br.gain + br.bias[:, None] - q)))
-        allowance = margin - TIE_TOL - negative
-        assert allowance >= 1e-6
-        assert np.all(lb >= 0.0)
-        assert np.all(lb <= br.gain - u_a + negative + 0.1 * allowance)
-        if np.max(c) <= margin:  # the early exit: nothing can be pruned
-            assert np.all(lb <= margin)
-        pruned += int(np.count_nonzero(lb > margin))
-    assert pruned > 0
-
-
 def _screen_errors(g, pi_d):
     """Worst |screen - chain kernel| over every policy for u_a and u_d, in
-    units of the certificate's rounding allowance 1e-6 max(1, |h|, |S_a|)
-    and of its defender analogue 1e-6 max(1, |S_d|)."""
+    units of the margin's rounding allowance 1e-6 max(1, |h|, |S_a|) and of
+    its defender analogue 1e-6 max(1, |S_d|)."""
     tables = f, w, _, sd, sa = _effective_tables(g, pi_d)
     br = best_response(g, pi_d, tables)
     _, ref_d, ref_a = policy_values_reference(g, pi_d, tables)
@@ -458,7 +432,7 @@ def test_screen_values_match_chain_kernel(k):
     # the allowance (0.050 at worst here).  Not to 1e-12: an eps-blended
     # deterministic attacker makes nearly decomposable chains, on which the
     # direct solve itself is ~1e-8 max(1, |S_a|) off a 50-digit solve
-    for g, pi_d in _certificate_inputs(k):
+    for g, pi_d in _enumeration_inputs(k):
         assert max(_screen_errors(g, pi_d)) <= 0.25
 
 
@@ -484,13 +458,7 @@ def test_screen_values_match_chain_kernel_property():
 
 
 def _without_pruning(monkeypatch):
-    gap_tables = mdp_module._gap_tables
-
-    def no_margin(*args):
-        c, to, _ = gap_tables(*args)
-        return c, to, np.inf
-
-    monkeypatch.setattr(mdp_module, "_gap_tables", no_margin)
+    monkeypatch.setattr(mdp_module, "_tie_margin", lambda *args: np.inf)
 
 
 def _assert_choice_matches_full_enumeration(g, pi_d, monkeypatch=None):
@@ -509,7 +477,7 @@ def _assert_choice_matches_full_enumeration(g, pi_d, monkeypatch=None):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_pruned_enumeration_is_bit_identical(k, monkeypatch):
-    for g, pi_d in _certificate_inputs(k):
+    for g, pi_d in _enumeration_inputs(k):
         _assert_choice_matches_full_enumeration(g, pi_d, monkeypatch)
 
 
@@ -531,8 +499,8 @@ def test_pruned_enumeration_is_bit_identical_property():
 
 
 def test_zd_strategy_choice_matches_full_enumeration_property(monkeypatch):
-    # the pipeline's ZD strategies are where the certificate gives up and the
-    # screened deficits choose the chains to solve
+    # the pipeline's ZD strategies: zero and 1e-9 floor entries, the
+    # strategies the K <= 3 scoring calls of `solve` see
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -558,11 +526,11 @@ def test_zd_strategy_choice_matches_full_enumeration_property(monkeypatch):
     check()
 
 
-def test_enumeration_solves_only_certified_policies(monkeypatch):
-    # a spread Dirichlet strategy prunes by the certificate; a ZD strategy
-    # (zero and 1e-9 floor entries, so the certificate gives up) prunes by
-    # the screened deficits; the lifted one-shot strategy (every policy ties)
-    # solves every chain, and policies_evaluated counts the systems solved
+def test_enumeration_solves_only_screened_policies(monkeypatch):
+    # a spread Dirichlet strategy and a ZD strategy (zero and 1e-9 floor
+    # entries) prune by the screened deficits; the lifted one-shot strategy
+    # (every policy ties) solves every chain, and policies_evaluated counts
+    # the systems solved
     solved = []
     solve_direct = mdp_module._solve_direct
 
