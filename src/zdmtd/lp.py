@@ -185,17 +185,18 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
     return int(leave)
 
 
-def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
+def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, point):
     """Two-phase primal simplex on min c@y, rows a@y (rels) rhs, y >= 0 with
-    Bland's rule; rels holds -1, 0, +1 for <=, =, >=.
+    Bland's rule; rels holds -1, 0, +1 for <=, =, >=.  point maps an optimal
+    y to the caller's (x, violation of the caller's rows).
 
-    Returns (status, y) with status in optimal/infeasible/unbounded.
+    Returns (status, x, violation) with status in optimal/infeasible/unbounded.
     """
     m, ncol = a.shape
     if m == 0:
         if np.any(c < -_EPS):
-            return "unbounded", None
-        return "optimal", np.zeros(ncol)
+            return "unbounded", None, None
+        return ("optimal",) + point(np.zeros(ncol))
 
     # scale rows, force nonnegative rhs (a flipped row flips its relation)
     scale = np.fmax(1.0, np.abs(a).max(axis=1))
@@ -259,7 +260,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
             if run(w) != "optimal":
                 raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
         if -w[-1] > FEAS_TOL:  # w stores -(current value) in the rhs slot
-            return "infeasible", None
+            return "infeasible", None, None
         # drive remaining zero-level artificials out of the basis
         for i in (basis >= ncol + n_slack).nonzero()[0]:
             big = np.abs(T[i, :ncol + n_slack]) > 1e-7
@@ -270,13 +271,25 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray):
         # zero out any artificial column still in the basis (redundant row)
         T[:, art_cols] = 0.0
 
-    status = run(priced(np.arange(ncol), c))
-    if status != "optimal":
-        return "unbounded", None
+    def basic_point():
+        y = np.zeros(width)
+        y[basis] = T[:, -1]
+        return point(np.maximum(y[:ncol], 0.0))
 
-    y = np.zeros(width)
-    y[basis] = T[:, -1]
-    return "optimal", np.maximum(y[:ncol], 0.0)
+    if run(priced(np.arange(ncol), c)) != "optimal":
+        return "unbounded", None, None
+    x, viol = basic_point()
+    if viol > FEAS_TOL:
+        # the drift phase 1 guards against can also leave a basis whose rhs
+        # reads feasible while its point is not: re-form the tableau once
+        try:
+            T[:] = np.linalg.solve(initial[:, basis], initial)
+        except np.linalg.LinAlgError:
+            return "optimal", x, viol  # the caller rejects the failing point
+        T[:, art_cols] = 0.0
+        if run(priced(np.arange(ncol), c)) == "optimal":
+            x, viol = basic_point()
+    return "optimal", x, viol
 
 
 def _violation(lp: LinearProgram, x: np.ndarray) -> float:
@@ -295,19 +308,24 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve the program; optimal answers are re-verified against the original
-    rows and a violation above the feasibility tolerance is a hard error."""
+    rows.  A violation above the feasibility tolerance re-forms the tableau
+    from the basis and finishes phase 2 once more; if it persists it is a
+    hard error."""
     c, a, rels, rhs, back = _standardize(lp)
-    status, y = _simplex(c, a, rels, rhs)
+
+    def point(y):
+        x = back(y)
+        # clamp bound round-off so bounds hold exactly
+        for i, (lo, hi) in enumerate(lp.bounds):
+            if lo is not None and x[i] < lo:
+                x[i] = lo
+            if hi is not None and x[i] > hi:
+                x[i] = hi
+        return x, _violation(lp, x)
+
+    status, x, viol = _simplex(c, a, rels, rhs, point)
     if status != "optimal":
         return LpOutcome(status=status)
-    x = back(y)
-    # clamp bound round-off so bounds hold exactly
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and x[i] < lo:
-            x[i] = lo
-        if hi is not None and x[i] > hi:
-            x[i] = hi
-    viol = _violation(lp, x)
     if viol > FEAS_TOL:
         raise LpNumericalError(
             f"simplex returned 'optimal' but the point violates constraints by {viol:.3e}"

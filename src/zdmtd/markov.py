@@ -13,6 +13,12 @@ that check).  Such a chain, or one failing the check, gets the limit of
 Cesaro averaging from the uniform start, computed exactly: a direct solve
 per closed class, weighted by the probability of absorption into the class
 (Kemeny & Snell, Finite Markov Chains, 1960, ch. 3).
+
+The sampled check solves each chain only on the states (d, a) whose d the
+defender plays: no transition enters the others, so their stationary mass
+is 0.  A chain with several closed classes then starts uniform over the
+played states, not over all K^2; under ZD parameters every stationary
+distribution satisfies the line, so the choice moves the check by rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ class StationaryError(RuntimeError):
 class TransitionMatrix:
     """Chain over flat states, or a stack of chains along a leading axis; row
     s moves to flat(d, a) with probability pi_d(d|s) * pi_a(a|s), so every row
-    is a rank-one outer product."""
+    is a rank-one outer product.  A chain may keep only some of the K^2
+    states (a square matrix on 1 to K^2 of them), when the others carry no
+    stationary mass."""
 
     k: int
     m: np.ndarray
@@ -48,8 +56,9 @@ class TransitionMatrix:
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         n = self.k * self.k
-        if m.shape[-2:] != (n, n) or m.ndim > 3:
-            raise ValueError(f"transition matrix must be {n} x {n} or a stack of them")
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or not 0 < m.shape[-1] <= n:
+            raise ValueError(f"transition matrix must be square on 1 to {n} states, "
+                             "or a stack of them")
         if np.min(m) < -1e-12 or np.max(np.abs(m.sum(axis=-1) - 1.0)) > 1e-12:
             raise ValueError("transition matrix must be row-stochastic")
         m = m.copy()
@@ -148,7 +157,7 @@ def stationary(tm: TransitionMatrix) -> StationaryDist:
     """Stationary distribution of a chain or of each chain of a stack: the
     direct solve of a unichain chain where it gives a non-negative fixed
     point, the uniform-start closed-class limit otherwise."""
-    n = tm.k * tm.k
+    n = tm.m.shape[-1]
     stack = tm.m.reshape(-1, n, n)
     v = _direct_or_nan(stack)
     direct = (_fixed_point_residual(v, stack) <= DIRECT_RESIDUAL_TOL) & (v.min(axis=1) >= -1e-9)
@@ -193,18 +202,25 @@ def zd_residual(g: GameSpec, pi_d: MemoryOneStrategy, pi_a: MemoryOneStrategy,
 def max_line_residual(g: GameSpec, pi_d: MemoryOneStrategy, alpha: float, beta: float,
                       gamma: float, n_samples: int, rng: np.random.Generator) -> float:
     """Max of |alpha * u_d + beta * u_a + gamma| against n_samples attackers
-    whose rows are Dirichlet(1) draws from rng, in draw order; the chains are
-    solved in stacks of at most VERIFY_STACK_ENTRIES matrix entries (at least
-    one chain)."""
+    whose rows are Dirichlet(1) draws from rng, in draw order.
+
+    No transition enters a state (d, a) whose d the defender never plays, so
+    its stationary mass is 0: each chain is solved on the len(played) * K
+    states it can enter, in stacks of at most VERIFY_STACK_ENTRIES matrix
+    entries (at least one chain).  The attackers' full rows are still drawn,
+    so rng advances as if every state were kept."""
     if g.k != pi_d.k:
         raise ValueError(f"K mismatch: game {g.k}, strategy {pi_d.k}")
     k, n = g.k, g.k * g.k
-    sd = profit_vector(g, "defender")
-    sa = profit_vector(g, "attacker")
-    size = max(1, VERIFY_STACK_ENTRIES // n**2)
+    played = np.nonzero(pi_d.rows.max(axis=0) > 0)[0]
+    keep = (played[:, None] * k + np.arange(k)).ravel()
+    d_rows = pi_d.rows[np.ix_(keep, played)]
+    sd = profit_vector(g, "defender")[keep]
+    sa = profit_vector(g, "attacker")[keep]
+    size = max(1, VERIFY_STACK_ENTRIES // len(keep)**2)
     worst = 0.0
     for start in range(0, n_samples, size):
         att = rng.dirichlet(np.ones(k), size=(min(size, n_samples - start), n))
-        v = stationary(TransitionMatrix(k, chain(pi_d.rows, att))).v
+        v = stationary(TransitionMatrix(k, chain(d_rows, att[:, keep]))).v
         worst = max(worst, float(np.max(np.abs(alpha * (v @ sd) + beta * (v @ sa) + gamma))))
     return worst

@@ -8,6 +8,7 @@ from zdmtd.game import (
     profit_vector,
 )
 from zdmtd import markov
+from zdmtd.cli import solve_game
 from zdmtd.markov import (
     TransitionMatrix,
     build_transition,
@@ -23,12 +24,14 @@ from zdmtd.rng import stream
 from oracles import (
     SingularChainError,
     det_utilities,
+    ideal_feasible_game,
     pure_strategy,
     random_strategy,
     uniform_strategy,
 )
 
 PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
+G4 = GameSpec(4, (3, 2, 1.5, 1), (0, -1, 0.5, -2), (-2, 0, 1, 0.5), (4, 2, 3, -1))
 
 
 def repeat_own_action(k):
@@ -267,3 +270,126 @@ def test_stack_sharing_a_support_finds_its_classes_once(monkeypatch):
     assert len(calls) == 1
     for row, m in zip(stacked.v, chains):
         assert np.array_equal(row, stationary(TransitionMatrix(3, m)).v)
+
+
+def test_transition_matrix_accepts_square_chains_up_to_k_squared_states():
+    for m in (np.eye(4), np.eye(3), np.full((1, 1), 1.0), np.stack([np.eye(2)] * 3)):
+        assert TransitionMatrix(2, m).m.shape == m.shape
+    for m in (np.full((4, 3), 1 / 3), np.eye(5), np.stack([np.eye(5)] * 2), np.ones((0, 0)),
+              np.ones(4), np.ones((1, 1, 1, 1))):
+        with pytest.raises(ValueError, match="square on 1 to 4 states"):
+            TransitionMatrix(2, m)
+
+
+def _unplayed(k, rng, cols):
+    """A random defender strategy that never plays the given targets."""
+    rows = random_strategy(k, rng).rows.copy()
+    rows[:, cols] = 0.0
+    return MemoryOneStrategy(k, rows / rows.sum(axis=1, keepdims=True))
+
+
+def _zd_solution(k):
+    """A ZD strategy of the ideal program and its line, on an ideal-feasible
+    game; at this seed it plays 2 or 3 targets for every K = 4..10."""
+    g = ideal_feasible_game(k, np.random.default_rng(3))
+    out = solve_game(g, verify_samples=0)
+    assert out.kind == "ideal"
+    p = out.params
+    return g, out.strategy, (p.alpha, p.beta, p.gamma)
+
+
+def _full_chain_max(g, pi_d, line, n_samples, rng):
+    """The sampled line residual with every attacker scored on its full K^2
+    chain, from one block of draws."""
+    k = g.k
+    att = rng.dirichlet(np.ones(k), size=(n_samples, k * k))
+    worst = 0.0
+    for rows in att:
+        u = long_run_utilities(g, pi_d, MemoryOneStrategy(k, rows))
+        worst = max(worst, abs(line[0] * u.u_d + line[1] * u.u_a + line[2]))
+    return worst
+
+
+def _played(pi_d):
+    return np.nonzero(pi_d.rows.max(axis=0) > 0)[0]
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_max_line_residual_on_played_states_matches_full_chains_zd(k):
+    g, pi_d, line = _zd_solution(k)
+    assert len(_played(pi_d)) < k  # the reduction drops states
+    got = max_line_residual(g, pi_d, *line, 16, stream(k, "zd-verify"))
+    expect = _full_chain_max(g, pi_d, line, 16, stream(k, "zd-verify"))
+    assert abs(got - expect) <= 1e-12 * max(1.0, expect)
+
+
+def test_max_line_residual_on_played_states_matches_full_chains_random():
+    rng = np.random.default_rng(8)
+    pi_d = _unplayed(4, rng, [0, 2])
+    line = (0.5, -1.0, 0.25)  # no ZD line: the residuals are utilities-sized
+    got = max_line_residual(G4, pi_d, *line, 12, stream(8, "zd-verify"))
+    expect = _full_chain_max(G4, pi_d, line, 12, stream(8, "zd-verify"))
+    assert expect > 0.1
+    assert abs(got - expect) <= 1e-12 * max(1.0, expect)
+
+
+@pytest.mark.parametrize("entries", [None, 3 * 64])
+def test_max_line_residual_leaves_the_stream_after_every_draw(monkeypatch, entries):
+    # stacks of 3 chains on 8 states when entries is set: the draws come in
+    # four chunks, and the generator ends where one block of draws leaves it
+    if entries is not None:
+        monkeypatch.setattr(markov, "VERIFY_STACK_ENTRIES", entries)
+    pi_d = _unplayed(4, np.random.default_rng(2), [1, 3])
+    rng, ref = stream(5, "zd-verify"), stream(5, "zd-verify")
+    max_line_residual(G4, pi_d, 0.5, -1.0, 0.25, 10, rng)
+    ref.dirichlet(np.ones(4), size=(10, 16))
+    assert np.array_equal(rng.dirichlet(np.ones(4), size=3), ref.dirichlet(np.ones(4), size=3))
+
+
+def test_max_line_residual_bit_identical_when_every_target_is_played():
+    pi_d = random_strategy(4, np.random.default_rng(6))
+    att = stream(6, "zd-verify").dirichlet(np.ones(4), size=(64, 16))
+    v = stationary(TransitionMatrix(4, chain(pi_d.rows, att))).v
+    sd, sa = profit_vector(G4, "defender"), profit_vector(G4, "attacker")
+    expect = float(np.max(np.abs(0.5 * (v @ sd) - (v @ sa) + 0.25)))
+    assert max_line_residual(G4, pi_d, 0.5, -1.0, 0.25, 64, stream(6, "zd-verify")) == expect
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_max_line_residual_solves_one_stack_on_the_played_states(monkeypatch, k):
+    g, pi_d, line = _zd_solution(k)
+    calls = []
+    solve = markov.stationary
+    monkeypatch.setattr(markov, "stationary", lambda tm: calls.append(tm.m.shape) or solve(tm))
+    max_line_residual(g, pi_d, *line, 64, stream(k, "zd-verify"))
+    n = len(_played(pi_d)) * k
+    assert n < k * k
+    assert calls == [(64, n, n)]
+
+
+def test_max_line_residual_starts_uniform_over_the_played_states():
+    # the defender repeats its own last target and never plays target 3, so
+    # {(1, *)} and {(2, *)} are closed; the reduced chain starts uniform over
+    # its 6 states and reaches each class with probability 1/2, while the full
+    # chain's uniform start also sends the (3, *) states, mostly to class 1
+    k = 3
+    rows = np.zeros((9, 3))
+    rows[0:3, 0] = rows[3:6, 1] = 1.0
+    rows[6:9, :2] = (0.9, 0.1)
+    pi_d = MemoryOneStrategy(k, rows)
+    g = GameSpec(3, (2, 1, 3), (0, -1, 1), (-2, 0, 1), (4, 2, 3))
+    line = (1.0, 0.5, -0.75)
+    att = stream(3, "zd-verify").dirichlet(np.ones(k), size=(1, 9))[0]
+    # oracle: iterate the full K^2 chain from the uniform start on the played
+    # states; every closed class is aperiodic, so the iterates converge
+    full = build_transition(pi_d, MemoryOneStrategy(k, att)).m
+    start = np.r_[np.full(6, 1 / 6), np.zeros(3)]
+    v = start
+    for _ in range(2000):
+        v = v @ full
+    expect = abs(line[0] * (v @ profit_vector(g, "defender"))
+                 + line[1] * (v @ profit_vector(g, "attacker")) + line[2])
+    got = max_line_residual(g, pi_d, *line, 1, stream(3, "zd-verify"))
+    assert abs(got - expect) <= 1e-12 * max(1.0, expect)
+    u = long_run_utilities(g, pi_d, MemoryOneStrategy(k, att))  # the full chain's convention
+    assert abs(abs(line[0] * u.u_d + line[1] * u.u_a + line[2]) - expect) > 0.01

@@ -454,7 +454,7 @@ def test_zd_strategy_choice_matches_full_enumeration_property():
     def check(g):
         try:
             out = solve_game(g, verify_samples=0)
-        except LpNumericalError:  # pinned apart: test_programs' infeasible 'optimal' LP case
+        except LpNumericalError:  # simplex failures are test_lp's and test_programs' subject
             hypothesis.reject()
         hypothesis.assume(out.strategy is not None)
         _assert_choice_in_exact_tie_set(g, out.strategy)

@@ -4,7 +4,6 @@ import pytest
 from zdmtd import cli, programs
 from zdmtd.cli import solve_game
 from zdmtd.game import GameSpec
-from zdmtd.lp import LpNumericalError
 from zdmtd.markov import max_line_residual
 from zdmtd.programs import (
     HullPolygon,
@@ -310,11 +309,13 @@ def test_solve_ideal_with_a_payoff_near_the_lp_tolerance():
     assert solve_ideal(GameSpec(2, (1.1, 0.125), (0.0, 0.0), (5e-9, 0.0), (0.0, 0.0))).found
 
 
-@pytest.mark.xfail(raises=LpNumericalError, strict=True,
-                   reason="the simplex returns an 'optimal' point that violates a row by "
-                          "3.9e-2 when an attacker payoff sits near the LP tolerance")
 def test_solve_with_a_payoff_near_the_lp_tolerance_finds_a_feasible_point():
-    solve_game(GameSpec(2, (-4.9, 3.0), (-5.0, 0.0), (0.0, 0.0), (-4.7, 1e-7)), verify_samples=0)
+    # phase 2 ends on a basis whose drifted rhs reads feasible while its point
+    # violates a row by 3.9e-2; re-forming the tableau from the basis recovers
+    g = GameSpec(2, (-4.9, 3.0), (-5.0, 0.0), (0.0, 0.0), (-4.7, 1e-7))
+    out = solve_game(g, verify_samples=64)
+    assert out.kind == "ideal"
+    assert out.residual <= 1e-8 and out.max_line_residual <= 1e-8
 
 
 def test_lambda_cell_validation():

@@ -279,7 +279,7 @@ def test_line_holds_against_any_attacker_property():
         g, seed = case
         try:
             out = solve_game(g, verify_samples=0)
-        except LpNumericalError:  # pinned apart: test_programs' infeasible 'optimal' LP case
+        except LpNumericalError:  # simplex failures are test_lp's and test_programs' subject
             hypothesis.reject()
         hypothesis.assume(out.params is not None)
         p, k = out.params, g.k
