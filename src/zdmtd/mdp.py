@@ -16,6 +16,10 @@ tie rule to those values directly; no chain is solved per policy.  The
 reduction subtracts nothing but the rows' rounding defects, so it stays
 accurate on the nearly decomposable chains that blended deterministic
 attackers make, where a direct solve can be off by more than TIE_TOL.
+
+Above K = 3 the swap search scores single-state swaps by rank-one updates
+of the policy's fundamental matrix, every state left in a sweep in one
+array pass (`_swap_values`; from K = 13 up, in passes of a bounded size).
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ from .markov import EPSILON_MIX, UtilityPair, _direct, chain, eps_mixed
 
 TIE_TOL = 1e-9
 _SWITCH_TOL = 1e-12
+# entries of the (states, K^2, 3) array one swap-scoring pass builds.  A
+# pass costs about 20 us plus 2-3 ns per entry, so the fixed part is about a
+# tenth at this size; from K = 13 up a pass holds fewer than K^2 states, and
+# an accepted swap discards at most one pass's rows
+_SWAP_PASS_ENTRIES = 2**16
 
 
 class PolicyIterationCycleError(RuntimeError):
@@ -82,21 +91,26 @@ def _fundamental(f, w, sd, sa, policy_idx):
     return z, z.mean(axis=0), zsd, zsa, zsd.mean(), zsa.mean()
 
 
-def _swap_values(f, w, fund, policy_idx, s):
-    """(u_d, u_a) arrays over every action at state s, the rest of the policy
-    fixed, from the policy's fundamental matrix in O(K^2).
+def _swap_values(f, w, fund, policy_idx, states):
+    """(u_d, u_a) arrays [state, action] over every action at each of
+    `states`, the rest of the policy fixed, from the policy's fundamental
+    matrix in O(K^2) per state, all states in one array pass.
 
     Moving s from action a0 to a changes row s of the chain by
     delta = F[s] (x) (W[a] - W[a0]); the stationary vector becomes
-    v + v'_s delta Z with v'_s = v_s / (1 - (delta Z)_s).
+    v + v'_s delta Z with v'_s = v_s / (1 - (delta Z)_s).  Each state keeps
+    its own (K, 3K) and (K, K) @ (K, 3) products, so a row is the same, bit
+    for bit, whichever other states are scored with it.
     """
     z, v, zsd, zsa, ud, ua = fund
-    k = w.shape[0]
-    x = np.stack([zsd, zsa, z[:, s]], axis=1).reshape(k, 3 * k)  # [d, (a, j)]
-    y = w @ (f[s] @ x).reshape(k, 3)  # y[a, j] = (F[s] (x) W[a]) . x_j
-    dy = y - y[policy_idx[s]]
-    vs = v[s] / (1.0 - dy[:, 2])
-    return ud + vs * dy[:, 0], ua + vs * dy[:, 1]
+    k, m = w.shape[0], len(states)
+    x = np.empty((m, z.shape[0], 3))
+    x[:, :, 0], x[:, :, 1], x[:, :, 2] = zsd, zsa, z[:, states].T
+    # x[i] laid out [d, (a, j)]; y[i, a, j] = (F[s_i] (x) W[a]) . x[i, :, j]
+    y = w @ (f[states, None, :] @ x.reshape(m, k, 3 * k)).reshape(m, k, 3)
+    dy = y - y[np.arange(m), policy_idx[states]][:, None]
+    vs = v[states, None] / (1.0 - dy[..., 2])
+    return ud + vs * dy[..., 0], ua + vs * dy[..., 1]
 
 
 def _evaluate(f, w, r_eff, policy_idx):
@@ -189,14 +203,17 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     best of K + 1 policies (the Howard optimum and the K constant ones) and,
     state by state, takes in action order each action that raises the
     defender's utility further while staying in the tie set, until a sweep
-    changes nothing (a local optimum, not an exhaustive one); each state's K
-    actions are scored by rank-one updates of one fundamental matrix,
-    re-formed only after an accepted swap, whose (u_d, u_a) is then recorded
-    from a direct solve.
+    changes nothing (a local optimum, not an exhaustive one).  One pass
+    scores, by rank-one updates of the current fundamental matrix, the K
+    actions of every state left in the sweep (at most _SWAP_PASS_ENTRIES /
+    3K^2 states); the first state where another action qualifies is then
+    searched action by action.  An accepted swap's (u_d, u_a) is recorded
+    from a direct solve, the fundamental matrix is re-formed, and the later
+    states are scored again.
 
-    Returns ((u_d, u_a), BestResponse-of-the-chosen-policy).
+    Returns ((u_d, u_a), 1-based policy tuple) of the chosen policy.
     """
-    tables = f, w, r_eff, sd, sa = _effective_tables(g, pi_d)
+    tables = f, w, _, sd, sa = _effective_tables(g, pi_d)
     # K <= 3 does not need it; perfbench's K = 3 compare smoke test expects its span
     br = best_response(g, pi_d, tables)
     n = g.k * g.k
@@ -219,26 +236,36 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
             if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
                 pol, best_pair = cand.copy(), (ud, ua)
         fund = _fundamental(f, w, sd, sa, pol)
+        per_pass = max(1, _SWAP_PASS_ENTRIES // (3 * n))
         improved = True
         guard = 0
         while improved and guard < 50:
             improved = False
             guard += 1
-            for s in range(n):
-                ud, ua = _swap_values(f, w, fund, pol, s)
-                orig = pol[s]
-                for a in range(g.k):
-                    if a != orig and ua[a] >= floor and ud[a] > best_pair[0] + _SWITCH_TOL:
-                        best_pair = (ud[a], ua[a])
-                        orig = a
-                if orig != pol[s]:
-                    pol[s] = orig
-                    best_pair = _chain_values(f, w, sd, sa, pol)
-                    fund = _fundamental(f, w, sd, sa, pol)
-                    improved = True
+            start = 0
+            while start < n:
+                states = np.arange(start, min(n, start + per_pass))
+                ud, ua = _swap_values(f, w, fund, pol, states)
+                # best_pair only rises until a swap is accepted, so a row with
+                # no other action above it now has none before then either
+                live = (ua >= floor) & (ud > best_pair[0] + _SWITCH_TOL)
+                live[np.arange(len(states)), pol[states]] = False
+                start = states[-1] + 1
+                for i in np.flatnonzero(live.any(axis=1)):
+                    s = states[i]
+                    orig = pol[s]
+                    for a in range(g.k):
+                        if a != orig and ua[i, a] >= floor and ud[i, a] > best_pair[0] + _SWITCH_TOL:
+                            best_pair = (ud[i, a], ua[i, a])
+                            orig = a
+                    if orig != pol[s]:
+                        pol[s] = orig
+                        best_pair = _chain_values(f, w, sd, sa, pol)
+                        fund = _fundamental(f, w, sd, sa, pol)
+                        improved = True
+                        start = s + 1
+                        break
         policy = tuple(int(x) + 1 for x in pol)
         pair = UtilityPair(*best_pair)
 
-    _, h = _evaluate(f, w, r_eff, np.asarray(policy) - 1)
-    chosen_br = BestResponse(policy, pair.u_a, h)
-    return pair, chosen_br
+    return pair, policy

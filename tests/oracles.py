@@ -20,7 +20,9 @@ from zdmtd.markov import (EPSILON_MIX, TransitionMatrix, UtilityPair, _direct, b
 from zdmtd.mdp import (
     TIE_TOL,
     _SWITCH_TOL,
+    _chain_values,
     _effective_tables,
+    _fundamental,
     _policy_value,
     best_response,
     defender_utility_under_br,
@@ -343,6 +345,60 @@ def swap_search_direct(g: GameSpec, pi_d):
                     pol[s] = orig
             pol[s] = orig
     return tuple(int(x) for x in pol), best_pair
+
+
+def swap_values_per_state(f, w, fund, policy_idx, s):
+    """Per-state reference for `mdp._swap_values`: (u_d, u_a) arrays over
+    every action at the one state s, by the same rank-one update, with the
+    state's (K, 3K) product taken as a vector-matrix product."""
+    z, v, zsd, zsa, ud, ua = fund
+    k = w.shape[0]
+    x = np.stack([zsd, zsa, z[:, s]], axis=1).reshape(k, 3 * k)  # [d, (a, j)]
+    y = w @ (f[s] @ x).reshape(k, 3)  # y[a, j] = (F[s] (x) W[a]) . x_j
+    dy = y - y[policy_idx[s]]
+    vs = v[s] / (1.0 - dy[:, 2])
+    return ud + vs * dy[:, 0], ua + vs * dy[:, 1]
+
+
+def swap_search_per_state(g: GameSpec, pi_d):
+    """Per-state reference for the search above K = 3 in
+    `defender_utility_under_br`: the same start policies, tables, direct
+    solves and fundamental matrices, but every state of a sweep scored by
+    its own `swap_values_per_state` call.  Returns ((u_d, u_a), 1-based
+    policy tuple)."""
+    assert g.k > 3
+    n = g.k * g.k
+    tables = f, w, _, sd, sa = _effective_tables(g, pi_d)
+    br = best_response(g, pi_d, tables)
+    floor = br.gain - TIE_TOL
+    candidates = [np.asarray(br.policy, dtype=int) - 1]
+    candidates += [np.full(n, m, dtype=int) for m in range(g.k)]
+    pol, best_pair = None, None
+    for cand in candidates:
+        ud, ua = _chain_values(f, w, sd, sa, cand)
+        if ua < floor:
+            continue
+        if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
+            pol, best_pair = cand.copy(), (ud, ua)
+    fund = _fundamental(f, w, sd, sa, pol)
+    improved = True
+    guard = 0
+    while improved and guard < 50:
+        improved = False
+        guard += 1
+        for s in range(n):
+            ud, ua = swap_values_per_state(f, w, fund, pol, s)
+            orig = pol[s]
+            for a in range(g.k):
+                if a != orig and ua[a] >= floor and ud[a] > best_pair[0] + _SWITCH_TOL:
+                    best_pair = (ud[a], ua[a])
+                    orig = a
+            if orig != pol[s]:
+                pol[s] = orig
+                best_pair = _chain_values(f, w, sd, sa, pol)
+                fund = _fundamental(f, w, sd, sa, pol)
+                improved = True
+    return UtilityPair(*best_pair), tuple(int(x) + 1 for x in pol)
 
 
 def simulate_reference(g: GameSpec, pi_d, profile, steps, seed, stride=1,

@@ -6,10 +6,12 @@ from zdmtd import sse
 from zdmtd.lp import (
     _EPS,
     EQ,
+    FEAS_TOL,
     GE,
     LE,
     LinearProgram,
     LpError,
+    LpNumericalError,
     check_feasible,
     solve_lp,
 )
@@ -165,22 +167,33 @@ def test_dimension_errors():
         LinearProgram([1.0], "max", [(np.array([1.0]), "<", 1.0)])
 
 
-def _linprog_oracle(lp):
-    """(status, optimum) of the same program from scipy's HiGHS."""
+def _linprog_oracle(lp, band=None):
+    """(status, optimum) of the same program from scipy's HiGHS.  With a
+    band, every row is first moved by band * FEAS_TOL * max(1, |row|), the
+    tolerance solve_lp checks rows with: outward (an equality becomes two
+    inequalities) for band > 0, inward (equalities kept) for band < 0; and
+    HiGHS solves to 1e-10, well inside that shift."""
     optimize = pytest.importorskip("scipy.optimize")
     sign = -1.0 if lp.sense == "max" else 1.0
     ub, ub_rhs, eq, eq_rhs = [], [], [], []
     for row, rel, rhs in lp.constraints:
-        if rel == EQ:
+        shift = (band or 0.0) * FEAS_TOL * max(1.0, np.max(np.abs(row)))
+        if rel == EQ and shift > 0:
+            ub += [row, -row]
+            ub_rhs += [rhs + shift, -rhs + shift]
+        elif rel == EQ:
             eq.append(row)
             eq_rhs.append(rhs)
         else:
             flip = 1.0 if rel == LE else -1.0
             ub.append(flip * row)
-            ub_rhs.append(flip * rhs)
+            ub_rhs.append(flip * rhs + shift)
+    options = None if band is None else {"primal_feasibility_tolerance": 1e-10,
+                                         "dual_feasibility_tolerance": 1e-10}
     res = optimize.linprog(sign * lp.objective, A_ub=np.array(ub) if ub else None,
                            b_ub=ub_rhs or None, A_eq=np.array(eq) if eq else None,
-                           b_eq=eq_rhs or None, bounds=list(lp.bounds), method="highs")
+                           b_eq=eq_rhs or None, bounds=list(lp.bounds), method="highs",
+                           options=options)
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return status, (sign * res.fun if status == "optimal" else None)
 
@@ -208,6 +221,88 @@ def test_solve_lp_matches_scipy_highs():
         if status == "optimal":
             assert abs(out.objective - optimum) <= 1e-8 * max(1.0, abs(optimum)), (trial, lp)
     assert counts["optimal"] >= 30 and counts["infeasible"] >= 30, counts
+
+
+def _near_tol_lp(rng):
+    """A boxed program whose rows, objective and right-hand sides mix
+    entries of a few times FEAS_TOL into ordinary ones; every row and the
+    objective keep one entry of magnitude 0.1..2, so none is vacuous within
+    the tolerance."""
+    n = int(rng.integers(2, 5))
+    tiny = FEAS_TOL * np.array([0.5, 1.0, 2.0, 5.0])
+
+    def coefficients():
+        v = rng.normal(size=n).round(3)
+        lead = int(rng.integers(n))
+        v[lead] = rng.choice([-1.0, 1.0]) * round(float(rng.uniform(0.1, 2.0)), 3)
+        near = rng.random(n) < 0.4
+        near[lead] = False
+        v[near] = rng.choice(tiny, size=near.sum()) * rng.choice([-1.0, 1.0], size=near.sum())
+        return v
+
+    def rhs():
+        if rng.random() < 0.5:
+            return float(rng.choice([-1.0, 1.0]) * rng.choice(tiny))
+        return round(float(rng.normal()), 3)
+
+    rows = [(coefficients(), (LE, GE, EQ)[int(rng.choice(3, p=[0.45, 0.45, 0.1]))], rhs())
+            for _ in range(int(rng.integers(1, 6)))]
+    bounds = [(float(-rng.uniform(1, 5)), float(rng.uniform(1, 5))) for _ in range(n)]
+    return LinearProgram(coefficients(), ("max", "min")[int(rng.integers(2))], rows, bounds)
+
+
+def _stopping_allowance(lp):
+    """The most objective the simplex's stopping rule can leave: it stops
+    once no reduced cost is below -_EPS, and any feasible point differs from
+    its vertex by nonbasic columns that move at most over their ranges, a
+    variable's box width (its own column and its upper-bound slack) or a
+    scaled row's activity range (the row's slack)."""
+    widths = np.array([hi - lo for lo, hi in lp.bounds])
+    slack = sum(np.abs(row) @ widths / max(1.0, np.max(np.abs(row))) for row, _, _ in lp.constraints)
+    return _EPS * (2.0 * widths.sum() + slack)
+
+
+def test_solve_lp_matches_scipy_highs_near_the_feasibility_tolerance():
+    # the status is compared where it does not change within the tolerance
+    # band: HiGHS answers the same on the rows moved FEAS_TOL out and in.
+    # The optimum lies between HiGHS's optima of the two moved programs, up
+    # to the stopping rule's allowance below and 1e-9 (HiGHS's own accuracy)
+    # on either side.  About 1 % of draws fall inside the band; on some of
+    # those solve_lp raises (pinned by the strict xfail below)
+    pytest.importorskip("scipy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 2**31))
+    def check(seed):
+        lp = _near_tol_lp(np.random.default_rng(seed))
+        (inner, inner_opt), (outer, outer_opt) = _linprog_oracle(lp, -1.0), _linprog_oracle(lp, 1.0)
+        hypothesis.assume(inner == outer)
+        out = solve_lp(lp)
+        assert out.status == inner, lp
+        if inner == "optimal":
+            sign = 1.0 if lp.sense == "max" else -1.0
+            margin = 1e-9 * max(1.0, abs(inner_opt), abs(outer_opt))
+            assert sign * (out.objective - inner_opt) >= -_stopping_allowance(lp) - margin, lp
+            assert sign * (out.objective - outer_opt) <= margin, lp
+
+    check()
+
+
+@pytest.mark.xfail(raises=LpNumericalError, strict=True,
+                   reason="phase 2 leaves the tolerance band after a phase 1 that ended on it")
+def test_solve_lp_on_a_program_infeasible_only_within_the_tolerance():
+    # exactly infeasible: row 2 asks x2 <= -4.8e-8 and row 3 x2 >= -1.5e-8;
+    # feasible once each row may miss by FEAS_TOL, so either status would
+    # do, but phase 2 returns a point 0.146 off row 2 and solve_lp raises
+    lp = LinearProgram([-0.086, 1.341], "max",
+                       [([1.707, -0.399], LE, 0.77), ([1e-8, -0.208], GE, 1e-8),
+                        ([5e-9, 0.67], GE, -1e-8), ([0.444, 0.0], LE, 1.025)],
+                       [(-3.251596182096633, 3.8714887788942542),
+                        (-3.921591022027818, 3.911630129664025)])
+    out = solve_lp(lp)
+    assert out.status == "infeasible" or out.max_violation <= FEAS_TOL
 
 
 def _outcome(solve, lp):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zdmtd import programs
+from zdmtd import mdp, programs
 from zdmtd.cli import solve_game
 from zdmtd.game import (
     GameSpec,
@@ -36,6 +36,8 @@ from oracles import (
     pure_strategy,
     random_strategy,
     swap_search_direct,
+    swap_search_per_state,
+    swap_values_per_state,
     tie_choice_reference,
     uniform_strategy,
 )
@@ -174,8 +176,8 @@ def test_defender_favoring_tie_choice():
     pi_d = uniform_strategy(2)
     plain = best_response(g, pi_d)
     assert plain.policy == (1, 1, 1, 1)  # lexicographic tie rule
-    pair, chosen = defender_utility_under_br(g, pi_d)
-    assert chosen.policy == (2, 2, 2, 2)
+    pair, policy = defender_utility_under_br(g, pi_d)
+    assert policy == (2, 2, 2, 2)
     # the epsilon action blending biases the value by O(1e-8)
     assert pair.u_d == pytest.approx(1.0, abs=1e-7)
 
@@ -183,9 +185,9 @@ def test_defender_favoring_tie_choice():
 def test_defender_tie_choice_large_k():
     # same equal-attacker-utility construction at K=4 takes the swap path
     g = GameSpec(4, (1, 2, 3, 4), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
-    pair, chosen = defender_utility_under_br(g, uniform_strategy(4))
+    pair, policy = defender_utility_under_br(g, uniform_strategy(4))
     assert pair.u_d == pytest.approx(1.0, abs=1e-8)
-    assert set(chosen.policy) == {4}
+    assert set(policy) == {4}
 
 
 def test_extortion_line_pins_defender_value_under_br():
@@ -258,8 +260,8 @@ def test_rank_one_swap_values_match_direct_solves(k, kind):
     pol = rng.integers(0, k, size=k * k)
     fund = _fundamental(f, w, sd, sa, pol)
     base = _condition(f, w, pol)
-    for s in range(k * k):
-        ud, ua = _swap_values(f, w, fund, pol, s)
+    uds, uas = _swap_values(f, w, fund, pol, np.arange(k * k))
+    for s, (ud, ua) in enumerate(zip(uds, uas)):
         for a in range(k):
             swapped = pol.copy()
             swapped[s] = a
@@ -269,6 +271,53 @@ def test_rank_one_swap_values_match_direct_solves(k, kind):
             ref_d, ref_a = _policy_value(g, pi_d, swapped + 1)
             assert abs(ud[a] - ref_d) <= tol
             assert abs(ua[a] - ref_a) <= tol
+
+
+def _swap_inputs(k, kind, count):
+    """(game, strategy) pairs: random games with Dirichlet strategies, or
+    ideal-feasible games with their ZD strategies (1e-9 floor entries)."""
+    rng = np.random.default_rng(900 + k)
+    if kind == "random":
+        return [(random_game(k, rng), random_strategy(k, rng)) for _ in range(count)]
+    return [_zd_strategy(k, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("k", [4, 5, 7, 10])
+@pytest.mark.parametrize("kind", ["random", "zd"])
+def test_batched_swap_values_match_per_state_rows(k, kind):
+    # ranges of states, as the search scores them: from the start of a sweep
+    # or after a swap, to its end or to the end of a pass
+    rng = np.random.default_rng(k)
+    n = k * k
+    for g, pi_d in _swap_inputs(k, kind, 2):
+        f, w, _, sd, sa = _effective_tables(g, pi_d)
+        pol = rng.integers(0, k, size=n)
+        fund = _fundamental(f, w, sd, sa, pol)
+        for start, stop in ((0, n), (1, n), (n // 2, n), (n - 1, n), (1, n // 2), (3, 4)):
+            ud, ua = _swap_values(f, w, fund, pol, np.arange(start, stop))
+            assert ud.shape == ua.shape == (stop - start, k)
+            for i, s in enumerate(range(start, stop)):
+                ref_d, ref_a = swap_values_per_state(f, w, fund, pol, s)
+                assert np.array_equal(ud[i], ref_d) and np.array_equal(ua[i], ref_a)
+
+
+@pytest.mark.parametrize("k", [4, 5, 7, 10])
+@pytest.mark.parametrize("kind", ["random", "zd"])
+@pytest.mark.parametrize("pass_entries", [None, 1])
+def test_swap_search_matches_per_state_sweep(k, kind, pass_entries, monkeypatch):
+    # below K = 13 one pass holds every state left in a sweep; a cap of one
+    # entry scores one state per pass, as the cap does for a part of a sweep
+    # at large K
+    if pass_entries is not None:
+        monkeypatch.setattr(mdp, "_SWAP_PASS_ENTRIES", pass_entries)
+    for g, pi_d in _swap_inputs(k, kind, 3):
+        assert defender_utility_under_br(g, pi_d) == swap_search_per_state(g, pi_d)
+
+
+def test_swap_search_matches_per_state_sweep_in_capped_passes():
+    # K = 16: 85 of the 256 states per pass
+    g, pi_d = _swap_inputs(16, "random", 1)[0]
+    assert defender_utility_under_br(g, pi_d) == swap_search_per_state(g, pi_d)
 
 
 def test_swap_search_matches_direct_solve_reference():
@@ -282,9 +331,9 @@ def test_swap_search_matches_direct_solve_reference():
     for g, pi_d in cases:
         if pi_d is None:
             pi_d = random_strategy(g.k, rng)
-        pair, chosen = defender_utility_under_br(g, pi_d)
-        policy, (ref_d, ref_a) = swap_search_direct(g, pi_d)
-        assert chosen.policy == policy
+        pair, policy = defender_utility_under_br(g, pi_d)
+        ref_policy, (ref_d, ref_a) = swap_search_direct(g, pi_d)
+        assert policy == ref_policy
         assert abs(pair.u_d - ref_d) <= 1e-12
         assert abs(pair.u_a - ref_a) <= 1e-12
 
@@ -394,15 +443,14 @@ def _assert_choice_in_exact_tie_set(g, pi_d, result=None, check_pair=False):
     and at |S_a| ~ 1e6 it spans a few ulps of u_a.  With check_pair, the
     reported pair is within 1e-12 max(1, |S_d|, |S_a|) of the chosen
     policy's exact values."""
-    pair, chosen = result or defender_utility_under_br(g, pi_d)
-    assert chosen.gain == pair.u_a
+    pair, policy = result or defender_utility_under_br(g, pi_d)
     reference = tie_choice_reference(g, pi_d)[0]
     exact = {p: exact_policy_values(g, pi_d, p)
-             for p in {best_response(g, pi_d).policy, chosen.policy, reference}}
+             for p in {best_response(g, pi_d).policy, policy, reference}}
     sd, sa = np.max(np.abs(profit_vector(g, "defender"))), np.max(np.abs(profit_vector(g, "attacker")))
     floor = max(u_a for _, u_a in exact.values()) - Fraction(TIE_TOL)
     rounding = Fraction(1e-14 * max(1.0, sa))
-    u_d, u_a = exact[chosen.policy]
+    u_d, u_a = exact[policy]
     assert u_a >= floor - rounding, float(floor - u_a)
     if exact[reference][1] >= floor + rounding:
         assert u_d >= exact[reference][0] - Fraction(1e-12 * max(1.0, sd))
