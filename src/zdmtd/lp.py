@@ -247,6 +247,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, po
                 row -= row[basis[i]] * T[i]
         return row
 
+    residual = 0.0  # phase 1's sum of artificials at its optimum
     if n_art:
         w = np.zeros(width + 1)
         w[art_cols] = 1.0
@@ -259,7 +260,8 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, po
             w = priced(art_cols, 1.0)
             if run(w) != "optimal":
                 raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
-        if -w[-1] > FEAS_TOL:  # w stores -(current value) in the rhs slot
+        residual = -w[-1]  # w stores -(current value) in the rhs slot
+        if residual > FEAS_TOL:
             return "infeasible", None, None
         # drive remaining zero-level artificials out of the basis
         for i in (basis >= ncol + n_slack).nonzero()[0]:
@@ -289,6 +291,10 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, po
         T[:, art_cols] = 0.0
         if run(priced(np.arange(ncol), c)) == "optimal":
             x, viol = basic_point()
+        if viol > FEAS_TOL and residual > 0.0:
+            # phase 1 ended inside the tolerance band: the rows hold only to
+            # within FEAS_TOL, so "infeasible" is as right as a point would be
+            return "infeasible", None, None
     return "optimal", x, viol
 
 
@@ -310,7 +316,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve the program; optimal answers are re-verified against the original
     rows.  A violation above the feasibility tolerance re-forms the tableau
     from the basis and finishes phase 2 once more; if it persists it is a
-    hard error."""
+    hard error, unless phase 1 ended inside the tolerance band (a positive
+    sum of artificials at most FEAS_TOL), where the program is reported
+    infeasible."""
     c, a, rels, rhs, back = _standardize(lp)
 
     def point(y):

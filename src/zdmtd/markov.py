@@ -142,7 +142,10 @@ def _closed_class_limit(m: np.ndarray, classes: list) -> np.ndarray:
     transient = ~np.any(classes, axis=0)
     into = np.stack([m[np.ix_(transient, c)].sum(axis=1) for c in classes], axis=1)
     q = m[np.ix_(transient, transient)]
-    absorbed = np.linalg.solve(np.eye(len(q)) - q, into)  # transient x class
+    off = q - np.diag(np.diag(q))
+    # I - Q with each diagonal entry the row's mass leaving the state (GTH):
+    # 1 - q_ii rounds to 0 on a state that leaves with probability ~1e-17
+    absorbed = np.linalg.solve(np.diag(into.sum(axis=1) + off.sum(axis=1)) - off, into)
     v = np.zeros(n)
     for c, from_transient in zip(classes, absorbed.T):
         v[c] = (c.sum() + from_transient.sum()) / n * _direct(m[np.ix_(c, c)])

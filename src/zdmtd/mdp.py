@@ -19,7 +19,10 @@ attackers make, where a direct solve can be off by more than TIE_TOL.
 
 Above K = 3 the swap search scores single-state swaps by rank-one updates
 of the policy's fundamental matrix, every state left in a sweep in one
-array pass (`_swap_values`; from K = 13 up, in passes of a bounded size).
+array pass (`_swap_values`; from K = 13 up, in passes of a bounded size),
+and carries the matrix through each accepted swap by the same rank-one
+identity (`_accept_swap`), re-forming it only where the update's pivot is
+small.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ _SWITCH_TOL = 1e-12
 # tenth at this size; from K = 13 up a pass holds fewer than K^2 states, and
 # an accepted swap discards at most one pass's rows
 _SWAP_PASS_ENTRIES = 2**16
+# an accepted swap's rank-one update of Z has a rounding error of about
+# eps ||Z|| / |1 - (delta Z)_s|.  The pivot is of order 1 on the swaps the
+# search accepts (at least 0.49 over 232 of them at K = 4..10), but a swap
+# that closes a rarely entered class around s under a ZD strategy's floor
+# entries can bring it to ~1e-8; below this floor, where the update would
+# lose three digits or more, Z and the pair are re-formed by direct solves
+_PIVOT_FLOOR = 1e-3
 
 
 class PolicyIterationCycleError(RuntimeError):
@@ -86,9 +96,30 @@ def _fundamental(f, w, sd, sa, policy_idx):
     stationary vector; the two means are the policy's (u_d, u_a)."""
     n = f.shape[0]
     a = np.eye(n) - chain(f, w[policy_idx]) + 1.0 / n
-    z = np.linalg.solve(a, np.eye(n))
+    return _with_means(np.linalg.solve(a, np.eye(n)), sd, sa)
+
+
+def _with_means(z, sd, sa):
+    """The fundamental tuple of `_fundamental` built from Z."""
     zsd, zsa = z @ sd, z @ sa
     return z, z.mean(axis=0), zsd, zsa, zsd.mean(), zsa.mean()
+
+
+def _accept_swap(f, w, sd, sa, fund, policy_idx, s, a):
+    """Move state s of `policy_idx` (in place) from its action a0 to action
+    a and return the new policy's fundamental tuple and (u_d, u_a).  Row s
+    of the chain changes by delta = F[s] (x) (W[a] - W[a0]), so
+    Sherman-Morrison gives Z' = Z + (Z e_s)(delta Z) / (1 - (delta Z)_s) in
+    O(K^4), and the pair is the means of Z' S_d and Z' S_a.  Below
+    _PIVOT_FLOOR both are re-formed by direct solves instead."""
+    z = fund[0]
+    dz = np.outer(f[s], w[a] - w[policy_idx[s]]).ravel() @ z
+    pivot = 1.0 - dz[s]
+    policy_idx[s] = a
+    if abs(pivot) < _PIVOT_FLOOR:
+        return _fundamental(f, w, sd, sa, policy_idx), _chain_values(f, w, sd, sa, policy_idx)
+    fund = _with_means(z + np.outer(z[:, s], dz / pivot), sd, sa)
+    return fund, (float(fund[4]), float(fund[5]))
 
 
 def _swap_values(f, w, fund, policy_idx, states):
@@ -207,9 +238,9 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
     scores, by rank-one updates of the current fundamental matrix, the K
     actions of every state left in the sweep (at most _SWAP_PASS_ENTRIES /
     3K^2 states); the first state where another action qualifies is then
-    searched action by action.  An accepted swap's (u_d, u_a) is recorded
-    from a direct solve, the fundamental matrix is re-formed, and the later
-    states are scored again.
+    searched action by action.  An accepted swap updates the fundamental
+    matrix by rank one, its (u_d, u_a) is read from the updated matrix
+    (`_accept_swap`), and the later states are scored again.
 
     Returns ((u_d, u_a), 1-based policy tuple) of the chosen policy.
     """
@@ -259,9 +290,7 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
                             best_pair = (ud[i, a], ua[i, a])
                             orig = a
                     if orig != pol[s]:
-                        pol[s] = orig
-                        best_pair = _chain_values(f, w, sd, sa, pol)
-                        fund = _fundamental(f, w, sd, sa, pol)
+                        fund, best_pair = _accept_swap(f, w, sd, sa, fund, pol, s, orig)
                         improved = True
                         start = s + 1
                         break

@@ -20,6 +20,7 @@ from zdmtd.markov import (EPSILON_MIX, TransitionMatrix, UtilityPair, _direct, b
 from zdmtd.mdp import (
     TIE_TOL,
     _SWITCH_TOL,
+    _accept_swap,
     _chain_values,
     _effective_tables,
     _fundamental,
@@ -360,12 +361,14 @@ def swap_values_per_state(f, w, fund, policy_idx, s):
     return ud + vs * dy[:, 0], ua + vs * dy[:, 1]
 
 
-def swap_search_per_state(g: GameSpec, pi_d):
+def swap_search_per_state(g: GameSpec, pi_d, reform=False):
     """Per-state reference for the search above K = 3 in
     `defender_utility_under_br`: the same start policies, tables, direct
-    solves and fundamental matrices, but every state of a sweep scored by
-    its own `swap_values_per_state` call.  Returns ((u_d, u_a), 1-based
-    policy tuple)."""
+    solves and accepted-swap updates (`_accept_swap`), but every state of a
+    sweep scored by its own `swap_values_per_state` call.  With `reform`, an
+    accepted swap re-forms the fundamental matrix and the pair by direct
+    solves, as the search does below its pivot floor.  Returns ((u_d, u_a),
+    1-based policy tuple)."""
     assert g.k > 3
     n = g.k * g.k
     tables = f, w, _, sd, sa = _effective_tables(g, pi_d)
@@ -393,11 +396,15 @@ def swap_search_per_state(g: GameSpec, pi_d):
                 if a != orig and ua[a] >= floor and ud[a] > best_pair[0] + _SWITCH_TOL:
                     best_pair = (ud[a], ua[a])
                     orig = a
-            if orig != pol[s]:
+            if orig == pol[s]:
+                continue
+            improved = True
+            if reform:
                 pol[s] = orig
                 best_pair = _chain_values(f, w, sd, sa, pol)
                 fund = _fundamental(f, w, sd, sa, pol)
-                improved = True
+            else:
+                fund, best_pair = _accept_swap(f, w, sd, sa, fund, pol, s, orig)
     return UtilityPair(*best_pair), tuple(int(x) + 1 for x in pol)
 
 

@@ -214,6 +214,20 @@ def test_stationary_reducible_closed_forms():
     assert np.max(np.abs(avg / 6000 - expect)) < 1e-3
 
 
+def test_stationary_transient_state_that_leaves_with_probability_below_rounding():
+    # state 1 leaves for state 0 with probability 4.3e-17, so 1 - m[1, 1]
+    # rounds to 0; it is still transient, and the uniform start ends in the
+    # closed class {2, 3} (a deterministic defender against a Dirichlet(0.05)
+    # attacker, as the enforced-line property drew it)
+    p, r = 2.2e-3, 7.6e-7
+    m = np.array([[0, 0, 4.2e-6, 1 - 4.2e-6], [4.3e-17, 1, 0, 0],
+                  [0, 0, p, 1 - p], [0, 0, 1 - r, r]])
+    st = stationary(TransitionMatrix(2, m))
+    assert st.method == "reducible"
+    expect = np.array([0, 0, 1 - r, 1 - p]) / (2 - p - r)
+    assert np.allclose(st.v, expect, rtol=0, atol=1e-15)
+
+
 def test_stationary_repeated_actions_average_the_classes():
     # both players repeat their own action: (1,1) and (2,2) absorb, and the
     # uniform start reaches each from one of the two off-diagonal states

@@ -16,6 +16,8 @@ from zdmtd.mdp import (
     TIE_TOL,
     best_response,
     defender_utility_under_br,
+    _accept_swap,
+    _chain_values,
     _effective_tables,
     _fundamental,
     _policy_value,
@@ -249,7 +251,8 @@ def test_rank_one_swap_values_match_direct_solves(k, kind):
     # with it.  In the second case the update is the less accurate of the
     # two (it divides v_s ~ 1e-9 by 1 - (delta Z)_s ~ 1e-8; 1.1e-9 off at
     # K = 4 where the direct solve is within 3e-15 of a 40-digit solve),
-    # which is why an accepted swap is re-scored by a direct solve.
+    # which is why an accepted swap with a pivot below mdp._PIVOT_FLOOR is
+    # re-formed by direct solves rather than updated by rank one.
     rng = np.random.default_rng(100 + k)
     if kind == "random":
         g = random_game(k, rng)
@@ -336,6 +339,54 @@ def test_swap_search_matches_direct_solve_reference():
         assert policy == ref_policy
         assert abs(pair.u_d - ref_d) <= 1e-12
         assert abs(pair.u_a - ref_a) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [4, 5, 7, 10, 16])
+@pytest.mark.parametrize("kind", ["random", "zd"])
+def test_updated_pair_matches_direct_solve_of_returned_policy(k, kind, monkeypatch):
+    # after every accepted swap's rank-one update of Z, the returned pair is
+    # that of the returned policy, to 1e-12 of the payoff scale.  The ZD
+    # strategies here accept few swaps (none at K = 4, 10 and 16)
+    accepted = []
+
+    def spy(*args):
+        accepted.append(args[6])
+        return _accept_swap(*args)
+
+    monkeypatch.setattr(mdp, "_accept_swap", spy)
+    for g, pi_d in _swap_inputs(k, kind, 3 if k < 16 else 1):
+        pair, policy = defender_utility_under_br(g, pi_d)
+        ref_d, ref_a = _policy_value(g, pi_d, policy)
+        scale = max(1.0, *np.abs(profit_vector(g, "defender")), *np.abs(profit_vector(g, "attacker")))
+        assert abs(pair.u_d - ref_d) <= 1e-12 * scale
+        assert abs(pair.u_a - ref_a) <= 1e-12 * scale
+    assert accepted or kind == "zd"
+
+
+@pytest.mark.parametrize("k", [4, 7])
+@pytest.mark.parametrize("kind", ["random", "zd"])
+def test_pivot_floor_reforms_every_accepted_swap(k, kind, monkeypatch):
+    # with the floor above every pivot, each accepted swap re-forms Z and the
+    # pair by direct solves, as the search did before the update
+    monkeypatch.setattr(mdp, "_PIVOT_FLOOR", np.inf)
+    for g, pi_d in _swap_inputs(k, kind, 3):
+        assert defender_utility_under_br(g, pi_d) == swap_search_per_state(g, pi_d, reform=True)
+
+
+def test_swap_with_a_tiny_pivot_is_reformed():
+    # the near-decomposable case of test_rank_one_swap_values_match_direct_solves
+    # [zd-4]: moving state 2 to action 2 (0-based) has 1 - (delta Z)_s ~ 1e-8
+    rng = np.random.default_rng(104)
+    g, pi_d = _zd_strategy(4, rng)
+    f, w, _, sd, sa = _effective_tables(g, pi_d)
+    pol = rng.integers(0, 4, size=16)
+    fund = _fundamental(f, w, sd, sa, pol)
+    dz = np.outer(f[2], w[2] - w[pol[2]]).ravel() @ fund[0]
+    assert abs(1.0 - dz[2]) < 1e-6
+    new_fund, pair = _accept_swap(f, w, sd, sa, fund, pol, 2, 2)
+    assert pol[2] == 2
+    assert pair == _chain_values(f, w, sd, sa, pol)
+    assert all(np.array_equal(x, y) for x, y in zip(new_fund, _fundamental(f, w, sd, sa, pol)))
 
 
 def _batch_inputs(k, kind):
