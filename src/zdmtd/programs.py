@@ -22,10 +22,13 @@ refinement).  Each candidate passes a feasibility screen (the cell's sign
 conditions, to FEAS_TOL) and then the existence inequalities in its
 construction frame.  One kernel, ``_pencil_values``, scores lines against
 the hull: every sample of a sweep slice in one array pass, and a cell's
-surviving candidates in one more.  Cells whose equality rows are certified
-to have rank 3 (no candidate) are skipped before any candidate is built.
-At desk scale each surviving candidate is realized and scored under actual
-attacker best response.
+surviving candidates in one more.  The sweeps of all the cells of a game
+run after every cell's candidates are built, and their refinements run in
+lockstep: each refinement step scores the two angles of every slice in one
+kernel call.  Cells whose equality rows are certified to have rank 3 (no
+candidate) are skipped before any candidate is built.  At desk scale each
+surviving candidate is realized and scored under actual attacker best
+response.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ from .zd import (
 
 FEAS_TOL = 1e-9
 _SWEEP_STEP = 1e-3  # radians
+_SWEEP_T = np.arange(0.0, 2 * np.pi, _SWEEP_STEP)
+_SWEEP_Z = np.array([np.cos(_SWEEP_T), np.sin(_SWEEP_T)])
+_SWEEP_GROUP = len(_SWEEP_T) // 2  # slices refined together: two lines each
 
 
 @dataclass(frozen=True)
@@ -204,12 +210,13 @@ def _cell_ineq_rows(g: GameSpec, cell: LambdaCell) -> np.ndarray:
 def _cone_rays_2d(gmat: np.ndarray, basis: np.ndarray):
     """Extreme rays of {z in R^2 : (G B) z >= 0}, mapped back to R^3."""
     gb = gmat @ basis
+    tol = -FEAS_TOL * max(1.0, float(np.max(np.abs(gb))))
     rays = []
     for row in gb:
         if np.hypot(row[0], row[1]) < 1e-14:
             continue
         for z in (np.array([-row[1], row[0]]), np.array([row[1], -row[0]])):
-            if np.all(gb @ z >= -FEAS_TOL * max(1.0, float(np.max(np.abs(gb))))):
+            if np.all(gb @ z >= tol):
                 rays.append(basis @ z)
     return rays
 
@@ -266,50 +273,87 @@ def _pencil_values(ps: np.ndarray, hp: HullPolygon):
     return tuple(np.where(hit, col, np.nan) for col in (value, x, y))
 
 
-def _sweep_2d(gmat: np.ndarray, basis: np.ndarray, hp: HullPolygon):
-    """Angular sweep over the unit circle of the 2-d coefficient space with
-    local refinement around the best feasible sample.
+def _sweep_slices(slices: list, hp: HullPolygon) -> list:
+    """Angular sweep over the unit circle of each slice (gmat, basis) of a
+    2-d coefficient space, with local refinement around the best feasible
+    sample; one entry per slice, None where no feasible line meets the hull.
 
-    The samples are 1e-3 rad apart; all of a slice's samples are scored in
-    one array pass, and the winner is the first best one (in angle order).
-    The 24-step ternary refinement then scores two angles per step."""
-    gb = gmat @ basis
-    scale = max(1.0, float(np.max(np.abs(gb))))
+    Each slice's samples, 1e-3 rad apart, are scored in one array pass, and
+    the winner is the first best one (in angle order).  The refinements then
+    run in lockstep, _SWEEP_GROUP slices at a time, so a kernel call never
+    scores more lines than a full sweep does."""
+    out = [None] * len(slices)
+    found = []  # (slice index, basis, gb, tol, best_t, best_v)
+    for n, (gmat, basis) in enumerate(slices):
+        gb = gmat @ basis
+        tol = -FEAS_TOL * max(1.0, float(np.max(np.abs(gb))))
+        feas = np.all(gb @ _SWEEP_Z >= tol, axis=0)
+        if not feas.any():  # a slice with no feasible angle has no line to score
+            continue
+        vs = np.full(len(_SWEEP_T), np.nan)
+        vs[feas] = _pencil_values(basis @ _SWEEP_Z[:, feas], hp)[0]
+        if np.all(np.isnan(vs)):
+            continue
+        best = int(np.nanargmax(vs))
+        found.append((n, basis, gb, tol, _SWEEP_T[best], vs[best]))
+    for start in range(0, len(found), _SWEEP_GROUP):
+        group = found[start:start + _SWEEP_GROUP]
+        for (n, basis, *_), t in zip(group, _refine(group, hp)):
+            out[n] = basis @ np.array([np.cos(t), np.sin(t)])
+    return out
 
-    def values(ts):
-        z = np.array([np.cos(ts), np.sin(ts)])
-        feas = np.all(gb @ z >= -FEAS_TOL * scale, axis=0)
-        out = np.full(len(ts), np.nan)
-        if feas.any():  # a slice with no feasible angle has no line to score
-            out[feas] = _pencil_values(basis @ z[:, feas], hp)[0]
-        return out
 
-    ts = np.arange(0.0, 2 * np.pi, _SWEEP_STEP)
-    vs = values(ts)
-    if np.all(np.isnan(vs)):
-        return []
-    best = int(np.nanargmax(vs))
-    best_t, best_v = ts[best], vs[best]
+def _refine(group: list, hp: HullPolygon) -> np.ndarray:
+    """The 24-step ternary refinement of a group of ``_sweep_slices``
+    entries in lockstep; returns each slice's best angle.
+
+    Each step scores the two angles of every slice with one stacked
+    feasibility product and one kernel call.  Its lines must round as one
+    slice's own (3 x 2) @ (2 x m) product does, so they take that product's
+    BLAS path: slices with two feasible angles (gemm) and with one (gemv)
+    are multiplied apart, and the bases stack column-major, as
+    ``_null_space`` returns them (a row-major basis rounds differently on
+    the gemv path)."""
+    _, bases, gb, tol, best_t, best_v = zip(*group)
+    gb, tol, best_t, best_v = map(np.array, (gb, tol, best_t, best_v))
+    bt = np.array([b.T for b in bases])  # (R, 2, 3): bt[r].T is column-major
     lo, hi = best_t - _SWEEP_STEP, best_t + _SWEEP_STEP
     for _ in range(24):
-        pair = np.array([lo + (hi - lo) / 3, hi - (hi - lo) / 3])
-        for t, v in zip(pair, values(pair)):
-            if v > best_v:
-                best_t, best_v = t, v
-        lo, hi = best_t - (hi - lo) / 3, best_t + (hi - lo) / 3
-    return [basis @ np.array([np.cos(best_t), np.sin(best_t)])]
+        third = (hi - lo) / 3
+        pair = np.stack([lo + third, hi - third], axis=1)
+        z = np.stack([np.cos(pair), np.sin(pair)], axis=1)  # (R, 2, 2)
+        feas = np.all(gb @ z >= tol[:, None, None], axis=1)
+        both, one = feas.all(axis=1), feas.sum(axis=1) == 1
+        col, split = feas[one].argmax(axis=1), 2 * np.count_nonzero(both)
+        lines = np.hstack([
+            (bt[both].transpose(0, 2, 1) @ z[both]).transpose(1, 0, 2).reshape(3, split),
+            (bt[one].transpose(0, 2, 1) @ z[one, :, col][:, :, None])[:, :, 0].T,
+        ])
+        v = np.full(pair.shape, np.nan)
+        if lines.shape[1]:
+            vals = _pencil_values(lines, hp)[0]
+            v[both] = vals[:split].reshape(-1, 2)
+            v[np.flatnonzero(one), col] = vals[split:]
+        for j in (0, 1):  # the first strictly better angle wins, as in angle order
+            up = v[:, j] > best_v
+            best_t = np.where(up, pair[:, j], best_t)
+            best_v = np.where(up, v[:, j], best_v)
+        lo, hi = best_t - third, best_t + third
+    return best_t
 
 
-def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon, unc: np.ndarray):
+def _cell_candidates(cell: LambdaCell, hp: HullPolygon, unc: np.ndarray,
+                     gmat: np.ndarray, scale: float):
     """Finite family of candidate coefficient vectors for one cell; unc is
-    the K x 3 matrix of uncovered rows (``_unc_row`` for t = 1..K)."""
+    the K x 3 matrix of uncovered rows (``_unc_row`` for t = 1..K), gmat the
+    cell's ``_cell_ineq_rows`` and scale max(1, max |gmat|).  Where a slice's
+    sweep result goes, the list holds the slice (gmat, basis) itself, for
+    ``_sweep_slices`` to resolve."""
     eq_rows = np.delete(unc, [cell.i1 - 1, cell.i2 - 1], axis=0)
     basis = _null_space(eq_rows)
     d = basis.shape[1]
     if d == 0:
         return []
-    gmat = _cell_ineq_rows(g, cell)
-    scale = max(1.0, float(np.max(np.abs(gmat))))
 
     def feasible(p):
         return np.all(gmat @ p >= -FEAS_TOL * scale)
@@ -333,7 +377,7 @@ def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon, unc: np.nda
                     cands.append(p)
         elif dd == 2:
             cands.extend(r for r in _cone_rays_2d(gmat, sub) if feasible(r))
-            cands.extend(_sweep_2d(gmat, sub, hp))
+            cands.append((gmat, sub))
 
     if d == 2:
         cands.extend(r for r in _cone_rays_2d(gmat, basis) if feasible(r))
@@ -347,7 +391,7 @@ def _cell_candidates(g: GameSpec, cell: LambdaCell, hp: HullPolygon, unc: np.nda
         sub_candidates(np.array([vx, vy, 1.0]))
 
     if d == 2:
-        cands.extend(_sweep_2d(gmat, basis, hp))
+        cands.append((gmat, basis))
     return cands
 
 
@@ -401,7 +445,7 @@ def solve_optimal(g: GameSpec, evaluate_br: bool) -> ZdSolveResult:
     hp = hull(g)
     unc = np.column_stack([g.u_d_unc, g.u_a_unc, np.ones(g.k)])
     triples = _rank3_triples(unc)
-    best = None  # (score_key, result)
+    cells = []  # (cell, gmat, scale, candidates with slice markers)
     for i1 in range(1, g.k + 1):
         for i2 in range(1, g.k + 1):
             if i1 == i2 or any(i1 - 1 not in t and i2 - 1 not in t for t in triples):
@@ -409,41 +453,50 @@ def solve_optimal(g: GameSpec, evaluate_br: bool) -> ZdSolveResult:
             cell = LambdaCell(i1, i2)
             gmat = _cell_ineq_rows(g, cell)
             scale = max(1.0, float(np.max(np.abs(gmat))))
-            vecs = []
-            for raw in _cell_candidates(g, cell, hp, unc):
-                vec = _normalize(raw).as_array()
-                if np.max(np.abs(vec)) < 1e-12 or np.any(gmat @ vec < -FEAS_TOL * scale):
+            cells.append((cell, gmat, scale, _cell_candidates(cell, hp, unc, gmat, scale)))
+    swept = iter(_sweep_slices(
+        [c for *_, cands in cells for c in cands if isinstance(c, tuple)], hp))
+    best = None  # (score_key, result)
+    for cell, gmat, scale, cands in cells:
+        vecs = []
+        for raw in cands:
+            if isinstance(raw, tuple):  # a slice: its sweep result goes here
+                raw = next(swept)
+                if raw is None:
                     continue
-                vecs.append(vec)
-            if not vecs:
+            vec = _normalize(raw).as_array()
+            if np.max(np.abs(vec)) < 1e-12 or np.any(gmat @ vec < -FEAS_TOL * scale):
                 continue
-            shortlist = []  # (corr-sign, proxy value, params, max-u_d point)
-            for vec, proxy, x, y in zip(vecs, *_pencil_values(np.array(vecs).T, hp)):
-                if np.isnan(proxy):  # the line misses the hull
+            vecs.append(vec)
+        if not vecs:
+            continue
+        shortlist = []  # (corr-sign, proxy value, params, max-u_d point)
+        for vec, proxy, x, y in zip(vecs, *_pencil_values(np.array(vecs).T, hp)):
+            if np.isnan(proxy):  # the line misses the hull
+                continue
+            corr = 0 if abs(vec[0]) <= 1e-12 else (0 if -vec[1] / vec[0] >= 0 else 1)
+            cur = next((s for s in shortlist if s[0] == corr), None)
+            if cur is None or proxy > cur[1] + 1e-12:
+                shortlist = [s for s in shortlist if s[0] != corr]
+                shortlist.append((corr, proxy, vec, (float(x), float(y))))
+        for _, proxy, vec, (x, y) in sorted(shortlist, key=lambda s: s[0]):
+            p = ZdLinearParams(*vec)
+            built = realized = None
+            if evaluate_br:
+                built = realize_params(g, p, cell.i1, cell.i2)
+                if built is None:
                     continue
-                corr = 0 if abs(vec[0]) <= 1e-12 else (0 if -vec[1] / vec[0] >= 0 else 1)
-                cur = next((s for s in shortlist if s[0] == corr), None)
-                if cur is None or proxy > cur[1] + 1e-12:
-                    shortlist = [s for s in shortlist if s[0] != corr]
-                    shortlist.append((corr, proxy, vec, (float(x), float(y))))
-            for _, proxy, vec, (x, y) in sorted(shortlist, key=lambda s: s[0]):
-                p = ZdLinearParams(*vec)
-                built = realized = None
-                if evaluate_br:
-                    built = realize_params(g, p, i1, i2)
-                    if built is None:
-                        continue
-                    realized, _ = defender_utility_under_br(g, built[0])
-                else:
-                    frame = relabeling(g.k, i1, i2)
-                    if not _eq8_existence(frame.apply_game(g), p).exists:
-                        continue
-                score = (realized.u_d if realized is not None else proxy, x)
-                if best is None or score[0] > best[0][0] + 1e-12 or (
-                    abs(score[0] - best[0][0]) <= 1e-12 and score[1] > best[0][1] + 1e-12
-                ):
-                    best = (score, ZdSolveResult(
-                        "optimal", p, UtilityPair(x, y), realized, cell, realization=built))
+                realized, _ = defender_utility_under_br(g, built[0])
+            else:
+                frame = relabeling(g.k, cell.i1, cell.i2)
+                if not _eq8_existence(frame.apply_game(g), p).exists:
+                    continue
+            score = (realized.u_d if realized is not None else proxy, x)
+            if best is None or score[0] > best[0][0] + 1e-12 or (
+                abs(score[0] - best[0][0]) <= 1e-12 and score[1] > best[0][1] + 1e-12
+            ):
+                best = (score, ZdSolveResult(
+                    "optimal", p, UtilityPair(x, y), realized, cell, realization=built))
     if best is None:
         return ZdSolveResult("none")
     if not evaluate_br:  # scored by prediction: only the winner is built

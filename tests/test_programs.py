@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from zdmtd.programs import (
     LambdaCell,
     _null_space,
     _pencil_values,
-    _sweep_2d,
+    _sweep_slices,
     hull,
     realize_params,
     solve_ideal,
@@ -323,19 +325,32 @@ def test_lambda_cell_validation():
         LambdaCell(2, 2)
 
 
-def _recorded_slices(monkeypatch, games):
-    """Every (gmat, basis, hull) the optimal program sweeps on these games."""
+def _recorded_batches(monkeypatch, games):
+    """Every batch of slices (gmat, basis) the optimal program sweeps on
+    these games, one per game, with its hull."""
     calls = []
 
-    def record(gmat, basis, hp):
-        calls.append((gmat, basis, hp))
-        return []
+    def record(slices, hp):
+        calls.append((slices, hp))
+        return [None] * len(slices)
 
-    monkeypatch.setattr(programs, "_sweep_2d", record)
+    monkeypatch.setattr(programs, "_sweep_slices", record)
     for g in games:
         solve_optimal(g, evaluate_br=False)
     monkeypatch.undo()
     return calls
+
+
+def _matches_reference(slices, hp):
+    """The batch's results, checked slice by slice against the scalar loop."""
+    got = _sweep_slices(slices, hp)
+    assert len(got) == len(slices)
+    for res, (gmat, basis) in zip(got, slices):
+        want = sweep_2d_reference(gmat, basis, hp)
+        assert (res is None) == (not want)
+        if want:
+            assert np.array_equal(res, want[0])
+    return got
 
 
 def test_sweep_2d_matches_reference_loop(monkeypatch):
@@ -343,22 +358,19 @@ def test_sweep_2d_matches_reference_loop(monkeypatch):
     # noise decides the winning angle, so any reordered arithmetic shows
     rng = np.random.default_rng(23)
     games = [random_game(k, rng, scale) for k in (2, 3) for scale in (1.0, 10.0, 1.0, 10.0)]
-    slices = _recorded_slices(monkeypatch, games)
-    hits = [sl for sl in slices if _sweep_2d(*sl)]
-    misses = [sl for sl in slices if not _sweep_2d(*sl)]
-    assert len(hits) >= 4 and len(misses) >= 4
-    for sl in hits[:16] + misses[:8]:
-        got, want = _sweep_2d(*sl), sweep_2d_reference(*sl)
-        assert len(got) == len(want)
-        if want:
-            assert np.array_equal(got[0], want[0])
+    batches = _recorded_batches(monkeypatch, games)
+    found = [sum(r is not None for r in _sweep_slices(*b)) for b in batches]
+    hit = next(b for b, n in zip(batches, found) if n >= 4)
+    miss = next(b for b, n in zip(batches, found) if n == 0 and len(b[0]) >= 4)
+    for slices, hp in (hit, miss):
+        _matches_reference(slices, hp)
 
 
 @pytest.mark.parametrize("case", ["point", "segment", "infeasible", "miss", "all-miss"])
 def test_sweep_2d_matches_reference_on_degenerate_slices(case):
     square = HullPolygon(np.array([[10.0, 10.0], [11.0, 10.0], [11.0, 11.0], [10.0, 11.0]]))
     open_cone = np.zeros((4, 3))
-    through_origin = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    through_origin = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])  # C-ordered
     rng = np.random.default_rng(5)
     basis = np.linalg.qr(rng.normal(size=(3, 2)))[0]
     gmat, hp = {
@@ -375,11 +387,56 @@ def test_sweep_2d_matches_reference_on_degenerate_slices(case):
         basis = through_origin
     if case == "point":  # every line passes through the point: a flat value
         basis = _null_space(np.array([[0.3, -0.2, 1.0]]))
-    got, want = _sweep_2d(gmat, basis, hp), sweep_2d_reference(gmat, basis, hp)
-    assert len(got) == len(want)
-    assert (len(want) == 0) == (case in ("infeasible", "all-miss"))
-    if want:
-        assert np.array_equal(got[0], want[0])
+    got = _matches_reference([(gmat, basis)], hp)
+    assert (got[0] is None) == (case in ("infeasible", "all-miss"))
+
+
+def _refinement_widths(monkeypatch):
+    """Widths of the kernel calls the lockstep refinement makes, as a list
+    that fills while the patches hold."""
+    widths, inside = [], []
+    kernel, refine = programs._pencil_values, programs._refine
+
+    def spy(ps, hp):
+        if inside:
+            widths.append(ps.shape[1])
+        return kernel(ps, hp)
+
+    def refine_spy(*args):
+        inside.append(True)
+        try:
+            return refine(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(programs, "_pencil_values", spy)
+    monkeypatch.setattr(programs, "_refine", refine_spy)
+    return widths
+
+
+def _arc(basis, a, b):
+    """Cell rows keeping the slice's angles in [a, b]."""
+    return np.array([[-np.sin(a), np.cos(a)], [np.sin(b), -np.cos(b)],
+                     [0.0, 0.0], [0.0, 0.0]]) @ basis.T
+
+
+def test_sweep_2d_refines_slices_with_one_two_or_no_feasible_angle(monkeypatch):
+    # every line of the slice passes through (0.3, -0.2), inside the square
+    square = HullPolygon(np.array([[-1.0, -0.5], [2.0, -0.5], [2.0, 1.5], [-1.0, 1.5]]))
+    basis = _null_space(np.array([[0.3, -0.2, 1.0]]))
+    sample = 1000 * programs._SWEEP_STEP
+    slices = [
+        (np.zeros((4, 3)), basis),  # open cone: both angles feasible at every step
+        (_arc(basis, 0.3, 0.70005), basis),  # the best sample is the arc's end: one angle
+        # only one sample is feasible, and the first steps' angles lie outside
+        (_arc(basis, sample - 1e-4, sample + 1e-4), basis),
+    ]
+    widths = _refinement_widths(monkeypatch)
+    got = _sweep_slices(slices, square)
+    monkeypatch.undo()
+    assert widths[0] == 2 + 1 + 0 and len(widths) == 24
+    assert all(r is not None for r in got)
+    _matches_reference(slices, square)
 
 
 def test_sweep_2d_skips_the_kernel_without_a_line(monkeypatch):
@@ -394,12 +451,66 @@ def test_sweep_2d_skips_the_kernel_without_a_line(monkeypatch):
     square = HullPolygon(np.array([[10.0, 10.0], [11.0, 10.0], [11.0, 11.0], [10.0, 11.0]]))
     infeasible = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
     basis = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 2)))[0]
-    assert _sweep_2d(infeasible, basis, square) == []
+    assert _sweep_slices([(infeasible, basis)], square) == [None]
     assert widths == []
     rng = np.random.default_rng(23)
     for g in [random_game(k, rng, scale) for k in (2, 3) for scale in (1.0, 10.0)]:
         solve_optimal(g, evaluate_br=False)
     assert widths and min(widths) > 0
+
+
+def test_solve_optimal_refines_all_slices_in_one_lockstep_pass(monkeypatch):
+    # one K = 2 game refines ten slices; a slice-at-a-time refinement would
+    # make 24 kernel calls for each of them
+    g = random_game(2, np.random.default_rng(1))
+    refined = []
+    refine = programs._refine
+
+    def count(group, hp):
+        refined.append(len(group))
+        return refine(group, hp)
+
+    monkeypatch.setattr(programs, "_refine", count)
+    widths = _refinement_widths(monkeypatch)
+    solve_optimal(g, evaluate_br=False)
+    assert sum(refined) >= 2
+    assert 0 < len(widths) <= 24
+
+
+def _same(a, b):
+    """Equal field by field, arrays bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return a == b
+
+
+def test_solve_optimal_matches_a_per_slice_reference_sweep(monkeypatch):
+    rng = np.random.default_rng(31)
+    games = [random_game(2 + t % 2, rng) for t in range(20)]
+    cache = {}
+
+    def reference(slices, hp):
+        out = []
+        for gmat, basis in slices:
+            key = (gmat.tobytes(), basis.tobytes(), hp.vertices.tobytes())
+            if key not in cache:
+                cache[key] = sweep_2d_reference(gmat, basis, hp)
+            out.append(cache[key][0] if cache[key] else None)
+        return out
+
+    for evaluate_br in (False, True):
+        got = [solve_optimal(g, evaluate_br) for g in games]
+        monkeypatch.setattr(programs, "_sweep_slices", reference)
+        want = [solve_optimal(g, evaluate_br) for g in games]
+        monkeypatch.undo()
+        assert sum(w.kind == "optimal" for w in want) >= 10
+        assert all(_same(x, y) for x, y in zip(got, want))
 
 
 def _section_reference(ps, hp):
@@ -418,21 +529,31 @@ def _section_reference(ps, hp):
 
 def test_pencil_values_match_reference_on_recorded_candidates(monkeypatch):
     # bit identity: solve_optimal reports the point and ranks by the value
-    recorded = []
-    original = programs._cell_candidates
+    cells, swept = [], []
+    original, sweep = programs._cell_candidates, programs._sweep_slices
 
-    def record(g, cell, hp, unc):
-        cands = original(g, cell, hp, unc)
-        if cands:
-            recorded.append((np.array([programs._normalize(c).as_array() for c in cands]).T, hp))
+    def record(cell, hp, unc, gmat, scale):
+        cands = original(cell, hp, unc, gmat, scale)
+        cells.append((cands, hp))
         return cands
 
+    def record_sweep(slices, hp):
+        swept.extend(sweep(slices, hp))
+        return swept[len(swept) - len(slices):]
+
     monkeypatch.setattr(programs, "_cell_candidates", record)
+    monkeypatch.setattr(programs, "_sweep_slices", record_sweep)
     rng = np.random.default_rng(12)
     for k in (2, 3, 4, 5):
         for _ in range(3):
             solve_optimal(random_game(k, rng), evaluate_br=False)
     monkeypatch.undo()
+    recorded, found = [], iter(swept)  # each slice marker takes its sweep result
+    for cands, hp in cells:
+        vecs = [next(found) if isinstance(c, tuple) else c for c in cands]
+        vecs = [programs._normalize(c).as_array() for c in vecs if c is not None]
+        if vecs:
+            recorded.append((np.array(vecs).T, hp))
     hits = 0
     for ps, hp in recorded:
         got, want = np.array(_pencil_values(ps, hp)), _section_reference(ps, hp)
@@ -472,9 +593,9 @@ def _visited_cells(monkeypatch, g):
     visited = []
     original = programs._cell_candidates
 
-    def record(g, cell, hp, unc):
+    def record(cell, hp, unc, gmat, scale):
         visited.append((cell.i1, cell.i2))
-        return original(g, cell, hp, unc)
+        return original(cell, hp, unc, gmat, scale)
 
     monkeypatch.setattr(programs, "_cell_candidates", record)
     res = solve_optimal(g, evaluate_br=False)
