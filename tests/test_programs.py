@@ -21,6 +21,7 @@ from zdmtd.programs import (
 from zdmtd.rng import stream
 from zdmtd.zd import defining_residual
 
+import oracles
 from oracles import (
     check_corollaries,
     directional_value,
@@ -391,15 +392,15 @@ def test_sweep_2d_matches_reference_on_degenerate_slices(case):
     assert (got[0] is None) == (case in ("infeasible", "all-miss"))
 
 
-def _refinement_widths(monkeypatch):
-    """Widths of the kernel calls the lockstep refinement makes, as a list
-    that fills while the patches hold."""
-    widths, inside = [], []
+def _refinement_lines(monkeypatch):
+    """The lines of each kernel call the lockstep refinement makes, as a
+    list that fills while the patches hold."""
+    lines, inside = [], []
     kernel, refine = programs._pencil_values, programs._refine
 
     def spy(ps, hp):
         if inside:
-            widths.append(ps.shape[1])
+            lines.append(ps.copy())
         return kernel(ps, hp)
 
     def refine_spy(*args):
@@ -411,7 +412,7 @@ def _refinement_widths(monkeypatch):
 
     monkeypatch.setattr(programs, "_pencil_values", spy)
     monkeypatch.setattr(programs, "_refine", refine_spy)
-    return widths
+    return lines
 
 
 def _arc(basis, a, b):
@@ -420,23 +421,46 @@ def _arc(basis, a, b):
                      [0.0, 0.0], [0.0, 0.0]]) @ basis.T
 
 
+# every line of these slices passes through (0.3, -0.2), inside the square
+_SQUARE = HullPolygon(np.array([[-1.0, -0.5], [2.0, -0.5], [2.0, 1.5], [-1.0, 1.5]]))
+_BASIS = _null_space(np.array([[0.3, -0.2, 1.0]]))
+_SAMPLE = 1000 * programs._SWEEP_STEP
+_SLICES = [
+    (np.zeros((4, 3)), _BASIS),  # open cone: both angles feasible at every step
+    (_arc(_BASIS, 0.3, 0.70005), _BASIS),  # the best sample is the arc's end: one angle
+    # only one sample is feasible, and the first steps' angles lie outside
+    (_arc(_BASIS, _SAMPLE - 1e-4, _SAMPLE + 1e-4), _BASIS),
+]
+
+
 def test_sweep_2d_refines_slices_with_one_two_or_no_feasible_angle(monkeypatch):
-    # every line of the slice passes through (0.3, -0.2), inside the square
-    square = HullPolygon(np.array([[-1.0, -0.5], [2.0, -0.5], [2.0, 1.5], [-1.0, 1.5]]))
-    basis = _null_space(np.array([[0.3, -0.2, 1.0]]))
-    sample = 1000 * programs._SWEEP_STEP
-    slices = [
-        (np.zeros((4, 3)), basis),  # open cone: both angles feasible at every step
-        (_arc(basis, 0.3, 0.70005), basis),  # the best sample is the arc's end: one angle
-        # only one sample is feasible, and the first steps' angles lie outside
-        (_arc(basis, sample - 1e-4, sample + 1e-4), basis),
-    ]
-    widths = _refinement_widths(monkeypatch)
-    got = _sweep_slices(slices, square)
+    lines = _refinement_lines(monkeypatch)
+    got = _sweep_slices(_SLICES, _SQUARE)
     monkeypatch.undo()
-    assert widths[0] == 2 + 1 + 0 and len(widths) == 24
+    assert lines[0].shape[1] == 2 + 1 + 0 and len(lines) == 24
     assert all(r is not None for r in got)
-    _matches_reference(slices, square)
+    _matches_reference(_SLICES, _SQUARE)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_sweep_2d_refinement_scores_the_reference_lines(monkeypatch, which):
+    # the stacked products must round as each angle's own basis @ z does;
+    # a row-major stack of the bases rounds differently on the gemv path
+    scored = []
+    section = oracles.line_section
+
+    def record(hp, a, b, c, *args):
+        scored.append((a, b, c))
+        return section(hp, a, b, c, *args)
+
+    lines = _refinement_lines(monkeypatch)
+    _sweep_slices([_SLICES[which]], _SQUARE)
+    got = np.hstack(lines)
+    monkeypatch.setattr(oracles, "line_section", record)
+    sweep_2d_reference(*_SLICES[which], _SQUARE)
+    monkeypatch.undo()
+    assert got.shape[1] >= 24
+    assert np.array_equal(got, np.array(scored[len(scored) - got.shape[1]:]).T)
 
 
 def test_sweep_2d_skips_the_kernel_without_a_line(monkeypatch):
@@ -471,10 +495,10 @@ def test_solve_optimal_refines_all_slices_in_one_lockstep_pass(monkeypatch):
         return refine(group, hp)
 
     monkeypatch.setattr(programs, "_refine", count)
-    widths = _refinement_widths(monkeypatch)
+    lines = _refinement_lines(monkeypatch)
     solve_optimal(g, evaluate_br=False)
     assert sum(refined) >= 2
-    assert 0 < len(widths) <= 24
+    assert 0 < len(lines) <= 24
 
 
 def _same(a, b):
