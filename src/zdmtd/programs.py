@@ -308,32 +308,19 @@ def _refine(group: list, hp: HullPolygon) -> np.ndarray:
     entries in lockstep; returns each slice's best angle.
 
     Each step scores the two angles of every slice with one stacked
-    feasibility product and one kernel call.  Its lines must round as one
-    slice's own (3 x 2) @ (2 x m) product does, so they take that product's
-    BLAS path: slices with two feasible angles (gemm) and with one (gemv)
-    are multiplied apart, and the bases stack column-major, as
-    ``_null_space`` returns them (a row-major basis rounds differently on
-    the gemv path)."""
+    product and one kernel call over the feasible lines, slice by slice."""
     _, bases, gb, tol, best_t, best_v = zip(*group)
-    gb, tol, best_t, best_v = map(np.array, (gb, tol, best_t, best_v))
-    bt = np.array([b.T for b in bases])  # (R, 2, 3): bt[r].T is column-major
+    bases, gb, tol, best_t, best_v = map(np.array, (bases, gb, tol, best_t, best_v))
     lo, hi = best_t - _SWEEP_STEP, best_t + _SWEEP_STEP
     for _ in range(24):
         third = (hi - lo) / 3
         pair = np.stack([lo + third, hi - third], axis=1)
         z = np.stack([np.cos(pair), np.sin(pair)], axis=1)  # (R, 2, 2)
         feas = np.all(gb @ z >= tol[:, None, None], axis=1)
-        both, one = feas.all(axis=1), feas.sum(axis=1) == 1
-        col, split = feas[one].argmax(axis=1), 2 * np.count_nonzero(both)
-        lines = np.hstack([
-            (bt[both].transpose(0, 2, 1) @ z[both]).transpose(1, 0, 2).reshape(3, split),
-            (bt[one].transpose(0, 2, 1) @ z[one, :, col][:, :, None])[:, :, 0].T,
-        ])
+        lines = (bases @ z).transpose(1, 0, 2).reshape(3, -1)[:, feas.ravel()]
         v = np.full(pair.shape, np.nan)
         if lines.shape[1]:
-            vals = _pencil_values(lines, hp)[0]
-            v[both] = vals[:split].reshape(-1, 2)
-            v[np.flatnonzero(one), col] = vals[split:]
+            v[feas] = _pencil_values(lines, hp)[0]
         for j in (0, 1):  # the first strictly better angle wins, as in angle order
             up = v[:, j] > best_v
             best_t = np.where(up, pair[:, j], best_t)

@@ -371,7 +371,7 @@ def test_sweep_2d_matches_reference_loop(monkeypatch):
 def test_sweep_2d_matches_reference_on_degenerate_slices(case):
     square = HullPolygon(np.array([[10.0, 10.0], [11.0, 10.0], [11.0, 11.0], [10.0, 11.0]]))
     open_cone = np.zeros((4, 3))
-    through_origin = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])  # C-ordered
+    through_origin = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     rng = np.random.default_rng(5)
     basis = np.linalg.qr(rng.normal(size=(3, 2)))[0]
     gmat, hp = {
@@ -442,10 +442,24 @@ def test_sweep_2d_refines_slices_with_one_two_or_no_feasible_angle(monkeypatch):
     _matches_reference(_SLICES, _SQUARE)
 
 
+def test_sweep_2d_refines_in_groups_of_at_most_sweep_group_slices(monkeypatch):
+    monkeypatch.setattr(programs, "_SWEEP_GROUP", 2)
+    lines, groups = _refinement_lines(monkeypatch), []
+    refine = programs._refine
+
+    def count(group, hp):
+        groups.append(len(group))
+        return refine(group, hp)
+
+    monkeypatch.setattr(programs, "_refine", count)
+    _sweep_slices(_SLICES, _SQUARE)
+    assert groups == [2, 1] and max(ps.shape[1] for ps in lines) <= 2 * 2
+    _matches_reference(_SLICES, _SQUARE)
+
+
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_sweep_2d_refinement_scores_the_reference_lines(monkeypatch, which):
-    # the stacked products must round as each angle's own basis @ z does;
-    # a row-major stack of the bases rounds differently on the gemv path
+    # the stacked product must round as each angle's own basis @ z does
     scored = []
     section = oracles.line_section
 
@@ -497,7 +511,7 @@ def test_solve_optimal_refines_all_slices_in_one_lockstep_pass(monkeypatch):
     monkeypatch.setattr(programs, "_refine", count)
     lines = _refinement_lines(monkeypatch)
     solve_optimal(g, evaluate_br=False)
-    assert sum(refined) >= 2
+    assert sum(refined) == 10
     assert 0 < len(lines) <= 24
 
 
