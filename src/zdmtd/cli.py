@@ -107,10 +107,9 @@ def solve_game(
         built = opt.realization
     if built is None:
         return SolveOutput("none")
-    strategy_canon, zd_w, frame = built
+    strategy_canon, _, phi_canon = built
     strategy = cp.invert_strategy(strategy_canon)
-    full = cp.compose(frame)
-    phi = full.invert_phi(zd_w.phi.phi)
+    phi = cp.invert_phi(phi_canon)
 
     residual = defining_residual(g, strategy, params, phi)
     worst = None

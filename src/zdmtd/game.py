@@ -177,96 +177,37 @@ def repeat_strategy(k: int) -> MemoryOneStrategy:
 
 @dataclass(frozen=True)
 class CanonicalPermutation:
-    """Relabeling of targets: perm[t-1] is the canonical label of original
-    target t (1-based both sides).  Canonical label 1 carries the largest
-    covered defender profit, ties broken by smallest original index."""
+    """Relabeling of targets: perm[t-1] is the new label of original target t
+    (1-based both sides).  The relabeling back is the one built from
+    `inverse`."""
 
     perm: tuple
-    inverse: tuple = field(default=None)
+    inverse: tuple = field(init=False)  # inverse[c-1]: original target of label c
 
     def __post_init__(self):
         perm = tuple(int(p) for p in self.perm)
-        k = len(perm)
-        if sorted(perm) != list(range(1, k + 1)):
-            raise ValueError(f"perm must be a bijection on 1..{k}, got {perm}")
-        inv = [0] * k
-        for orig, canon in enumerate(perm, start=1):
-            inv[canon - 1] = orig
+        if sorted(perm) != list(range(1, len(perm) + 1)):
+            raise ValueError(f"perm must be a bijection on 1..{len(perm)}, got {perm}")
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "inverse", tuple(inv))
-
-    @property
-    def k(self) -> int:
-        return len(self.perm)
+        object.__setattr__(self, "inverse", tuple(int(t) + 1 for t in np.argsort(perm)))
 
     def is_identity(self) -> bool:
-        return self.perm == tuple(range(1, self.k + 1))
-
-    def _gather(self, source_of_canon: tuple) -> np.ndarray:
-        return np.array([s - 1 for s in source_of_canon])
+        return self.perm == tuple(range(1, len(self.perm) + 1))
 
     def apply_game(self, g: GameSpec) -> GameSpec:
-        """Relabel a game into canonical labels."""
-        src = self._gather(self.inverse)
-        return GameSpec(
-            g.k,
-            g.u_d_cov[src],
-            g.u_d_unc[src],
-            g.u_a_cov[src],
-            g.u_a_unc[src],
-        )
-
-    def invert_game(self, g: GameSpec) -> GameSpec:
-        src = self._gather(self.perm)
-        return GameSpec(
-            g.k,
-            g.u_d_cov[src],
-            g.u_d_unc[src],
-            g.u_a_cov[src],
-            g.u_a_unc[src],
-        )
-
-    def _permute_rows(self, rows: np.ndarray, label_of_new: tuple) -> np.ndarray:
-        """Simultaneously relabel states and actions of a K^2 x K table."""
-        k = self.k
-        act = self._gather(label_of_new)
-        state = np.empty(k * k, dtype=int)
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                state[flat_index(k, i, j)] = flat_index(
-                    k, label_of_new[i - 1], label_of_new[j - 1]
-                )
-        return rows[state][:, act]
-
-    def apply_strategy(self, s: MemoryOneStrategy) -> MemoryOneStrategy:
-        """Relabel a strategy from original into canonical labels."""
-        return MemoryOneStrategy(s.k, self._permute_rows(s.rows, self.inverse))
+        """Relabel a game into the new labels."""
+        src = np.array(self.inverse) - 1
+        return GameSpec(g.k, g.u_d_cov[src], g.u_d_unc[src], g.u_a_cov[src], g.u_a_unc[src])
 
     def invert_strategy(self, s: MemoryOneStrategy) -> MemoryOneStrategy:
-        """Relabel a strategy from canonical back into original labels."""
-        return MemoryOneStrategy(s.k, self._permute_rows(s.rows, self.perm))
-
-    def apply_profit(self, p: np.ndarray) -> np.ndarray:
-        """Relabel a profit vector from original into canonical labels."""
-        k = self.k
-        out = np.empty(k * k)
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                out[flat_index(k, self.perm[i - 1], self.perm[j - 1])] = p[flat_index(k, i, j)]
-        return out
+        """Relabel a strategy's states and actions from the new labels back
+        into the original ones."""
+        p = np.array(self.perm) - 1
+        return MemoryOneStrategy(s.k, s.rows[(p[:, None] * s.k + p).ravel()][:, p])
 
     def invert_phi(self, phi: np.ndarray) -> np.ndarray:
-        """Map per-canonical-label multipliers back to original labels."""
-        out = np.empty(self.k)
-        for orig in range(1, self.k + 1):
-            out[orig - 1] = phi[self.perm[orig - 1] - 1]
-        return out
-
-    def compose(self, other: "CanonicalPermutation") -> "CanonicalPermutation":
-        """Permutation applying self first, then other (original -> final)."""
-        return CanonicalPermutation(
-            tuple(other.perm[self.perm[t] - 1] for t in range(self.k))
-        )
+        """Map per-new-label multipliers back to original labels."""
+        return phi[np.array(self.perm) - 1]
 
 
 def canonicalize(g: GameSpec) -> tuple[GameSpec, CanonicalPermutation]:

@@ -56,7 +56,6 @@ FEAS_TOL = 1e-9
 _SWEEP_STEP = 1e-3  # radians
 _SWEEP_T = np.arange(0.0, 2 * np.pi, _SWEEP_STEP)
 _SWEEP_Z = np.array([np.cos(_SWEEP_T), np.sin(_SWEEP_T)])
-_SWEEP_GROUP = len(_SWEEP_T) // 2  # slices refined together: two lines each
 
 
 @dataclass(frozen=True)
@@ -279,9 +278,8 @@ def _sweep_slices(slices: list, hp: HullPolygon) -> list:
     sample; one entry per slice, None where no feasible line meets the hull.
 
     Each slice's samples, 1e-3 rad apart, are scored in one array pass, and
-    the winner is the first best one (in angle order).  The refinements then
-    run in lockstep, _SWEEP_GROUP slices at a time, so a kernel call never
-    scores more lines than a full sweep does."""
+    the winner is the first best one (in angle order).  The refinements of
+    all slices with a winner then run in one lockstep pass."""
     out = [None] * len(slices)
     found = []  # (slice index, basis, gb, tol, best_t, best_v)
     for n, (gmat, basis) in enumerate(slices):
@@ -296,16 +294,15 @@ def _sweep_slices(slices: list, hp: HullPolygon) -> list:
             continue
         best = int(np.nanargmax(vs))
         found.append((n, basis, gb, tol, _SWEEP_T[best], vs[best]))
-    for start in range(0, len(found), _SWEEP_GROUP):
-        group = found[start:start + _SWEEP_GROUP]
-        for (n, basis, *_), t in zip(group, _refine(group, hp)):
+    if found:
+        for (n, basis, *_), t in zip(found, _refine(found, hp)):
             out[n] = basis @ np.array([np.cos(t), np.sin(t)])
     return out
 
 
 def _refine(group: list, hp: HullPolygon) -> np.ndarray:
-    """The 24-step ternary refinement of a group of ``_sweep_slices``
-    entries in lockstep; returns each slice's best angle.
+    """The 24-step ternary refinement of ``_sweep_slices`` entries in
+    lockstep; returns each slice's best angle.
 
     Each step scores the two angles of every slice with one stacked
     product and one kernel call over the feasible lines, slice by slice."""
@@ -388,7 +385,8 @@ def _normalize(p: np.ndarray) -> ZdLinearParams:
 
 def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int):
     """Build the strategy for cell-frame (i1 -> label 1, i2 -> label K) and
-    return (strategy-in-g-labels, phi-in-frame, frame) or None.
+    return (strategy, ZdStrategy, phi) or None; the strategy and phi are in
+    g's labels, the ZdStrategy in the frame's.
 
     When every line value vanishes (the line contains all covered and
     uncovered pairs), enforcement is vacuous and the recursion has nothing to
@@ -411,7 +409,7 @@ def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int):
         rep = repeat_strategy(g.k)
         zd = ZdStrategy(rep, p, ex.phi,
                         defining_residual(gw, rep, p, ex.phi.phi), classify(p))
-    return frame.invert_strategy(zd.strategy), zd, frame
+    return frame.invert_strategy(zd.strategy), zd, frame.invert_phi(zd.phi.phi)
 
 
 def solve_optimal(g: GameSpec, evaluate_br: bool) -> ZdSolveResult:

@@ -432,6 +432,32 @@ def test_solve_game_ignores_label_order(monkeypatch):
         assert len(seen) == 1, seen
 
 
+def test_solve_game_relabels_strategy_and_phi_bit_for_bit():
+    # every relabeled copy of a game without covered-profit ties canonicalizes
+    # to the same game, so its strategy and phi are the base's, relabeled
+    # exactly; the expectation is the pointwise label map, and the defining
+    # residual catches a mislabeling that the base's solve shares
+    rng = np.random.default_rng(1)
+    drawn = [random_game(2 + t % 2, rng) for t in range(30)]
+    for base in [drawn[n] for n in (0, 1, 2, 3, 17, 27, 29)]:  # ideal, optimal, varied cells
+        want = solve_game(base, verify_samples=0)
+        assert want.kind in ("ideal", "optimal")
+        k = base.k
+        for perm in itertools.permutations(range(k)):  # target t+1 is base's perm[t]+1
+            perm = np.array(perm)
+            g = GameSpec(k, base.u_d_cov[perm], base.u_d_unc[perm],
+                         base.u_a_cov[perm], base.u_a_unc[perm])
+            out = solve_game(g, verify_samples=0)
+            assert out.residual <= 1e-8 and out.params == want.params
+            assert tuple(int(perm[c - 1]) + 1 for c in out.cell) == want.cell
+            for t in range(k):
+                assert out.phi[t] == want.phi[perm[t]]
+                for i in range(k):
+                    for j in range(k):
+                        assert (out.strategy.rows[i * k + j, t]
+                                == want.strategy.rows[perm[i] * k + perm[j], perm[t]])
+
+
 def test_compare_scores_the_zd_strategy_once(tmp_path, monkeypatch):
     # the IoT family falls back to the one-shot lift, which is also the
     # search's first seed: one one-shot LP pass and one scoring for both

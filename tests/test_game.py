@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zdmtd.game import (
+    CanonicalPermutation,
     GameSpec,
     MemoryOneStrategy,
     canonicalize,
@@ -109,7 +110,8 @@ def test_canonicalize_sorts_by_covered_profit():
     cg, cp = canonicalize(g)
     assert cp.perm[1] == 1  # original target 2 becomes label 1
     assert cg.u_d_cov.tolist() == [7, 5, 3]
-    assert cp.invert_game(cg).u_d_cov.tolist() == g.u_d_cov.tolist()
+    assert cp.inverse == (2, 3, 1)
+    assert CanonicalPermutation(cp.inverse).apply_game(cg).u_d_cov.tolist() == g.u_d_cov.tolist()
 
 
 def test_canonicalize_identity_and_ties():
@@ -127,19 +129,21 @@ def test_permutation_roundtrips_strategy_and_profit():
     g = GameSpec(3, (3, 7, 5), (0, 1, 2), (-1, 0, 1), (2, 0, 1))
     cg, cp = canonicalize(g)
     s = random_strategy(3, rng)
-    back = cp.invert_strategy(cp.apply_strategy(s))
-    assert np.allclose(back.rows, s.rows, atol=0)
+    back = CanonicalPermutation(cp.inverse)  # the relabeling into canonical labels
+    cs = back.invert_strategy(s)
+    assert np.array_equal(cp.invert_strategy(cs).rows, s.rows)
+    phi = rng.normal(size=3)
+    assert np.array_equal(cp.invert_phi(back.invert_phi(phi)), phi)
 
-    p = profit_vector(g, "attacker")
-    assert np.allclose(cp.apply_profit(p), profit_vector(cg, "attacker"))
-
-    # relabeled strategy agrees pointwise with the label map
-    cs = cp.apply_strategy(s)
+    # the relabeled strategy, multipliers and profits agree pointwise with the label map
+    p, cpv = profit_vector(g, "attacker"), profit_vector(cg, "attacker")
     for i in range(1, 4):
+        assert back.invert_phi(phi)[cp.perm[i - 1] - 1] == phi[i - 1]
         for j in range(1, 4):
+            canon = flat_index(3, cp.perm[i - 1], cp.perm[j - 1])
+            assert cpv[canon] == p[flat_index(3, i, j)]
             for t in range(1, 4):
-                assert cs.rows[flat_index(3, cp.perm[i - 1], cp.perm[j - 1]),
-                               cp.perm[t - 1] - 1] == s.rows[flat_index(3, i, j), t - 1]
+                assert cs.rows[canon, cp.perm[t - 1] - 1] == s.rows[flat_index(3, i, j), t - 1]
 
 
 def test_relabeling_roles():
@@ -210,6 +214,6 @@ def test_canonicalize_then_invert_is_identity_property():
     def check(g):
         gc, cp = canonicalize(g)
         assert np.all(np.diff(gc.u_d_cov) <= 0)
-        assert game_to_dict(cp.invert_game(gc)) == game_to_dict(g)
+        assert game_to_dict(CanonicalPermutation(cp.inverse).apply_game(gc)) == game_to_dict(g)
 
     check()

@@ -5,7 +5,7 @@ import pytest
 
 from zdmtd import cli, programs
 from zdmtd.cli import solve_game
-from zdmtd.game import GameSpec
+from zdmtd.game import GameSpec, relabeling
 from zdmtd.markov import max_line_residual
 from zdmtd.programs import (
     HullPolygon,
@@ -297,10 +297,15 @@ def test_theorem3_value_on_ideal_instances():
 
 def test_realize_params_verifies():
     res = solve_ideal(COR1)
-    strategy, zd, frame = realize_params(COR1, res.params, res.role1, res.role_k)
+    strategy, zd, phi = realize_params(COR1, res.params, res.role1, res.role_k)
+    frame = relabeling(COR1.k, res.role1, res.role_k)
     gw = frame.apply_game(COR1)
     p = zd.params
     assert defining_residual(gw, zd.strategy, p, zd.phi.phi) <= 1e-8
+    # the strategy and phi come back in COR1's own labels
+    assert np.array_equal(strategy.rows, frame.invert_strategy(zd.strategy).rows)
+    assert np.array_equal(phi, frame.invert_phi(zd.phi.phi))
+    assert defining_residual(COR1, strategy, p, phi) <= 1e-8
     assert max_line_residual(gw, zd.strategy, p.alpha, p.beta, p.gamma, 200,
                              stream(11, "zd-verify")) <= 1e-8
 
@@ -439,21 +444,6 @@ def test_sweep_2d_refines_slices_with_one_two_or_no_feasible_angle(monkeypatch):
     monkeypatch.undo()
     assert lines[0].shape[1] == 2 + 1 + 0 and len(lines) == 24
     assert all(r is not None for r in got)
-    _matches_reference(_SLICES, _SQUARE)
-
-
-def test_sweep_2d_refines_in_groups_of_at_most_sweep_group_slices(monkeypatch):
-    monkeypatch.setattr(programs, "_SWEEP_GROUP", 2)
-    lines, groups = _refinement_lines(monkeypatch), []
-    refine = programs._refine
-
-    def count(group, hp):
-        groups.append(len(group))
-        return refine(group, hp)
-
-    monkeypatch.setattr(programs, "_refine", count)
-    _sweep_slices(_SLICES, _SQUARE)
-    assert groups == [2, 1] and max(ps.shape[1] for ps in lines) <= 2 * 2
     _matches_reference(_SLICES, _SQUARE)
 
 
