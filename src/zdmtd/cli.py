@@ -12,6 +12,7 @@ instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -162,6 +163,17 @@ def _write_json(path: str, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=1) + "\n")
 
 
+def strategy_text(obj: dict) -> str:
+    """json.dumps(obj, indent=1) + "\n" for a `strategy_json` object, with
+    the pi rows written row by row through float.__repr__, as json spells a
+    finite float: the pure-Python encoder behind indent= is several times
+    slower on the K^2 x K rows."""
+    pi = "[\n" + ",\n".join("  [\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
+                             for row in obj["pi"]) + "\n ]"
+    assert "n" not in pi, "strategy rows must be finite"  # json spells NaN, Infinity
+    return json.dumps({**obj, "pi": None}, indent=1).replace('"pi": null', '"pi": ' + pi, 1) + "\n"
+
+
 def strategy_json(out: SolveOutput, hash_: str) -> dict:
     return {
         "k": out.strategy.k,
@@ -214,7 +226,7 @@ def cmd_solve(args) -> int:
                     {"kind": out.kind, "config_hash": hash_})
         print(f"no enforceable line found (kind={out.kind})")
         return EXIT_INFEASIBLE
-    _write_json(os.path.join(args.out, "strategy.json"), strategy_json(out, hash_))
+    atomic_write(os.path.join(args.out, "strategy.json"), strategy_text(strategy_json(out, hash_)))
     _write_json(os.path.join(args.out, "result.json"), result_json(out, hash_))
     ok = out.residual <= args.tol_verify and (
         out.max_line_residual is None or out.max_line_residual <= args.tol_line
@@ -405,7 +417,10 @@ def cmd_emit_mip(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and gives every call a fresh namespace with its defaults."""
     parser = argparse.ArgumentParser(
         prog="zdmtd",
         description="Zero-determinant moving-target-defense strategies for "

@@ -1,4 +1,5 @@
-"""Small dense linear-program kernel: two-phase simplex with Bland's rule.
+"""Small dense linear-program kernel: two-phase simplex with Bland's rule,
+run in lockstep over a stack of programs.
 
 Built for the tiny programs this package solves (a handful of variables,
 tens of constraints).  The pivot rule is fixed -- entering variable is the
@@ -6,21 +7,32 @@ lowest-index column with negative reduced cost, leaving row breaks ratio
 ties by the lowest basis index -- so identical inputs always produce
 identical outcomes and cycling is impossible.
 
-Each pivot is a few array passes over the tableau: the entering column is
-the first index below -_EPS, the ratio test one vectorized minimum (rows
-are scanned in order only when a second ratio lies within _EPS of the
-minimum without equalling it), and the elimination one outer-product update
-of the rows with a nonzero pivot-column entry.  Every entry goes through
-the same floating-point operations as in a row-at-a-time elimination, so
-the outcome does not depend on how the passes are grouped.  The phase-1
-and phase-2 objective rows are built row by row, because their summation
-order is part of the result.
+A constraint row may be a (B, n) stack.  The program then has B
+alternatives that share the objective, relations, right-hand sides and
+bounds and differ only in the stacked rows; an (n,) row is shared by all.
+`solve_lp` returns the first alternative, in stack order, that is not
+infeasible, with its index.  An error propagates only from an alternative
+before that one, and the alternatives after it are left unfinished: the
+outcome is that of solving them one by one and stopping at the first that
+is not infeasible.  A lone program is a stack of one.
+
+The alternatives pivot in lockstep on one tableau stack.  Each step is a
+few array passes over the stack: every program's entering column is its
+first index below -_EPS, the ratio test one stacked minimum (a program's
+rows are scanned in order only when a second ratio lies within _EPS of its
+minimum without equalling it), and the elimination one masked update of the
+rows with a nonzero pivot-column entry.  Every entry goes through the same
+floating-point operations as in a row-at-a-time elimination of that program
+alone, so an alternative's outcome depends neither on how the passes are
+grouped nor on the other alternatives.  A program whose phase ends takes
+its own branch (phase-2 set-up, re-form, verdict) and then pivots on or
+leaves the stack.  The objective rows are built row by row, because their
+summation order is part of the result.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +42,11 @@ _MAX_PIVOTS = 50_000
 
 LE, EQ, GE = "<=", "=", ">="
 _REL_SIGN = {LE: -1, EQ: 0, GE: 1}
+_PHASE1, _PHASE1_REFORMED, _PHASE2, _PHASE2_REFORMED = range(4)
 
 
 class LpError(ValueError):
-    """Malformed program (dimension mismatch, bad relation, non-finite rhs)."""
+    """Malformed program (dimension mismatch, bad relation, non-finite entry)."""
 
 
 class LpNumericalError(RuntimeError):
@@ -43,12 +56,14 @@ class LpNumericalError(RuntimeError):
 @dataclass(frozen=True)
 class LinearProgram:
     """max/min objective @ x subject to rows (coeffs, relation, rhs) and
-    per-variable bounds (lo, hi), either side None for unbounded."""
+    per-variable bounds (lo, hi), either side None for unbounded.  A row
+    given as a (B, n) stack makes B alternative programs."""
 
     objective: np.ndarray
     sense: str = "max"
     constraints: tuple = ()
     bounds: tuple = None  # defaults to all-free
+    alternatives: int = field(default=1, init=False)
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
@@ -57,16 +72,20 @@ class LinearProgram:
         if self.sense not in ("max", "min"):
             raise LpError(f"sense must be 'max' or 'min', got {self.sense!r}")
         n = obj.size
-        rows = []
+        rows, stacks = [], set()
         for row, rel, rhs in self.constraints:
             r = np.asarray(row, dtype=float)
-            if r.shape != (n,):
-                raise LpError(f"constraint row has length {r.size}, expected {n}")
+            if r.ndim not in (1, 2) or r.shape[-1] != n:
+                raise LpError(f"constraint row has shape {r.shape}, expected ({n},) or (B, {n})")
+            if r.ndim == 2:
+                stacks.add(len(r))
             if rel not in (LE, EQ, GE):
                 raise LpError(f"relation must be one of <=, =, >=, got {rel!r}")
             if not np.isfinite(rhs):
                 raise LpError("constraint rhs must be finite")
             rows.append((r, rel, float(rhs)))
+        if len(stacks) > 1 or 0 in stacks:
+            raise LpError(f"stacked rows must share one positive stack size, got {sorted(stacks)}")
         bounds = self.bounds
         if bounds is None:
             bounds = tuple((None, None) for _ in range(n))
@@ -77,10 +96,17 @@ class LinearProgram:
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
         object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "alternatives", stacks.pop() if stacks else 1)
 
     @property
     def n(self) -> int:
         return self.objective.size
+
+    def alternative(self, i: int) -> LinearProgram:
+        """Alternative i of the stack as a program of its own."""
+        return LinearProgram(self.objective, self.sense,
+                             tuple((r if r.ndim == 1 else r[i], rel, rhs)
+                                   for r, rel, rhs in self.constraints), self.bounds)
 
 
 @dataclass(frozen=True)
@@ -89,12 +115,14 @@ class LpOutcome:
     x: np.ndarray = None
     objective: float = None
     max_violation: float = None
+    index: int = None  # the alternative reported; None when every one is infeasible
 
 
 @dataclass(frozen=True)
 class Feasibility:
     feasible: bool
     x: np.ndarray = None
+    index: int = None  # the first feasible alternative
 
 
 def _standardize(lp: LinearProgram):
@@ -102,8 +130,8 @@ def _standardize(lp: LinearProgram):
 
     Free variables split into a positive and a negative part.  Finite upper
     bounds become extra <= rows.  Returns (c, a, rels, rhs, back): the
-    objective and the row matrix in y, the relations as -1, 0, +1 for <=, =,
-    >=, and the map from y back to x.
+    objective, the (B, m, ncol) row stack in y, the relations as -1, 0, +1
+    for <=, =, >=, the (B, m) right-hand sides, and the map from y back to x.
     """
     n = lp.n
     var, sign = [], []  # per y column: original variable and its sign
@@ -127,12 +155,20 @@ def _standardize(lp: LinearProgram):
     def to_y(rows):  # each y column reads one variable: no sums, and no -0.0
         return np.where(rows[..., var] != 0.0, rows[..., var] * sign, 0.0)
 
-    cons = lp.constraints
-    a = np.vstack([to_y(np.array([row for row, _, _ in cons]).reshape(-1, n)),
-                   np.eye(ncol)[[c for c, _ in upper]].reshape(-1, ncol)])
+    cons, nb, m0 = lp.constraints, lp.alternatives, len(lp.constraints)
+    rows = np.empty((nb, m0, n))
+    for j, (row, _, _) in enumerate(cons):
+        rows[:, j] = row  # an (n,) row is shared by every alternative
+    if not np.isfinite(rows).all():
+        raise LpError("constraint rows must be finite")
+    a = np.zeros((nb, m0 + len(upper), ncol))
+    a[:, :m0] = to_y(rows)
+    a[:, np.arange(m0, m0 + len(upper)), [c for c, _ in upper]] = 1.0
     rels = np.array([_REL_SIGN[rel] for _, rel, _ in cons] + [-1] * len(upper))
-    rhs = np.array([rhs - float(row @ shifts) for row, _, rhs in cons]
-                   + [ub for _, ub in upper], dtype=float)
+    rhs = np.empty((nb, len(rels)))
+    rhs[:] = [rhs for _, _, rhs in cons] + [ub for _, ub in upper]
+    if shifts.any():  # one dot per row of each alternative, as it would take alone
+        rhs[:, :m0] -= [[float(r @ shifts) for r in alt] for alt in rows]
 
     c = to_y(lp.objective)
     if lp.sense == "max":
@@ -146,38 +182,27 @@ def _standardize(lp: LinearProgram):
     return c, a, rels, rhs, back
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    """Scale the pivot row, then eliminate the column from every other row
-    where it is nonzero, in one outer-product update."""
-    T[row] /= T[row, col]
-    rows = T[:, col].nonzero()[0]
-    rows = rows[rows != row]
-    T[rows] -= T[rows, col, None] * T[row]
+def _pivot(T: np.ndarray, rows, col: np.ndarray, step: np.ndarray) -> None:
+    """Pivot every tableau of the stack on its own row and the column whose
+    entries col holds: eliminate the column from every other row where it
+    is nonzero, then scale the pivot row.  step is scratch space of T's
+    shape."""
+    ar = np.arange(len(T))
+    prow = T[ar, rows] / col[ar, rows, None]
+    with np.errstate(invalid="ignore"):  # 0 * inf, in rows reset below
+        np.multiply(col[:, :, None], prow[:, None, :], out=step)
+    step[col == 0.0] = 0.0  # x - (+0.0) is x, bit for bit, signed zeros included
+    T -= step
+    T[ar, rows] = prow  # the pivot row took a step too
 
 
-def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
-    """Ratio test with Bland's tie rule: the row of the smallest ratio, ties
-    within _EPS going to the lowest basis index; -1 when the column is
-    unbounded.
-
-    One array pass settles it when every ratio within _EPS of the minimum
-    equals it exactly (the lowest basis index among them wins).  Otherwise
-    the rows are scanned in order, since a chain of near-ties then decides."""
-    col = T[:, enter]
-    cand = (col > _EPS).nonzero()[0]
-    if not len(cand):
-        return -1
-    ratios = T[cand, -1] / col[cand]
-    r = ratios.min()
-    if math.isfinite(r):
-        near = (ratios - _EPS <= r) | (ratios - r <= _EPS)  # not strictly beaten by r
-        tied = cand[near]
-        if len(tied) == 1:
-            return int(tied[0])
-        if (ratios[near] == r).all():
-            return int(tied[basis[tied].argmin()])
+def _scan_row(ratios: np.ndarray, cand: np.ndarray, basis: np.ndarray) -> int:
+    """Bland's ratio test by a scan of the candidate rows in order, for a
+    chain of near-ties: the smallest ratio wins, ties within _EPS going to
+    the lowest basis index; -1 when no ratio qualifies."""
     leave, best = -1, np.inf
-    for i, ratio in zip(cand, ratios):
+    for i in cand.nonzero()[0]:
+        ratio = ratios[i]
         if ratio < best - _EPS or (
             abs(ratio - best) <= _EPS and (leave < 0 or basis[i] < basis[leave])
         ):
@@ -185,122 +210,233 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
     return int(leave)
 
 
-def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, point):
-    """Two-phase primal simplex on min c@y, rows a@y (rels) rhs, y >= 0 with
-    Bland's rule; rels holds -1, 0, +1 for <=, =, >=.  point maps an optimal
-    y to the caller's (x, violation of the caller's rows).
+def _priced(T: np.ndarray, basis: np.ndarray, cols, cost) -> np.ndarray:
+    """Objective row of the given costs with one tableau's basic columns
+    priced out, row by row: the summation order is part of the result."""
+    row = np.zeros(T.shape[1])
+    row[cols] = cost
+    for i, j in enumerate(basis):
+        if row[j] != 0.0:
+            row -= row[j] * T[i]
+    return row
 
-    Returns (status, x, violation) with status in optimal/infeasible/unbounded.
+
+def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, point):
+    """Two-phase primal simplex on the stack of programs min c@y, rows
+    a[s]@y (rels) rhs[s], y >= 0, with Bland's rule; rels holds -1, 0, +1
+    for <=, =, >=.  point(s, y) maps an optimal y of alternative s to the
+    caller's (x, violation of the caller's rows).
+
+    Returns (index, status, x, violation) of the first alternative whose
+    status is not infeasible, or (None, "infeasible", None, None); raises
+    the error of an alternative before that one.
     """
-    m, ncol = a.shape
+    nb, m, ncol = a.shape
     if m == 0:
         if np.any(c < -_EPS):
-            return "unbounded", None, None
-        return ("optimal",) + point(np.zeros(ncol))
+            return 0, "unbounded", None, None
+        return (0, "optimal") + point(0, np.zeros(ncol))
 
     # scale rows, force nonnegative rhs (a flipped row flips its relation)
-    scale = np.fmax(1.0, np.abs(a).max(axis=1))
-    a, b = a / scale[:, None], rhs / scale
+    scale = np.fmax(1.0, np.abs(a).max(axis=2))
+    a, b = a / scale[..., None], rhs / scale
     flip = b < 0
-    a[flip], b[flip], rels = -a[flip], -b[flip], np.where(flip, -rels, rels)
+    np.negative(a, out=a, where=flip[..., None])
+    np.negative(b, out=b, where=flip)
+    # alternatives whose flips agree share a column layout: solve each run in turn
+    cuts = list((flip[1:] != flip[:-1]).any(axis=1).nonzero()[0] + 1) if nb > 1 else []
+    for lo, hi in zip([0] + cuts, cuts + [nb]):
+        index, *found = _lockstep(c, a[lo:hi], b[lo:hi], np.where(flip[lo], -rels, rels),
+                                  lambda s, y: point(lo + s, y))
+        if index is not None:
+            return (lo + index, *found)
+    return None, "infeasible", None, None
 
-    # slack / surplus / artificial columns, numbered in row order
+
+def _lockstep(c, a, b, rels, point):
+    """`_simplex` on a stack whose programs share one column layout.
+
+    Each tableau carries its objective row as row m, below the constraint
+    rows, so that a pivot updates it with them: the same operations as the
+    separate update `obj -= obj[enter] * pivot_row`.  Every program in the
+    working set pivots at every step, so a program's pivot count in its
+    phase is the number of steps since the phase began."""
+    nb, m, ncol = a.shape
     has_slack, has_art = rels != 0, rels >= 0
     n_slack, n_art = int(has_slack.sum()), int(has_art.sum())
     width = ncol + n_slack + n_art
     slack_col = ncol + has_slack.cumsum() - 1
     art_col = ncol + n_slack + has_art.cumsum() - 1
-    T = np.zeros((m, width + 1))
-    T[:, :ncol] = a
-    T[:, -1] = b
     s_rows, a_rows = has_slack.nonzero()[0], has_art.nonzero()[0]
-    T[s_rows, slack_col[s_rows]] = -rels[s_rows]  # +1 slack, -1 surplus
-    T[a_rows, art_col[a_rows]] = 1.0
-    basis = np.where(has_art, art_col, slack_col)
-    initial = T.copy()
     art_cols = art_col[a_rows]
+    y_cols = np.arange(ncol)
 
-    def run(obj_row):
-        """Bland simplex on the current tableau with the given objective row."""
-        pivots = 0
-        while True:
-            enter = int((obj_row[:width] < -_EPS).argmax())  # lowest improving column
-            if not obj_row[enter] < -_EPS:
-                return "optimal"
-            leave = _leaving_row(T, basis, enter)
-            if leave < 0:
-                return "unbounded"
-            _pivot(T, leave, enter)
-            obj_row -= obj_row[enter] * T[leave]
-            basis[leave] = enter
-            pivots += 1
-            if pivots > _MAX_PIVOTS:
-                raise LpNumericalError("pivot budget exhausted (degenerate basis?)")
+    def tableau(a, b):
+        """Initial tableaux: slack / surplus / artificial columns, numbered
+        in row order."""
+        T = np.zeros(a.shape[:2] + (width + 1,))
+        T[:, :, :ncol] = a
+        T[:, :, -1] = b
+        T[:, s_rows, slack_col[s_rows]] = -rels[s_rows]  # +1 slack, -1 surplus
+        T[:, a_rows, art_col[a_rows]] = 1.0
+        return T
 
-    def priced(cols, cost):
-        """Objective row of the given costs with the basic columns priced
-        out, row by row: the summation order is part of the result."""
-        row = np.zeros(width + 1)
-        row[cols] = cost
-        for i in range(m):
-            if row[basis[i]] != 0.0:
-                row -= row[basis[i]] * T[i]
-        return row
+    T = np.zeros((nb, m + 1, width + 1))
+    T[:, :m] = tableau(a, b)
+    obj = T[:, m]
+    step = np.empty_like(T)
+    basis = np.repeat(np.where(has_art, art_col, slack_col)[None], nb, axis=0)
+    live = np.arange(nb)  # stack index of each working tableau
+    if n_art:  # phase 1's objective, row by row
+        obj[:, art_cols] = 1.0
+        for i in a_rows:
+            obj -= T[:, i]
+        stage = [_PHASE1] * nb
+    else:
+        obj[:] = [_priced(T[k], basis[k], y_cols, c) for k in range(nb)]
+        stage = [_PHASE2] * nb
+    steps, began = 0, np.zeros(nb, dtype=int)  # pivot steps made; step each phase began at
+    residual = np.zeros(nb)  # phase 1's sum of artificials at its optimum
+    earlier = {}  # the point a phase-2 re-form falls back on
+    results = [None] * nb  # (status, x, violation) or the error raised
+    decided = 0  # every alternative before this one is infeasible
 
-    residual = 0.0  # phase 1's sum of artificials at its optimum
-    if n_art:
-        w = np.zeros(width + 1)
-        w[art_cols] = 1.0
-        for i in a_rows:  # row by row: the summation order is part of the result
-            w -= T[i]
-        if run(w) != "optimal":
-            # pivots update the tableau in place, which can drift until a column
-            # with no positive entry looks improving: re-form it from the basis once
-            T[:] = np.linalg.solve(initial[:, basis], initial)
-            w = priced(art_cols, 1.0)
-            if run(w) != "optimal":
-                raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
-        residual = -w[-1]  # w stores -(current value) in the rhs slot
-        if residual > FEAS_TOL:
-            return "infeasible", None, None
-        # drive remaining zero-level artificials out of the basis
-        for i in (basis >= ncol + n_slack).nonzero()[0]:
-            big = np.abs(T[i, :ncol + n_slack]) > 1e-7
-            if big.any():
-                j = int(big.argmax())
-                _pivot(T, i, j)
-                basis[i] = j
-        # zero out any artificial column still in the basis (redundant row)
-        T[:, art_cols] = 0.0
+    def reformed(k):
+        """Tableau k re-formed from its basis: pivots update the tableau in
+        place, which can drift."""
+        s = live[k]
+        initial = tableau(a[s:s + 1], b[s:s + 1])[0]
+        return np.linalg.solve(initial[:, basis[k]], initial)
 
-    def basic_point():
+    def basic_point(k):
         y = np.zeros(width)
-        y[basis] = T[:, -1]
-        return point(np.maximum(y[:ncol], 0.0))
+        y[basis[k]] = T[k, :m, -1]
+        return point(live[k], np.maximum(y[:ncol], 0.0))
 
-    if run(priced(np.arange(ncol), c)) != "optimal":
-        return "unbounded", None, None
-    x, viol = basic_point()
-    if viol > FEAS_TOL:
-        # the drift phase 1 guards against can also leave a basis whose rhs
-        # reads feasible while its point is not: re-form the tableau once
-        try:
-            T[:] = np.linalg.solve(initial[:, basis], initial)
-        except np.linalg.LinAlgError:
-            return "optimal", x, viol  # the caller rejects the failing point
-        T[:, art_cols] = 0.0
-        if run(priced(np.arange(ncol), c)) == "optimal":
-            x, viol = basic_point()
-        if viol > FEAS_TOL and residual > 0.0:
+    def phase_end(k, optimal):
+        """Program k's branch once its current phase has ended: a verdict,
+        or None when it goes on pivoting from a new objective row."""
+        s = live[k]
+        began[k] = steps
+        if stage[s] == _PHASE1 and not optimal:
+            # a column with no positive entry looks improving: re-form once
+            T[k, :m] = reformed(k)
+            obj[k] = _priced(T[k], basis[k], art_cols, 1.0)
+            stage[s] = _PHASE1_REFORMED
+            return None
+        if stage[s] == _PHASE1_REFORMED and not optimal:
+            raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
+        if stage[s] in (_PHASE1, _PHASE1_REFORMED):
+            residual[s] = -obj[k, -1]  # obj stores -(current value) in the rhs slot
+            if residual[s] > FEAS_TOL:
+                return "infeasible", None, None
+            # drive remaining zero-level artificials out of the basis
+            for i in (basis[k] >= ncol + n_slack).nonzero()[0]:
+                big = np.abs(T[k, i, :ncol + n_slack]) > 1e-7
+                if big.any():
+                    j = int(big.argmax())
+                    _pivot(T[k:k + 1], [i], T[[k], :, j], step[:1])
+                    basis[k, i] = j
+            # zero out any artificial column still in the basis (redundant row)
+            T[k][:, art_cols] = 0.0
+            obj[k] = _priced(T[k], basis[k], y_cols, c)
+            stage[s] = _PHASE2
+            return None
+        if stage[s] == _PHASE2:
+            if not optimal:
+                return "unbounded", None, None
+            x, viol = basic_point(k)
+            if viol <= FEAS_TOL:
+                return "optimal", x, viol
+            # the drift phase 1 guards against can also leave a basis whose
+            # rhs reads feasible while its point is not: re-form it once
+            try:
+                T[k, :m] = reformed(k)
+            except np.linalg.LinAlgError:
+                return "optimal", x, viol  # the caller rejects the failing point
+            T[k][:, art_cols] = 0.0
+            obj[k] = _priced(T[k], basis[k], y_cols, c)
+            earlier[s] = x, viol
+            stage[s] = _PHASE2_REFORMED
+            return None
+        x, viol = basic_point(k) if optimal else earlier[s]
+        if viol > FEAS_TOL and residual[s] > 0.0:
             # phase 1 ended inside the tolerance band: the rows hold only to
             # within FEAS_TOL, so "infeasible" is as right as a point would be
             return "infeasible", None, None
-    return "optimal", x, viol
+        return "optimal", x, viol
+
+    ar = np.arange(nb)
+    no_ratio = np.full((nb, m), np.inf)  # the ratio of a row that cannot leave
+    while True:
+        neg = obj[:, :width] < -_EPS
+        enter = neg.argmax(axis=1)  # lowest improving column
+        improving = neg[ar, enter]
+        ended = {}  # k -> its phase ended: True optimal, False unbounded, None out of budget
+        if np.count_nonzero(improving) < len(live):
+            ended = dict.fromkeys((~improving).nonzero()[0], True)
+        else:
+            col = T[ar, :, enter]  # the objective row's entry last
+            ratios = np.divide(T[:, :m, -1], col[:, :m], out=no_ratio[:len(live)].copy(),
+                               where=col[:, :m] > _EPS)
+            r = np.minimum.reduce(ratios, axis=1, keepdims=True)
+            finite = np.isfinite(r)  # where r is not, the rows are scanned
+            gap = ratios - np.where(finite, r, 0.0)
+            exact = gap == 0.0
+            leave = np.where(exact, basis, width).argmin(axis=1)  # lowest basis index among ties
+            near = (gap <= _EPS) | (ratios - _EPS <= r)  # not strictly beaten by r
+            odd = near != exact
+            if np.count_nonzero(odd) or np.count_nonzero(finite) < len(live):
+                # a near-tie, a nan ratio or no finite one: scan the rows in order
+                for k in (odd.any(axis=1) | ~finite[:, 0]).nonzero()[0]:
+                    leave[k] = _scan_row(ratios[k], col[k, :m] > _EPS, basis[k])
+                    if leave[k] < 0:
+                        ended[k] = False
+        if not ended:
+            _pivot(T, leave, col, step[:len(live)])
+            basis[ar, leave] = enter
+            steps += 1
+            if steps <= _MAX_PIVOTS or steps - began.min() <= _MAX_PIVOTS:
+                continue
+            ended = dict.fromkeys((steps - began > _MAX_PIVOTS).nonzero()[0])
+        done = np.zeros(len(live), dtype=bool)
+        for k, optimal in ended.items():
+            try:
+                if optimal is None:
+                    raise LpNumericalError("pivot budget exhausted (degenerate basis?)")
+                results[live[k]] = phase_end(k, optimal)
+            except (LpNumericalError, np.linalg.LinAlgError) as err:
+                results[live[k]] = err
+            done[k] = results[live[k]] is not None
+        if not np.count_nonzero(done):
+            continue
+        while decided < nb and _infeasible(results[decided]):
+            decided += 1
+        if decided == nb:
+            return None, "infeasible", None, None
+        if isinstance(results[decided], Exception):
+            raise results[decided]
+        if results[decided] is not None:
+            return (decided, *results[decided])
+        # the alternatives after one that is not infeasible are not needed
+        stop = next((s for s in live[done] if not _infeasible(results[s])), nb)
+        keep = ~done & (live < stop)
+        # the kept tableaux move into the scratch stack, which the old one becomes
+        T, step = np.compress(keep, T, axis=0, out=step[:keep.sum()]), T
+        obj, basis, began, live = T[:, m], basis[keep], began[keep], live[keep]
+        ar = np.arange(len(live))
 
 
-def _violation(lp: LinearProgram, x: np.ndarray) -> float:
+def _infeasible(result) -> bool:
+    return isinstance(result, tuple) and result[0] == "infeasible"
+
+
+def _violation(lp: LinearProgram, x: np.ndarray, index: int = 0) -> float:
+    """Worst scaled violation of alternative index's rows at x."""
     worst = 0.0
     for row, rel, rhs in lp.constraints:
+        if row.ndim == 2:
+            row = row[index]
         scale = max(1.0, float(np.max(np.abs(row))) if row.size else 1.0)
         v = float(row @ x) - rhs
         if rel == LE:
@@ -313,15 +449,16 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve the program; optimal answers are re-verified against the original
-    rows.  A violation above the feasibility tolerance re-forms the tableau
-    from the basis and finishes phase 2 once more; if it persists it is a
-    hard error, unless phase 1 ended inside the tolerance band (a positive
-    sum of artificials at most FEAS_TOL), where the program is reported
+    """Solve the program, or the first alternative of a stack that is not
+    infeasible; optimal answers are re-verified against the original rows.
+    A violation above the feasibility tolerance re-forms the tableau from
+    the basis and finishes phase 2 once more; if it persists it is a hard
+    error, unless phase 1 ended inside the tolerance band (a positive sum
+    of artificials at most FEAS_TOL), where the program is reported
     infeasible."""
     c, a, rels, rhs, back = _standardize(lp)
 
-    def point(y):
+    def point(index, y):
         x = back(y)
         # clamp bound round-off so bounds hold exactly
         for i, (lo, hi) in enumerate(lp.bounds):
@@ -329,20 +466,21 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
                 x[i] = lo
             if hi is not None and x[i] > hi:
                 x[i] = hi
-        return x, _violation(lp, x)
+        return x, _violation(lp, x, index)
 
-    status, x, viol = _simplex(c, a, rels, rhs, point)
+    index, status, x, viol = _simplex(c, a, rels, rhs, point)
     if status != "optimal":
-        return LpOutcome(status=status)
+        return LpOutcome(status=status, index=index)
     if viol > FEAS_TOL:
         raise LpNumericalError(
             f"simplex returned 'optimal' but the point violates constraints by {viol:.3e}"
         )
-    return LpOutcome("optimal", x, float(lp.objective @ x), viol)
+    return LpOutcome("optimal", x, float(lp.objective @ x), viol, index)
 
 
 def check_feasible(constraints, n: int, bounds=None) -> Feasibility:
-    """Phase-1 wrapper: find any point satisfying the rows (zero objective)."""
+    """Phase-1 wrapper: find any point satisfying the rows (zero objective);
+    on a stack, the first alternative that has one."""
     lp = LinearProgram(np.zeros(n), "min", tuple(constraints), bounds)
     out = solve_lp(lp)
-    return Feasibility(out.status == "optimal", out.x)
+    return Feasibility(out.status == "optimal", out.x, out.index)

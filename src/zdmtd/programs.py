@@ -148,25 +148,26 @@ def solve_ideal(g: GameSpec) -> IdealResult:
     (the system is homogeneous with alpha <= 0 <= beta).
     """
     _require_canonical(g)
-    top = [t for t in range(1, g.k + 1) if g.u_d_cov[t - 1] >= np.max(g.u_d_cov) - 1e-9]
-    for role1 in top:
-        for role_k in range(1, g.k + 1):
-            if role_k == role1:
-                continue
-            rows = [(_cov_row(g, role1), EQ, 0.0),
-                    (_cov_row(g, role_k), GE, 0.0),
-                    (_unc_row(g, role1), GE, 0.0)]
-            for t in range(1, g.k + 1):
-                if t not in (role1, role_k):
-                    rows.append((_unc_row(g, t), EQ, 0.0))
-            rows.append((_unc_row(g, role_k), LE, 0.0))
-            rows.append((np.array([1.0, 0.0, 0.0]), LE, 0.0))
-            rows.append((np.array([0.0, 1.0, 0.0]), GE, 0.0))
-            rows.append((np.array([-1.0, 1.0, 0.0]), GE, 1.0))
-            res = check_feasible(rows, 3)
-            if res.feasible:
-                p = ZdLinearParams(*res.x).normalized()
-                return IdealResult(True, p, role1, role_k)
+    k = g.k
+    t = np.arange(k)
+    top = np.flatnonzero(g.u_d_cov >= np.max(g.u_d_cov) - 1e-9)
+    role1 = np.repeat(top, k - 1)
+    role_k = np.broadcast_to(t, (len(top), k))[t != top[:, None]]
+    others = np.broadcast_to(t, (len(role1), k))[
+        (t != role1[:, None]) & (t != role_k[:, None])].reshape(len(role1), k - 2)
+    # one stack of programs, one per (role1, role_k) pair in trial order:
+    # covered rows index the first K rows of pts, uncovered rows the last K
+    pts = np.column_stack([np.concatenate([g.u_d_cov, g.u_d_unc]),
+                           np.concatenate([g.u_a_cov, g.u_a_unc]), np.ones(2 * k)])
+    rows = pts[np.column_stack([role1, role_k, k + role1, k + others, k + role_k])]
+    rels = (EQ, GE, GE) + (EQ,) * (k - 2) + (LE,)
+    res = check_feasible([(row, rel, 0.0) for row, rel in zip(rows.transpose(1, 0, 2), rels)]
+                         + [(np.array([1.0, 0.0, 0.0]), LE, 0.0),
+                            (np.array([0.0, 1.0, 0.0]), GE, 0.0),
+                            (np.array([-1.0, 1.0, 0.0]), GE, 1.0)], 3)
+    if res.feasible:
+        p = ZdLinearParams(*res.x).normalized()
+        return IdealResult(True, p, int(role1[res.index]) + 1, int(role_k[res.index]) + 1)
     return IdealResult(False)
 
 

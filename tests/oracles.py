@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from zdmtd.game import GameSpec, MemoryOneStrategy, profit_vector
-from zdmtd.lp import EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LpError, LpNumericalError, LpOutcome
+from zdmtd.lp import (EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LpError, LpNumericalError, LpOutcome,
+                      check_feasible)
 from zdmtd.lp import _violation
 from zdmtd.markov import (EPSILON_MIX, TransitionMatrix, UtilityPair, _direct, build_transition,
                           chain, stationary)
@@ -29,7 +30,7 @@ from zdmtd.mdp import (
     defender_utility_under_br,
 )
 from zdmtd.cli import solve_game
-from zdmtd.programs import FEAS_TOL, _SWEEP_STEP
+from zdmtd.programs import FEAS_TOL, _SWEEP_STEP, IdealResult
 from zdmtd.rng import stream
 from zdmtd.sim import RegimeSummary
 from zdmtd.sse import MipConstraint, MipModel
@@ -539,6 +540,32 @@ def regime_summaries_reference(segments, zd_params):
                 se = float(comp.std(ddof=1) / np.sqrt(len(comp)))
         out[name] = RegimeSummary(name, n, len(segs), mean_d, mean_a, residual, raw, se)
     return out
+
+
+def solve_ideal_reference(g: GameSpec) -> IdealResult:
+    """Reference for `programs.solve_ideal`: one feasibility program per
+    (role1, role_k) pair, tried in order, each built row by row."""
+    _require_canonical(g)
+
+    def cov(t):
+        return np.array([g.u_d_cov[t - 1], g.u_a_cov[t - 1], 1.0])
+
+    def unc(t):
+        return np.array([g.u_d_unc[t - 1], g.u_a_unc[t - 1], 1.0])
+
+    top = [t for t in range(1, g.k + 1) if g.u_d_cov[t - 1] >= np.max(g.u_d_cov) - 1e-9]
+    for role1 in top:
+        for role_k in range(1, g.k + 1):
+            if role_k == role1:
+                continue
+            rows = [(cov(role1), EQ, 0.0), (cov(role_k), GE, 0.0), (unc(role1), GE, 0.0)]
+            rows += [(unc(t), EQ, 0.0) for t in range(1, g.k + 1) if t not in (role1, role_k)]
+            rows += [(unc(role_k), LE, 0.0), (np.array([1.0, 0.0, 0.0]), LE, 0.0),
+                     (np.array([0.0, 1.0, 0.0]), GE, 0.0), (np.array([-1.0, 1.0, 0.0]), GE, 1.0)]
+            res = check_feasible(rows, 3)
+            if res.feasible:
+                return IdealResult(True, ZdLinearParams(*res.x).normalized(), role1, role_k)
+    return IdealResult(False)
 
 
 def simplex_reference(lp):

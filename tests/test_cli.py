@@ -102,6 +102,44 @@ def test_usage_error_on_unknown_flag():
     assert main([]) == EXIT_USAGE
 
 
+def test_one_parser_serves_every_call_with_its_own_defaults(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    game = write_game(tmp_path / "game.json", COR1)
+
+    def solve(out, *flags):
+        code = main(["solve", "--game", game, "--out", str(tmp_path / out), *flags])
+        return code, json.loads((tmp_path / out / "result.json").read_text())
+
+    assert main(["solve", "--nonsense"]) == EXIT_USAGE
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == cli.__version__
+    code, seeded = solve("seeded", "--seed", "5", "--verify-samples", "3")
+    assert code == EXIT_OK and seeded["residuals"]["line_samples_n"] == 3
+    code, default = solve("default")
+    assert code == EXIT_OK and default["residuals"]["line_samples_n"] == 64
+    assert default["config_hash"] == cli.config_hash({
+        "command": "solve", "game": game_to_dict(cli.load_game(game)), "mode": "auto", "seed": 0,
+        "verify_samples": 64, "version": cli.__version__})
+    assert seeded["config_hash"] != default["config_hash"]
+    assert main(["solve", "--nonsense"]) == EXIT_USAGE
+    assert cli.build_parser.cache_info()[:2] == (4, 1)  # five calls, one build
+
+
+def test_strategy_text_is_json_dumps_byte_for_byte():
+    rng = np.random.default_rng(73)
+    for k in range(2, 13):
+        rows = rng.dirichlet(np.full(k, 0.3), size=k * k)
+        rows[0] = np.eye(k)[0]  # exact 0 and 1 entries
+        rows[1, :2] = [1e-300, 1.0 - 1e-300]
+        rows[2, :2] = [1.0 - 1e-16, 1e-16]
+        rows[3, :2] = [5e-324, 1.0]
+        obj = {"k": k, "pi": rows.tolist(),
+               "zd": {"alpha": float(rng.normal()), "beta": 1.0, "gamma": -0.0,
+                      "phi": rng.normal(size=k).tolist(), "residual": 1e-17, "class": "extortion"},
+               "config_hash": "0123456789abcdef"}
+        assert cli.strategy_text(obj) == json.dumps(obj, indent=1) + "\n", k
+
+
 def test_compare_sandwich_and_regression(tmp_path):
     from zdmtd.scenarios import iot_game, iot_scenario
     g = iot_game(iot_scenario(3, 1))

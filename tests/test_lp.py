@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from zdmtd.lp import (
 )
 from zdmtd.programs import solve_ideal
 
-from oracles import random_game, simplex_reference
+from oracles import ideal_feasible_game, random_game, simplex_reference
 
 
 def test_single_bound_example():
@@ -313,26 +315,32 @@ def _outcome(solve, lp):
     return out.status, x, out.objective, out.max_violation
 
 
+def _draw(rng, integer, size):
+    if integer:
+        return rng.integers(-3, 4, size=size).astype(float)
+    return rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e3])
+
+
+def _random_row(rng, integer, n):
+    row = _draw(rng, integer, n)
+    row[rng.random(n) < 0.2] = 0.0
+    return row
+
+
 def _random_lp(rng, integer):
     """Random rows, relations, senses and bound kinds; integer entries in
     -3..3 make degenerate vertices and exact ratio ties common."""
-    def draw(size):
-        if integer:
-            return rng.integers(-3, 4, size=size).astype(float)
-        return rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e3])
-
     n, m = int(rng.integers(1, 6)), int(rng.integers(0, 10))
     rows = []
     for _ in range(m):
-        row = draw(n)
-        row[rng.random(n) < 0.2] = 0.0
-        rows.append((row, (LE, EQ, GE)[int(rng.integers(3))], float(draw(1)[0])))
+        row = _random_row(rng, integer, n)
+        rows.append((row, (LE, EQ, GE)[int(rng.integers(3))], float(_draw(rng, integer, 1)[0])))
     bounds = []
     for _ in range(n):
-        lo = float(draw(1)[0]) - 1.0
+        lo = float(_draw(rng, integer, 1)[0]) - 1.0
         bounds.append([(None, None), (lo, None), (None, lo),
-                       (lo, lo + abs(float(draw(1)[0])))][int(rng.integers(4))])
-    return LinearProgram(draw(n), ("max", "min")[int(rng.integers(2))], rows, bounds)
+                       (lo, lo + abs(float(_draw(rng, integer, 1)[0])))][int(rng.integers(4))])
+    return LinearProgram(_draw(rng, integer, n), ("max", "min")[int(rng.integers(2))], rows, bounds)
 
 
 def _near_tie_lp(rng):
@@ -345,12 +353,31 @@ def _near_tie_lp(rng):
                          [(0.0, None), (0.0, None)])
 
 
+def _near_tie_spy(monkeypatch):
+    """Count the row scans that settle a real near-tie: a second ratio
+    within _EPS of the minimum without equalling it."""
+    near_ties = []
+    scan_row = lp_module._scan_row
+
+    def spy(ratios, cand, basis):
+        gap = ratios[cand] - ratios[cand].min() if cand.any() else ratios[:0]
+        near_ties.append(bool(np.any((gap > 0) & (gap <= _EPS))))
+        return scan_row(ratios, cand, basis)
+
+    monkeypatch.setattr(lp_module, "_scan_row", spy)
+    return near_ties
+
+
+def _alternatives(lp):
+    return [lp.alternative(i) for i in range(lp.alternatives)]
+
+
 def test_solve_lp_matches_per_row_reference(monkeypatch):
     rng = np.random.default_rng(31)
     lps = [_random_lp(rng, integer=i % 2 == 0) for i in range(900)]
     lps += [_near_tie_lp(rng) for _ in range(150)]
 
-    recorded = []  # the ideal programs (K = 2..50) and one-shot LPs of real games
+    recorded = []  # the ideal stacks (K = 2..50) and one-shot LPs of real games
 
     def record(lp):
         recorded.append(lp)
@@ -363,20 +390,13 @@ def test_solve_lp_matches_per_row_reference(monkeypatch):
         solve_ideal(g)
         sse.oneshot_sse(g)
     monkeypatch.undo()
-    assert sum(lp.n == 3 and len(lp.constraints) == 50 + 5 for lp in recorded) == 49
-    lps += recorded
+    # the K = 50 ideal program is one stack of its 49 role pairs: each is
+    # checked as a program of its own
+    assert sum(lp.alternatives == 49 and len(lp.constraints) == 50 + 5 for lp in recorded) == 1
+    lps += [alt for lp in recorded for alt in _alternatives(lp)]
+    assert sum(lp.n == 3 and len(lp.constraints) == 50 + 5 for lp in lps) == 49
 
-    near_ties = []  # ratio tests with a second ratio within _EPS of the minimum, not equal to it
-    leaving_row = lp_module._leaving_row
-
-    def spy(T, basis, enter):
-        col = T[:, enter]
-        ratios = T[col > _EPS, -1] / col[col > _EPS]
-        gap = ratios - ratios.min() if ratios.size else ratios
-        near_ties.append(bool(np.any((gap > 0) & (gap <= _EPS))))
-        return leaving_row(T, basis, enter)
-
-    monkeypatch.setattr(lp_module, "_leaving_row", spy)
+    near_ties = _near_tie_spy(monkeypatch)
     statuses = {}
     for i, lp in enumerate(lps):
         got = _outcome(solve_lp, lp)
@@ -385,3 +405,225 @@ def test_solve_lp_matches_per_row_reference(monkeypatch):
     assert len(lps) >= 1000
     assert min(statuses.get(s, 0) for s in ("optimal", "infeasible", "unbounded")) >= 100, statuses
     assert sum(near_ties) >= 20, sum(near_ties)
+
+
+def _suffix(stack, j):
+    """The stack without its first j alternatives."""
+    return LinearProgram(stack.objective, stack.sense,
+                         [(r if r.ndim == 1 else r[j:], rel, rhs) for r, rel, rhs in stack.constraints],
+                         stack.bounds)
+
+
+def _first_outcome(solve, alternatives):
+    """What solving the alternatives one by one in order reports: the index
+    and outcome of the first that is not infeasible, or of the first error."""
+    for i, lp in enumerate(alternatives):
+        got = _outcome(solve, lp)
+        if got[0] != "infeasible":
+            return i, got
+    return None, ("infeasible", None, None, None)
+
+
+def _stack_outcome(stack):
+    try:
+        out = solve_lp(stack)
+    except Exception as err:  # compared by type and message, as _outcome does
+        index = None
+        return index, (type(err).__name__, str(err))
+    x = None if out.x is None else out.x.tobytes()
+    return out.index, (out.status, x, out.objective, out.max_violation)
+
+
+def _check_stack(stack, reference=True):
+    """Every suffix of the stack reports what the sequential loop over its
+    alternatives reports, solved alone and by the reference; returns the
+    first statuses seen.  An error's index is not reported by a stack."""
+    alternatives = _alternatives(stack)
+    firsts = []
+    for j in range(len(alternatives)):
+        want = _first_outcome(solve_lp, alternatives[j:])
+        if reference:
+            assert want == _first_outcome(simplex_reference, alternatives[j:]), (j, stack)
+        index, got = _stack_outcome(_suffix(stack, j))
+        if got[0] in ("optimal", "infeasible", "unbounded"):
+            assert (index, got) == want, (j, stack)
+        else:
+            assert got == want[1], (j, stack)
+        firsts.append(got[0])
+    return firsts
+
+
+def _random_stack(rng, integer, size):
+    """A random program whose rows are, each with even odds, shared by all
+    alternatives or redrawn for each (sometimes kept as the base row); the
+    bound shifts then give alternatives their own right-hand sides, so
+    runs of alternatives with different row flips occur too."""
+    base = _random_lp(rng, integer)
+    rows = []
+    for row, rel, rhs in base.constraints:
+        if rng.random() < 0.5:
+            alts = [_random_row(rng, integer, base.n) if rng.random() < 0.8 else row
+                    for _ in range(size)]
+            row = np.array(alts)
+        rows.append((row, rel, rhs))
+    return LinearProgram(base.objective, base.sense, rows, base.bounds)
+
+
+def _near_tie_stack(rng, size):
+    """Near-tie programs that share right-hand sides and row order: the
+    coefficients carry the perturbations."""
+    d = rng.uniform(-2 * _EPS, 2 * _EPS, size=(3, size))
+    rows = [(np.column_stack([1.0 + d[0], np.ones(size)]), LE, 1.0),
+            (np.column_stack([np.ones(size), 1.0 + d[1]]), LE, 1.0),
+            (np.column_stack([2.0 + d[2], np.ones(size)]), LE, 2.0),
+            (np.array([1.0, -1.0]), GE, -1.0)]
+    order = rng.permutation(len(rows))
+    return LinearProgram(rng.normal(size=2), "max", [rows[i] for i in order],
+                         [(0.0, None), (0.0, None)])
+
+
+def _band_stack(rng, size):
+    """The program infeasible only within the tolerance band (above), first
+    in a stack of copies whose rows move by up to 1 %."""
+    lp = LinearProgram([-0.086, 1.341], "max",
+                       [([1.707, -0.399], LE, 0.77), ([1e-8, -0.208], GE, 1e-8),
+                        ([5e-9, 0.67], GE, -1e-8), ([0.444, 0.0], LE, 1.025)],
+                       [(-3.251596182096633, 3.8714887788942542),
+                        (-3.921591022027818, 3.911630129664025)])
+    rows = [(row * np.vstack([np.ones(2), 1.0 + rng.uniform(-0.01, 0.01, size=(size - 1, 2))]),
+             rel, rhs) for row, rel, rhs in lp.constraints]
+    return LinearProgram(lp.objective, lp.sense, rows, lp.bounds)
+
+
+def test_stacks_match_their_alternatives_alone_and_the_reference(monkeypatch):
+    rng = np.random.default_rng(47)
+    stacks = [_random_stack(rng, i % 2 == 0, int(rng.integers(1, 7))) for i in range(240)]
+    stacks += [_near_tie_stack(rng, int(rng.integers(2, 6))) for _ in range(60)]
+    recorded = []  # the ideal stacks of real games, tied top payoffs included
+
+    def record(lp):
+        recorded.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(lp_module, "solve_lp", record)
+    for k in (2, 3, 5, 8):
+        solve_ideal(random_game(k, rng))
+        solve_ideal(ideal_feasible_game(k, rng))
+        g = random_game(k, rng)  # target 2 tied with target 1 at the top
+        solve_ideal(dataclasses.replace(g, u_d_cov=np.r_[g.u_d_cov[0], g.u_d_cov[0], g.u_d_cov[2:]]))
+    monkeypatch.undo()
+    stacks += recorded
+
+    near_ties = _near_tie_spy(monkeypatch)
+    firsts = {}
+    for stack in stacks:
+        for status in _check_stack(stack):
+            firsts[status] = firsts.get(status, 0) + 1
+    # the reference has no re-form: the band program is checked against
+    # solve_lp alone, where the re-form reports it infeasible
+    for _ in range(5):
+        assert _check_stack(_band_stack(rng, 4), reference=False)[0] == "infeasible"
+    assert sum(stack.alternatives > 1 for stack in stacks) >= 200
+    assert min(firsts.get(s, 0) for s in ("optimal", "infeasible", "unbounded")) >= 50, firsts
+    assert sum(near_ties) >= 20, sum(near_ties)
+
+
+def test_stacks_match_their_alternatives_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(st.integers(0, 2**31), st.integers(1, 6), st.booleans())
+    def check(seed, size, integer):
+        _check_stack(_random_stack(np.random.default_rng(seed), integer, size))
+
+    check()
+
+
+def _reordered(stack, order):
+    """The stack with its alternatives taken in the given order."""
+    return LinearProgram(stack.objective, stack.sense,
+                         [(r if r.ndim == 1 else r[order], rel, rhs) for r, rel, rhs in stack.constraints],
+                         stack.bounds)
+
+
+def test_stacks_with_raising_alternatives_raise_only_before_the_first_found(monkeypatch):
+    # a pivot budget of 1 makes every alternative that needs a second pivot
+    # in a phase raise; the sequential loop then decides what the stack
+    # reports.  Each stack with a raising and a found alternative is also
+    # checked with the one of them first and the other second, both ways
+    monkeypatch.setattr(lp_module, "_MAX_PIVOTS", 1)
+    rng = np.random.default_rng(53)
+    raised = pairs = 0
+    for i in range(400):
+        stack = _random_stack(rng, i % 2 == 0, int(rng.integers(2, 6)))
+        raised += _check_stack(stack, reference=False)[0] == "LpNumericalError"
+        outcomes = [_outcome(solve_lp, alt)[0] for alt in _alternatives(stack)]
+        errors = [j for j, status in enumerate(outcomes) if status == "LpNumericalError"]
+        found = [j for j, status in enumerate(outcomes) if status in ("optimal", "unbounded")]
+        if errors and found:
+            pair = [found[0], errors[0]]
+            assert _check_stack(_reordered(stack, pair), reference=False)[0] == outcomes[found[0]]
+            assert _check_stack(_reordered(stack, pair[::-1]), reference=False)[0] == "LpNumericalError"
+            pairs += 1
+    assert raised >= 50 and pairs >= 20, (raised, pairs)
+
+
+def _step_counter(monkeypatch):
+    """count(lp): the stack-wide pivot steps solve_lp makes on lp (a
+    drive-out pivot passes its row as a list and is not counted)."""
+    steps = []
+    pivot = lp_module._pivot
+
+    def spy(T, rows, cols, step):
+        steps.append(not isinstance(rows, list))
+        return pivot(T, rows, cols, step)
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+
+    def count(lp):
+        steps.clear()
+        _stack_outcome(lp)
+        return sum(steps)
+
+    return count
+
+
+def test_stack_stops_once_its_first_found_alternative_is_resolved(monkeypatch):
+    count = _step_counter(monkeypatch)
+    rng = np.random.default_rng(59)
+    stopped = 0
+    for i in range(400):
+        stack = _random_stack(rng, i % 2 == 0, 2)
+        if stack.alternatives < 2 or _outcome(solve_lp, stack.alternative(0))[0] == "infeasible":
+            continue
+        first, second = _alternatives(stack)
+        alone = count(first)
+        if count(second) > alone:
+            assert count(stack) == alone, stack
+            stopped += 1
+    assert stopped >= 20, stopped
+
+
+def test_ideal_stack_stops_at_a_feasible_first_pair(monkeypatch):
+    # an ideal-feasible K = 50 game relabeled so that its feasible pair is
+    # the first of the 49: the stack makes no pivot step after it resolves
+    g = ideal_feasible_game(50, np.random.default_rng(61))
+    order = np.r_[0, 49, 1:49]
+    g = dataclasses.replace(g, u_d_cov=g.u_d_cov[order], u_d_unc=g.u_d_unc[order],
+                            u_a_cov=g.u_a_cov[order], u_a_unc=g.u_a_unc[order])
+    recorded = []
+
+    def record(lp):
+        recorded.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(lp_module, "solve_lp", record)
+    res = solve_ideal(g)
+    monkeypatch.undo()
+    assert (res.found, res.role1, res.role_k) == (True, 1, 2)
+    (stack,) = recorded
+    assert stack.alternatives == 49
+    assert _stack_outcome(stack) == (0, _outcome(solve_lp, stack.alternative(0)))
+    count = _step_counter(monkeypatch)
+    assert count(stack) == count(stack.alternative(0)) > 0

@@ -1,11 +1,15 @@
 import dataclasses
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zdmtd import cli, programs
 from zdmtd.cli import solve_game
-from zdmtd.game import GameSpec, relabeling
+from zdmtd.game import GameSpec, canonicalize, relabeling
 from zdmtd.markov import max_line_residual
 from zdmtd.programs import (
     HullPolygon,
@@ -667,3 +671,77 @@ def test_solve_optimal_k50_proves_none_in_few_svds(monkeypatch):
     res = solve_optimal(g, evaluate_br=False)
     assert res.kind == "none"
     assert len(calls) <= 20
+
+
+def _ideal_fields(res):
+    """Every field of an IdealResult, the parameters bit for bit."""
+    p = res.params
+    return res.found, res.role1, res.role_k, None if p is None else \
+        np.array([p.alpha, p.beta, p.gamma]).tobytes()
+
+
+def _benchmark_games(seed):
+    """The canonical games of every solve and compare operation of the
+    benchmark's pass for a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)  # registered first: its dataclasses look it up
+    games = []
+    for workload in (workloads.SolveIdeal, workloads.SolveGeneric, workloads.CompareIot):
+        for op in workload().make_ops(seed):
+            d = json.loads(op.inputs["game"])
+            g = GameSpec(d["k"], d["u_d_cov"], d["u_d_unc"], d["u_a_cov"], d["u_a_unc"])
+            games.append(canonicalize(g)[0])
+    return games
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solve_ideal_matches_the_per_pair_reference_on_benchmark_games(seed):
+    games = _benchmark_games(seed)
+    found = 0
+    for g in games:
+        got = _ideal_fields(solve_ideal(g))
+        assert got == _ideal_fields(oracles.solve_ideal_reference(g)), g
+        found += got[0]
+    assert 280 <= found < len(games) and max(g.k for g in games) == 50
+
+
+def test_solve_ideal_matches_the_per_pair_reference_on_tied_top_payoffs():
+    # targets 1..t share the top covered payoff exactly or within the 1e-9
+    # the program's tie rule allows, so the stack holds t blocks of pairs.
+    # An ideal-feasible game with an exact tie also has targets 1 and 2
+    # swapped, so that its feasible pair (2, K) lies in the second block
+    rng = np.random.default_rng(67)
+    found = later_block = 0
+    for trial in range(80):
+        k = int(rng.integers(2, 9))
+        g = (ideal_feasible_game if trial % 2 else random_game)(k, rng)
+        ties = int(rng.integers(2, k + 1))
+        gap = rng.choice([0.0, 5e-10])
+        cov = np.array(g.u_d_cov)
+        cov[1:ties] = cov[0] - gap
+        g = dataclasses.replace(g, u_d_cov=cov)
+        if trial % 2 and gap == 0.0:
+            order = np.r_[1, 0, 2:k]
+            g = dataclasses.replace(g, u_d_cov=g.u_d_cov[order], u_d_unc=g.u_d_unc[order],
+                                    u_a_cov=g.u_a_cov[order], u_a_unc=g.u_a_unc[order])
+        res = solve_ideal(g)
+        assert _ideal_fields(res) == _ideal_fields(oracles.solve_ideal_reference(g)), g
+        found += res.found
+        later_block += res.found and res.role1 > 1
+    assert found >= 20 and later_block >= 5, (found, later_block)
+
+
+def test_solve_ideal_matches_the_per_pair_reference_when_the_first_pair_is_feasible():
+    # an ideal-feasible game's feasible pair is (1, K); moving target K to
+    # label 2 makes it the first pair of the stack
+    rng = np.random.default_rng(71)
+    for k in (2, 3, 4, 7, 12, 50):
+        g = ideal_feasible_game(k, rng)
+        order = np.r_[0, k - 1, 1:k - 1]
+        g = dataclasses.replace(g, u_d_cov=g.u_d_cov[order], u_d_unc=g.u_d_unc[order],
+                                u_a_cov=g.u_a_cov[order], u_a_unc=g.u_a_unc[order])
+        res = solve_ideal(g)
+        assert (res.found, res.role1, res.role_k) == (True, 1, 2)
+        assert _ideal_fields(res) == _ideal_fields(oracles.solve_ideal_reference(g))
