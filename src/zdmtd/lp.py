@@ -20,14 +20,15 @@ The alternatives pivot in lockstep on one tableau stack.  Each step is a
 few array passes over the stack: every program's entering column is its
 first index below -_EPS, the ratio test one stacked minimum (a program's
 rows are scanned in order only when a second ratio lies within _EPS of its
-minimum without equalling it), and the elimination one masked update of the
-rows with a nonzero pivot-column entry.  Every entry goes through the same
-floating-point operations as in a row-at-a-time elimination of that program
-alone, so an alternative's outcome depends neither on how the passes are
-grouped nor on the other alternatives.  A program whose phase ends takes
-its own branch (phase-2 set-up, re-form, verdict) and then pivots on or
-leaves the stack.  The objective rows are built row by row, because their
-summation order is part of the result.
+minimum without equalling it), and the elimination one update of every
+row, in which a row with a zero pivot-column entry subtracts +0.0 and so
+keeps its bits.  Every entry goes through the same floating-point
+operations as in a row-at-a-time elimination of that program alone, so an
+alternative's outcome depends neither on how the passes are grouped nor on
+the other alternatives.  A program whose phase ends takes its own branch
+(phase-2 set-up, re-form, verdict) and then pivots on or leaves the stack.
+The objective rows are built row by row, because their summation order is
+part of the result.
 """
 
 from __future__ import annotations
@@ -101,12 +102,6 @@ class LinearProgram:
     @property
     def n(self) -> int:
         return self.objective.size
-
-    def alternative(self, i: int) -> LinearProgram:
-        """Alternative i of the stack as a program of its own."""
-        return LinearProgram(self.objective, self.sense,
-                             tuple((r if r.ndim == 1 else r[i], rel, rhs)
-                                   for r, rel, rhs in self.constraints), self.bounds)
 
 
 @dataclass(frozen=True)
@@ -247,7 +242,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, po
     cuts = list((flip[1:] != flip[:-1]).any(axis=1).nonzero()[0] + 1) if nb > 1 else []
     for lo, hi in zip([0] + cuts, cuts + [nb]):
         index, *found = _lockstep(c, a[lo:hi], b[lo:hi], np.where(flip[lo], -rels, rels),
-                                  lambda s, y: point(lo + s, y))
+                                  lambda s, y, lo=lo: point(lo + s, y))
         if index is not None:
             return (lo + index, *found)
     return None, "infeasible", None, None

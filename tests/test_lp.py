@@ -368,8 +368,15 @@ def _near_tie_spy(monkeypatch):
     return near_ties
 
 
+def _alternative(lp, i):
+    """Alternative i of a stack as a program of its own."""
+    return LinearProgram(lp.objective, lp.sense,
+                         [(r if r.ndim == 1 else r[i], rel, rhs) for r, rel, rhs in lp.constraints],
+                         lp.bounds)
+
+
 def _alternatives(lp):
-    return [lp.alternative(i) for i in range(lp.alternatives)]
+    return [_alternative(lp, i) for i in range(lp.alternatives)]
 
 
 def test_solve_lp_matches_per_row_reference(monkeypatch):
@@ -595,7 +602,7 @@ def test_stack_stops_once_its_first_found_alternative_is_resolved(monkeypatch):
     stopped = 0
     for i in range(400):
         stack = _random_stack(rng, i % 2 == 0, 2)
-        if stack.alternatives < 2 or _outcome(solve_lp, stack.alternative(0))[0] == "infeasible":
+        if stack.alternatives < 2 or _outcome(solve_lp, _alternative(stack, 0))[0] == "infeasible":
             continue
         first, second = _alternatives(stack)
         alone = count(first)
@@ -624,6 +631,6 @@ def test_ideal_stack_stops_at_a_feasible_first_pair(monkeypatch):
     assert (res.found, res.role1, res.role_k) == (True, 1, 2)
     (stack,) = recorded
     assert stack.alternatives == 49
-    assert _stack_outcome(stack) == (0, _outcome(solve_lp, stack.alternative(0)))
+    assert _stack_outcome(stack) == (0, _outcome(solve_lp, _alternative(stack, 0)))
     count = _step_counter(monkeypatch)
-    assert count(stack) == count(stack.alternative(0)) > 0
+    assert count(stack) == count(_alternative(stack, 0)) > 0
