@@ -40,6 +40,7 @@ import numpy as np
 FEAS_TOL = 1e-8
 _EPS = 1e-9
 _MAX_PIVOTS = 50_000
+_STEP_BYTES = 2 ** 18  # scratch for a pivot's products: at most this, or one tableau
 
 LE, EQ, GE = "<=", "=", ">="
 _REL_SIGN = {LE: -1, EQ: 0, GE: 1}
@@ -180,14 +181,17 @@ def _standardize(lp: LinearProgram):
 def _pivot(T: np.ndarray, rows, col: np.ndarray, step: np.ndarray) -> None:
     """Pivot every tableau of the stack on its own row and the column whose
     entries col holds: eliminate the column from every other row where it
-    is nonzero, then scale the pivot row.  step is scratch space of T's
-    shape."""
+    is nonzero, then scale the pivot row.  step is scratch space for as
+    many tableaux as it holds, so a large stack is eliminated in chunks."""
     ar = np.arange(len(T))
     prow = T[ar, rows] / col[ar, rows, None]
     with np.errstate(invalid="ignore"):  # 0 * inf, in rows reset below
-        np.multiply(col[:, :, None], prow[:, None, :], out=step)
-    step[col == 0.0] = 0.0  # x - (+0.0) is x, bit for bit, signed zeros included
-    T -= step
+        for lo in range(0, len(T), len(step)):
+            part = slice(lo, lo + len(step))
+            out = step[:len(T[part])]
+            np.multiply(col[part, :, None], prow[part, None, :], out=out)
+            out[col[part] == 0.0] = 0.0  # x - (+0.0) is x, bit for bit, signed zeros included
+            T[part] -= out
     T[ar, rows] = prow  # the pivot row took a step too
 
 
@@ -279,7 +283,7 @@ def _lockstep(c, a, b, rels, point):
     T = np.zeros((nb, m + 1, width + 1))
     T[:, :m] = tableau(a, b)
     obj = T[:, m]
-    step = np.empty_like(T)
+    step = np.empty((min(nb, max(1, _STEP_BYTES // T[0].nbytes)),) + T.shape[1:])
     basis = np.repeat(np.where(has_art, art_col, slack_col)[None], nb, axis=0)
     live = np.arange(nb)  # stack index of each working tableau
     if n_art:  # phase 1's objective, row by row
@@ -388,7 +392,7 @@ def _lockstep(c, a, b, rels, point):
                     if leave[k] < 0:
                         ended[k] = False
         if not ended:
-            _pivot(T, leave, col, step[:len(live)])
+            _pivot(T, leave, col, step)
             basis[ar, leave] = enter
             steps += 1
             if steps <= _MAX_PIVOTS or steps - began.min() <= _MAX_PIVOTS:
@@ -416,8 +420,9 @@ def _lockstep(c, a, b, rels, point):
         # the alternatives after one that is not infeasible are not needed
         stop = next((s for s in live[done] if not _infeasible(results[s])), nb)
         keep = ~done & (live < stop)
-        # the kept tableaux move into the scratch stack, which the old one becomes
-        T, step = np.compress(keep, T, axis=0, out=step[:keep.sum()]), T
+        for j, k in enumerate(keep.nonzero()[0]):  # in place: no second stack
+            T[j] = T[k]
+        T = T[:len(live[keep])]
         obj, basis, began, live = T[:, m], basis[keep], began[keep], live[keep]
         ar = np.arange(len(live))
 

@@ -7,7 +7,8 @@ exists, the optimal one:
 * the ideal program -- a small feasibility LP pinning the enforced line
   through the best covered outcome (label 1) with sign conditions at a
   second reference target; feasible parameters give the defender the full
-  Stackelberg value under attacker best response;
+  Stackelberg value under attacker best response.  The LPs of every choice
+  of the two reference targets form one stack, solved in lockstep;
 * the optimal program -- enumerate the cells of parameter space cut out by
   the uncovered-value equalities (all targets except an ordered pair
   (i1, i2)), and on each cell maximize the defender's coordinate over the
