@@ -271,17 +271,16 @@ def _lockstep(c, a, b, rels, point):
     y_cols = np.arange(ncol)
 
     def tableau(a, b):
-        """Initial tableaux: slack / surplus / artificial columns, numbered
-        in row order."""
-        T = np.zeros(a.shape[:2] + (width + 1,))
-        T[:, :, :ncol] = a
-        T[:, :, -1] = b
+        """Initial tableaux, objective row zero: slack / surplus / artificial
+        columns, numbered in row order."""
+        T = np.zeros((len(a), m + 1, width + 1))
+        T[:, :m, :ncol] = a
+        T[:, :m, -1] = b
         T[:, s_rows, slack_col[s_rows]] = -rels[s_rows]  # +1 slack, -1 surplus
         T[:, a_rows, art_col[a_rows]] = 1.0
         return T
 
-    T = np.zeros((nb, m + 1, width + 1))
-    T[:, :m] = tableau(a, b)
+    T = tableau(a, b)
     obj = T[:, m]
     step = np.empty((min(nb, max(1, _STEP_BYTES // T[0].nbytes)),) + T.shape[1:])
     basis = np.repeat(np.where(has_art, art_col, slack_col)[None], nb, axis=0)
@@ -304,7 +303,7 @@ def _lockstep(c, a, b, rels, point):
         """Tableau k re-formed from its basis: pivots update the tableau in
         place, which can drift."""
         s = live[k]
-        initial = tableau(a[s:s + 1], b[s:s + 1])[0]
+        initial = tableau(a[s:s + 1], b[s:s + 1])[0, :m]
         return np.linalg.solve(initial[:, basis[k]], initial)
 
     def basic_point(k):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -577,23 +578,47 @@ def test_stacks_with_raising_alternatives_raise_only_before_the_first_found(monk
 
 
 def _step_counter(monkeypatch):
-    """count(lp): the stack-wide pivot steps solve_lp makes on lp (a
-    drive-out pivot passes its row as a list and is not counted)."""
-    steps = []
+    """count(lp): the stack-wide pivot steps solve_lp makes on lp, and the
+    tableaux those steps pivot (a drive-out pivot passes its row as a list
+    and is not counted)."""
+    widths = []
     pivot = lp_module._pivot
 
-    def spy(T, rows, cols, step):
-        steps.append(not isinstance(rows, list))
-        return pivot(T, rows, cols, step)
+    def spy(T, rows, col, step):
+        if not isinstance(rows, list):
+            widths.append(len(T))
+        return pivot(T, rows, col, step)
 
     monkeypatch.setattr(lp_module, "_pivot", spy)
 
-    def count(lp):
-        steps.clear()
+    def count(lp, tableaux=False):
+        widths.clear()
         _stack_outcome(lp)
-        return sum(steps)
+        return sum(widths) if tableaux else len(widths)
 
     return count
+
+
+def test_pivot_matches_row_at_a_time_elimination_bit_for_bit():
+    # tableaux full of signed zeros, with zero pivot-column entries, pivoted
+    # through scratch space of one, two and all tableaux
+    rng = np.random.default_rng(79)
+    for trial in range(40):
+        b, m, w = int(rng.integers(1, 6)), int(rng.integers(2, 7)), int(rng.integers(3, 9))
+        T = rng.normal(size=(b, m, w)) * (rng.random((b, m, w)) < 0.6)
+        T *= rng.choice([-1.0, 1.0], size=T.shape)  # -0.0 where a zero is negated
+        rows, cols = rng.integers(m, size=b), rng.integers(w, size=b)
+        T[np.arange(b), rows, cols] = rng.choice([-1.0, 1.0], size=b) * rng.uniform(0.5, 2, size=b)
+        want = T.copy()
+        for k, (row, col) in enumerate(zip(rows, cols)):  # the scalar elimination
+            want[k, row] /= want[k, row, col]
+            for i in range(m):
+                if i != row and want[k, i, col] != 0.0:
+                    want[k, i] -= want[k, i, col] * want[k, row]
+        for size in (1, 2, b):
+            got = T.copy()
+            lp_module._pivot(got, rows, got[np.arange(b), :, cols], np.empty((size, m, w)))
+            assert got.tobytes() == want.tobytes(), (trial, size)
 
 
 def test_stack_stops_once_its_first_found_alternative_is_resolved(monkeypatch):
@@ -610,6 +635,35 @@ def test_stack_stops_once_its_first_found_alternative_is_resolved(monkeypatch):
             assert count(stack) == alone, stack
             stopped += 1
     assert stopped >= 20, stopped
+
+
+def test_stack_drops_the_alternatives_after_a_found_one(monkeypatch):
+    # first, second, third: the second is found before the first resolves,
+    # and the third, still running, leaves the stack with it.  The three
+    # come from one random stack, ordered to fit; its bounds are moved to
+    # 0 so that all its alternatives flip the same rows (else they are
+    # solved one run after another)
+    count = _step_counter(monkeypatch)
+    rng = np.random.default_rng(83)
+    dropped = 0
+    for i in range(300):
+        stack = _random_stack(rng, i % 2 == 0, 4)
+        stack = LinearProgram(stack.objective, stack.sense, stack.constraints,
+                              [(None if lo is None else 0.0, None if hi is None else
+                                (0.0 if lo is None else hi - lo)) for lo, hi in stack.bounds])
+        if stack.alternatives < 3:
+            continue
+        alternatives = _alternatives(stack)
+        steps = [count(alt) for alt in alternatives]
+        found = [_outcome(solve_lp, alt)[0] in ("optimal", "unbounded") for alt in alternatives]
+        for order in itertools.permutations(range(len(alternatives)), 3):
+            first, second, third = order
+            if found[second] and steps[first] > steps[second] < steps[third]:
+                assert count(_reordered(stack, list(order)), tableaux=True) \
+                    == steps[first] + 2 * steps[second], (stack, order)
+                dropped += 1
+                break
+    assert dropped >= 10, dropped
 
 
 def test_ideal_stack_stops_at_a_feasible_first_pair(monkeypatch):
