@@ -436,8 +436,7 @@ def _stack_outcome(stack):
     try:
         out = solve_lp(stack)
     except Exception as err:  # compared by type and message, as _outcome does
-        index = None
-        return index, (type(err).__name__, str(err))
+        return None, (type(err).__name__, str(err))
     x = None if out.x is None else out.x.tobytes()
     return out.index, (out.status, x, out.objective, out.max_violation)
 
