@@ -17,12 +17,15 @@ reduction subtracts nothing but the rows' rounding defects, so it stays
 accurate on the nearly decomposable chains that blended deterministic
 attackers make, where a direct solve can be off by more than TIE_TOL.
 
-Above K = 3 the swap search scores single-state swaps by rank-one updates
-of the policy's fundamental matrix, every state left in a sweep in one
-array pass (`_swap_values`; from K = 13 up, in passes of a bounded size),
-and carries the matrix through each accepted swap by the same rank-one
-identity (`_accept_swap`), re-forming it only where the update's pivot is
-small.
+Above K = 3 the swap search starts from Howard's policy, its pair read
+from the fundamental matrix the search needs anyway, unless a constant
+policy beats it; the K constant policies are scored together on lumped
+K-state chains (`_start`, `_constant_values`).  It scores single-state
+swaps by rank-one updates of the policy's fundamental matrix, every state
+left in a sweep in one array pass (`_swap_values`; from K = 13 up, in
+passes of a bounded size), and carries the matrix through each accepted
+swap by the same rank-one identity (`_accept_swap`), re-forming it only
+where the update's pivot is small.
 """
 
 from __future__ import annotations
@@ -144,6 +147,50 @@ def _swap_values(f, w, fund, policy_idx, states):
     return ud + vs * dy[..., 0], ua + vs * dy[..., 1]
 
 
+def _constant_values(f, w, sd, sa) -> np.ndarray:
+    """(2, K) array of (u_d, u_a) over the K constant policies, in action
+    order.  Under constant policy m the executed action is drawn afresh from
+    W[m] at every stage, so the chain lumps to the K-state chain of the
+    defender's moves, Q_m[d, d'] = sum_a W[m, a] F[(d, a), d'], and the
+    stationary vector is v(d, a) = mu_m(d) W[m, a] (Kemeny & Snell, Finite
+    Markov Chains, 1960, ch. 6).  One stacked solve on K states serves all K
+    policies.  It is the direct system of `markov._direct` except that each
+    diagonal entry is minus the row's off-diagonal sum, not Q_m[d, d] - 1: a
+    ZD strategy's floor entries leave self-loops within about 1e-9 of 1,
+    whose subtraction from 1 put the pairs up to 3e-13 max(1, |S_d|, |S_a|)
+    off a GTH reduction at K <= 30, against 1.4e-15 for the sum."""
+    k = w.shape[0]
+    a = (w @ f.reshape(k, k, k)).transpose(1, 2, 0).copy()  # a[m] = Q_m^T
+    i = np.arange(k)
+    a[:, i, i] = 0.0
+    a[:, i, i] = -a.sum(axis=1)
+    a[:, -1] = 1.0
+    mu = np.linalg.solve(a, np.eye(k)[-1])
+    # per policy m: sum_d mu_m(d) sum_a S[(d, a)] W[m, a]
+    return np.einsum("md,jdm->jm", mu, np.stack([sd, sa]).reshape(2, k, k) @ w.T)
+
+
+def _start(f, w, sd, sa, howard_idx, floor):
+    """(policy, (u_d, u_a), fundamental tuple) the swap search starts from.
+    The candidates are the 0-based Howard policy, then the K constant
+    policies, each kept only if its u_a reaches `floor`; a later candidate
+    replaces the best so far only if its u_d is more than _SWITCH_TOL
+    higher.  Howard's pair is read from the means of its fundamental
+    matrix; the constant policies are scored on their lumped chains
+    (`_constant_values`), and the winner's fundamental matrix is formed only
+    when one of them wins."""
+    fund = _fundamental(f, w, sd, sa, howard_idx)
+    pol, best_pair = None, None
+    if fund[5] >= floor:
+        pol, best_pair = howard_idx, (float(fund[4]), float(fund[5]))
+    for m, (ud, ua) in enumerate(_constant_values(f, w, sd, sa).T):
+        if ua >= floor and (best_pair is None or ud > best_pair[0] + _SWITCH_TOL):
+            pol, best_pair = np.full(len(howard_idx), m), (float(ud), float(ua))
+    if pol is not howard_idx:  # a constant policy won
+        fund = _fundamental(f, w, sd, sa, pol)
+    return pol, best_pair, fund
+
+
 def _evaluate(f, w, r_eff, policy_idx):
     """Gain and bias (h[0] = 0) of a policy on the effective MDP."""
     n = f.shape[0]
@@ -231,16 +278,19 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
 
     K <= 3 enumerates the policies exactly, on the values of one state
     reduction (see the module docstring).  Above, the search starts from the
-    best of K + 1 policies (the Howard optimum and the K constant ones) and,
-    state by state, takes in action order each action that raises the
-    defender's utility further while staying in the tie set, until a sweep
-    changes nothing (a local optimum, not an exhaustive one).  One pass
-    scores, by rank-one updates of the current fundamental matrix, the K
-    actions of every state left in the sweep (at most _SWAP_PASS_ENTRIES /
-    3K^2 states); the first state where another action qualifies is then
-    searched action by action.  An accepted swap updates the fundamental
-    matrix by rank one, its (u_d, u_a) is read from the updated matrix
-    (`_accept_swap`), and the later states are scored again.
+    best of K + 1 policies (`_start`): the Howard optimum, whose pair is the
+    means of its fundamental matrix, and the K constant ones, scored by one
+    stacked solve of their lumped K-state chains; the fundamental matrix of
+    a constant policy is formed only when it wins.  Then, state by state, it
+    takes in action order each action that raises the defender's utility
+    further while staying in the tie set, until a sweep changes nothing (a
+    local optimum, not an exhaustive one).  One pass scores, by rank-one
+    updates of the current fundamental matrix, the K actions of every state
+    left in the sweep (at most _SWAP_PASS_ENTRIES / 3K^2 states); the first
+    state where another action qualifies is then searched action by action.
+    An accepted swap updates the fundamental matrix by rank one, its
+    (u_d, u_a) is read from the updated matrix (`_accept_swap`), and the
+    later states are scored again.
 
     Returns ((u_d, u_a), 1-based policy tuple) of the chosen policy.
     """
@@ -257,16 +307,7 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
         pair = UtilityPair(float(u_d[chosen]), float(u_a[chosen]))
     else:
         floor = br.gain - TIE_TOL
-        candidates = [np.asarray(br.policy, dtype=int) - 1]
-        candidates += [np.full(n, m, dtype=int) for m in range(g.k)]
-        pol, best_pair = None, None
-        for cand in candidates:
-            ud, ua = _chain_values(f, w, sd, sa, cand)
-            if ua < floor:
-                continue
-            if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
-                pol, best_pair = cand.copy(), (ud, ua)
-        fund = _fundamental(f, w, sd, sa, pol)
+        pol, best_pair, fund = _start(f, w, sd, sa, np.asarray(br.policy, dtype=int) - 1, floor)
         per_pass = max(1, _SWAP_PASS_ENTRIES // (3 * n))
         improved = True
         guard = 0

@@ -220,6 +220,16 @@ def _score(g: GameSpec, strategy: MemoryOneStrategy):
     return pair
 
 
+def _dirichlet_rows(rng: np.random.Generator, conc: np.ndarray) -> np.ndarray:
+    """One Dirichlet(conc[s]) draw per row s from a single gamma call, the
+    draws and generator state of per-row `rng.dirichlet(conc[s])` calls bit
+    for bit while every row has an entry >= 0.1: numpy then draws the row's
+    gammas in order and scales them by the reciprocal of their sequential
+    sum."""
+    g = rng.standard_gamma(conc)
+    return g * (1.0 / g.cumsum(axis=1)[:, -1:])
+
+
 def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), scored=()) -> SseSearch:
     """Annealed random-restart local search over defender memory-one
     strategies, scored by defender utility under attacker best response.
@@ -258,11 +268,8 @@ def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), scored=()) -> S
     while step < budget:
         batch = min(batch_size, budget - step)
         kappa = 1.0 * (100.0 ** (step / max(budget - 1, 1)))
-        proposals = []
-        for _ in range(batch):
-            conc = kappa * incumbent.rows + 0.1
-            rows = np.vstack([rng.dirichlet(conc[s]) for s in range(k * k)])
-            proposals.append(MemoryOneStrategy(k, rows))
+        conc = kappa * incumbent.rows + 0.1
+        proposals = [MemoryOneStrategy(k, _dirichlet_rows(rng, conc)) for _ in range(batch)]
         evals += len(proposals)
         for cand in proposals:
             pair = _score(g, cand)

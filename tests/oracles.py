@@ -26,6 +26,7 @@ from zdmtd.mdp import (
     _effective_tables,
     _fundamental,
     _policy_value,
+    _start,
     best_response,
     defender_utility_under_br,
 )
@@ -308,6 +309,23 @@ def bellman_residual(g: GameSpec, pi_d, br) -> float:
     return float(np.max(np.abs(br.gain + br.bias - q.max(axis=1))))
 
 
+def start_direct(f, w, sd, sa, howard_idx, floor):
+    """Reference for `mdp._start`: the same candidates (the 0-based Howard
+    policy, then the K constant policies), tie-set floor and strict
+    _SWITCH_TOL preference in order, with each candidate scored by its own
+    direct solve on K^2 states.  Returns (policy, (u_d, u_a))."""
+    n = f.shape[0]
+    candidates = [howard_idx] + [np.full(n, m, dtype=int) for m in range(w.shape[0])]
+    best_pol, best_pair = None, None
+    for cand in candidates:
+        ud, ua = _chain_values(f, w, sd, sa, cand)
+        if ua < floor:
+            continue
+        if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
+            best_pol, best_pair = cand.copy(), (ud, ua)
+    return best_pol, best_pair
+
+
 def swap_search_direct(g: GameSpec, pi_d):
     """Reference for the optimistic tie search above K = 3: the same start
     policies, state order and first-improvement acceptance as
@@ -315,18 +333,11 @@ def swap_search_direct(g: GameSpec, pi_d):
     stationary solve.  Returns (1-based policy tuple, (u_d, u_a))."""
     assert g.k > 3
     n = g.k * g.k
+    f, w, _, sd, sa = _effective_tables(g, pi_d)
     br = best_response(g, pi_d)
     gain_ref = br.gain
-    candidates = [np.asarray(br.policy, dtype=int)]
-    candidates += [np.full(n, m, dtype=int) for m in range(1, g.k + 1)]
-    best_pol, best_pair = None, None
-    for cand in candidates:
-        ud, ua = _policy_value(g, pi_d, cand)
-        if ua < gain_ref - TIE_TOL:
-            continue
-        if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
-            best_pol, best_pair = cand.copy(), (ud, ua)
-    pol = best_pol
+    pol, best_pair = start_direct(f, w, sd, sa, np.asarray(br.policy) - 1, gain_ref - TIE_TOL)
+    pol += 1
     improved = True
     guard = 0
     while improved and guard < 50:
@@ -364,27 +375,19 @@ def swap_values_per_state(f, w, fund, policy_idx, s):
 
 def swap_search_per_state(g: GameSpec, pi_d, reform=False):
     """Per-state reference for the search above K = 3 in
-    `defender_utility_under_br`: the same start policies, tables, direct
-    solves and accepted-swap updates (`_accept_swap`), but every state of a
-    sweep scored by its own `swap_values_per_state` call.  With `reform`, an
-    accepted swap re-forms the fundamental matrix and the pair by direct
-    solves, as the search does below its pivot floor.  Returns ((u_d, u_a),
-    1-based policy tuple)."""
+    `defender_utility_under_br`: the same start, tables and accepted-swap
+    updates (`_accept_swap`), but every state of a sweep scored by its own
+    `swap_values_per_state` call.  It is a reference for the sweep, not for
+    the start, which it takes from `mdp._start` (`start_direct` is the
+    start's reference).  With `reform`, an accepted swap re-forms the
+    fundamental matrix and the pair by direct solves, as the search does
+    below its pivot floor.  Returns ((u_d, u_a), 1-based policy tuple)."""
     assert g.k > 3
     n = g.k * g.k
     tables = f, w, _, sd, sa = _effective_tables(g, pi_d)
     br = best_response(g, pi_d, tables)
     floor = br.gain - TIE_TOL
-    candidates = [np.asarray(br.policy, dtype=int) - 1]
-    candidates += [np.full(n, m, dtype=int) for m in range(g.k)]
-    pol, best_pair = None, None
-    for cand in candidates:
-        ud, ua = _chain_values(f, w, sd, sa, cand)
-        if ua < floor:
-            continue
-        if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
-            pol, best_pair = cand.copy(), (ud, ua)
-    fund = _fundamental(f, w, sd, sa, pol)
+    pol, best_pair, fund = _start(f, w, sd, sa, np.asarray(br.policy, dtype=int) - 1, floor)
     improved = True
     guard = 0
     while improved and guard < 50:

@@ -18,10 +18,12 @@ from zdmtd.mdp import (
     defender_utility_under_br,
     _accept_swap,
     _chain_values,
+    _constant_values,
     _effective_tables,
     _fundamental,
     _policy_value,
     _screen_values,
+    _start,
     _swap_values,
 )
 from zdmtd.lp import LpNumericalError
@@ -37,6 +39,7 @@ from oracles import (
     policy_values_reference,
     pure_strategy,
     random_strategy,
+    start_direct,
     swap_search_direct,
     swap_search_per_state,
     swap_values_per_state,
@@ -339,6 +342,33 @@ def test_swap_search_matches_direct_solve_reference():
         assert policy == ref_policy
         assert abs(pair.u_d - ref_d) <= 1e-12
         assert abs(pair.u_a - ref_a) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 8, 11, 16, 23, 30])
+@pytest.mark.parametrize("kind", ["random", "zd"])
+def test_start_matches_direct_solves(k, kind):
+    # the lumped constant-policy pairs and Howard's fundamental-mean pair
+    # agree with direct solves on K^2 states to 1e-13 of the payoff scale,
+    # and the start policy is the one the direct solves choose
+    for g, pi_d in _swap_inputs(k, kind, 2 if k < 16 else 1):
+        f, w, _, sd, sa = _effective_tables(g, pi_d)
+        tol = 1e-13 * max(1.0, *np.abs(sd), *np.abs(sa))
+        n = k * k
+        lumped = _constant_values(f, w, sd, sa)
+        for m in range(k):
+            assert np.allclose(lumped[:, m], _chain_values(f, w, sd, sa, np.full(n, m)),
+                               rtol=0.0, atol=tol)
+        br = best_response(g, pi_d)
+        howard = np.asarray(br.policy) - 1
+        fund = _fundamental(f, w, sd, sa, howard)
+        assert np.allclose(fund[4:], _chain_values(f, w, sd, sa, howard), rtol=0.0, atol=tol)
+        floor = br.gain - TIE_TOL
+        pol, pair, start_fund = _start(f, w, sd, sa, howard.copy(), floor)
+        ref_pol, ref_pair = start_direct(f, w, sd, sa, howard, floor)
+        assert np.array_equal(pol, ref_pol)
+        assert np.allclose(pair, ref_pair, rtol=0.0, atol=tol)
+        ref_fund = _fundamental(f, w, sd, sa, pol)
+        assert all(np.array_equal(x, y) for x, y in zip(start_fund, ref_fund))
 
 
 @pytest.mark.parametrize("k", [4, 5, 7, 10, 16])
