@@ -5,14 +5,16 @@ strategy enforces its line.
 This is the package's one chain kernel: `chain` builds a chain or a stack of
 chains, `_direct` solves them for their stationary vectors, and the
 best-response module uses both (its K <= 3 enumeration instead reduces the
-same direct systems by GTH state reduction).  `stationary` keeps a direct
-solution that is a non-negative fixed point to 1e-10, unless the chain has
-zero entries and reachability on its support graph finds several closed
-classes (the direct system is then singular, yet its rounded solve can pass
-that check).  Such a chain, or one failing the check, gets the limit of
-Cesaro averaging from the uniform start, computed exactly: a direct solve
-per closed class, weighted by the probability of absorption into the class
-(Kemeny & Snell, Finite Markov Chains, 1960, ch. 3).
+same direct systems by GTH state reduction, and its swap search solves the
+lumped chains of constant policies by `_direct_offdiag`, whose diagonal is
+formed from the off-diagonal entries as in that reduction).  `stationary`
+keeps a direct solution that is a non-negative fixed point to 1e-10, unless
+the chain has zero entries and reachability on its support graph finds
+several closed classes (the direct system is then singular, yet its rounded
+solve can pass that check).  Such a chain, or one failing the check, gets
+the limit of Cesaro averaging from the uniform start, computed exactly: a
+direct solve per closed class, weighted by the probability of absorption
+into the class (Kemeny & Snell, Finite Markov Chains, 1960, ch. 3).
 
 The sampled check solves each chain only on the states (d, a) whose d the
 defender plays: no transition enters the others, so their stationary mass
@@ -107,7 +109,27 @@ def _direct(m: np.ndarray) -> np.ndarray:
     """Solve v (M - I) = 0 with the last equation replaced by sum(v) = 1, for
     one chain or a stack; LinAlgError if a system is singular."""
     n = m.shape[-1]
-    a = np.swapaxes(m, -1, -2) - np.eye(n)
+    return _solve_balance(np.swapaxes(m, -1, -2) - np.eye(n))
+
+
+def _direct_offdiag(m: np.ndarray) -> np.ndarray:
+    """`_direct` with each diagonal entry of M - I taken as minus the row's
+    off-diagonal sum, not M[s, s] - 1.  The two agree in exact arithmetic;
+    on a self-loop within about 1e-9 of 1 the subtraction from 1 keeps only
+    seven digits, the sum all of them."""
+    n = m.shape[-1]
+    a = np.swapaxes(m, -1, -2).copy()
+    i = np.arange(n)
+    a[..., i, i] = 0.0
+    a[..., i, i] = -a.sum(axis=-2)
+    return _solve_balance(a)
+
+
+def _solve_balance(a: np.ndarray) -> np.ndarray:
+    """Solve a v = e_last after replacing the last row of a (in place) by
+    ones.  The right-hand side is a stack of (n, 1) columns, which numpy 1.x
+    and 2.x both solve as one vector per system."""
+    n = a.shape[-1]
     a[..., -1, :] = 1.0
     b = np.zeros((n, 1))
     b[-1] = 1.0

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, profit_vector
-from .markov import EPSILON_MIX, UtilityPair, _direct, chain, eps_mixed
+from .markov import EPSILON_MIX, UtilityPair, _direct, _direct_offdiag, chain, eps_mixed
 
 TIE_TOL = 1e-9
 _SWITCH_TOL = 1e-12
@@ -154,18 +154,12 @@ def _constant_values(f, w, sd, sa) -> np.ndarray:
     defender's moves, Q_m[d, d'] = sum_a W[m, a] F[(d, a), d'], and the
     stationary vector is v(d, a) = mu_m(d) W[m, a] (Kemeny & Snell, Finite
     Markov Chains, 1960, ch. 6).  One stacked solve on K states serves all K
-    policies.  It is the direct system of `markov._direct` except that each
-    diagonal entry is minus the row's off-diagonal sum, not Q_m[d, d] - 1: a
-    ZD strategy's floor entries leave self-loops within about 1e-9 of 1,
-    whose subtraction from 1 put the pairs up to 3e-13 max(1, |S_d|, |S_a|)
-    off a GTH reduction at K <= 30, against 1.4e-15 for the sum."""
+    policies, by `markov._direct_offdiag`, not `_direct`: a ZD strategy's
+    floor entries leave self-loops within about 1e-9 of 1, whose subtraction
+    from 1 put the pairs up to 3e-13 max(1, |S_d|, |S_a|) off a GTH
+    reduction at K <= 30, against 1.4e-15 for the off-diagonal sum."""
     k = w.shape[0]
-    a = (w @ f.reshape(k, k, k)).transpose(1, 2, 0).copy()  # a[m] = Q_m^T
-    i = np.arange(k)
-    a[:, i, i] = 0.0
-    a[:, i, i] = -a.sum(axis=1)
-    a[:, -1] = 1.0
-    mu = np.linalg.solve(a, np.eye(k)[-1])
+    mu = _direct_offdiag((w @ f.reshape(k, k, k)).transpose(1, 0, 2))  # stack of Q_m
     # per policy m: sum_d mu_m(d) sum_a S[(d, a)] W[m, a]
     return np.einsum("md,jdm->jm", mu, np.stack([sd, sa]).reshape(2, k, k) @ w.T)
 

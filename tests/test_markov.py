@@ -256,6 +256,38 @@ def test_stationary_stack_matches_chain_by_chain():
     assert direct_only.method == "direct"
 
 
+@pytest.mark.parametrize("solver", [markov._direct, markov._direct_offdiag])
+def test_direct_solves_pass_numpy_1_and_2_the_same_right_hand_side(monkeypatch, solver):
+    # numpy 1.x solves a 1-D right-hand side against a stack of matrices only
+    # when it has one dimension fewer than the stack, so every system gets its
+    # own (n, 1) column; a stack's solution matches each chain solved alone
+    rng = np.random.default_rng(5)
+    chains = np.stack([chain(random_strategy(3, rng).rows, random_strategy(3, rng).rows)
+                       for _ in range(4)])
+    shapes, solve = [], np.linalg.solve
+
+    def recording_solve(a, b):
+        shapes.append((a.ndim, b.shape))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    stacked = solver(chains)
+    singles = [solver(m) for m in chains]
+    assert shapes == [(3, (4, 9, 1))] + [(2, (9, 1))] * 4
+    assert np.allclose(stacked, singles, rtol=0.0, atol=1e-15)
+    assert np.allclose(stacked[:, None, :] @ chains, stacked[:, None, :], rtol=0.0, atol=1e-15)
+
+
+def test_direct_offdiag_keeps_self_loops_near_one():
+    # a two-state chain leaving each state with probability ~1e-9: 1 - m[s, s]
+    # keeps seven digits, the off-diagonal entry all of them
+    p, q = 1.234567890123e-9, 3.1e-9
+    m = np.array([[1.0 - p, p], [q, 1.0 - q]])
+    exact = np.array([q, p]) / (p + q)
+    assert np.max(np.abs(markov._direct_offdiag(m) - exact)) <= 1e-15
+    assert np.max(np.abs(markov._direct(m) - exact)) > 1e-10
+
+
 def test_max_line_residual_matches_sample_by_sample(monkeypatch):
     g = GameSpec(3, (2, 1, 3), (0, -1, 1), (-2, 0, 1), (4, 2, 3))
     pi_d = random_strategy(3, np.random.default_rng(3))
