@@ -355,20 +355,22 @@ def cmd_bench(args) -> int:
 
 def _load_strategy(path: str):
     """Strategy JSON as `solve` writes it: k and pi, and an optional zd block
-    whose alpha, beta, gamma and phi are then all required."""
+    whose alpha, beta, gamma and phi are then all required.  Only a missing
+    or null zd means no block; an empty one is missing its keys."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     zd = obj.get("zd") if isinstance(obj, dict) else None
-    if not isinstance(obj, dict) or not isinstance(zd or {}, dict):
+    if not isinstance(obj, dict) or not isinstance(zd, (dict, type(None))):
         raise ValueError("strategy JSON and its zd block must be objects")
     missing = [key for key in ("k", "pi") if key not in obj]
-    missing += [f"zd.{key}" for key in ("alpha", "beta", "gamma", "phi") if zd and key not in zd]
+    if zd is not None:
+        missing += [f"zd.{key}" for key in ("alpha", "beta", "gamma", "phi") if key not in zd]
     if missing:
         raise ValueError(f"missing keys in strategy JSON: {missing}")
     require_number(obj["k"], "strategy k", integer=True)
     strategy = MemoryOneStrategy(obj["k"], require_numbers(obj["pi"], "pi"))
     params = phi = None
-    if zd:
+    if zd is not None:
         for key in ("alpha", "beta", "gamma"):
             require_number(zd[key], f"zd.{key}")
         params = ZdLinearParams(zd["alpha"], zd["beta"], zd["gamma"])

@@ -10,8 +10,12 @@ A stage picks each action as `bisect_right` on the current state's
 cumulative row would, without searching: every block of draws is placed
 once in a grid of all the cumulative entries, and a table built once per run
 maps (state, grid cell) to the pick, so a step is two list lookups whatever
-K is (`_pick_table`).  Segment statistics stay columns of the trajectory,
-and per-regime summaries are pooled from those columns.
+K is (`_pick_table`).  The step loop appends each state to a typed
+`array('q')` that numpy reads in place; each block's utilities then come
+from one `np.take` on a table flattened to (quantity, regime * K^2 + state),
+and their compensated running sums are formed in one preallocated buffer
+(`_running_sums`).  Segment statistics stay columns of the trajectory, and
+per-regime summaries are pooled from those columns.
 
 For type-switching runs the realized utilities follow the current type's
 game.  A reference game (the one a zero-determinant strategy was built
@@ -31,6 +35,7 @@ artifact that no run length can average away).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -117,13 +122,23 @@ def _running_sums(x: np.ndarray, carry: np.ndarray) -> np.ndarray:
     Returns (2, rows, n): np.cumsum adds in order, so TwoSum recovers each
     partial sum's rounding error exactly, and the errors are summed apart
     (Ogita, Rump & Oishi's Sum2): the two layers add up to the exact running
-    sum within about (n * eps)**2 * sum(|x|).
+    sum within about (n * eps)**2 * sum(|x|).  Both layers run in place in
+    one (2, rows, n + 1) buffer whose column 0 holds the carry; the result
+    is a view of its other columns.
     """
-    c = np.cumsum(np.concatenate([carry[0][:, None], x], axis=1), axis=1)
+    rows, n = x.shape
+    buf = np.empty((2, rows, n + 1))
+    c, err = buf
+    c[:, 0], c[:, 1:] = carry[0], x
+    np.cumsum(c, axis=1, out=c)
     prev, s = c[:, :-1], c[:, 1:]
     z = s - prev
-    err = np.concatenate([carry[1][:, None], (prev - (s - z)) + (x - z)], axis=1)
-    return np.stack([s, np.cumsum(err, axis=1)[:, 1:]])
+    e = err[:, 1:]
+    np.subtract(prev, np.subtract(s, z, out=e), out=e)
+    e += np.subtract(x, z, out=z)
+    err[:, 0] = carry[1]
+    np.cumsum(err, axis=1, out=err)
+    return buf[:, :, 1:]
 
 
 def _cumulative_rows(rows: np.ndarray) -> np.ndarray:
@@ -193,8 +208,11 @@ def simulate(
     block of draws is first placed in a grid of the cumulative rows' entries
     (one np.searchsorted per player), and a table built once per call maps
     (state, grid cell) to the action `bisect_right` picks (`_pick_table`).
-    Utilities, running averages and segment statistics are gathered from
-    each block of states.
+    The loop appends the block's states to an `array('q')`, read by
+    np.frombuffer without a copy; one np.take gathers every utility row of
+    the block, whose Sum2 running sums are formed in place in one buffer
+    (`_running_sums`).  Running averages and segment statistics are read
+    from those sums at the series marks and segment bounds.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -219,12 +237,12 @@ def simulate(
                 raise ValueError("profile game K mismatch")
     names = np.array([name for name, _, _ in regimes], dtype=object)
 
-    # utility tables [quantity, regime, state]: realized u_d and u_a, then
-    # the reference game's, which do not depend on the regime
-    tables = [[profit_vector(game, role) for _, game, _ in regimes]
+    # utility tables [quantity, regime * K^2 + state]: realized u_d and u_a,
+    # then the reference game's, which do not depend on the regime
+    tables = [np.concatenate([profit_vector(game, role) for _, game, _ in regimes])
               for role in ("defender", "attacker")]
     if reference_game is not None:
-        tables += [[profit_vector(reference_game, role)] * len(regimes)
+        tables += [np.tile(profit_vector(reference_game, role), len(regimes))
                    for role in ("defender", "attacker")]
     tables = np.array(tables)
 
@@ -238,7 +256,9 @@ def simulate(
     period = profile.period if switching else steps
     # the attacker's policy may adapt `lag` stages after the type flips
     lag = profile.lag if switching else 0
-    marks = np.unique(np.append(np.arange(stride, steps + 1, stride), steps))
+    marks = np.arange(stride, steps + 1, stride)
+    if steps % stride:
+        marks = np.append(marks, steps)
     bounds = np.append(np.arange(0, steps, period), steps)
 
     # the attacker's rows of every regime share one grid and one table;
@@ -260,12 +280,14 @@ def simulate(
         cells_d = np.searchsorted(grid_d, u[:, 0], "right").tolist()
         cells_a = (np.searchsorted(grid_a, u[:, 1], "right")
                    + _phase(t - lag, period) * (k * k * w_a)).tolist()
-        states = []
+        states = array("q")
+        append = states.append
         for i0, i1 in zip(cells_d, cells_a):
             s = pick_d[s * w_d + i0] + pick_a[s * w_a + i1]
-            states.append(s)
-        states, end = np.array(states), first + len(t)
-        acc = _running_sums(tables[:, _phase(t, period), states], acc[..., -1])
+            append(s)
+        states, end = np.frombuffer(states, dtype=np.int64), first + len(t)
+        x = np.take(tables, _phase(t, period) * (k * k) + states, axis=1)
+        acc = _running_sums(x, acc[..., -1])
         m = _within(marks, first + 1, end + 1)
         avg.append(acc[:, :2, m - 1 - first].sum(0) / m)
         at_bounds.append(acc[..., _within(bounds, first + 1, end + 1) - 1 - first])
@@ -326,15 +348,16 @@ def regime_summaries(stats: TrajectoryStats, zd_params=None) -> dict:
     lengths = np.diff(stats.segment_bounds)
     for name in dict.fromkeys(stats.segment_regime.tolist()):
         mine = stats.segment_regime == name
-        counts = lengths[mine].tolist()
-        n = sum(counts)
-        mean_d, mean_a = (sum(m * c for m, c in zip(col, counts)) / n
-                          for col in stats.segment_means[:2, mine].tolist())
+        counts = lengths[mine]
+        n = int(counts.sum())
+        weights = counts.astype(float)
+        # np.cumsum adds in segment order, where np.sum would add pairwise
+        mean_d, mean_a = (np.cumsum(stats.segment_means[:2, mine] * weights, axis=1)[:, -1]
+                          / n).tolist()
         residual = raw = se = None
         if zd_params is not None and len(stats.segment_means) == 4:
             a_, b_, c_ = zd_params.alpha, zd_params.beta, zd_params.gamma
             vals = a_ * stats.segment_means[2, mine] + b_ * stats.segment_means[3, mine] + c_
-            weights = lengths[mine].astype(float)
             raw = abs(float(vals @ weights) / n)
             comp = vals
             if stats.segment_phi_boundary is not None:

@@ -503,6 +503,17 @@ def memory_two_utilities(g: GameSpec, pi_d, attacker_rows) -> UtilityPair:
                        float(last @ profit_vector(g, "attacker")))
 
 
+def running_sums_reference(x: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Reference for `sim._running_sums`: the same Sum2 operations (one
+    np.cumsum over the carry and the block, TwoSum errors, their own
+    np.cumsum), written with fresh arrays from concatenate and stack."""
+    c = np.cumsum(np.concatenate([carry[0][:, None], x], axis=1), axis=1)
+    prev, s = c[:, :-1], c[:, 1:]
+    z = s - prev
+    err = np.concatenate([carry[1][:, None], (prev - (s - z)) + (x - z)], axis=1)
+    return np.stack([s, np.cumsum(err, axis=1)[:, 1:]])
+
+
 def segment_records(stats):
     """The segment columns of `sim.simulate`'s stats as one dict per segment,
     keyed like `simulate_reference`'s segments, in plain Python numbers; the
@@ -520,14 +531,21 @@ def segment_records(stats):
 
 def regime_summaries_reference(segments, zd_params):
     """`sim.regime_summaries` pooled from `segment_records`, one regime at a
-    time with Python sums in segment order: the arithmetic the column
-    version must reproduce bit for bit."""
+    time with plain left-to-right sums in segment order: the arithmetic the
+    column version must reproduce bit for bit.  (The builtin `sum` adds
+    floats that way only before Python 3.12, which compensates them.)"""
+    def in_order(values):
+        total = 0
+        for value in values:
+            total += value
+        return total
+
     out = {}
     for name in dict.fromkeys(seg["regime"] for seg in segments):
         segs = [seg for seg in segments if seg["regime"] == name]
         n = sum(seg["length"] for seg in segs)
-        mean_d = sum(seg["mean_u_d"] * seg["length"] for seg in segs) / n
-        mean_a = sum(seg["mean_u_a"] * seg["length"] for seg in segs) / n
+        mean_d = in_order(seg["mean_u_d"] * seg["length"] for seg in segs) / n
+        mean_a = in_order(seg["mean_u_a"] * seg["length"] for seg in segs) / n
         residual = raw = se = None
         if zd_params is not None and "ref_mean_u_d" in segs[0]:
             a_, b_, c_ = zd_params.alpha, zd_params.beta, zd_params.gamma

@@ -274,6 +274,8 @@ ZD3 = {"alpha": 0.0, "beta": 1.0, "gamma": -1.0, "phi": [1.0, 0.5, 0.0]}
     ({"pi": UNIFORM3["pi"]}, "'k'"),
     ({**UNIFORM3, "zd": {key: v for key, v in ZD3.items() if key != "phi"}}, "'zd.phi'"),
     ({**UNIFORM3, "zd": [1.0]}, "zd block"),
+    ({**UNIFORM3, "zd": {}}, "'zd.alpha'"),
+    ({**UNIFORM3, "zd": []}, "zd block"),
     ({**UNIFORM3, "k": "3"}, "strategy k must be an integer, got '3'"),
     ({**UNIFORM3, "zd": {**ZD3, "alpha": "0"}}, "zd.alpha must be a number, got '0'"),
     ({**UNIFORM3, "pi": [[{}, 0.5, 0.5]] + UNIFORM3["pi"][1:]},
@@ -288,7 +290,8 @@ ZD3 = {"alpha": 0.0, "beta": 1.0, "gamma": -1.0, "phi": [1.0, 0.5, 0.0]}
      "pi contains non-finite entries"),
     ({**UNIFORM3, "zd": {**ZD3, "phi": [None, 0.5, 0.0]}},
      "each entry of zd.phi must be a number, got None"),
-], ids=["no-pi", "no-k", "zd-without-phi", "zd-not-an-object", "k-string", "alpha-string",
+], ids=["no-pi", "no-k", "zd-without-phi", "zd-not-an-object", "zd-empty-object",
+        "zd-empty-array", "k-string", "alpha-string",
         "pi-object", "pi-null", "pi-string", "pi-bool", "pi-nan", "phi-null"])
 def test_simulate_malformed_strategy_exits_usage(tmp_path, capsys, strategy_obj, named):
     scenario = scenario_to_dict(crowd_scenario("honest", 10))

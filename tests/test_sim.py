@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from bisect import bisect_right
@@ -5,12 +6,14 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from zdmtd import sim
 from zdmtd.cli import _load_strategy, main, solve_game
 from zdmtd.game import PROB_TOL, GameSpec, MemoryOneStrategy
 from zdmtd.markov import long_run_utilities
 from zdmtd.scenarios import crowd_game, crowd_scenario, scenario_to_dict, with_switching
 from zdmtd.sim import (
     _CHUNK,
+    TrajectoryStats,
     _cumulative_rows,
     _pick_table,
     _running_sums,
@@ -28,6 +31,7 @@ from oracles import (
     random_game,
     random_strategy,
     regime_summaries_reference,
+    running_sums_reference,
     segment_records,
     simulate_reference,
 )
@@ -311,6 +315,70 @@ def test_running_sums_are_compensated_across_blocks():
     assert np.all(np.abs(whole.sum(0) - exact) <= 2.3e-16 * np.abs(exact))
     # a plain running sum drops every 1e-16 after the leading 1.0
     assert np.cumsum(x[0])[-1] == 1.0 and exact[0][-1] > 1.0
+
+
+def sum2_blocks(rng, n):
+    """Blocks for `_running_sums`: signed entries from 1e-16 to 1e16 with
+    exact and negative zeros, 2 and 4 rows, and the [1.0, 1e-16, ...] row."""
+    for rows in (2, 4):
+        x = rng.choice([-1.0, 1.0], size=(rows, n)) * 10.0 ** rng.uniform(-16, 16, (rows, n))
+        x[rng.random((rows, n)) < 0.05] = 0.0
+        x[rng.random((rows, n)) < 0.05] = -0.0
+        yield x
+    yield np.array([[1.0] + [1e-16] * (n - 1), [0.1] * n])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4096])
+def test_running_sums_match_the_concatenating_reference(n):
+    rng = np.random.default_rng(n)
+    for x in sum2_blocks(rng, n):
+        rows = len(x)
+        carries = [np.zeros((2, rows)),
+                   np.stack([rng.normal(size=rows) * 1e8, rng.normal(size=rows) * 1e-8]),
+                   running_sums_reference(x[:, ::-1], np.zeros((2, rows)))[..., -1]]
+        for carry in carries:
+            got, want = _running_sums(x, carry), running_sums_reference(x, carry)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # -0.0 included
+            chained = _running_sums(x, got[..., -1])
+            assert chained.tobytes() == running_sums_reference(x, want[..., -1]).tobytes()
+
+
+def test_simulate_bits_do_not_depend_on_the_block_size(monkeypatch):
+    honest, malicious, pi_d, _, phi = reference_case(seed=3)
+    profile = switching_profile(11, "honest", honest, malicious, lag=4)
+    steps = 2 * _CHUNK + 5  # crosses two default block boundaries
+
+    def run(chunk):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        return simulate(honest, pi_d, profile, steps, seed=8, stride=37,
+                        reference_game=malicious, gauge_phi=phi)
+
+    want = run(_CHUNK)
+    for chunk in (1, 7):
+        got = run(chunk)
+        for field in dataclasses.fields(TrajectoryStats):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                if a.dtype == object:
+                    assert a.tolist() == b.tolist(), field.name
+                else:
+                    assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+
+
+def test_dense_k16_defender_matches_reference():
+    # a Dirichlet defender fills its pick table: 256 x (256 * 15 + 1) entries
+    rng = np.random.default_rng(16)
+    honest, malicious = random_game(16, rng), random_game(16, rng)
+    pi_d = random_strategy(16, rng)
+    profile = switching_profile(500, "malicious", honest, malicious, lag=9)
+    kwargs = {"reference_game": malicious, "gauge_phi": rng.normal(size=16)}
+    stats = simulate(honest, pi_d, profile, _CHUNK + 3, seed=4, stride=250, **kwargs)
+    assert_matches_reference(stats, simulate_reference(
+        honest, pi_d, profile, _CHUNK + 3, 4, stride=250, **kwargs))
 
 
 class ScriptedStream:
