@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,29 +105,33 @@ class GameSpec:
         return float(self.u_d_unc[a - 1]), float(self.u_a_unc[a - 1])
 
     def payoff_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """K x K matrices U_d[d-1, a-1], U_a[d-1, a-1] of one-shot utilities."""
-        ud = np.tile(self.u_d_unc, (self.k, 1))
-        ua = np.tile(self.u_a_unc, (self.k, 1))
-        idx = np.arange(self.k)
-        ud[idx, idx] = self.u_d_cov
-        ua[idx, idx] = self.u_a_cov
-        return ud, ua
+        """Read-only K x K matrices U_d[d-1, a-1], U_a[d-1, a-1] of one-shot
+        utilities, views of the game's profit vectors."""
+        return tuple(self._profits[p].reshape(self.k, self.k) for p in ("defender", "attacker"))
+
+    @cached_property
+    def _profits(self) -> dict:
+        """Read-only profit vectors by player, built on the first call and
+        kept with the game (a relabeled or replaced game is a new object
+        with its own): entry flat(i, j) is the player's one-shot utility
+        when the defender plays i and the attacker j."""
+        vectors = {}
+        for player, cov, unc in (("defender", self.u_d_cov, self.u_d_unc),
+                                 ("attacker", self.u_a_cov, self.u_a_unc)):
+            u = np.tile(unc, self.k)
+            u[:: self.k + 1] = cov  # flat(t, t)
+            u.setflags(write=False)
+            vectors[player] = u
+        return vectors
 
 
 def profit_vector(g: GameSpec, player: str) -> np.ndarray:
     """Read-only length-K^2 profit vector over flat states: entry at (i, j) is
-    the player's covered profit of j if i == j, else the uncovered one."""
-    if player == "defender":
-        cov, unc = g.u_d_cov, g.u_d_unc
-    elif player == "attacker":
-        cov, unc = g.u_a_cov, g.u_a_unc
-    else:
+    the player's covered profit of j if i == j, else the uncovered one.
+    Repeated calls on one game return the same array."""
+    if player not in ("defender", "attacker"):
         raise ValueError(f"player must be 'defender' or 'attacker', got {player!r}")
-    entries = np.tile(unc, g.k)
-    for t in range(g.k):
-        entries[flat_index(g.k, t + 1, t + 1)] = cov[t]
-    entries.setflags(write=False)
-    return entries
+    return g._profits[player]
 
 
 def hat_indicator(k: int, target: int) -> np.ndarray:

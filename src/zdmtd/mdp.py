@@ -16,6 +16,13 @@ tie rule to those values directly; no chain is solved per policy.  The
 reduction subtracts nothing but the rows' rounding defects, so it stays
 accurate on the nearly decomposable chains that blended deterministic
 attackers make, where a direct solve can be off by more than TIE_TOL.
+Its tables live in two scratch arrays kept per (n, K) for the life of the
+process (`_scratch`; 2 x 78,732 doubles at K = 3): a fresh array per
+censoring step cost 2,400 to 3,500 minor page faults per K = 3 `compare`
+command, each step's pages handed back to the system and faulted in
+again.  The package assumes one thread: two concurrent K <= 3
+calls would share those arrays.  The action mix W is likewise built once
+per K, and a game's profit vectors once per game (`game.profit_vector`).
 
 Above K = 3 the swap search starts from Howard's policy, its pair read
 from the fundamental matrix the search needs anyway, unless a constant
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -72,12 +80,19 @@ def _effective_tables(g: GameSpec, pi_d: MemoryOneStrategy):
     if g.k != pi_d.k:
         raise ValueError(f"K mismatch: game {g.k}, strategy {pi_d.k}")
     f = eps_mixed(pi_d).rows if np.min(pi_d.rows) <= 0.0 else pi_d.rows
-    w = (1.0 - EPSILON_MIX) * np.eye(g.k) + EPSILON_MIX / g.k
+    w = _action_mix(g.k)
     _, ua = g.payoff_matrices()
     r_eff = (f @ ua) @ w.T
-    sd = profit_vector(g, "defender")
-    sa = profit_vector(g, "attacker")
-    return f, w, r_eff, sd, sa
+    return f, w, r_eff, profit_vector(g, "defender"), profit_vector(g, "attacker")
+
+
+@cache
+def _action_mix(k: int) -> np.ndarray:
+    """Read-only W[a, a']: the probability of executing a' when the
+    policy picks a, the pick blended with the uniform at EPSILON_MIX."""
+    w = (1.0 - EPSILON_MIX) * np.eye(k) + EPSILON_MIX / k
+    w.setflags(write=False)
+    return w
 
 
 def _chain_values(f, w, sd, sa, policy_idx) -> tuple[float, float]:
@@ -104,8 +119,10 @@ def _fundamental(f, w, sd, sa, policy_idx):
 
 def _with_means(z, sd, sa):
     """The fundamental tuple of `_fundamental` built from Z."""
+    n = z.shape[0]
     zsd, zsa = z @ sd, z @ sa
-    return z, z.mean(axis=0), zsd, zsa, zsd.mean(), zsa.mean()
+    # sum / n is the arithmetic of ndarray.mean, without its wrapper
+    return z, z.sum(axis=0) / n, zsd, zsa, zsd.sum() / n, zsa.sum() / n
 
 
 def _accept_swap(f, w, sd, sa, fund, policy_idx, s, a):
@@ -214,7 +231,7 @@ def best_response(g: GameSpec, pi_d: MemoryOneStrategy, tables=None) -> BestResp
     f, w, r_eff, _, _ = tables or _effective_tables(g, pi_d)
 
     policy = np.argmax(r_eff, axis=1)
-    seen = {tuple(policy)}
+    seen = {policy.tobytes()}
     for _ in range(n * k + 100):
         gain, h = _evaluate(f, w, r_eff, policy)
         # Q(s, a) = R_eff(s, a) + sum_d F[s, d] * sum_a' W[a, a'] h[flat(d, a')]
@@ -225,7 +242,7 @@ def best_response(g: GameSpec, pi_d: MemoryOneStrategy, tables=None) -> BestResp
         if not np.any(switch):
             return BestResponse(tuple(int(a) + 1 for a in policy), float(gain), h)
         policy = np.where(switch, best, policy)
-        key = tuple(policy)
+        key = policy.tobytes()
         if key in seen:
             raise PolicyIterationCycleError(
                 "policy iteration revisited a policy; lexicographic tie-breaking "
@@ -233,6 +250,15 @@ def best_response(g: GameSpec, pi_d: MemoryOneStrategy, tables=None) -> BestResp
             )
         seen.add(key)
     raise PolicyIterationCycleError("policy iteration exceeded its iteration budget")
+
+
+@cache
+def _scratch(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two arrays `_screen_values` alternates its tables between on n
+    states and K actions, each sized for the largest: m (m + 3) K^(n+1-m)
+    entries with m kept states, the first table at m = n."""
+    size = max(m * (m + 3) * k ** (n + 1 - m) for m in range(1, n + 1))
+    return np.empty(size), np.empty(size)
 
 
 def _screen_values(f, w, sd, sa):
@@ -251,15 +277,24 @@ def _screen_values(f, w, sd, sa):
     and the reduction solves the system the chain kernel solves.  Where the
     rounded products over-sum that entry is a negative rounding defect; it is
     kept, since a clamp at 0 moves u by up to 1e-5 max(1, |S_d|, |S_a|) on
-    rows with entries near 1e-20."""
+    rows with entries near 1e-20.
+
+    The tables live in the two `_scratch` arrays, each step written into the
+    one its input is not in, and the censored row is divided in place; the
+    returned arrays are fresh."""
     k, n = w.shape[0], f.shape[0]
-    p = (f[:, None, :, None] * w[None, :, None, :]).reshape(n, k, n)  # [i, b, flat(d, a)]
-    p[..., -1] = np.reshape([math.fsum([1.0, *-row[:-1]]) for row in p.reshape(-1, n)], (n, k))
-    per_visit = np.broadcast_to(np.stack([sd, sa, np.ones(n)], axis=1)[:, :, None], (n, 3, k))
-    t = np.concatenate([per_visit, p.transpose(0, 2, 1)], axis=1)[..., None]  # [i, column, b, x]
+    bufs = _scratch(n, k)
+    p = (f[:, None, :, None] * w[None, :, None, :]).reshape(n * k, n)  # [(i, b), flat(d, a)]
+    p[:, -1] = [math.fsum([1.0, *row]) for row in (-p[:, :-1]).tolist()]
+    t = bufs[0][:n * (n + 3) * k].reshape(n, n + 3, k, 1)  # [i, column, b, x]
+    t[:, 0, :, 0], t[:, 1, :, 0], t[:, 2] = sd[:, None], sa[:, None], 1.0
+    t[:, 3:, :, 0] = p.reshape(n, k, n).transpose(0, 2, 1)
     for m in range(n - 1, 0, -1):
-        row = t[m, :m + 3] / t[m, 3:m + 3].sum(axis=0)  # [column, b_m, x]; GTH: no subtraction
-        step = t[:m, None, m + 3, :, None] * row[None, :, None]  # [i, column, b, b_m, x]
+        row = t[m, :m + 3]  # [column, b_m, x]; censored, so no later step reads it
+        row /= row[3:].sum(axis=0)  # GTH: no subtraction
+        x = t.shape[3]
+        step = bufs[(n - m) % 2][:m * (m + 3) * k * k * x].reshape(m, m + 3, k, k, x)
+        np.multiply(t[:m, None, m + 3, :, None], row[None, :, None], out=step)  # [i, column, b, b_m, x]
         step += t[:m, :m + 3, :, None]  # in place: adding into a new array is 2-5x slower
         t = step.reshape(m, m + 3, k, -1)
     return (t[0, 0] / t[0, 2]).ravel(), (t[0, 1] / t[0, 2]).ravel()

@@ -198,6 +198,18 @@ def _rank3_triples(unc: np.ndarray) -> list:
             for j in np.flatnonzero(s3 > 2 * FEAS_TOL * max(1.0, s1))]
 
 
+def _open_cells(k: int, triples: list) -> np.ndarray:
+    """(K, K) mask of the cells (i1 - 1, i2 - 1) that no certified triple
+    closes: i1 != i2, and the two targets meet every triple.  The triples
+    are disjoint, so each target meets at most one, whose index it records."""
+    meets = np.full(k, -1)
+    for j, t in enumerate(triples):
+        meets[list(t)] = j
+    a, b = meets[:, None], meets[None, :]
+    met = np.where(a == b, a >= 0, (a >= 0).astype(int) + (b >= 0))  # distinct triples met
+    return (met == len(triples)) & ~np.eye(k, dtype=bool)
+
+
 def _cell_ineq_rows(g: GameSpec, cell: LambdaCell) -> np.ndarray:
     """Rows r with the cell requiring r @ p >= 0."""
     return np.array([
@@ -431,16 +443,12 @@ def solve_optimal(g: GameSpec, evaluate_br: bool) -> ZdSolveResult:
     _require_canonical(g)
     hp = hull(g)
     unc = np.column_stack([g.u_d_unc, g.u_a_unc, np.ones(g.k)])
-    triples = _rank3_triples(unc)
     cells = []  # (cell, gmat, scale, candidates with slice markers)
-    for i1 in range(1, g.k + 1):
-        for i2 in range(1, g.k + 1):
-            if i1 == i2 or any(i1 - 1 not in t and i2 - 1 not in t for t in triples):
-                continue
-            cell = LambdaCell(i1, i2)
-            gmat = _cell_ineq_rows(g, cell)
-            scale = max(1.0, float(np.max(np.abs(gmat))))
-            cells.append((cell, gmat, scale, _cell_candidates(cell, hp, unc, gmat, scale)))
+    for i1, i2 in zip(*np.nonzero(_open_cells(g.k, _rank3_triples(unc)))):
+        cell = LambdaCell(int(i1) + 1, int(i2) + 1)
+        gmat = _cell_ineq_rows(g, cell)
+        scale = max(1.0, float(np.max(np.abs(gmat))))
+        cells.append((cell, gmat, scale, _cell_candidates(cell, hp, unc, gmat, scale)))
     swept = iter(_sweep_slices(
         [c for *_, cands in cells for c in cands if isinstance(c, tuple)], hp))
     best = None  # (score_key, result)

@@ -13,8 +13,8 @@ maps (state, grid cell) to the pick, so a step is two list lookups whatever
 K is (`_pick_table`).  The step loop appends each state to a typed
 `array('q')` that numpy reads in place; each block's utilities then come
 from one `np.take` on a table flattened to (quantity, regime * K^2 + state),
-and their compensated running sums are formed in one preallocated buffer
-(`_running_sums`).  Segment statistics stay columns of the trajectory, and
+and their compensated running sums are formed in one buffer that every
+block of a run reuses (`_running_sums`).  Segment statistics stay columns of the trajectory, and
 per-regime summaries are pooled from those columns.
 
 For type-switching runs the realized utilities follow the current type's
@@ -115,7 +115,7 @@ def _within(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return x[(x >= lo) & (x < hi)]
 
 
-def _running_sums(x: np.ndarray, carry: np.ndarray) -> np.ndarray:
+def _running_sums(x: np.ndarray, carry: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Running sums along the rows of `x`, continuing from the last column
     of a previous result `carry` (2, rows), so blocks chain bit-identically.
 
@@ -123,20 +123,21 @@ def _running_sums(x: np.ndarray, carry: np.ndarray) -> np.ndarray:
     partial sum's rounding error exactly, and the errors are summed apart
     (Ogita, Rump & Oishi's Sum2): the two layers add up to the exact running
     sum within about (n * eps)**2 * sum(|x|).  Both layers run in place in
-    one (2, rows, n + 1) buffer whose column 0 holds the carry; the result
-    is a view of its other columns.
+    the first n + 1 columns of `buf` (2, rows, at least n + 1), whose column
+    0 takes the carry; the result is a view of the others.  The carry is
+    read first, so it may be a view of `buf` (the previous block's result).
     """
     rows, n = x.shape
-    buf = np.empty((2, rows, n + 1))
+    buf = buf[:, :, :n + 1]
     c, err = buf
-    c[:, 0], c[:, 1:] = carry[0], x
+    c[:, 0], err[:, 0] = carry
+    c[:, 1:] = x
     np.cumsum(c, axis=1, out=c)
     prev, s = c[:, :-1], c[:, 1:]
     z = s - prev
     e = err[:, 1:]
     np.subtract(prev, np.subtract(s, z, out=e), out=e)
     e += np.subtract(x, z, out=z)
-    err[:, 0] = carry[1]
     np.cumsum(err, axis=1, out=err)
     return buf[:, :, 1:]
 
@@ -211,7 +212,7 @@ def simulate(
     The loop appends the block's states to an `array('q')`, read by
     np.frombuffer without a copy; one np.take gathers every utility row of
     the block, whose Sum2 running sums are formed in place in one buffer
-    (`_running_sums`).  Running averages and segment statistics are read
+    that every block reuses (`_running_sums`).  Running averages and segment statistics are read
     from those sums at the series marks and segment bounds.
     """
     if steps < 1:
@@ -254,8 +255,6 @@ def simulate(
 
     switching = profile.kind == "type_switching"
     period = profile.period if switching else steps
-    # the attacker's policy may adapt `lag` stages after the type flips
-    lag = profile.lag if switching else 0
     marks = np.arange(stride, steps + 1, stride)
     if steps % stride:
         marks = np.append(marks, steps)
@@ -273,21 +272,31 @@ def simulate(
 
     # draws come a block at a time, in the order of one (steps, 2) array
     acc = np.zeros((2, len(tables), 1))
+    # one buffer for every block's sums: a fresh one per block is large
+    # enough to be mapped and unmapped by the allocator each time
+    buf = np.empty((2, len(tables), _CHUNK + 1))
     avg, at_bounds, d_bounds = [], [acc], []
     for first in range(0, steps, _CHUNK):
-        t = np.arange(first, min(first + _CHUNK, steps))
-        u = rng.random((len(t), 2))
+        end = min(first + _CHUNK, steps)
+        u = rng.random((end - first, 2))
         cells_d = np.searchsorted(grid_d, u[:, 0], "right").tolist()
-        cells_a = (np.searchsorted(grid_a, u[:, 1], "right")
-                   + _phase(t - lag, period) * (k * k * w_a)).tolist()
+        cells_a = np.searchsorted(grid_a, u[:, 1], "right")
+        offset = 0  # regime * K^2 of each stage; one regime is regime 0 throughout
+        if switching:
+            t = np.arange(first, end)
+            phase = _phase(t, period)
+            offset = phase * (k * k)
+            # the attacker's policy may adapt `lag` stages after the type flips
+            lagged = _phase(t - profile.lag, period) if profile.lag else phase
+            cells_a += lagged * (k * k * w_a)
         states = array("q")
         append = states.append
-        for i0, i1 in zip(cells_d, cells_a):
+        for i0, i1 in zip(cells_d, cells_a.tolist()):
             s = pick_d[s * w_d + i0] + pick_a[s * w_a + i1]
             append(s)
-        states, end = np.frombuffer(states, dtype=np.int64), first + len(t)
-        x = np.take(tables, _phase(t, period) * (k * k) + states, axis=1)
-        acc = _running_sums(x, acc[..., -1])
+        states = np.frombuffer(states, dtype=np.int64)
+        x = np.take(tables, states + offset, axis=1)
+        acc = _running_sums(x, acc[..., -1], buf)
         m = _within(marks, first + 1, end + 1)
         avg.append(acc[:, :2, m - 1 - first].sum(0) / m)
         at_bounds.append(acc[..., _within(bounds, first + 1, end + 1) - 1 - first])

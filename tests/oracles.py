@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zdmtd.game import GameSpec, MemoryOneStrategy, profit_vector
+from zdmtd.game import GameSpec, MemoryOneStrategy, flat_index, profit_vector
 from zdmtd.lp import (EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LpError, LpNumericalError, LpOutcome,
                       check_feasible)
 from zdmtd.lp import _violation
@@ -54,6 +54,16 @@ def pure_strategy(k: int, target: int) -> MemoryOneStrategy:
 def random_strategy(k: int, rng: np.random.Generator) -> MemoryOneStrategy:
     rows = rng.dirichlet(np.ones(k), size=k * k)
     return MemoryOneStrategy(k, rows)
+
+
+def profit_vector_reference(g: GameSpec, player: str) -> np.ndarray:
+    """`profit_vector` built per call: the uncovered profits tiled over the
+    defender's previous actions, the covered one written at each flat(t, t)."""
+    cov, unc = {"defender": (g.u_d_cov, g.u_d_unc), "attacker": (g.u_a_cov, g.u_a_unc)}[player]
+    entries = np.tile(unc, g.k)
+    for t in range(g.k):
+        entries[flat_index(g.k, t + 1, t + 1)] = cov[t]
+    return entries
 
 
 def random_game(k, rng, scale=1.0):
@@ -254,6 +264,23 @@ def policy_values_reference(g: GameSpec, pi_d, tables=None):
     pols = _enumerate_policies(g.k)
     v = _direct(chain(f, w[pols]))
     return pols, v @ sd, v @ sa
+
+
+def screen_values_reference(f, w, sd, sa):
+    """Reference for `mdp._screen_values`: the same GTH state reduction,
+    every table a fresh array (the first built by concatenate, each step by
+    a product and an in-place sum)."""
+    k, n = w.shape[0], f.shape[0]
+    p = (f[:, None, :, None] * w[None, :, None, :]).reshape(n, k, n)  # [i, b, flat(d, a)]
+    p[..., -1] = np.reshape([math.fsum([1.0, *-row[:-1]]) for row in p.reshape(-1, n)], (n, k))
+    per_visit = np.broadcast_to(np.stack([sd, sa, np.ones(n)], axis=1)[:, :, None], (n, 3, k))
+    t = np.concatenate([per_visit, p.transpose(0, 2, 1)], axis=1)[..., None]  # [i, column, b, x]
+    for m in range(n - 1, 0, -1):
+        row = t[m, :m + 3] / t[m, 3:m + 3].sum(axis=0)  # [column, b_m, x]
+        step = t[:m, None, m + 3, :, None] * row[None, :, None]  # [i, column, b, b_m, x]
+        step += t[:m, :m + 3, :, None]
+        t = step.reshape(m, m + 3, k, -1)
+    return (t[0, 0] / t[0, 2]).ravel(), (t[0, 1] / t[0, 2]).ravel()
 
 
 def _solve_exact(a, b):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,8 @@ from zdmtd.game import (
     relabeling,
 )
 
-from oracles import pure_strategy, random_strategy, uniform_strategy
+from oracles import (profit_vector_reference, pure_strategy, random_game, random_strategy,
+                     uniform_strategy)
 
 MATCHING_PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
 
@@ -57,6 +59,30 @@ def test_profit_vector_examples():
     expect = np.zeros(9)
     expect[[0, 4, 8]] = 1
     assert np.array_equal(v, expect)
+
+
+def test_profit_vectors_are_built_once_per_game():
+    g = random_game(4, np.random.default_rng(25))
+    with pytest.raises(ValueError, match="player"):  # before the tables exist
+        profit_vector(g, "worker")
+    for player in ("defender", "attacker"):
+        v = profit_vector(g, player)
+        assert profit_vector(g, player) is v
+        assert not v.flags.writeable
+        assert v.tobytes() == profit_vector_reference(g, player).tobytes()
+    for u, player in zip(g.payoff_matrices(), ("defender", "attacker")):
+        assert not u.flags.writeable and u.tobytes() == profit_vector(g, player).tobytes()
+    with pytest.raises(ValueError, match="player"):
+        profit_vector(g, "worker")
+
+    # a canonicalized, relabeled or replaced game is a new object with its own tables
+    others = [canonicalize(g)[0], relabeling(4, 2, 3).apply_game(g),
+              dataclasses.replace(g, u_a_unc=g.u_a_unc + 1.0), dataclasses.replace(g)]
+    for other in others:
+        for player in ("defender", "attacker"):
+            v = profit_vector(other, player)
+            assert not np.shares_memory(v, profit_vector(g, player))
+            assert v.tobytes() == profit_vector_reference(other, player).tobytes()
 
 
 def test_profit_vector_matches_one_shot():

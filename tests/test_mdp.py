@@ -39,6 +39,7 @@ from oracles import (
     policy_values_reference,
     pure_strategy,
     random_strategy,
+    screen_values_reference,
     start_direct,
     swap_search_direct,
     swap_search_per_state,
@@ -512,6 +513,49 @@ def test_screen_values_match_chain_kernel_property():
         assert u_a_error <= 0.25
 
     check()
+
+
+def _scratch_inputs(k):
+    """Tables of random strategies, of the pipeline's ZD strategies (zero and
+    1e-9 floor entries), and of those ZD strategies with every entry below
+    2e-9 moved to 1e-20."""
+    zd = _batch_inputs(k, "zd")[:2]
+    cases = _batch_inputs(k, "random")[:2] + zd
+    for g, pi_d in zd:
+        rows = np.where(pi_d.rows < 2e-9, 1e-20, pi_d.rows)
+        cases.append((g, MemoryOneStrategy(k, rows / rows.sum(axis=1, keepdims=True))))
+    return [_effective_tables(g, pi_d) for g, pi_d in cases]
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def test_screen_values_in_scratch_match_the_fresh_array_reference():
+    # interleaved K = 2, 3, 2 calls, each with every scratch array filled
+    # with NaN first: an entry a call reads that it did not write shows
+    inputs = {k: _scratch_inputs(k) for k in (2, 3)}
+    for k in (2, 3, 2):
+        for f, w, _, sd, sa in inputs[k]:
+            for size in (2, 3):
+                for buf in mdp._scratch(size * size, size):
+                    buf.fill(np.nan)
+            assert _bits(_screen_values(f, w, sd, sa)) == _bits(screen_values_reference(f, w, sd, sa))
+
+
+def test_screen_values_results_do_not_share_the_scratch():
+    f, w, _, sd, sa = _scratch_inputs(3)[2]
+    expect = _bits(screen_values_reference(f, w, sd, sa))
+    first = _screen_values(f, w, sd, sa)
+    assert not any(np.shares_memory(a, buf) for a in first for buf in mdp._scratch(9, 3))
+    for a in first:  # writing into a returned array
+        a.fill(np.nan)
+    second = _screen_values(f, w, sd, sa)
+    assert _bits(second) == expect
+    for buf in mdp._scratch(9, 3):  # writing into the scratch
+        buf.fill(-1.0)
+    assert _bits(second) == expect
+    assert _bits(_screen_values(f, w, sd, sa)) == expect
 
 
 def _assert_choice_in_exact_tie_set(g, pi_d, result=None, check_pair=False):

@@ -658,6 +658,20 @@ def test_rank_certificate_skips_no_cell_on_collinear_pairs(monkeypatch):
     assert len(visited) == 8 * 7
 
 
+def test_open_cell_mask_matches_the_per_cell_triple_check():
+    # random sets of the disjoint triples _rank3_triples certifies, none to
+    # all of them; the mask must keep a cell exactly when the per-cell check
+    # over every triple does
+    rng = np.random.default_rng(25)
+    for k in range(5, 61):
+        n = k // 3
+        for count in {min(c, n) for c in (0, 1, 2, 3)} | {int(rng.integers(n + 1)), n}:
+            triples = [range(3 * j, 3 * j + 3) for j in sorted(rng.choice(n, count, replace=False))]
+            expect = [[i1 != i2 and not any(i1 not in t and i2 not in t for t in triples)
+                       for i2 in range(k)] for i1 in range(k)]
+            assert programs._open_cells(k, triples).tolist() == expect, (k, triples)
+
+
 def test_solve_optimal_k50_proves_none_in_few_svds(monkeypatch):
     g = random_game(50, np.random.default_rng(50))
     calls = []

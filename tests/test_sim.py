@@ -308,9 +308,9 @@ def test_simulate_matches_reference_property():
 def test_running_sums_are_compensated_across_blocks():
     x = np.array([[1.0] + [1e-16] * 999, [0.1] * 1000])
     exact = [[math.fsum(row[:i + 1]) for i in range(row.size)] for row in x]
-    whole = _running_sums(x, np.zeros((2, 2)))
-    first = _running_sums(x[:, :300], np.zeros((2, 2)))
-    rest = _running_sums(x[:, 300:], first[..., -1])
+    whole = _running_sums(x, np.zeros((2, 2)), np.empty((2, 2, 1001)))
+    first = _running_sums(x[:, :300], np.zeros((2, 2)), np.empty((2, 2, 301)))
+    rest = _running_sums(x[:, 300:], first[..., -1], np.empty((2, 2, 701)))
     assert np.array_equal(np.concatenate([first, rest], axis=2), whole)
     assert np.all(np.abs(whole.sum(0) - exact) <= 2.3e-16 * np.abs(exact))
     # a plain running sum drops every 1e-16 after the leading 1.0
@@ -337,10 +337,12 @@ def test_running_sums_match_the_concatenating_reference(n):
                    np.stack([rng.normal(size=rows) * 1e8, rng.normal(size=rows) * 1e-8]),
                    running_sums_reference(x[:, ::-1], np.zeros((2, rows)))[..., -1]]
         for carry in carries:
-            got, want = _running_sums(x, carry), running_sums_reference(x, carry)
+            buf = np.full((2, rows, n + 3), np.nan)  # wider than the block, as the last one is
+            got, want = _running_sums(x, carry, buf), running_sums_reference(x, carry)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()  # -0.0 included
-            chained = _running_sums(x, got[..., -1])
+            # the next block's carry is a view of the buffer it is written into
+            chained = _running_sums(x, got[..., -1], buf)
             assert chained.tobytes() == running_sums_reference(x, want[..., -1]).tobytes()
 
 
