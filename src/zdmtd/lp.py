@@ -7,32 +7,41 @@ lowest-index column with negative reduced cost, leaving row breaks ratio
 ties by the lowest basis index -- so identical inputs always produce
 identical outcomes and cycling is impossible.
 
-A constraint row may be a (B, n) stack.  The program then has B
-alternatives that share the objective, relations, right-hand sides and
-bounds and differ only in the stacked rows; an (n,) row is shared by all.
-`solve_lp` returns the first alternative, in stack order, that is not
-infeasible, with its index.  An error propagates only from an alternative
-before that one, and the alternatives after it are left unfinished: the
-outcome is that of solving them one by one and stopping at the first that
-is not infeasible.  A lone program is a stack of one.
+The objective may be a (B, n) stack, a constraint row a (B, n) stack and a
+right-hand side a (B,) vector.  The program then has B alternatives that
+share the relations and bounds and differ in the stacked entries; an
+unstacked entry is shared by all.  `solve_lp` returns the first
+alternative, in stack order, that is not infeasible, with its index.  An
+error propagates only from an alternative before that one, and the
+alternatives after it are left unfinished: the outcome is that of solving
+them one by one and stopping at the first that is not infeasible.
+`solve_each` returns every alternative's outcome and raises the first
+error in stack order.  A lone program is a stack of one.
 
-The alternatives pivot in lockstep on one tableau stack.  Each step is a
-few array passes over the stack: every program's entering column is its
-first index below -_EPS, the ratio test one stacked minimum (a program's
-rows are scanned in order only when a second ratio lies within _EPS of its
-minimum without equalling it), and the elimination one update of every
-row, in which a row with a zero pivot-column entry subtracts +0.0 and so
-keeps its bits.  Every entry goes through the same floating-point
-operations as in a row-at-a-time elimination of that program alone, so an
-alternative's outcome depends neither on how the passes are grouped nor on
-the other alternatives.  A program whose phase ends takes its own branch
-(phase-2 set-up, re-form, verdict) and then pivots on or leaves the stack.
-The objective rows are built row by row, because their summation order is
-part of the result.
+The alternatives pivot in lockstep on one tableau stack with one column
+layout.  A row whose right-hand side is negative is negated, which turns a
+<= row into a >= row, so alternatives can need artificial columns on
+different rows: the stack has one for every row that needs one in any
+alternative, all zero in the alternatives that do not.  Such a column
+never enters, and the columns keep their order, so every pivot is the one
+the alternative's own layout would choose.  Each step is a few array
+passes over the stack: every program's entering column is its first index
+below -_EPS, the ratio test one stacked minimum (a program's rows are
+scanned in order only when a second ratio lies within _EPS of its minimum
+without equalling it), and the elimination one update of every row, in
+which a row with a zero pivot-column entry subtracts +0.0 and so keeps its
+bits.  Every entry goes through the same floating-point operations as in a
+row-at-a-time elimination of that program alone, so an alternative's
+outcome depends neither on how the passes are grouped nor on the other
+alternatives.  A program whose phase ends takes its own branch (phase-2
+set-up, re-form, verdict) and then pivots on or leaves the stack.  The
+objective rows are built row by row, because their summation order is part
+of the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +67,9 @@ class LpNumericalError(RuntimeError):
 @dataclass(frozen=True)
 class LinearProgram:
     """max/min objective @ x subject to rows (coeffs, relation, rhs) and
-    per-variable bounds (lo, hi), either side None for unbounded.  A row
-    given as a (B, n) stack makes B alternative programs."""
+    per-variable bounds (lo, hi), either side None for unbounded.  An
+    objective or row given as a (B, n) stack, or a rhs given as a (B,)
+    vector, makes B alternative programs."""
 
     objective: np.ndarray
     sense: str = "max"
@@ -69,25 +79,34 @@ class LinearProgram:
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
-        if obj.ndim != 1 or obj.size < 1:
-            raise LpError("objective must be a non-empty vector")
+        if obj.ndim not in (1, 2) or obj.shape[-1] < 1:
+            raise LpError(f"objective has shape {obj.shape}, expected (n,) or (B, n) with n >= 1")
         if self.sense not in ("max", "min"):
             raise LpError(f"sense must be 'max' or 'min', got {self.sense!r}")
-        n = obj.size
-        rows, stacks = [], set()
+        n = obj.shape[-1]
+        rows, stacks = [], {len(obj)} if obj.ndim == 2 else set()
         for row, rel, rhs in self.constraints:
             r = np.asarray(row, dtype=float)
             if r.ndim not in (1, 2) or r.shape[-1] != n:
                 raise LpError(f"constraint row has shape {r.shape}, expected ({n},) or (B, {n})")
-            if r.ndim == 2:
-                stacks.add(len(r))
             if rel not in (LE, EQ, GE):
                 raise LpError(f"relation must be one of <=, =, >=, got {rel!r}")
-            if not np.isfinite(rhs):
+            if isinstance(rhs, (list, tuple, np.ndarray)) and np.ndim(rhs):
+                b = np.asarray(rhs, dtype=float)
+                if b.ndim > 1:
+                    raise LpError(f"constraint rhs has shape {b.shape}, expected () or (B,)")
+                stacks.add(len(b))
+                finite = np.isfinite(b).all()
+            else:
+                b = float(rhs)
+                finite = math.isfinite(b)
+            if not finite:
                 raise LpError("constraint rhs must be finite")
-            rows.append((r, rel, float(rhs)))
+            if r.ndim == 2:
+                stacks.add(len(r))
+            rows.append((r, rel, b))
         if len(stacks) > 1 or 0 in stacks:
-            raise LpError(f"stacked rows must share one positive stack size, got {sorted(stacks)}")
+            raise LpError(f"stacked entries must share one positive stack size, got {sorted(stacks)}")
         bounds = self.bounds
         if bounds is None:
             bounds = tuple((None, None) for _ in range(n))
@@ -102,7 +121,7 @@ class LinearProgram:
 
     @property
     def n(self) -> int:
-        return self.objective.size
+        return self.objective.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -126,8 +145,9 @@ def _standardize(lp: LinearProgram):
 
     Free variables split into a positive and a negative part.  Finite upper
     bounds become extra <= rows.  Returns (c, a, rels, rhs, back): the
-    objective, the (B, m, ncol) row stack in y, the relations as -1, 0, +1
-    for <=, =, >=, the (B, m) right-hand sides, and the map from y back to x.
+    (B, ncol) objective stack, the (B, m, ncol) row stack in y, the
+    relations as -1, 0, +1 for <=, =, >=, the (B, m) right-hand sides, and
+    the map from y back to x.
     """
     n = lp.n
     var, sign = [], []  # per y column: original variable and its sign
@@ -162,11 +182,15 @@ def _standardize(lp: LinearProgram):
     a[:, np.arange(m0, m0 + len(upper)), [c for c, _ in upper]] = 1.0
     rels = np.array([_REL_SIGN[rel] for _, rel, _ in cons] + [-1] * len(upper))
     rhs = np.empty((nb, len(rels)))
-    rhs[:] = [rhs for _, _, rhs in cons] + [ub for _, ub in upper]
+    for j, (_, _, b) in enumerate(cons):
+        rhs[:, j] = b  # a (B,) right-hand side gives each alternative its own
+    rhs[:, m0:] = [ub for _, ub in upper]
     if shifts.any():  # one dot per row of each alternative, as it would take alone
         rhs[:, :m0] -= [[float(r @ shifts) for r in alt] for alt in rows]
 
-    c = to_y(lp.objective)
+    objective = np.empty((nb, n))
+    objective[:] = lp.objective  # an (n,) objective is shared by every alternative
+    c = to_y(objective)
     if lp.sense == "max":
         c = -c
 
@@ -220,21 +244,24 @@ def _priced(T: np.ndarray, basis: np.ndarray, cols, cost) -> np.ndarray:
     return row
 
 
-def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, point):
-    """Two-phase primal simplex on the stack of programs min c@y, rows
+def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, point,
+             every: bool):
+    """Two-phase primal simplex on the stack of programs min c[s]@y, rows
     a[s]@y (rels) rhs[s], y >= 0, with Bland's rule; rels holds -1, 0, +1
     for <=, =, >=.  point(s, y) maps an optimal y of alternative s to the
     caller's (x, violation of the caller's rows).
 
-    Returns (index, status, x, violation) of the first alternative whose
-    status is not infeasible, or (None, "infeasible", None, None); raises
-    the error of an alternative before that one.
+    Returns each alternative's (status, x, violation) in stack order, None
+    for one left unfinished.  The stack is solved as the loop over its
+    alternatives in order would solve it, which stops at the first error
+    and, unless every, at the first alternative that is not infeasible: the
+    alternatives after that one are left unfinished, and the error of an
+    alternative before it is raised.
     """
     nb, m, ncol = a.shape
     if m == 0:
-        if np.any(c < -_EPS):
-            return 0, "unbounded", None, None
-        return (0, "optimal") + point(0, np.zeros(ncol))
+        return [("unbounded", None, None) if np.any(c[s] < -_EPS)
+                else ("optimal",) + point(s, np.zeros(ncol)) for s in range(nb)]
 
     # scale rows, force nonnegative rhs (a flipped row flips its relation)
     scale = np.fmax(1.0, np.abs(a).max(axis=2))
@@ -242,69 +269,79 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, po
     flip = b < 0
     np.negative(a, out=a, where=flip[..., None])
     np.negative(b, out=b, where=flip)
-    # alternatives whose flips agree share a column layout: solve each run in turn
-    cuts = list((flip[1:] != flip[:-1]).any(axis=1).nonzero()[0] + 1) if nb > 1 else []
-    for lo, hi in zip([0] + cuts, cuts + [nb]):
-        index, *found = _lockstep(c, a[lo:hi], b[lo:hi], np.where(flip[lo], -rels, rels),
-                                  lambda s, y, lo=lo: point(lo + s, y))
-        if index is not None:
-            return (lo + index, *found)
-    return None, "infeasible", None, None
+    return _lockstep(c, a, b, np.where(flip, -rels, rels), point, every)
 
 
-def _lockstep(c, a, b, rels, point):
-    """`_simplex` on a stack whose programs share one column layout.
+def _lockstep(c, a, b, rels, point, every):
+    """`_simplex` on the scaled stack whose rows have nonnegative right-hand
+    sides, rels now per alternative.
 
-    Each tableau carries its objective row as row m, below the constraint
-    rows, so that a pivot updates it with them: the same operations as the
-    separate update `obj -= obj[enter] * pivot_row`.  Every program in the
-    working set pivots at every step, so a program's pivot count in its
-    phase is the number of steps since the phase began."""
+    The column layout is the one of a lone program whose rows need every
+    artificial column any alternative needs.  Each tableau carries its
+    objective row as row m, below the constraint rows, so that a pivot
+    updates it with them: the same operations as the separate update
+    `obj -= obj[enter] * pivot_row`.  Every program in the working set
+    pivots at every step, so a program's pivot count in its phase is the
+    number of steps since the phase began."""
     nb, m, ncol = a.shape
-    has_slack, has_art = rels != 0, rels >= 0
-    n_slack, n_art = int(has_slack.sum()), int(has_art.sum())
+    has_slack, has_art = rels[0] != 0, rels >= 0  # a flip keeps a row's slack
+    needs = has_art.sum(axis=0)  # alternatives that need each row's artificial
+    any_art, shared = needs > 0, needs == nb
+    n_slack, n_art = int(has_slack.sum()), int(any_art.sum())
     width = ncol + n_slack + n_art
     slack_col = ncol + has_slack.cumsum() - 1
-    art_col = ncol + n_slack + has_art.cumsum() - 1
-    s_rows, a_rows = has_slack.nonzero()[0], has_art.nonzero()[0]
+    art_col = ncol + n_slack + any_art.cumsum() - 1
+    s_rows, a_rows = has_slack.nonzero()[0], any_art.nonzero()[0]
     art_cols = art_col[a_rows]
     y_cols = np.arange(ncol)
 
-    def tableau(a, b):
-        """Initial tableaux, objective row zero: slack / surplus / artificial
-        columns, numbered in row order."""
-        T = np.zeros((len(a), m + 1, width + 1))
-        T[:, :m, :ncol] = a
-        T[:, :m, -1] = b
-        T[:, s_rows, slack_col[s_rows]] = -rels[s_rows]  # +1 slack, -1 surplus
-        T[:, a_rows, art_col[a_rows]] = 1.0
+    def tableau(part):
+        """Initial tableaux of the alternatives in slice part, objective row
+        zero: slack / surplus / artificial columns, numbered in row order."""
+        T = np.zeros((len(a[part]), m + 1, width + 1))
+        T[:, :m, :ncol] = a[part]
+        T[:, :m, -1] = b[part]
+        T[:, s_rows, slack_col[s_rows]] = -rels[part, s_rows]  # +1 slack, -1 surplus
+        T[:, a_rows, art_cols] = has_art[part, a_rows]  # 1.0 where the alternative has it
         return T
 
-    T = tableau(a, b)
+    T = tableau(slice(None))
     obj = T[:, m]
     step = np.empty((min(nb, max(1, _STEP_BYTES // T[0].nbytes)),) + T.shape[1:])
-    basis = np.repeat(np.where(has_art, art_col, slack_col)[None], nb, axis=0)
+    basis = np.where(has_art, art_col, slack_col)
     live = np.arange(nb)  # stack index of each working tableau
-    if n_art:  # phase 1's objective, row by row
-        obj[:, art_cols] = 1.0
-        for i in a_rows:
+    # phase 1's objective, row by row; a column the alternative lacks keeps
+    # its 1.0 and never enters
+    obj[:, art_cols] = 1.0
+    for i in a_rows:
+        if shared[i]:
             obj -= T[:, i]
-        stage = [_PHASE1] * nb
-    else:
-        obj[:] = [_priced(T[k], basis[k], y_cols, c) for k in range(nb)]
-        stage = [_PHASE2] * nb
+        else:
+            np.subtract(obj, T[:, i], out=obj, where=has_art[:, i, None])
+    phase1 = has_art.any(axis=1)
+    for s in (~phase1).nonzero()[0]:  # no artificial: phase 2 from the start
+        obj[s] = _priced(T[s], basis[s], y_cols, c[s])
+    stage = np.where(phase1, _PHASE1, _PHASE2).tolist()
     steps, began = 0, np.zeros(nb, dtype=int)  # pivot steps made; step each phase began at
     residual = np.zeros(nb)  # phase 1's sum of artificials at its optimum
     earlier = {}  # the point a phase-2 re-form falls back on
     results = [None] * nb  # (status, x, violation) or the error raised
-    decided = 0  # every alternative before this one is infeasible
+    decided = 0  # every alternative before this one is settled and does not stop the loop
+
+    def stops(result):
+        """Whether the loop over the alternatives in order ends at this one."""
+        return isinstance(result, Exception) or not (every or _infeasible(result))
 
     def reformed(k):
         """Tableau k re-formed from its basis: pivots update the tableau in
-        place, which can drift."""
+        place, which can drift.  Only the alternative's own columns are
+        solved for, so LAPACK sees what it sees in a lone solve."""
         s = live[k]
-        initial = tableau(a[s:s + 1], b[s:s + 1])[0, :m]
-        return np.linalg.solve(initial[:, basis[k]], initial)
+        cols = np.r_[:ncol + n_slack, art_col[has_art[s]], width]  # its own layout's
+        initial = tableau(slice(s, s + 1))[0, :m]
+        out = np.zeros((m, width + 1))
+        out[:, cols] = np.linalg.solve(initial[:, basis[k]], initial[:, cols])
+        return out
 
     def basic_point(k):
         y = np.zeros(width)
@@ -319,7 +356,7 @@ def _lockstep(c, a, b, rels, point):
         if stage[s] == _PHASE1 and not optimal:
             # a column with no positive entry looks improving: re-form once
             T[k, :m] = reformed(k)
-            obj[k] = _priced(T[k], basis[k], art_cols, 1.0)
+            obj[k] = _priced(T[k], basis[k], art_col[has_art[s]], 1.0)
             stage[s] = _PHASE1_REFORMED
             return None
         if stage[s] == _PHASE1_REFORMED and not optimal:
@@ -337,7 +374,7 @@ def _lockstep(c, a, b, rels, point):
                     basis[k, i] = j
             # zero out any artificial column still in the basis (redundant row)
             T[k][:, art_cols] = 0.0
-            obj[k] = _priced(T[k], basis[k], y_cols, c)
+            obj[k] = _priced(T[k], basis[k], y_cols, c[s])
             stage[s] = _PHASE2
             return None
         if stage[s] == _PHASE2:
@@ -351,9 +388,9 @@ def _lockstep(c, a, b, rels, point):
             try:
                 T[k, :m] = reformed(k)
             except np.linalg.LinAlgError:
-                return "optimal", x, viol  # the caller rejects the failing point
+                return _verified(x, viol)
             T[k][:, art_cols] = 0.0
-            obj[k] = _priced(T[k], basis[k], y_cols, c)
+            obj[k] = _priced(T[k], basis[k], y_cols, c[s])
             earlier[s] = x, viol
             stage[s] = _PHASE2_REFORMED
             return None
@@ -362,7 +399,7 @@ def _lockstep(c, a, b, rels, point):
             # phase 1 ended inside the tolerance band: the rows hold only to
             # within FEAS_TOL, so "infeasible" is as right as a point would be
             return "infeasible", None, None
-        return "optimal", x, viol
+        return _verified(x, viol)
 
     ar = np.arange(nb)
     no_ratio = np.full((nb, m), np.inf)  # the ratio of a row that cannot leave
@@ -408,16 +445,14 @@ def _lockstep(c, a, b, rels, point):
             done[k] = results[live[k]] is not None
         if not np.count_nonzero(done):
             continue
-        while decided < nb and _infeasible(results[decided]):
+        while decided < nb and results[decided] is not None and not stops(results[decided]):
             decided += 1
-        if decided == nb:
-            return None, "infeasible", None, None
-        if isinstance(results[decided], Exception):
+        if decided < nb and isinstance(results[decided], Exception):
             raise results[decided]
-        if results[decided] is not None:
-            return (decided, *results[decided])
-        # the alternatives after one that is not infeasible are not needed
-        stop = next((s for s in live[done] if not _infeasible(results[s])), nb)
+        if decided == nb or results[decided] is not None:
+            return results
+        # the alternatives after the one the loop would stop at are not needed
+        stop = next((s for s in live[done] if stops(results[s])), nb)
         keep = ~done & (live < stop)
         for j, k in enumerate(keep.nonzero()[0]):  # in place: no second stack
             T[j] = T[k]
@@ -430,12 +465,24 @@ def _infeasible(result) -> bool:
     return isinstance(result, tuple) and result[0] == "infeasible"
 
 
+def _verified(x, viol):
+    """The optimal verdict on a point, which must hold the rows within
+    FEAS_TOL."""
+    if viol > FEAS_TOL:
+        raise LpNumericalError(
+            f"simplex returned 'optimal' but the point violates constraints by {viol:.3e}"
+        )
+    return "optimal", x, viol
+
+
 def _violation(lp: LinearProgram, x: np.ndarray, index: int = 0) -> float:
     """Worst scaled violation of alternative index's rows at x."""
     worst = 0.0
     for row, rel, rhs in lp.constraints:
         if row.ndim == 2:
             row = row[index]
+        if not isinstance(rhs, float):
+            rhs = float(rhs[index])
         scale = max(1.0, float(np.max(np.abs(row))) if row.size else 1.0)
         v = float(row @ x) - rhs
         if rel == LE:
@@ -447,14 +494,9 @@ def _violation(lp: LinearProgram, x: np.ndarray, index: int = 0) -> float:
     return worst
 
 
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve the program, or the first alternative of a stack that is not
-    infeasible; optimal answers are re-verified against the original rows.
-    A violation above the feasibility tolerance re-forms the tableau from
-    the basis and finishes phase 2 once more; if it persists it is a hard
-    error, unless phase 1 ended inside the tolerance band (a positive sum
-    of artificials at most FEAS_TOL), where the program is reported
-    infeasible."""
+def _solve(lp: LinearProgram, every: bool) -> list:
+    """`_simplex` on the program's standard form: each alternative's
+    (status, x, violation) with x clamped into the bounds, or None."""
     c, a, rels, rhs, back = _standardize(lp)
 
     def point(index, y):
@@ -467,14 +509,36 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
                 x[i] = hi
         return x, _violation(lp, x, index)
 
-    index, status, x, viol = _simplex(c, a, rels, rhs, point)
+    return _simplex(c, a, rels, rhs, point, every)
+
+
+def _outcome(lp: LinearProgram, index: int, result) -> LpOutcome:
+    status, x, viol = result
     if status != "optimal":
         return LpOutcome(status=status, index=index)
-    if viol > FEAS_TOL:
-        raise LpNumericalError(
-            f"simplex returned 'optimal' but the point violates constraints by {viol:.3e}"
-        )
-    return LpOutcome("optimal", x, float(lp.objective @ x), viol, index)
+    c = lp.objective[index] if lp.objective.ndim == 2 else lp.objective
+    return LpOutcome("optimal", x, float(c @ x), viol, index)
+
+
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Solve the program, or the first alternative of a stack that is not
+    infeasible; optimal answers are re-verified against the original rows.
+    A violation above the feasibility tolerance re-forms the tableau from
+    the basis and finishes phase 2 once more; if it persists it is a hard
+    error, unless phase 1 ended inside the tolerance band (a positive sum
+    of artificials at most FEAS_TOL), where the program is reported
+    infeasible."""
+    for index, result in enumerate(_solve(lp, every=False)):
+        if result is not None and not _infeasible(result):
+            return _outcome(lp, index, result)
+    return LpOutcome(status="infeasible")
+
+
+def solve_each(lp: LinearProgram) -> list:
+    """Every alternative's outcome, in stack order, each what `solve_lp`
+    reports on the alternative alone; the first error in stack order is
+    raised."""
+    return [_outcome(lp, index, result) for index, result in enumerate(_solve(lp, every=True))]
 
 
 def check_feasible(constraints, n: int, bounds=None) -> Feasibility:

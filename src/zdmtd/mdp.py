@@ -186,17 +186,17 @@ def _start(f, w, sd, sa, howard_idx, floor):
     The candidates are the 0-based Howard policy, then the K constant
     policies, each kept only if its u_a reaches `floor`; a later candidate
     replaces the best so far only if its u_d is more than _SWITCH_TOL
-    higher.  Howard's pair is read from the means of its fundamental
-    matrix; the constant policies are scored on their lumped chains
-    (`_constant_values`), and the winner's fundamental matrix is formed only
-    when one of them wins."""
+    higher.  When none reaches the floor, the start is Howard's policy: it
+    defines the gain, so only rounding put it below.  Howard's pair is read
+    from the means of its fundamental matrix; the constant policies are
+    scored on their lumped chains (`_constant_values`), and the winner's
+    fundamental matrix is formed only when one of them wins."""
     fund = _fundamental(f, w, sd, sa, howard_idx)
-    pol, best_pair = None, None
-    if fund[5] >= floor:
-        pol, best_pair = howard_idx, (float(fund[4]), float(fund[5]))
+    pol, best_pair = howard_idx, (float(fund[4]), float(fund[5]))
+    qualified = fund[5] >= floor
     for m, (ud, ua) in enumerate(_constant_values(f, w, sd, sa).T):
-        if ua >= floor and (best_pair is None or ud > best_pair[0] + _SWITCH_TOL):
-            pol, best_pair = np.full(len(howard_idx), m), (float(ud), float(ua))
+        if ua >= floor and (not qualified or ud > best_pair[0] + _SWITCH_TOL):
+            pol, best_pair, qualified = np.full(len(howard_idx), m), (float(ud), float(ua)), True
     if pol is not howard_idx:  # a constant policy won
         fund = _fundamental(f, w, sd, sa, pol)
     return pol, best_pair, fund

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy
-from .lp import EQ, GE, LinearProgram, solve_lp
+from .lp import EQ, GE, LinearProgram, LpNumericalError, solve_each
 from .mdp import _policy_value, best_response, defender_utility_under_br
 from .rng import stream
 
@@ -175,29 +175,30 @@ class OneshotSse:
 def oneshot_sse(g: GameSpec) -> OneshotSse:
     """Multiple-LP method: for each candidate attacked target, maximize the
     defender's value subject to that target being attacker-optimal; keep the
-    best (defender-favoring ties)."""
+    best (defender-favoring ties).  The K programs are one stack: the
+    program of target a has its own objective and, for each other target
+    in order, its own >= row and right-hand side."""
     k = g.k
     delta_a = g.u_a_cov - g.u_a_unc
+    attacked = np.arange(k)
+    obj = np.zeros((k, k))
+    obj[attacked, attacked] = g.u_d_cov - g.u_d_unc
+    rows = [(np.ones(k), EQ, 1.0)]
+    for j in range(k - 1):
+        other = np.where(attacked <= j, j + 1, j)  # target a's j-th other target
+        row = np.zeros((k, k))
+        row[attacked, attacked] = delta_a
+        row[attacked, other] = -delta_a[other]
+        rows.append((row, GE, g.u_a_unc[other] - g.u_a_unc))
     best = None
-    for a in range(1, k + 1):
-        obj = np.zeros(k)
-        obj[a - 1] = g.u_d_cov[a - 1] - g.u_d_unc[a - 1]
-        rows = [(np.ones(k), EQ, 1.0)]
-        for other in range(1, k + 1):
-            if other == a:
-                continue
-            row = np.zeros(k)
-            row[a - 1] = delta_a[a - 1]
-            row[other - 1] = -delta_a[other - 1]
-            rows.append((row, GE, float(g.u_a_unc[other - 1] - g.u_a_unc[a - 1])))
-        out = solve_lp(LinearProgram(obj, "max", rows, [(0.0, 1.0)] * k))
+    for out in solve_each(LinearProgram(obj, "max", rows, [(0.0, 1.0)] * k)):
         if out.status != "optimal":
             continue
-        value = out.objective + float(g.u_d_unc[a - 1])
+        value = out.objective + float(g.u_d_unc[out.index])
         if best is None or value > best.value + 1e-12:
-            best = OneshotSse(out.x, value, a)
+            best = OneshotSse(out.x, value, out.index + 1)
     if best is None:
-        raise RuntimeError("no attacked target is enforceable; malformed game")
+        raise LpNumericalError("no attacked target is enforceable; malformed game")
     return best
 
 

@@ -340,7 +340,8 @@ def start_direct(f, w, sd, sa, howard_idx, floor):
     """Reference for `mdp._start`: the same candidates (the 0-based Howard
     policy, then the K constant policies), tie-set floor and strict
     _SWITCH_TOL preference in order, with each candidate scored by its own
-    direct solve on K^2 states.  Returns (policy, (u_d, u_a))."""
+    direct solve on K^2 states; Howard's policy when none reaches the
+    floor.  Returns (policy, (u_d, u_a))."""
     n = f.shape[0]
     candidates = [howard_idx] + [np.full(n, m, dtype=int) for m in range(w.shape[0])]
     best_pol, best_pair = None, None
@@ -350,6 +351,8 @@ def start_direct(f, w, sd, sa, howard_idx, floor):
             continue
         if best_pair is None or ud > best_pair[0] + _SWITCH_TOL:
             best_pol, best_pair = cand.copy(), (ud, ua)
+    if best_pol is None:
+        best_pol, best_pair = howard_idx.copy(), _chain_values(f, w, sd, sa, howard_idx)
     return best_pol, best_pair
 
 

@@ -13,14 +13,14 @@ from zdmtd import cli, sse
 from zdmtd.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, atomic_open, main,
                        solve_game)
 from zdmtd.game import GameSpec, game_to_dict
-from zdmtd.lp import LpNumericalError
+from zdmtd.lp import LpNumericalError, LpOutcome
 from zdmtd.markov import StationaryError
 from zdmtd.mdp import PolicyIterationCycleError
 from zdmtd.scenarios import (crowd_game, crowd_scenario, iot_scenario, scenario_to_dict,
                               with_switching)
 from zdmtd.zd import ZdConstructionError
 
-from oracles import parse_mip, random_game
+from oracles import ideal_feasible_game, parse_mip, random_game
 
 COR1 = {"k": 3, "u_d_cov": [5, 4, 3], "u_d_unc": [0, 0, 0],
         "u_a_cov": [-2, 1, 0], "u_a_unc": [3, -2, -4]}
@@ -334,6 +334,31 @@ def test_numerical_errors_exit_verify(tmp_path, monkeypatch, capsys, exc):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "boom" in err
         assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_compare_exits_verify_when_no_attacked_target_is_enforceable(tmp_path, monkeypatch, capsys):
+    def infeasible(lp):
+        return [LpOutcome("infeasible", index=i) for i in range(lp.alternatives)]
+
+    monkeypatch.setattr(sse, "solve_each", infeasible)
+    game = write_game(tmp_path / "game.json", COR1)
+    assert main(["compare", "--game", game, "--out", str(tmp_path / "c.csv")]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err == "error: LpNumericalError: no attacked target is enforceable; malformed game\n"
+
+
+def test_compare_on_a_game_whose_swap_search_start_misses_the_floor(tmp_path):
+    # a structured K = 4 game with every payoff times 2^20: on one scoring
+    # call Howard's u_a reads 4.7e-10 below gain - TIE_TOL and no constant
+    # policy reaches it, so the swap search starts from Howard's policy
+    g = ideal_feasible_game(4, np.random.default_rng([4, 10]))
+    scale = 2.0 ** 20
+    g = GameSpec(4, g.u_d_cov * scale, g.u_d_unc * scale, g.u_a_cov * scale, g.u_a_unc * scale)
+    game = write_game(tmp_path / "game.json", game_to_dict(g))
+    out = tmp_path / "c.csv"
+    assert main(["compare", "--game", game, "--budget", "4", "--out", str(out)]) == EXIT_OK
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[2:]] == [
+        "zd", "oneshot_sse", "search_sse", "upper_bound"]
 
 
 def test_solve_game_function_modes():

@@ -16,9 +16,11 @@ from zdmtd.lp import (
     LpError,
     LpNumericalError,
     check_feasible,
+    solve_each,
     solve_lp,
 )
 from zdmtd.programs import solve_ideal
+from zdmtd.scenarios import iot_game, iot_scenario
 
 from oracles import ideal_feasible_game, random_game, simplex_reference
 
@@ -168,6 +170,22 @@ def test_dimension_errors():
         LinearProgram([1.0], "best", [])
     with pytest.raises(LpError):
         LinearProgram([1.0], "max", [(np.array([1.0]), "<", 1.0)])
+
+
+@pytest.mark.parametrize("objective,row,rhs", [
+    (np.ones((2, 2)), np.ones((3, 2)), 1.0),        # objective and row stacks disagree
+    (np.ones((2, 2)), np.ones(2), [1.0, 2.0, 3.0]),  # objective and rhs stacks disagree
+    (np.ones(2), np.ones((3, 2)), [1.0, 2.0]),       # row and rhs stacks disagree
+    (np.ones((0, 2)), np.ones(2), 1.0),              # an empty stack
+    (np.ones(2), np.ones(2), [[1.0, 2.0]]),          # a rhs of two dimensions
+    (np.ones(2), np.ones((2, 2)), [1.0, np.nan]),    # a non-finite rhs entry
+    (np.ones(2), np.ones(2), [1.0, np.inf]),
+    (np.ones((2, 2, 2)), np.ones(2), 1.0),           # an objective of three dimensions
+], ids=["objective-rows", "objective-rhs", "rows-rhs", "empty", "rhs-2d", "rhs-nan", "rhs-inf",
+        "objective-3d"])
+def test_malformed_stacks_raise(objective, row, rhs):
+    with pytest.raises(LpError):
+        LinearProgram(objective, "max", [(row, LE, rhs)])
 
 
 def _linprog_oracle(lp, band=None):
@@ -389,11 +407,21 @@ def _near_tie_spy(monkeypatch):
     return near_ties
 
 
+def _take(lp, i):
+    """The alternatives i of a stack (an index, a slice or a list of
+    indices): its stacked objective, rows and right-hand sides sliced
+    alike, its shared ones kept."""
+    def part(v, ndim):
+        return v[i] if np.ndim(v) == ndim else v
+
+    return LinearProgram(part(lp.objective, 2), lp.sense,
+                         [(part(r, 2), rel, part(rhs, 1)) for r, rel, rhs in lp.constraints],
+                         lp.bounds)
+
+
 def _alternative(lp, i):
     """Alternative i of a stack as a program of its own."""
-    return LinearProgram(lp.objective, lp.sense,
-                         [(r if r.ndim == 1 else r[i], rel, rhs) for r, rel, rhs in lp.constraints],
-                         lp.bounds)
+    return _take(lp, i)
 
 
 def _alternatives(lp):
@@ -405,23 +433,29 @@ def test_solve_lp_matches_per_row_reference(monkeypatch):
     lps = [_random_lp(rng, integer=i % 2 == 0) for i in range(900)]
     lps += [_near_tie_lp(rng) for _ in range(150)]
 
-    recorded = []  # the ideal stacks (K = 2..50) and one-shot LPs of real games
+    recorded, oneshot = [], []  # the ideal stacks (K = 2..50) and one-shot stacks of real games
 
     def record(lp):
         recorded.append(lp)
         return solve_lp(lp)
 
+    def record_each(lp):
+        oneshot.append(lp)
+        return lp_module.solve_each(lp)
+
     monkeypatch.setattr(lp_module, "solve_lp", record)
-    monkeypatch.setattr(sse, "solve_lp", record)
+    monkeypatch.setattr(sse, "solve_each", record_each)
     for k in (2, 3, 4, 6, 9, 50):
         g = random_game(k, rng)
         solve_ideal(g)
         sse.oneshot_sse(g)
     monkeypatch.undo()
-    # the K = 50 ideal program is one stack of its 49 role pairs: each is
-    # checked as a program of its own
+    # the K = 50 ideal program is one stack of its 49 role pairs, and each
+    # game's one-shot programs one stack of K: each is checked as a program
+    # of its own
     assert sum(lp.alternatives == 49 and len(lp.constraints) == 50 + 5 for lp in recorded) == 1
-    lps += [alt for lp in recorded for alt in _alternatives(lp)]
+    assert sum(lp.alternatives for lp in oneshot) == 2 + 3 + 4 + 6 + 9 + 50 == 74
+    lps += [alt for lp in recorded + oneshot for alt in _alternatives(lp)]
     assert sum(lp.n == 3 and len(lp.constraints) == 50 + 5 for lp in lps) == 49
 
     near_ties = _near_tie_spy(monkeypatch)
@@ -437,9 +471,7 @@ def test_solve_lp_matches_per_row_reference(monkeypatch):
 
 def _suffix(stack, j):
     """The stack without its first j alternatives."""
-    return LinearProgram(stack.objective, stack.sense,
-                         [(r if r.ndim == 1 else r[j:], rel, rhs) for r, rel, rhs in stack.constraints],
-                         stack.bounds)
+    return _take(stack, slice(j, None))
 
 
 def _first_outcome(solve, alternatives):
@@ -540,6 +572,8 @@ def test_stacks_match_their_alternatives_alone_and_the_reference(monkeypatch):
         solve_ideal(dataclasses.replace(g, u_d_cov=np.r_[g.u_d_cov[0], g.u_d_cov[0], g.u_d_cov[2:]]))
     monkeypatch.undo()
     stacks += recorded
+    # stacked objectives and right-hand sides
+    stacks += [_varied_stack(rng, i % 2 == 0, int(rng.integers(1, 7))) for i in range(100)]
 
     near_ties = _near_tie_spy(monkeypatch)
     firsts = {}
@@ -569,9 +603,7 @@ def test_stacks_match_their_alternatives_property():
 
 def _reordered(stack, order):
     """The stack with its alternatives taken in the given order."""
-    return LinearProgram(stack.objective, stack.sense,
-                         [(r if r.ndim == 1 else r[order], rel, rhs) for r, rel, rhs in stack.constraints],
-                         stack.bounds)
+    return _take(stack, order)
 
 
 def test_stacks_with_raising_alternatives_raise_only_before_the_first_found(monkeypatch):
@@ -596,10 +628,94 @@ def test_stacks_with_raising_alternatives_raise_only_before_the_first_found(monk
     assert raised >= 50 and pairs >= 20, (raised, pairs)
 
 
+def _varied_stack(rng, integer, size):
+    """A random stack (`_random_stack`) whose objective and right-hand
+    sides are, each with even odds, drawn afresh for every alternative, so
+    that its alternatives flip different rows."""
+    stack = _random_stack(rng, integer, size)
+    objective = stack.objective
+    if rng.random() < 0.5:
+        objective = np.array([_draw(rng, integer, stack.n) for _ in range(size)])
+    rows = [(row, rel, _draw(rng, integer, size) if rng.random() < 0.5 else rhs)
+            for row, rel, rhs in stack.constraints]
+    return LinearProgram(objective, stack.sense, rows, stack.bounds)
+
+
+def _oneshot_stacks(monkeypatch, games):
+    """The stack of each game's one-shot SSE programs, as `sse.oneshot_sse`
+    builds it."""
+    recorded = []
+
+    def record(lp):
+        recorded.append(lp)
+        return solve_each(lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sse, "solve_each", record)
+        for g in games:
+            sse.oneshot_sse(g)
+    return recorded
+
+
+def _oneshot_games(rng):
+    """IoT games at K = 3..6 and random games at K = 2..8."""
+    games = [iot_game(iot_scenario(k, zeta, theta=float(rng.uniform())))
+             for k in range(3, 7) for zeta in (1, 2, 3)]
+    return games + [random_game(k, rng) for k in range(2, 9)]
+
+
+def _flips(stack):
+    """Which rows each alternative negates for a nonnegative right-hand side."""
+    return lp_module._standardize(stack)[3] < 0
+
+
+def _each_outcome(stack):
+    """Everything `solve_each` reports, bit for bit, or the error it raises."""
+    try:
+        outs = solve_each(stack)
+    except Exception as err:  # compared by type and message, as _outcome does
+        return type(err).__name__, str(err)
+    return [(out.index, out.status, None if out.x is None else out.x.tobytes(), out.objective,
+             out.max_violation) for out in outs]
+
+
+def _each_alone(stack):
+    """What solving the alternatives alone in order reports: every outcome
+    with its index, or the first error."""
+    outcomes = []
+    for i, alt in enumerate(_alternatives(stack)):
+        got = _outcome(solve_lp, alt)
+        if got[0] not in ("optimal", "infeasible", "unbounded"):
+            return got
+        outcomes.append((i, *got))
+    return outcomes
+
+
+def test_solve_each_matches_the_alternatives_solved_alone(monkeypatch):
+    # stacked objectives, rows and right-hand sides: every alternative's
+    # outcome is bit for bit its outcome alone, and the first error in
+    # stack order is raised.  A pivot budget of 1 makes many alternatives
+    # raise
+    rng = np.random.default_rng(67)
+    stacks = _oneshot_stacks(monkeypatch, _oneshot_games(rng))
+    stacks += [_varied_stack(rng, i % 2 == 0, int(rng.integers(1, 7))) for i in range(300)]
+    statuses = {}
+    for budget in (lp_module._MAX_PIVOTS, 1):
+        monkeypatch.setattr(lp_module, "_MAX_PIVOTS", budget)
+        for stack in stacks:
+            want = _each_alone(stack)
+            assert _each_outcome(stack) == want, stack
+            for status in [want[0]] if isinstance(want, tuple) else [o[1] for o in want]:
+                statuses[status] = statuses.get(status, 0) + 1
+    assert sum(len(np.unique(_flips(stack), axis=0)) > 1 for stack in stacks) >= 150
+    assert min(statuses.get(s, 0) for s in ("optimal", "infeasible", "unbounded",
+                                            "LpNumericalError")) >= 100, statuses
+
+
 def _step_counter(monkeypatch):
-    """count(lp): the stack-wide pivot steps solve_lp makes on lp, and the
-    tableaux those steps pivot (a drive-out pivot passes its row as a list
-    and is not counted)."""
+    """count(lp): the stack-wide pivot steps solve_lp (solve_each, with
+    each) makes on lp, and the tableaux those steps pivot (a drive-out pivot
+    passes its row as a list and is not counted)."""
     widths = []
     pivot = lp_module._pivot
 
@@ -610,9 +726,9 @@ def _step_counter(monkeypatch):
 
     monkeypatch.setattr(lp_module, "_pivot", spy)
 
-    def count(lp, tableaux=False):
+    def count(lp, tableaux=False, each=False):
         widths.clear()
-        _stack_outcome(lp)
+        _each_outcome(lp) if each else _stack_outcome(lp)
         return sum(widths) if tableaux else len(widths)
 
     return count
@@ -659,17 +775,13 @@ def test_stack_stops_once_its_first_found_alternative_is_resolved(monkeypatch):
 def test_stack_drops_the_alternatives_after_a_found_one(monkeypatch):
     # first, second, third: the second is found before the first resolves,
     # and the third, still running, leaves the stack with it.  The three
-    # come from one random stack, ordered to fit; its bounds are moved to
-    # 0 so that all its alternatives flip the same rows (else they are
-    # solved one run after another)
+    # come from one random stack, ordered to fit; they may flip different
+    # rows, and still pivot in one lockstep
     count = _step_counter(monkeypatch)
     rng = np.random.default_rng(83)
     dropped = 0
     for i in range(300):
         stack = _random_stack(rng, i % 2 == 0, 4)
-        stack = LinearProgram(stack.objective, stack.sense, stack.constraints,
-                              [(None if lo is None else 0.0, None if hi is None else
-                                (0.0 if lo is None else hi - lo)) for lo, hi in stack.bounds])
         if stack.alternatives < 3:
             continue
         alternatives = _alternatives(stack)
@@ -682,7 +794,29 @@ def test_stack_drops_the_alternatives_after_a_found_one(monkeypatch):
                     == steps[first] + 2 * steps[second], (stack, order)
                 dropped += 1
                 break
-    assert dropped >= 10, dropped
+    assert dropped >= 20, dropped
+
+
+def test_alternatives_that_flip_different_rows_pivot_in_one_lockstep(monkeypatch):
+    # solve_each pivots the stack until its last alternative resolves, so
+    # its stack-wide steps are the largest count alone; solving the runs of
+    # alternatives with equal row flips one after another would take the
+    # sum of each run's largest
+    rng = np.random.default_rng(71)
+    stacks = _oneshot_stacks(monkeypatch, _oneshot_games(rng))
+    stacks += [_varied_stack(rng, i % 2 == 0, int(rng.integers(2, 7))) for i in range(200)]
+    count = _step_counter(monkeypatch)
+    merged = 0
+    for stack in stacks:
+        if isinstance(_each_alone(stack), tuple):
+            continue  # an error ends the stack early
+        alone = [count(alt) for alt in _alternatives(stack)]
+        assert count(stack, each=True) == max(alone), stack
+        flips = _flips(stack)
+        cuts = [0] + [i for i in range(1, len(flips)) if (flips[i] != flips[i - 1]).any()]
+        runs = sum(max(alone[lo:hi]) for lo, hi in zip(cuts, cuts[1:] + [len(flips)]))
+        merged += runs > max(alone)
+    assert merged >= 100, merged
 
 
 def test_ideal_stack_stops_at_a_feasible_first_pair(monkeypatch):

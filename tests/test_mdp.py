@@ -372,6 +372,25 @@ def test_start_matches_direct_solves(k, kind):
         assert all(np.array_equal(x, y) for x, y in zip(start_fund, ref_fund))
 
 
+@pytest.mark.parametrize("kind", ["random", "zd"])
+def test_start_is_howards_policy_when_no_candidate_reaches_the_floor(kind):
+    # rounding can leave Howard's u_a below gain - TIE_TOL at large payoffs;
+    # with the floor above every candidate the start is Howard's policy,
+    # with the pair and fundamental tuple of its own fundamental matrix
+    for g, pi_d in _swap_inputs(5, kind, 2):
+        f, w, _, sd, sa = _effective_tables(g, pi_d)
+        howard = np.asarray(best_response(g, pi_d).policy) - 1
+        fund = _fundamental(f, w, sd, sa, howard)
+        candidates = np.r_[fund[5], _constant_values(f, w, sd, sa)[1]]
+        floor = float(np.nextafter(candidates.max(), np.inf))
+        pol, pair, start_fund = _start(f, w, sd, sa, howard.copy(), floor)
+        assert np.array_equal(pol, howard)
+        assert pair == (float(fund[4]), float(fund[5]))
+        assert all(np.array_equal(x, y) for x, y in zip(start_fund, fund))
+        ref_pol, _ = start_direct(f, w, sd, sa, howard, np.inf)
+        assert np.array_equal(ref_pol, howard)
+
+
 @pytest.mark.parametrize("k", [4, 5, 7, 10, 16])
 @pytest.mark.parametrize("kind", ["random", "zd"])
 def test_updated_pair_matches_direct_solve_of_returned_policy(k, kind, monkeypatch):
