@@ -10,6 +10,7 @@ by every file format in the repo.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -84,9 +85,11 @@ class GameSpec:
     u_a_unc: np.ndarray
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 2:
-            raise ValueError(f"K must be an integer >= 2, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        k = self.k  # a JSON null, array, object, bool or 1e400 (inf) is no integer
+        if (isinstance(k, bool) or not isinstance(k, numbers.Real) or not -math.inf < k < math.inf
+                or int(k) != k or k < 2):
+            raise ValueError(f"K must be an integer >= 2, got {k!r}")
+        object.__setattr__(self, "k", int(k))
         for name in ("u_d_cov", "u_d_unc", "u_a_cov", "u_a_unc"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), self.k, name))
         bad = np.nonzero(self.u_d_cov <= self.u_d_unc)[0]

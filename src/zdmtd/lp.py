@@ -10,13 +10,12 @@ identical outcomes and cycling is impossible.
 The objective may be a (B, n) stack, a constraint row a (B, n) stack and a
 right-hand side a (B,) vector.  The program then has B alternatives that
 share the relations and bounds and differ in the stacked entries; an
-unstacked entry is shared by all.  `solve_lp` returns the first
-alternative, in stack order, that is not infeasible, with its index.  An
-error propagates only from an alternative before that one, and the
-alternatives after it are left unfinished: the outcome is that of solving
-them one by one and stopping at the first that is not infeasible.
-`solve_each` returns every alternative's outcome and raises the first
-error in stack order.  A lone program is a stack of one.
+unstacked entry is shared by all.  Every alternative is solved to its
+verdict or its error.  `solve_lp` reports what solving them one by one
+and stopping at the first that is not infeasible would: that one, with
+its index, or an error of an alternative before it.  `solve_each` returns
+every alternative's outcome and raises the first error in stack order.  A
+lone program is a stack of one.
 
 The alternatives pivot in lockstep on one tableau stack with one column
 layout.  A row whose right-hand side is negative is negated, which turns a
@@ -133,13 +132,6 @@ class LpOutcome:
     index: int = None  # the alternative reported; None when every one is infeasible
 
 
-@dataclass(frozen=True)
-class Feasibility:
-    feasible: bool
-    x: np.ndarray = None
-    index: int = None  # the first feasible alternative
-
-
 def _standardize(lp: LinearProgram):
     """Rewrite in nonnegative variables y >= 0: x_i = shift_i + sign_i * y_col.
 
@@ -244,20 +236,20 @@ def _priced(T: np.ndarray, basis: np.ndarray, cols, cost) -> np.ndarray:
     return row
 
 
-def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, point,
-             every: bool):
+def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, point) -> list:
     """Two-phase primal simplex on the stack of programs min c[s]@y, rows
     a[s]@y (rels) rhs[s], y >= 0, with Bland's rule; rels holds -1, 0, +1
     for <=, =, >=.  point(s, y) maps an optimal y of alternative s to the
-    caller's (x, violation of the caller's rows).
+    caller's (x, violation of the caller's rows).  Returns each
+    alternative's (status, x, violation), or the error it raised, in stack
+    order.
 
-    Returns each alternative's (status, x, violation) in stack order, None
-    for one left unfinished.  The stack is solved as the loop over its
-    alternatives in order would solve it, which stops at the first error
-    and, unless every, at the first alternative that is not infeasible: the
-    alternatives after that one are left unfinished, and the error of an
-    alternative before it is raised.
-    """
+    Each tableau carries its objective row as row m, below the constraint
+    rows, so that a pivot updates it with them: the same operations as the
+    separate update `obj -= obj[enter] * pivot_row`.  Every program in the
+    working set pivots at every step, so a program's pivot count in its
+    phase is the number of steps since the phase began; a program leaves
+    the working set at its verdict."""
     nb, m, ncol = a.shape
     if m == 0:
         return [("unbounded", None, None) if np.any(c[s] < -_EPS)
@@ -269,21 +261,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, rels: np.ndarray, rhs: np.ndarray, po
     flip = b < 0
     np.negative(a, out=a, where=flip[..., None])
     np.negative(b, out=b, where=flip)
-    return _lockstep(c, a, b, np.where(flip, -rels, rels), point, every)
-
-
-def _lockstep(c, a, b, rels, point, every):
-    """`_simplex` on the scaled stack whose rows have nonnegative right-hand
-    sides, rels now per alternative.
-
-    The column layout is the one of a lone program whose rows need every
-    artificial column any alternative needs.  Each tableau carries its
-    objective row as row m, below the constraint rows, so that a pivot
-    updates it with them: the same operations as the separate update
-    `obj -= obj[enter] * pivot_row`.  Every program in the working set
-    pivots at every step, so a program's pivot count in its phase is the
-    number of steps since the phase began."""
-    nb, m, ncol = a.shape
+    rels = np.where(flip, -rels, rels)
     has_slack, has_art = rels[0] != 0, rels >= 0  # a flip keeps a row's slack
     needs = has_art.sum(axis=0)  # alternatives that need each row's artificial
     any_art, shared = needs > 0, needs == nb
@@ -326,11 +304,6 @@ def _lockstep(c, a, b, rels, point, every):
     residual = np.zeros(nb)  # phase 1's sum of artificials at its optimum
     earlier = {}  # the point a phase-2 re-form falls back on
     results = [None] * nb  # (status, x, violation) or the error raised
-    decided = 0  # every alternative before this one is settled and does not stop the loop
-
-    def stops(result):
-        """Whether the loop over the alternatives in order ends at this one."""
-        return isinstance(result, Exception) or not (every or _infeasible(result))
 
     def reformed(k):
         """Tableau k re-formed from its basis: pivots update the tableau in
@@ -403,7 +376,7 @@ def _lockstep(c, a, b, rels, point, every):
 
     ar = np.arange(nb)
     no_ratio = np.full((nb, m), np.inf)  # the ratio of a row that cannot leave
-    while True:
+    while len(live):
         neg = obj[:, :width] < -_EPS
         enter = neg.argmax(axis=1)  # lowest improving column
         improving = neg[ar, enter]
@@ -445,24 +418,13 @@ def _lockstep(c, a, b, rels, point, every):
             done[k] = results[live[k]] is not None
         if not np.count_nonzero(done):
             continue
-        while decided < nb and results[decided] is not None and not stops(results[decided]):
-            decided += 1
-        if decided < nb and isinstance(results[decided], Exception):
-            raise results[decided]
-        if decided == nb or results[decided] is not None:
-            return results
-        # the alternatives after the one the loop would stop at are not needed
-        stop = next((s for s in live[done] if stops(results[s])), nb)
-        keep = ~done & (live < stop)
+        keep = ~done
         for j, k in enumerate(keep.nonzero()[0]):  # in place: no second stack
             T[j] = T[k]
-        T = T[:len(live[keep])]
-        obj, basis, began, live = T[:, m], basis[keep], began[keep], live[keep]
-        ar = np.arange(len(live))
-
-
-def _infeasible(result) -> bool:
-    return isinstance(result, tuple) and result[0] == "infeasible"
+        live = live[keep]
+        T = T[:len(live)]
+        obj, basis, began, ar = T[:, m], basis[keep], began[keep], np.arange(len(live))
+    return results
 
 
 def _verified(x, viol):
@@ -494,9 +456,9 @@ def _violation(lp: LinearProgram, x: np.ndarray, index: int = 0) -> float:
     return worst
 
 
-def _solve(lp: LinearProgram, every: bool) -> list:
+def _solve(lp: LinearProgram) -> list:
     """`_simplex` on the program's standard form: each alternative's
-    (status, x, violation) with x clamped into the bounds, or None."""
+    (status, x, violation) with x clamped into the bounds, or its error."""
     c, a, rels, rhs, back = _standardize(lp)
 
     def point(index, y):
@@ -509,10 +471,13 @@ def _solve(lp: LinearProgram, every: bool) -> list:
                 x[i] = hi
         return x, _violation(lp, x, index)
 
-    return _simplex(c, a, rels, rhs, point, every)
+    return _simplex(c, a, rels, rhs, point)
 
 
 def _outcome(lp: LinearProgram, index: int, result) -> LpOutcome:
+    """Alternative index's outcome; its error is raised."""
+    if isinstance(result, Exception):
+        raise result
     status, x, viol = result
     if status != "optimal":
         return LpOutcome(status=status, index=index)
@@ -522,15 +487,16 @@ def _outcome(lp: LinearProgram, index: int, result) -> LpOutcome:
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve the program, or the first alternative of a stack that is not
-    infeasible; optimal answers are re-verified against the original rows.
-    A violation above the feasibility tolerance re-forms the tableau from
-    the basis and finishes phase 2 once more; if it persists it is a hard
-    error, unless phase 1 ended inside the tolerance band (a positive sum
-    of artificials at most FEAS_TOL), where the program is reported
-    infeasible."""
-    for index, result in enumerate(_solve(lp, every=False)):
-        if result is not None and not _infeasible(result):
-            return _outcome(lp, index, result)
+    infeasible, raising the error of an alternative before it; optimal
+    answers are re-verified against the original rows.  A violation above
+    the feasibility tolerance re-forms the tableau from the basis and
+    finishes phase 2 once more; if it persists it is a hard error, unless
+    phase 1 ended inside the tolerance band (a positive sum of artificials
+    at most FEAS_TOL), where the program is reported infeasible."""
+    for index, result in enumerate(_solve(lp)):
+        out = _outcome(lp, index, result)
+        if out.status != "infeasible":
+            return out
     return LpOutcome(status="infeasible")
 
 
@@ -538,12 +504,11 @@ def solve_each(lp: LinearProgram) -> list:
     """Every alternative's outcome, in stack order, each what `solve_lp`
     reports on the alternative alone; the first error in stack order is
     raised."""
-    return [_outcome(lp, index, result) for index, result in enumerate(_solve(lp, every=True))]
+    return [_outcome(lp, index, result) for index, result in enumerate(_solve(lp))]
 
 
-def check_feasible(constraints, n: int, bounds=None) -> Feasibility:
-    """Phase-1 wrapper: find any point satisfying the rows (zero objective);
-    on a stack, the first alternative that has one."""
-    lp = LinearProgram(np.zeros(n), "min", tuple(constraints), bounds)
-    out = solve_lp(lp)
-    return Feasibility(out.status == "optimal", out.x, out.index)
+def check_feasible(constraints, n: int, bounds=None) -> LpOutcome:
+    """Phase-1 wrapper: `solve_lp` with a zero objective, so the status is
+    "optimal", with a point that satisfies the rows, or "infeasible"; on a
+    stack, the first alternative that has such a point."""
+    return solve_lp(LinearProgram(np.zeros(n), "min", tuple(constraints), bounds))

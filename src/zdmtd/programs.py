@@ -166,7 +166,7 @@ def solve_ideal(g: GameSpec) -> IdealResult:
                          + [(np.array([1.0, 0.0, 0.0]), LE, 0.0),
                             (np.array([0.0, 1.0, 0.0]), GE, 0.0),
                             (np.array([-1.0, 1.0, 0.0]), GE, 1.0)], 3)
-    if res.feasible:
+    if res.status == "optimal":
         p = ZdLinearParams(*res.x).normalized()
         return IdealResult(True, p, int(role1[res.index]) + 1, int(role_k[res.index]) + 1)
     return IdealResult(False)

@@ -214,7 +214,7 @@ def _eq8_existence(g: GameSpec, p: ZdLinearParams) -> ExistenceResult:
         rows.append((e[m], GE, c[k - 1]))                    # c_K <= phi_max
         rows.append((e[m], GE, u[m]))                        # u_m <= phi_m - phi_K
         res = check_feasible(rows, k - 1, bounds=[(0.0, None)] * (k - 1))
-        if res.feasible:
+        if res.status == "optimal":
             phi_vec = np.append(res.x, 0.0)
             fp = FeasibilityParams(phi_vec)
             bad = eq8_violations(g, p, fp)

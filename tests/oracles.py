@@ -614,15 +614,15 @@ def solve_ideal_reference(g: GameSpec) -> IdealResult:
             rows += [(unc(role_k), LE, 0.0), (np.array([1.0, 0.0, 0.0]), LE, 0.0),
                      (np.array([0.0, 1.0, 0.0]), GE, 0.0), (np.array([-1.0, 1.0, 0.0]), GE, 1.0)]
             res = check_feasible(rows, 3)
-            if res.feasible:
+            if res.status == "optimal":
                 return IdealResult(True, ZdLinearParams(*res.x).normalized(), role1, role_k)
     return IdealResult(False)
 
 
 def simplex_reference(lp):
-    """Reference for `lp.solve_lp`: the same standard form, two-phase simplex
-    and Bland rule, with every row mapped, scaled, ratio-tested and pivoted
-    one at a time in Python loops.  Returns an LpOutcome; raises as
+    """Reference for `lp.solve_lp`: the same standard form, two-phase simplex,
+    Bland rule and re-forms, with every row mapped, scaled, ratio-tested and
+    pivoted one at a time in Python loops.  Returns an LpOutcome; raises as
     `solve_lp` does."""
     n = lp.n
     cols, shifts, extra_rows, ncol = [], np.zeros(n), [], 0
@@ -663,31 +663,39 @@ def simplex_reference(lp):
     if lp.sense == "max":
         c = -c
 
-    status, y = _simplex_rows(c, rows, ncol)
+    def point(y):
+        x = shifts.copy()
+        for i in range(n):
+            for col, s in cols[i]:
+                x[i] += s * y[col]
+        for i, (lo, hi) in enumerate(lp.bounds):
+            if lo is not None and x[i] < lo:
+                x[i] = lo
+            if hi is not None and x[i] > hi:
+                x[i] = hi
+        return x, _violation(lp, x)
+
+    status, x, viol = _simplex_rows(c, rows, ncol, point)
     if status != "optimal":
         return LpOutcome(status=status)
-    x = shifts.copy()
-    for i in range(n):
-        for col, s in cols[i]:
-            x[i] += s * y[col]
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and x[i] < lo:
-            x[i] = lo
-        if hi is not None and x[i] > hi:
-            x[i] = hi
-    viol = _violation(lp, x)
-    if viol > LP_FEAS_TOL:
-        raise LpNumericalError(
-            f"simplex returned 'optimal' but the point violates constraints by {viol:.3e}")
     return LpOutcome("optimal", x, float(lp.objective @ x), viol)
 
 
-def _simplex_rows(c, rows, ncol, eps=1e-9, max_pivots=50_000):
+def _verified(x, viol):
+    if viol > LP_FEAS_TOL:
+        raise LpNumericalError(
+            f"simplex returned 'optimal' but the point violates constraints by {viol:.3e}")
+    return "optimal", x, viol
+
+
+def _simplex_rows(c, rows, ncol, point, eps=1e-9, max_pivots=50_000):
+    """(status, x, violation) of min c@y over the rows, y >= 0, where
+    point(y) gives the caller's x and its violation."""
     m = len(rows)
     if m == 0:
         if np.any(c < -eps):
-            return "unbounded", None
-        return "optimal", np.zeros(ncol)
+            return "unbounded", None, None
+        return ("optimal",) + point(np.zeros(ncol))
     A, b, rels = np.zeros((m, ncol)), np.zeros(m), []
     for i, (row, rel, rhs) in enumerate(rows):
         scale = max(1.0, np.max(np.abs(row))) if row.size else 1.0
@@ -722,6 +730,19 @@ def _simplex_rows(c, rows, ncol, eps=1e-9, max_pivots=50_000):
             basis[i] = ai
             art_cols.append(ai)
             ai += 1
+    initial = T.copy()
+
+    def reform():
+        """The tableau solved afresh from the initial one and the basis."""
+        T[:] = np.linalg.solve(initial[:, basis], initial)
+
+    def priced(cost_cols, cost):
+        row = np.zeros(width + 1)
+        row[cost_cols] = cost
+        for i in range(m):
+            if row[basis[i]] != 0.0:
+                row -= row[basis[i]] * T[i]
+        return row
 
     def run(obj_row):
         pivots = 0
@@ -755,6 +776,16 @@ def _simplex_rows(c, rows, ncol, eps=1e-9, max_pivots=50_000):
             if pivots > max_pivots:
                 raise LpNumericalError("pivot budget exhausted (degenerate basis?)")
 
+    def phase2():
+        """The basic point once phase 2 ends optimal, else None."""
+        if run(priced(np.arange(ncol), c)) != "optimal":
+            return None
+        y = np.zeros(width)
+        for i in range(m):
+            y[basis[i]] = T[i, -1]
+        return point(np.maximum(y[:ncol], 0.0))
+
+    residual = 0.0  # phase 1's sum of artificials at its optimum
     if art_cols:
         w = np.zeros(width + 1)
         for j in art_cols:
@@ -763,9 +794,13 @@ def _simplex_rows(c, rows, ncol, eps=1e-9, max_pivots=50_000):
             if basis[i] in art_cols:
                 w -= T[i]
         if run(w) != "optimal":
-            raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
-        if -w[-1] > LP_FEAS_TOL:
-            return "infeasible", None
+            reform()  # drift can make a column look improving: once
+            w = priced(art_cols, 1.0)
+            if run(w) != "optimal":
+                raise LpNumericalError("phase-1 reported unbounded; inconsistent tableau")
+        residual = -w[-1]
+        if residual > LP_FEAS_TOL:
+            return "infeasible", None, None
         art_set = set(art_cols)
         for i in range(m):
             if basis[i] in art_set:
@@ -780,17 +815,24 @@ def _simplex_rows(c, rows, ncol, eps=1e-9, max_pivots=50_000):
                         break
         for j in art_cols:
             T[:, j] = 0.0
-    z = np.zeros(width + 1)
-    z[:ncol] = c
-    for i in range(m):
-        if z[basis[i]] != 0.0:
-            z -= z[basis[i]] * T[i]
-    if run(z) != "optimal":
-        return "unbounded", None
-    y = np.zeros(width)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
-    return "optimal", np.maximum(y[:ncol], 0.0)
+    found = phase2()
+    if found is None:
+        return "unbounded", None, None
+    x, viol = found
+    if viol <= LP_FEAS_TOL:
+        return "optimal", x, viol
+    # the same drift can leave a basis whose rhs reads feasible while its
+    # point is not: re-form once and finish phase 2 again
+    try:
+        reform()
+    except np.linalg.LinAlgError:
+        return _verified(x, viol)
+    for j in art_cols:
+        T[:, j] = 0.0
+    x, viol = phase2() or (x, viol)
+    if viol > LP_FEAS_TOL and residual > 0.0:
+        return "infeasible", None, None  # phase 1 ended inside the tolerance band
+    return _verified(x, viol)
 
 
 def hull_contains(hp, x, y, tol=FEAS_TOL) -> bool:

@@ -69,6 +69,19 @@ def test_solve_malformed_json(tmp_path):
     assert main(["solve", "--game", wrong, "--out", str(out)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("k", ["null", "[3]", "{}", "1e400"],
+                         ids=["null", "array", "object", "1e400"])
+def test_solve_game_whose_k_is_no_number_exits_usage(tmp_path, capsys, k):
+    # json reads 1e400 as inf
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({**COR1, "k": 3}).replace('"k": 3', f'"k": {k}'))
+    out = tmp_path / "out"
+    assert main(["solve", "--game", str(game), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: K must be an integer") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solve_negative_verify_samples_exits_usage(tmp_path, capsys):
     game = write_game(tmp_path / "game.json", COR1)
     out = tmp_path / "out"
