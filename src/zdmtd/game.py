@@ -22,12 +22,15 @@ MAX_PAYOFF = 1e100  # larger magnitudes overflow the hull and line algebra
 
 
 def require_number(value, name: str, integer: bool = False) -> None:
-    """Raise ValueError unless `value` is a real number (an integer when
-    `integer` is set); bool is neither, so a JSON true is rejected too."""
+    """Raise ValueError unless `value` is a finite real number (an integer
+    when `integer` is set); bool is neither, so a JSON true is rejected too,
+    and so are the NaN and Infinity that Python's json parses."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if integer else "a number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def require_numbers(value, name: str) -> np.ndarray:
@@ -39,7 +42,7 @@ def require_numbers(value, name: str) -> np.ndarray:
         x = pending.pop()
         if isinstance(x, (list, tuple)):
             pending.extend(x)
-        elif not isinstance(x, np.ndarray):
+        elif not isinstance(x, (float, np.ndarray)):  # a float's finiteness is checked below
             require_number(x, f"each entry of {name}")
     v = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(v)):

@@ -347,23 +347,24 @@ def defender_utility_under_br(g: GameSpec, pi_d: MemoryOneStrategy):
             while start < n:
                 states = np.arange(start, min(n, start + per_pass))
                 ud, ua = _swap_values(f, w, fund, pol, states)
-                # best_pair only rises until a swap is accepted, so a row with
-                # no other action above it now has none before then either
                 live = (ua >= floor) & (ud > best_pair[0] + _SWITCH_TOL)
                 live[np.arange(len(states)), pol[states]] = False
                 start = states[-1] + 1
-                for i in np.flatnonzero(live.any(axis=1)):
-                    s = states[i]
-                    orig = pol[s]
-                    for a in range(g.k):
-                        if a != orig and ua[i, a] >= floor and ud[i, a] > best_pair[0] + _SWITCH_TOL:
-                            best_pair = (ud[i, a], ua[i, a])
-                            orig = a
-                    if orig != pol[s]:
-                        fund, best_pair = _accept_swap(f, w, sd, sa, fund, pol, s, orig)
-                        improved = True
-                        start = s + 1
-                        break
+                hit = live.any(axis=1)
+                if not hit.any():
+                    continue
+                # the first row with a live action swaps: its first live action
+                # qualifies, and each later one must beat the one taken
+                i = int(np.argmax(hit))
+                s = states[i]
+                act = pol[s]
+                for a in range(g.k):
+                    if a != act and ua[i, a] >= floor and ud[i, a] > best_pair[0] + _SWITCH_TOL:
+                        best_pair = (ud[i, a], ua[i, a])
+                        act = a
+                fund, best_pair = _accept_swap(f, w, sd, sa, fund, pol, s, act)
+                improved = True
+                start = s + 1
         policy = tuple(int(x) + 1 for x in pol)
         pair = UtilityPair(*best_pair)
 

@@ -48,6 +48,7 @@ from .zd import (
     ZdStrategy,
     _eq8_existence,
     _require_canonical,
+    _terms,
     classify,
     construct_strategy,
     defining_residual,
@@ -414,11 +415,7 @@ def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int):
     try:
         zd = construct_strategy(gw, p, ex.phi)
     except ZdConstructionError:
-        line_values = np.concatenate([
-            p.alpha * gw.u_d_cov + p.beta * gw.u_a_cov + p.gamma,
-            p.alpha * gw.u_d_unc + p.beta * gw.u_a_unc + p.gamma,
-        ])
-        if np.max(np.abs(line_values)) > 1e-8:
+        if np.max(np.abs(np.concatenate(_terms(gw, p)))) > 1e-8:
             return None
         rep = repeat_strategy(g.k)
         zd = ZdStrategy(rep, p, ex.phi,

@@ -9,6 +9,8 @@ against every attacker strategy.  The construction below walks targets
 K-1 .. 1; a key property of that recursion is that clamping at intermediate
 steps is absorbed by the following steps, so the defining equality can only
 be broken by step 1 (which must run unclamped with a zero weight shift).
+Existence is the explicit multipliers, else sign conditions on the line
+values and closed-form least multipliers per candidate argmax of phi.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, hat_indicator, profit_vector
-from .lp import GE, check_feasible
 
 EQ5_TOL = 1e-8
 EQ8_TOL = 1e-9
@@ -172,16 +173,18 @@ def _require_canonical(g: GameSpec):
 
 
 def _eq8_existence(g: GameSpec, p: ZdLinearParams) -> ExistenceResult:
-    """Theorem-style existence test without the canonical-label precondition."""
+    """Theorem-style existence test without the canonical-label precondition:
+    the explicit multipliers, else per candidate argmax index m of phi the
+    sign conditions and the least point of the inequalities left."""
     phi = construct_phi(g, p)
     if not eq8_violations(g, p, phi):
         return ExistenceResult(True, phi)
 
-    # fall back to a feasibility LP per candidate argmax index m; fixing the
-    # argmax makes every max/min term in the inequalities linear
     c, u = _terms(g, p)
     k = g.k
     tol = EQ8_TOL
+    # each phi_t's own lower bound: -phi_t <= c_t and -min phi <= u_K
+    low = np.maximum(0.0, np.maximum(-c[: k - 1], -u[k - 1]))
     witness = []
     for m in range(k - 1):
         consts = []
@@ -200,29 +203,17 @@ def _eq8_existence(g: GameSpec, p: ZdLinearParams) -> ExistenceResult:
             witness.append(f"argmax phi_{m + 1}: " + "; ".join(consts))
             continue
 
-        rows = []
-        e = np.eye(k - 1)
-        for j in range(k - 1):
-            if j != m:
-                rows.append((e[m] - e[j], GE, 0.0))          # ordering
-                rows.append((e[m] - e[j], GE, u[m]))         # u_m <= phi_m - phi_j
-        for t in range(k - 1):
-            rows.append((e[t], GE, -c[t]))                   # -phi_t <= c_t
-            if t != m:
-                rows.append((e[m] - e[t], GE, c[t]))         # c_t <= phi_m - phi_t
-            rows.append((e[t], GE, -u[k - 1]))               # -min phi <= u_K
-        rows.append((e[m], GE, c[k - 1]))                    # c_K <= phi_max
-        rows.append((e[m], GE, u[m]))                        # u_m <= phi_m - phi_K
-        res = check_feasible(rows, k - 1, bounds=[(0.0, None)] * (k - 1))
-        if res.status == "optimal":
-            phi_vec = np.append(res.x, 0.0)
-            fp = FeasibilityParams(phi_vec)
-            bad = eq8_violations(g, p, fp)
-            if not bad:
-                return ExistenceResult(True, fp)
-            witness.append(f"argmax phi_{m + 1}: LP point failed recheck: " + "; ".join(bad))
-        else:
-            witness.append(f"argmax phi_{m + 1}: multiplier LP infeasible")
+        # the rest are difference constraints around an unbounded phi_m
+        # (Cormen et al., Introduction to Algorithms, 24.4); their least point
+        # has each other phi_j at its bound and phi_m above all it must top
+        gaps = np.delete(low + np.maximum(max(0.0, u[m]), c[: k - 1]), m)
+        least = np.append(low, 0.0)
+        least[m] = max(low[m], c[k - 1], u[m], *gaps)
+        fp = FeasibilityParams(least)
+        bad = eq8_violations(g, p, fp)
+        if not bad:
+            return ExistenceResult(True, fp)
+        witness.append(f"argmax phi_{m + 1}: least point failed recheck: " + "; ".join(bad))
     return ExistenceResult(False, witness=tuple(witness))
 
 

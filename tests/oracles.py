@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from zdmtd.game import GameSpec, MemoryOneStrategy, flat_index, profit_vector
-from zdmtd.lp import (EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LpError, LpNumericalError, LpOutcome,
-                      check_feasible)
+from zdmtd.lp import (EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LinearProgram, LpError,
+                      LpNumericalError, LpOutcome, check_feasible, solve_lp)
 from zdmtd.lp import _violation
 from zdmtd.markov import (EPSILON_MIX, TransitionMatrix, UtilityPair, _direct, build_transition,
                           chain, stationary)
@@ -35,7 +35,8 @@ from zdmtd.programs import FEAS_TOL, _SWEEP_STEP, IdealResult
 from zdmtd.rng import stream
 from zdmtd.sim import RegimeSummary
 from zdmtd.sse import MipConstraint, MipModel
-from zdmtd.zd import ExistenceResult, ZdLinearParams, _eq8_existence, _require_canonical
+from zdmtd.zd import (EQ8_TOL, ExistenceResult, FeasibilityParams, ZdLinearParams, _eq8_existence,
+                      _require_canonical, _terms, construct_phi, eq8_violations)
 
 DET_SINGULAR_TOL = 1e-12
 
@@ -859,10 +860,72 @@ def hull_contains(hp, x, y, tol=FEAS_TOL) -> bool:
 
 def existence_check(g: GameSpec, p: ZdLinearParams) -> ExistenceResult:
     """Do feasibility multipliers exist for these linear parameters?  The
-    explicit construction first, then one feasibility LP per candidate
-    argmax index; the game must be in canonical labels."""
+    explicit construction first, then per candidate argmax index the sign
+    conditions and the closed-form least multipliers; the game must be in
+    canonical labels."""
     _require_canonical(g)
     return _eq8_existence(g, p)
+
+
+def existence_lp_reference(g: GameSpec, p: ZdLinearParams, least: bool = False) -> ExistenceResult:
+    """Reference for `zd._eq8_existence`: the explicit multipliers, then per
+    candidate argmax index m the same sign conditions and one feasibility LP
+    over the inequalities left, built row by row.  With `least` the LP
+    minimizes sum(phi) instead of finding any feasible point."""
+    phi = construct_phi(g, p)
+    if not eq8_violations(g, p, phi):
+        return ExistenceResult(True, phi)
+
+    # fall back to a feasibility LP per candidate argmax index m; fixing the
+    # argmax makes every max/min term in the inequalities linear
+    c, u = _terms(g, p)
+    k = g.k
+    tol = EQ8_TOL
+    witness = []
+    for m in range(k - 1):
+        consts = []
+        if c[k - 1] < -tol:
+            consts.append(f"covered[K] must be >= 0, got {c[k - 1]:.6g}")
+        if u[k - 1] > tol:
+            consts.append(f"uncovered[K] must be <= 0, got {u[k - 1]:.6g}")
+        if c[m] > tol:
+            consts.append(f"covered[{m + 1}] must be <= 0 at the argmax, got {c[m]:.6g}")
+        if u[m] < -tol:
+            consts.append(f"uncovered[{m + 1}] must be >= 0 at the argmax, got {u[m]:.6g}")
+        for t in range(k - 1):
+            if t != m and abs(u[t]) > tol:
+                consts.append(f"uncovered[{t + 1}] must vanish off the argmax, got {u[t]:.6g}")
+        if consts:
+            witness.append(f"argmax phi_{m + 1}: " + "; ".join(consts))
+            continue
+
+        rows = []
+        e = np.eye(k - 1)
+        for j in range(k - 1):
+            if j != m:
+                rows.append((e[m] - e[j], GE, 0.0))          # ordering
+                rows.append((e[m] - e[j], GE, u[m]))         # u_m <= phi_m - phi_j
+        for t in range(k - 1):
+            rows.append((e[t], GE, -c[t]))                   # -phi_t <= c_t
+            if t != m:
+                rows.append((e[m] - e[t], GE, c[t]))         # c_t <= phi_m - phi_t
+            rows.append((e[t], GE, -u[k - 1]))               # -min phi <= u_K
+        rows.append((e[m], GE, c[k - 1]))                    # c_K <= phi_max
+        rows.append((e[m], GE, u[m]))                        # u_m <= phi_m - phi_K
+        if least:
+            res = solve_lp(LinearProgram(np.ones(k - 1), "min", tuple(rows), [(0.0, None)] * (k - 1)))
+        else:
+            res = check_feasible(rows, k - 1, bounds=[(0.0, None)] * (k - 1))
+        if res.status == "optimal":
+            phi_vec = np.append(res.x, 0.0)
+            fp = FeasibilityParams(phi_vec)
+            bad = eq8_violations(g, p, fp)
+            if not bad:
+                return ExistenceResult(True, fp)
+            witness.append(f"argmax phi_{m + 1}: LP point failed recheck: " + "; ".join(bad))
+        else:
+            witness.append(f"argmax phi_{m + 1}: multiplier LP infeasible")
+    return ExistenceResult(False, witness=tuple(witness))
 
 
 @dataclass(frozen=True)

@@ -303,9 +303,12 @@ ZD3 = {"alpha": 0.0, "beta": 1.0, "gamma": -1.0, "phi": [1.0, 0.5, 0.0]}
      "pi contains non-finite entries"),
     ({**UNIFORM3, "zd": {**ZD3, "phi": [None, 0.5, 0.0]}},
      "each entry of zd.phi must be a number, got None"),
+    ({**UNIFORM3, "zd": {**ZD3, "alpha": float("nan")}}, "zd.alpha must be finite, got nan"),
+    ({**UNIFORM3, "zd": {**ZD3, "alpha": float("inf")}}, "zd.alpha must be finite, got inf"),
 ], ids=["no-pi", "no-k", "zd-without-phi", "zd-not-an-object", "zd-empty-object",
         "zd-empty-array", "k-string", "alpha-string",
-        "pi-object", "pi-null", "pi-string", "pi-bool", "pi-nan", "phi-null"])
+        "pi-object", "pi-null", "pi-string", "pi-bool", "pi-nan", "phi-null",
+        "alpha-nan", "alpha-inf"])
 def test_simulate_malformed_strategy_exits_usage(tmp_path, capsys, strategy_obj, named):
     scenario = scenario_to_dict(crowd_scenario("honest", 10))
     err = _simulate_usage_error(tmp_path, capsys, scenario, strategy_obj)

@@ -9,6 +9,7 @@ from zdmtd.zd import (
     FeasibilityParams,
     ZdConstructionError,
     ZdLinearParams,
+    _eq8_existence,
     classify,
     construct_phi,
     construct_strategy,
@@ -19,7 +20,8 @@ from zdmtd.zd import (
 
 from zdmtd.cli import solve_game
 
-from oracles import existence_check, memory_two_utilities, phi_grid_feasible_k2, random_game
+from oracles import (existence_check, existence_lp_reference, memory_two_utilities,
+                     phi_grid_feasible_k2, random_game)
 
 
 def line_residual(g, zd, n_samples, seed):
@@ -111,6 +113,61 @@ def test_existence_requires_canonical_labels():
     g = GameSpec(2, (1, 2), (0, 0), (0, 3), (2, 1))
     with pytest.raises(ValueError, match="canonical"):
         existence_check(g, ZdLinearParams(0, 1, -1.5))
+
+
+def sign_ready_draw(rng, broken=False):
+    """A game and parameters whose line values meet the sign conditions of
+    one argmax index m: c_m <= 0 <= u_m, u_t = 0 at the other t < K and
+    u_K <= 0 <= c_K, at a scale from 1e-3 to 1e3.  `broken` makes c_K
+    negative, which no argmax admits."""
+    k = int(rng.integers(2, 9))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    m = int(rng.integers(k - 1))
+    c = rng.normal(size=k) * scale
+    u = np.zeros(k)
+    c[m], u[m] = -abs(c[m]), abs(rng.normal()) * scale
+    c[-1], u[-1] = abs(c[-1]), -abs(rng.normal()) * scale
+    if broken:
+        c[-1] = -c[-1] - 0.1 * scale
+    alpha, beta, gamma = rng.normal(size=3)
+    u_d_unc = rng.normal(size=k) * scale
+    u_d_cov = u_d_unc + rng.uniform(0.1, 2, size=k) * scale
+    g = GameSpec(k, u_d_cov, u_d_unc, (c - alpha * u_d_cov - gamma) / beta,
+                 (u - alpha * u_d_unc - gamma) / beta)
+    return g, ZdLinearParams(alpha, beta, gamma)
+
+
+def test_least_multipliers_match_the_per_argmax_lp():
+    # the closed-form least point gives the LP's verdict and, to rounding,
+    # its point; the LP that minimizes sum(phi) lands there too, so the
+    # closed form is the least feasible point
+    rng = np.random.default_rng(2828)
+    fallbacks = 0
+    for i in range(2400):
+        g, p = sign_ready_draw(rng, broken=i % 6 == 5)
+        got, ref = _eq8_existence(g, p), existence_lp_reference(g, p)
+        assert got.exists == ref.exists, (i, got.witness, ref.witness)
+        if not got.exists:
+            continue
+        fallbacks += bool(eq8_violations(g, p, construct_phi(g, p)))
+        ulps = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(got.phi.phi))
+        assert np.all(np.abs(got.phi.phi - ref.phi.phi) <= ulps), (i, got.phi.phi, ref.phi.phi)
+        least = existence_lp_reference(g, p, least=True)
+        assert np.all(np.abs(got.phi.phi - least.phi.phi) <= ulps), (i, got.phi.phi, least.phi.phi)
+    assert fallbacks >= 1000  # most draws must reach the least point
+
+
+def test_existence_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("existence ran the simplex")
+
+    monkeypatch.setattr("zdmtd.lp._simplex", no_lp)
+    rng = np.random.default_rng(5)
+    g, p = sign_ready_draw(rng)
+    while not eq8_violations(g, p, construct_phi(g, p)):
+        g, p = sign_ready_draw(rng)
+    res = _eq8_existence(g, p)
+    assert res.exists and not eq8_violations(g, p, res.phi)
 
 
 def test_construct_strategy_hand_example_k2():
