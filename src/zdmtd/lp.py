@@ -17,6 +17,14 @@ its index, or an error of an alternative before it.  `solve_each` returns
 every alternative's outcome and raises the first error in stack order.  A
 lone program is a stack of one.
 
+Before any tableau is built, a presolve (`_rank_infeasible`) reports
+infeasible, with no pivot, each alternative whose equality rows are
+homogeneous and have full column rank by a margin: no point it could accept
+meets some inequality row.  The others pivot as below on a stack of their
+own, which gives them the same bits.  On a certified alternative the
+simplex could also end by raising `LpNumericalError` (a point it calls
+optimal misses a row beyond FEAS_TOL); the presolve reports it infeasible.
+
 The alternatives pivot in lockstep on one tableau stack with one column
 layout.  A row whose right-hand side is negative is negated, which turns a
 <= row into a >= row, so alternatives can need artificial columns on
@@ -136,10 +144,10 @@ def _standardize(lp: LinearProgram):
     """Rewrite in nonnegative variables y >= 0: x_i = shift_i + sign_i * y_col.
 
     Free variables split into a positive and a negative part.  Finite upper
-    bounds become extra <= rows.  Returns (c, a, rels, rhs, back): the
+    bounds become extra <= rows.  Returns (c, a, rels, rhs, back, cut): the
     (B, ncol) objective stack, the (B, m, ncol) row stack in y, the
-    relations as -1, 0, +1 for <=, =, >=, the (B, m) right-hand sides, and
-    the map from y back to x.
+    relations as -1, 0, +1 for <=, =, >=, the (B, m) right-hand sides, the
+    map from y back to x, and `_rank_infeasible`'s mask on the rows in x.
     """
     n = lp.n
     var, sign = [], []  # per y column: original variable and its sign
@@ -176,6 +184,7 @@ def _standardize(lp: LinearProgram):
     rhs = np.empty((nb, len(rels)))
     for j, (_, _, b) in enumerate(cons):
         rhs[:, j] = b  # a (B,) right-hand side gives each alternative its own
+    cut = _rank_infeasible(rows, rels[:m0], rhs[:, :m0])
     rhs[:, m0:] = [ub for _, ub in upper]
     if shifts.any():  # one dot per row of each alternative, as it would take alone
         rhs[:, :m0] -= [[float(r @ shifts) for r in alt] for alt in rows]
@@ -191,7 +200,48 @@ def _standardize(lp: LinearProgram):
         np.add.at(x, var, sign * y)  # in column order, as a sequential sum
         return x
 
-    return c, a, rels, rhs, back
+    return c, a, rels, rhs, back, cut
+
+
+def _rank_infeasible(rows: np.ndarray, rels: np.ndarray, b: np.ndarray):
+    """The presolve's certificate (Andersen & Andersen, "Presolving in linear
+    programming", Math. Prog. 71, 1995): a (B,) mask of the alternatives of
+    the (B, m, n) row stack, with relations rels and (B, m) right-hand sides
+    b, at which no x holds the rows as the kernel checks them; None when the
+    program has fewer equality rows than variables or no alternative has
+    only zero equality right-hand sides.
+
+    A point is accepted only if every row r, scaled as `_violation` scales
+    it (r / max(1, |r|_inf)), holds within FEAS_TOL.  Let E be the m_E
+    scaled equality rows of an alternative whose equality right-hand sides
+    are all 0.  Then |E x|_2 <= sqrt(m_E) FEAS_TOL, so |x|_2 <= rho =
+    sqrt(m_E) FEAS_TOL / sigma_min(E), and a scaled >= row r with right-hand
+    side b fails at every such x when |r|_2 rho < b - FEAS_TOL, a <= row when
+    |r|_2 rho < -b - FEAS_TOL.  The computed sigma_min is lowered by
+    m_E n eps (1 + sigma_1): m_E n eps sigma_1 bounds the SVD's error, and
+    m_E n eps covers the rounding of `_violation`'s dot products, within
+    n^1.5 eps |x|_2 per scaled row (no entry above 1), so within
+    sqrt(m_E) n^1.5 eps |x|_2 over E.  rho is then doubled, as
+    `programs._rank3_triples` doubles its own tolerance: half of each gap
+    is left to the rounding of the scaled rows and of this test."""
+    n = rows.shape[2]
+    eq, other = (rels == 0).nonzero()[0], (rels != 0).nonzero()[0]
+    if len(eq) < n:
+        return None
+    zero = ~b[:, eq].any(axis=1)
+    if not zero.any():
+        return None
+    scale = np.abs(rows[..., 0])
+    for j in range(1, n):  # a column at a time: a reduction over n entries is slower
+        np.maximum(scale, np.abs(rows[..., j]), out=scale)
+    np.fmax(scale, 1.0, out=scale)
+    hat = rows / scale[..., None]
+    s = np.linalg.svd(hat[:, eq], compute_uv=False)
+    low = s[:, -1] - len(eq) * n * np.finfo(float).eps * (1.0 + s[:, 0])
+    r = hat[:, other]
+    reach = np.sqrt(np.einsum("bmi,bmi->bm", r, r)) * (2.0 * math.sqrt(len(eq)) * FEAS_TOL)
+    gap = b[:, other] / scale[:, other] * rels[other] - FEAS_TOL
+    return zero & (low > 0.0) & (reach < gap * low[:, None]).any(axis=1)
 
 
 def _pivot(T: np.ndarray, rows, col: np.ndarray, step: np.ndarray) -> None:
@@ -457,9 +507,10 @@ def _violation(lp: LinearProgram, x: np.ndarray, index: int = 0) -> float:
 
 
 def _solve(lp: LinearProgram) -> list:
-    """`_simplex` on the program's standard form: each alternative's
-    (status, x, violation) with x clamped into the bounds, or its error."""
-    c, a, rels, rhs, back = _standardize(lp)
+    """`_simplex` on the standard form of the alternatives the presolve
+    does not certify: each alternative's (status, x, violation) with x
+    clamped into the bounds, or its error; a certified one is infeasible."""
+    c, a, rels, rhs, back, cut = _standardize(lp)
 
     def point(index, y):
         x = back(y)
@@ -471,7 +522,15 @@ def _solve(lp: LinearProgram) -> list:
                 x[i] = hi
         return x, _violation(lp, x, index)
 
-    return _simplex(c, a, rels, rhs, point)
+    if cut is None or not cut.any():
+        return _simplex(c, a, rels, rhs, point)
+    results = [("infeasible", None, None)] * len(cut)
+    kept = (~cut).nonzero()[0]
+    if len(kept):
+        solved = _simplex(c[kept], a[kept], rels, rhs[kept], lambda s, y: point(kept[s], y))
+        for s, result in zip(kept, solved):
+            results[s] = result
+    return results
 
 
 def _outcome(lp: LinearProgram, index: int, result) -> LpOutcome:
@@ -492,7 +551,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     the feasibility tolerance re-forms the tableau from the basis and
     finishes phase 2 once more; if it persists it is a hard error, unless
     phase 1 ended inside the tolerance band (a positive sum of artificials
-    at most FEAS_TOL), where the program is reported infeasible."""
+    at most FEAS_TOL), where the program is reported infeasible.  An
+    alternative the rank presolve certifies is infeasible without a pivot,
+    so it never raises."""
     for index, result in enumerate(_solve(lp)):
         out = _outcome(lp, index, result)
         if out.status != "infeasible":

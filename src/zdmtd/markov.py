@@ -178,15 +178,18 @@ def _fixed_point_residual(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs((v[:, None, :] @ stack)[:, 0] - v), axis=1)
 
 
-def stationary(tm: TransitionMatrix) -> StationaryDist:
+def stationary(tm: TransitionMatrix, classes_of: dict = None) -> StationaryDist:
     """Stationary distribution of a chain or of each chain of a stack: the
     direct solve of a unichain chain where it gives a non-negative fixed
-    point, the uniform-start closed-class limit otherwise."""
+    point, the uniform-start closed-class limit otherwise.  classes_of maps
+    a support graph's bytes to its closed classes; a caller that passes one
+    shares it with later calls."""
     n = tm.m.shape[-1]
     stack = tm.m.reshape(-1, n, n)
     v = _direct_or_nan(stack)
     direct = (_fixed_point_residual(v, stack) <= DIRECT_RESIDUAL_TOL) & (v.min(axis=1) >= -1e-9)
-    reducible, classes_of = [], {}  # the chains of a stack often share one support graph
+    reducible = []
+    classes_of = {} if classes_of is None else classes_of  # chains often share a support
     for i in np.nonzero(~direct | (stack.min(axis=(1, 2)) <= 0.0))[0]:
         support = stack[i] > 0.0
         key = support.tobytes()
@@ -233,7 +236,9 @@ def max_line_residual(g: GameSpec, pi_d: MemoryOneStrategy, alpha: float, beta: 
     its stationary mass is 0: each chain is solved on the len(played) * K
     states it can enter, in stacks of at most VERIFY_STACK_ENTRIES matrix
     entries (at least one chain).  The attackers' full rows are still drawn,
-    so rng advances as if every state were kept."""
+    so rng advances as if every state were kept.  The attacker rows are
+    positive, so every chain has the support of the defender's kept rows,
+    and its closed classes are found once per call, not once per stack."""
     if g.k != pi_d.k:
         raise ValueError(f"K mismatch: game {g.k}, strategy {pi_d.k}")
     k, n = g.k, g.k * g.k
@@ -243,9 +248,9 @@ def max_line_residual(g: GameSpec, pi_d: MemoryOneStrategy, alpha: float, beta: 
     sd = profit_vector(g, "defender")[keep]
     sa = profit_vector(g, "attacker")[keep]
     size = max(1, VERIFY_STACK_ENTRIES // len(keep)**2)
-    worst = 0.0
+    worst, classes_of = 0.0, {}
     for start in range(0, n_samples, size):
         att = rng.dirichlet(np.ones(k), size=(min(size, n_samples - start), n))
-        v = stationary(TransitionMatrix(k, chain(d_rows, att[:, keep]))).v
+        v = stationary(TransitionMatrix(k, chain(d_rows, att[:, keep])), classes_of).v
         worst = max(worst, float(np.max(np.abs(alpha * (v @ sd) + beta * (v @ sa) + gamma))))
     return worst

@@ -8,7 +8,11 @@ exists, the optimal one:
   through the best covered outcome (label 1) with sign conditions at a
   second reference target; feasible parameters give the defender the full
   Stackelberg value under attacker best response.  The LPs of every choice
-  of the two reference targets form one stack, solved in lockstep;
+  of the two reference targets form one stack and one ``check_feasible``
+  call.  The simplex's rank presolve reports infeasible, with no pivot,
+  every pair whose K - 1 homogeneous equality rows have full column rank
+  (only p = 0 holds them, and beta - alpha >= 1 fails there); the pairs
+  left are solved in lockstep;
 * the optimal program -- enumerate the cells of parameter space cut out by
   the uncovered-value equalities (all targets except an ordered pair
   (i1, i2)), and on each cell maximize the defender's coordinate over the
@@ -147,7 +151,9 @@ def solve_ideal(g: GameSpec) -> IdealResult:
     relabeling that only fixes the argmax; we therefore try every argmax
     tie in the "1" role and every other target in the "K" role, and exclude
     the all-zero solution with the lossless normalization beta - alpha >= 1
-    (the system is homogeneous with alpha <= 0 <= beta).
+    (the system is homogeneous with alpha <= 0 <= beta).  The pairs form one
+    stack; the LP kernel's presolve certifies the pairs whose equality rows
+    pin p to 0, and the rest are solved in lockstep.
     """
     _require_canonical(g)
     k = g.k

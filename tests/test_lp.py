@@ -573,6 +573,21 @@ def test_stacks_match_their_alternatives_alone_and_the_reference(monkeypatch):
     stacks += recorded
     # stacked objectives and right-hand sides
     stacks += [_varied_stack(rng, i % 2 == 0, int(rng.integers(1, 7))) for i in range(100)]
+    # homogeneous equality blocks: the presolve takes some alternatives out
+    # of the stack, and each one it keeps gets its bits alone and the
+    # reference's.  A certified one is infeasible, where the reference may
+    # raise (test_rank_presolve_certifies_only_infeasible_alternatives)
+    mixed = 0
+    for i in range(60):
+        stack = _pinned_stack(np.random.default_rng([83, i]), 6)
+        _check_stack(stack, reference=False)
+        assert _each_outcome(stack) == _each_alone(stack), stack
+        cut = _certified(stack)
+        for j in (~cut).nonzero()[0]:
+            alt = _alternative(stack, j)
+            assert _outcome(solve_lp, alt) == _outcome(simplex_reference, alt), (j, stack)
+        mixed += 0 < cut.sum() < len(cut)
+    assert mixed >= 30, mixed
 
     near_ties = _near_tie_spy(monkeypatch)
     firsts = {}
@@ -802,3 +817,133 @@ def test_ideal_stack_stops_at_a_feasible_first_pair(monkeypatch):
     assert _stack_outcome(stack) == (0, _outcome(solve_lp, _alternative(stack, 0)))
     count = _step_counter(monkeypatch)
     assert count(stack) == max(count(alt) for alt in _alternatives(stack)) > 0
+
+
+def _pinned_stack(rng, size):
+    """A stack whose equality rows are homogeneous: n = 2..4 variables and
+    n..n+3 equality rows at a scale of 1e-3..1e6, with the last column of an
+    alternative's block, by even odds, independent, within 1e-14..1e-6 of a
+    combination of the others, or such a combination; then a >= row that
+    asks for x away from 0, at times by 1 to 4 times what the equality rows
+    allow, and random <= / >= rows.  Some alternatives get a nonzero
+    equality right-hand side.  Free or boxed variables, and a zero or random
+    objective."""
+    n = int(rng.integers(2, 5))
+    m_e = int(rng.integers(n, n + 4))
+    block = rng.normal(size=(size, m_e, n))
+    kind = rng.integers(3, size=size)[:, None]
+    dep = np.einsum("bmi,bi->bm", block[..., :-1], rng.normal(size=(size, n - 1)))
+    near = 10.0 ** rng.uniform(-14, -6, size=(size, 1)) * rng.normal(size=(size, m_e))
+    block[..., -1] = np.where(kind == 0, block[..., -1], dep + np.where(kind == 1, near, 0.0))
+    block *= 10.0 ** rng.uniform(-3, 6, size=(size, 1, 1))
+    rhs = np.where(rng.random(size) < 0.15, rng.normal(size=size), 0.0)
+    rows = [(block[:, 0], EQ, rhs)] + [(block[:, i], EQ, 0.0) for i in range(1, m_e)]
+    away = np.zeros(n)
+    away[:2] = -1.0, 1.0
+    if rng.random() < 0.5:
+        rows.append((away, GE, float(rng.choice([1e-3, 1.0, 1e3]))))
+    else:  # |x| of an accepted point is at most sqrt(2 m_e) FEAS_TOL / sigma_min
+        hat = block / np.fmax(1.0, np.abs(block).max(axis=2, keepdims=True))
+        with np.errstate(divide="ignore"):
+            reach = np.sqrt(2 * m_e) * FEAS_TOL / np.linalg.svd(hat, compute_uv=False)[:, -1]
+        rows.append((away, GE, FEAS_TOL + np.fmin(reach, 1e6) * rng.uniform(1.0, 4.0, size=size)))
+    for _ in range(int(rng.integers(0, 4))):
+        row = rng.normal(size=(size, n)) * rng.choice([1e-3, 1.0, 1e3])
+        rows.append((row, (LE, GE)[int(rng.integers(2))], float(rng.normal())))
+    order = rng.permutation(len(rows))
+    bounds = [(None, None)] * n if rng.random() < 0.5 else [(-5.0, 5.0)] * n
+    objective = np.zeros(n) if rng.random() < 0.5 else rng.normal(size=n)
+    return LinearProgram(objective, ("max", "min")[int(rng.integers(2))],
+                         [rows[i] for i in order], bounds)
+
+
+def _certified(lp):
+    """The alternatives the presolve reports infeasible before any pivot."""
+    cut = lp_module._standardize(lp)[-1]
+    return np.zeros(lp.alternatives, dtype=bool) if cut is None else cut
+
+
+def _unpresolved(monkeypatch, lp):
+    """Every alternative's result on the parent's path: `_simplex` on the
+    full standard form, with no presolve."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module, "_rank_infeasible", lambda *args: None)
+        return lp_module._solve(lp)
+
+
+def test_rank_presolve_certifies_only_infeasible_alternatives(monkeypatch):
+    # every certified alternative is infeasible, or raises, when the simplex
+    # runs on it without the presolve, and so on the per-row reference; the
+    # uncertified ones get the same bits with and without the presolve
+    rng = np.random.default_rng(89)
+    certified = kept = 0
+    for _ in range(300):
+        stack = _pinned_stack(rng, int(rng.integers(1, 7)))
+        cut = _certified(stack)
+        plain = _unpresolved(monkeypatch, stack)
+        for i, (result, alone) in enumerate(zip(lp_module._solve(stack), plain)):
+            if cut[i]:
+                assert isinstance(alone, Exception) or alone[0] == "infeasible", (i, stack)
+                assert _outcome(simplex_reference, _alternative(stack, i))[0] in (
+                    "infeasible", "LpNumericalError"), (i, stack)
+                assert result == ("infeasible", None, None)
+            elif isinstance(alone, Exception):
+                assert type(result) is type(alone) and str(result) == str(alone)
+            else:
+                assert result[0] == alone[0] and (result[1] is None or (
+                    result[1].tobytes() == alone[1].tobytes() and result[2] == alone[2])), (i, stack)
+        certified += cut.sum()
+        kept += len(cut) - cut.sum()
+    assert certified >= 300 and kept >= 300, (certified, kept)
+
+
+def _least_slack(lp):
+    """HiGHS's least t >= 0 such that some x within the bounds holds every
+    row, scaled by max(1, |row|_inf) as solve_lp checks it, within t.  A
+    point solve_lp accepts holds them within FEAS_TOL."""
+    optimize = pytest.importorskip("scipy.optimize")
+    ub, ub_rhs = [], []
+    for row, rel, rhs in lp.constraints:
+        scale = max(1.0, np.max(np.abs(row)))
+        for sign in {LE: (1.0,), GE: (-1.0,), EQ: (1.0, -1.0)}[rel]:
+            ub.append(np.r_[sign * row / scale, -1.0])
+            ub_rhs.append(sign * rhs / scale)
+    res = optimize.linprog(np.r_[np.zeros(lp.n), 1.0], A_ub=np.array(ub), b_ub=ub_rhs,
+                           bounds=list(lp.bounds) + [(0.0, None)], method="highs",
+                           options={"primal_feasibility_tolerance": 1e-10,
+                                    "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def test_rank_presolve_certifies_only_programs_highs_finds_infeasible():
+    # no point within the bounds holds a certified alternative's scaled rows
+    # within FEAS_TOL: HiGHS's least uniform slack is above it.  (HiGHS on
+    # the rows moved FEAS_TOL outward accepts points of nearly deficient
+    # blocks that miss a row by 5e-8, inside its own tolerance)
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(97)
+    certified = 0
+    for _ in range(200):
+        stack = _pinned_stack(rng, int(rng.integers(1, 5)))
+        for i in _certified(stack).nonzero()[0]:
+            assert _least_slack(_alternative(stack, i)) > FEAS_TOL, (i, stack)
+            certified += 1
+    assert certified >= 150, certified
+
+
+def test_rank_presolve_leaves_programs_with_few_or_pinned_equalities_alone(monkeypatch):
+    # fewer equality rows than variables, or a nonzero equality right-hand
+    # side in every alternative: no certificate is attempted
+    rng = np.random.default_rng(101)
+    for _ in range(50):
+        stack = _pinned_stack(rng, 3)
+        eq = [(row, rel, rhs) for row, rel, rhs in stack.constraints if rel == EQ]
+        rest = [(row, rel, rhs) for row, rel, rhs in stack.constraints if rel != EQ]
+        few = LinearProgram(stack.objective, stack.sense, eq[:stack.n - 1] + rest, stack.bounds)
+        pinned = LinearProgram(stack.objective, stack.sense,
+                               [(row, EQ, 1.0) for row, _, _ in eq] + rest, stack.bounds)
+        assert lp_module._standardize(few)[-1] is None
+        assert lp_module._standardize(pinned)[-1] is None
+    oneshot = _oneshot_stacks(monkeypatch, _oneshot_games(rng))
+    assert all(lp_module._standardize(stack)[-1] is None for stack in oneshot)

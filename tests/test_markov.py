@@ -318,6 +318,26 @@ def test_stack_sharing_a_support_finds_its_classes_once(monkeypatch):
         assert np.array_equal(row, stationary(TransitionMatrix(3, m)).v)
 
 
+def test_verification_finds_its_support_classes_once_across_stacks(monkeypatch):
+    # a defender that never plays target 4 and never moves from state 0 to
+    # target 1: every chain has zero entries, and all share one support, as
+    # the attacker rows are positive.  With one chain per stack the closure
+    # still runs once per call, and the residual is that of one stack
+    rows = random_strategy(4, np.random.default_rng(7)).rows.copy()
+    rows[:, 3] = 0.0
+    rows[0, 0] = 0.0
+    pi_d = MemoryOneStrategy(4, rows / rows.sum(axis=1, keepdims=True))
+    calls = []
+    find = markov._closed_classes
+    monkeypatch.setattr(markov, "_closed_classes", lambda s: calls.append(1) or find(s))
+    want = max_line_residual(G4, pi_d, 0.5, -1.0, 0.25, 12, stream(4, "zd-verify"))
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(markov, "VERIFY_STACK_ENTRIES", 1)
+    got = max_line_residual(G4, pi_d, 0.5, -1.0, 0.25, 12, stream(4, "zd-verify"))
+    assert len(calls) == 1 and got == want
+
+
 def test_transition_matrix_accepts_square_chains_up_to_k_squared_states():
     for m in (np.eye(4), np.eye(3), np.full((1, 1), 1.0), np.stack([np.eye(2)] * 3)):
         assert TransitionMatrix(2, m).m.shape == m.shape
@@ -406,7 +426,8 @@ def test_max_line_residual_solves_one_stack_on_the_played_states(monkeypatch, k)
     g, pi_d, line = _zd_solution(k)
     calls = []
     solve = markov.stationary
-    monkeypatch.setattr(markov, "stationary", lambda tm: calls.append(tm.m.shape) or solve(tm))
+    monkeypatch.setattr(markov, "stationary",
+                        lambda tm, *classes_of: calls.append(tm.m.shape) or solve(tm, *classes_of))
     max_line_residual(g, pi_d, *line, 64, stream(k, "zd-verify"))
     n = len(_played(pi_d)) * k
     assert n < k * k

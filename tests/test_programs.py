@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from zdmtd import cli, programs
+from zdmtd import lp as lp_module
 from zdmtd.cli import solve_game
 from zdmtd.game import GameSpec, canonicalize, relabeling
+from zdmtd.lp import LinearProgram
 from zdmtd.markov import max_line_residual
 from zdmtd.programs import (
     HullPolygon,
@@ -759,3 +761,61 @@ def test_solve_ideal_matches_the_per_pair_reference_when_the_first_pair_is_feasi
         res = solve_ideal(g)
         assert (res.found, res.role1, res.role_k) == (True, 1, 2)
         assert _ideal_fields(res) == _ideal_fields(oracles.solve_ideal_reference(g))
+
+
+def _counting_pivots(patch, steps):
+    """Count in steps the lockstep pivot steps; a drive-out pivot passes its
+    row as a list and is not counted."""
+    pivot = lp_module._pivot
+
+    def spy(T, rows, col, step):
+        if not isinstance(rows, list):
+            steps.append(len(T))
+        return pivot(T, rows, col, step)
+
+    patch.setattr(lp_module, "_pivot", spy)
+
+
+def _ideal_steps(monkeypatch, g):
+    """(the IdealResult, the ideal stack solve_lp got, and the lockstep
+    pivot steps made on it) for game g."""
+    stacks, steps = [], []
+    solve_lp = lp_module.solve_lp
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module, "solve_lp", lambda lp: stacks.append(lp) or solve_lp(lp))
+        _counting_pivots(patch, steps)
+        res = solve_ideal(g)
+    (stack,) = stacks
+    return res, stack, len(steps)
+
+
+def test_k50_generic_ideal_program_is_decided_without_a_pivot(monkeypatch):
+    # every one of the 49 role pairs has full-rank homogeneous equality rows,
+    # so the presolve certifies all of them; solve_lp still runs
+    g = cli._bench_games(50, 1, 0, "generic")[0]
+    res, stack, steps = _ideal_steps(monkeypatch, g)
+    assert not res.found
+    assert stack.alternatives == 49 and steps == 0
+    assert lp_module._standardize(stack)[-1].all()
+
+
+def test_k50_feasible_first_pair_makes_the_steps_of_that_pair_alone(monkeypatch):
+    # an ideal-feasible K = 50 game relabeled so that its feasible pair is the
+    # first of the 49: the other 48 pairs are certified infeasible and leave
+    # the stack before it is built
+    g = ideal_feasible_game(50, np.random.default_rng(61))
+    order = np.r_[0, 49, 1:49]
+    g = dataclasses.replace(g, u_d_cov=g.u_d_cov[order], u_d_unc=g.u_d_unc[order],
+                            u_a_cov=g.u_a_cov[order], u_a_unc=g.u_a_unc[order])
+    res, stack, steps = _ideal_steps(monkeypatch, g)
+    assert (res.found, res.role1, res.role_k) == (True, 1, 2)
+    cut = lp_module._standardize(stack)[-1]
+    assert cut.sum() == 48 and not cut[0]
+    first = LinearProgram(stack.objective, stack.sense,
+                          [(row[0] if row.ndim == 2 else row, rel, rhs)
+                           for row, rel, rhs in stack.constraints], stack.bounds)
+    alone = []
+    with monkeypatch.context() as patch:
+        _counting_pivots(patch, alone)
+        assert lp_module.solve_lp(first).status == "optimal"
+    assert steps == len(alone) > 0
