@@ -25,15 +25,23 @@ so the search reduces to finitely many candidate rays (cone extreme rays,
 lines through hull vertices, and an angular sweep at 1e-3 rad with local
 refinement).  Each candidate passes a feasibility screen (the cell's sign
 conditions, to FEAS_TOL) and then the existence inequalities in its
-construction frame.  One kernel, ``_pencil_values``, scores lines against
-the hull: every sample of a sweep slice in one array pass, and a cell's
-surviving candidates in one more.  The sweeps of all the cells of a game
-run after every cell's candidates are built, and their refinements run in
-lockstep: each refinement step scores the two angles of every slice in one
-kernel call.  Cells whose equality rows are certified to have rank 3 (no
-candidate) are skipped before any candidate is built.  At desk scale each
-surviving candidate is realized and scored under actual attacker best
-response.
+construction frame.  The candidates of every open cell of a game are
+built in one pass, ``_game_candidates``, of a fixed number of stacked
+calls: one SVD of the cells' equality blocks, one of all sub-systems, one
+of the 3-D cone's row pairs, one cone-ray pass and one feasibility pass.
+The lists are those of a cell-at-a-time build bit for bit, because each
+item of a stacked product keeps the shape and memory layout it had alone:
+a null-space basis is a transposed view of its ``vt`` rows, and a vector
+is a (3, 1) column (BLAS picks its kernel by layout, and kernels round
+differently).  One kernel, ``_pencil_values``, scores lines against the
+hull: every sample of a sweep slice in one array pass, and the surviving
+candidates of every cell in one more.  The sweeps of all the cells of a
+game run after every cell's candidates are built, and their refinements
+run in lockstep: each refinement step scores the two angles of every slice
+in one kernel call.  Cells whose equality rows are certified to have
+rank 3 (no candidate) are skipped before any candidate is built.  At desk
+scale each surviving candidate is realized and scored under actual
+attacker best response.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ FEAS_TOL = 1e-9
 _SWEEP_STEP = 1e-3  # radians
 _SWEEP_T = np.arange(0.0, 2 * np.pi, _SWEEP_STEP)
 _SWEEP_Z = np.array([np.cos(_SWEEP_T), np.sin(_SWEEP_T)])
+_ROW_PAIRS = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)])  # of a cell's 4 rows
 
 
 @dataclass(frozen=True)
@@ -120,20 +129,13 @@ def hull(g: GameSpec) -> HullPolygon:
             out.append(p)
         return out
 
-    lower = half(uniq)
-    upper = half(uniq[::-1])
+    pts = uniq.tolist()  # Python floats: the same cross products, without numpy scalars
+    lower = half(pts)
+    upper = half(pts[::-1])
     verts = np.array(lower[:-1] + upper[:-1])
     if len(verts) < 2:  # all points collinear and reduced
         verts = np.array([uniq[0], uniq[-1]])
     return HullPolygon(verts)
-
-
-def _cov_row(g: GameSpec, t: int) -> np.ndarray:
-    return np.array([g.u_d_cov[t - 1], g.u_a_cov[t - 1], 1.0])
-
-
-def _unc_row(g: GameSpec, t: int) -> np.ndarray:
-    return np.array([g.u_d_unc[t - 1], g.u_a_unc[t - 1], 1.0])
 
 
 @dataclass(frozen=True)
@@ -179,22 +181,13 @@ def solve_ideal(g: GameSpec) -> IdealResult:
     return IdealResult(False)
 
 
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (3 x d) of the null space of a (m x 3) system."""
-    if rows.size == 0:
-        return np.eye(3)
-    u, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > FEAS_TOL * max(1.0, s[0] if len(s) else 1.0)))
-    return vt[rank:].T
-
-
 def _rank3_triples(unc: np.ndarray) -> list:
     """Disjoint row triples unc[3j:3j+3] that certify rank 3.
 
     Rows added to a matrix never lower its singular values (interlacing),
     and no row subset has a larger sigma_1 than unc.  So when a triple has
     sigma_3 > 2 FEAS_TOL max(1, sigma_1(unc)), every cell whose equality
-    rows keep that triple has a null space of dimension 0 in ``_null_space``
+    rows keep that triple has a null space of dimension 0 by ``_nullity``
     (the factor 2 covers the rounding of both SVDs) and no candidate."""
     if len(unc) < 5:  # every triple then meets each cell's (i1, i2)
         return []
@@ -215,47 +208,6 @@ def _open_cells(k: int, triples: list) -> np.ndarray:
     a, b = meets[:, None], meets[None, :]
     met = np.where(a == b, a >= 0, (a >= 0).astype(int) + (b >= 0))  # distinct triples met
     return (met == len(triples)) & ~np.eye(k, dtype=bool)
-
-
-def _cell_ineq_rows(g: GameSpec, cell: LambdaCell) -> np.ndarray:
-    """Rows r with the cell requiring r @ p >= 0."""
-    return np.array([
-        -_cov_row(g, cell.i1),
-        _unc_row(g, cell.i1),
-        _cov_row(g, cell.i2),
-        -_unc_row(g, cell.i2),
-    ])
-
-
-def _cone_rays_2d(gmat: np.ndarray, basis: np.ndarray):
-    """Extreme rays of {z in R^2 : (G B) z >= 0}, mapped back to R^3."""
-    gb = gmat @ basis
-    tol = -FEAS_TOL * max(1.0, float(np.max(np.abs(gb))))
-    rays = []
-    for row in gb:
-        if np.hypot(row[0], row[1]) < 1e-14:
-            continue
-        for z in (np.array([-row[1], row[0]]), np.array([row[1], -row[0]])):
-            if np.all(gb @ z >= tol):
-                rays.append(basis @ z)
-    return rays
-
-
-def _cone_rays_3d(gmat: np.ndarray):
-    """Extreme rays of {p in R^3 : G p >= 0} from pairs of active rows."""
-    rays = []
-    scale = max(1.0, float(np.max(np.abs(gmat))))
-    m = len(gmat)
-    for i in range(m):
-        for j in range(i + 1, m):
-            basis = _null_space(np.array([gmat[i], gmat[j]]))
-            if basis.shape[1] != 1:
-                continue
-            for s in (1.0, -1.0):
-                r = s * basis[:, 0]
-                if np.all(gmat @ r >= -FEAS_TOL * scale):
-                    rays.append(r)
-    return rays
 
 
 def _pencil_values(ps: np.ndarray, hp: HullPolygon):
@@ -347,61 +299,121 @@ def _refine(group: list, hp: HullPolygon) -> np.ndarray:
     return best_t
 
 
-def _cell_candidates(cell: LambdaCell, hp: HullPolygon, unc: np.ndarray,
-                     gmat: np.ndarray, scale: float):
-    """Finite family of candidate coefficient vectors for one cell; unc is
-    the K x 3 matrix of uncovered rows (``_unc_row`` for t = 1..K), gmat the
-    cell's ``_cell_ineq_rows`` and scale max(1, max |gmat|).  Where a slice's
-    sweep result goes, the list holds the slice (gmat, basis) itself, for
-    ``_sweep_slices`` to resolve."""
-    eq_rows = np.delete(unc, [cell.i1 - 1, cell.i2 - 1], axis=0)
-    basis = _null_space(eq_rows)
-    d = basis.shape[1]
-    if d == 0:
-        return []
-
-    def feasible(p):
-        return np.all(gmat @ p >= -FEAS_TOL * scale)
-
-    cands = []
-    if d == 1:
-        for s in (1.0, -1.0):
-            p = s * basis[:, 0]
-            if feasible(p):
-                cands.append(p)
-        return cands
-
-    def sub_candidates(extra_row):
-        """Candidates on the slice where one extra homogeneous row binds."""
-        sub = _null_space(np.vstack([eq_rows, extra_row]))
-        dd = sub.shape[1]
-        if dd == 1:
-            for s in (1.0, -1.0):
-                p = s * sub[:, 0]
-                if feasible(p):
-                    cands.append(p)
-        elif dd == 2:
-            cands.extend(r for r in _cone_rays_2d(gmat, sub) if feasible(r))
-            cands.append((gmat, sub))
-
-    if d == 2:
-        cands.extend(r for r in _cone_rays_2d(gmat, basis) if feasible(r))
-    if d == 3:
-        cands.extend(_cone_rays_3d(gmat))
-        for row in gmat:  # optima with one sign condition active
-            sub_candidates(row)
-
-    # lines through each hull vertex: one extra homogeneous equality
-    for vx, vy in hp.vertices:
-        sub_candidates(np.array([vx, vy, 1.0]))
-
-    if d == 2:
-        cands.append((gmat, basis))
-    return cands
+def _nullity(s: np.ndarray) -> np.ndarray:
+    """Null-space dimension of each (m x 3) system of an SVD stack, from its
+    singular values s: the values above FEAS_TOL max(1, sigma_1) count as
+    rank."""
+    return 3 - np.count_nonzero(s > FEAS_TOL * np.maximum(1.0, s[:, :1]), axis=1)
 
 
-def _normalize(p: np.ndarray) -> ZdLinearParams:
-    return ZdLinearParams(*p).normalized()
+def _game_candidates(cells: list, hp: HullPolygon, unc: np.ndarray, gmats: np.ndarray,
+                     scales: np.ndarray) -> list:
+    """Finite family of candidate coefficient vectors of every open cell, one
+    list per cell in cell order; unc is the K x 3 matrix of uncovered rows,
+    gmats the (C, 4, 3) stack of the cells' sign rows (r @ p >= 0 in the
+    cell) and scales each cell's max(1, max |gmat|).  Where a slice's sweep
+    result goes, a list holds the slice (gmat, basis) itself, for
+    ``_sweep_slices`` to resolve.
+
+    A cell's equality rows (unc less rows i1, i2) leave a null space of
+    dimension d.  Its candidates, in list order: for d = 1, the two unit
+    null vectors; for d = 2, the extreme rays of the cone of the sign rows
+    in the null plane; for d = 3, the cone's rays through pairs of sign
+    rows.  For d >= 2, each sub-system (the block plus one sign row when
+    d = 3, then the block plus each hull vertex (x, y, 1)) adds its own:
+    two null vectors on a line, or a plane's cone rays and its slice.  A
+    d = 2 cell's own slice comes last.  Every vector passes the cell's sign
+    rows to FEAS_TOL scale.
+
+    Each step is one stacked call for the whole game, and each item keeps
+    the shape and layout it had alone (module docstring): a basis is a
+    ``.swapaxes(1, 2)`` view of stacked ``vt`` rows, as ``vt[rank:].T`` was."""
+    k, n = len(unc), len(cells)
+    t = np.arange(k)
+    i1 = np.array([c.i1 - 1 for c in cells])
+    i2 = np.array([c.i2 - 1 for c in cells])
+    eq = unc[np.broadcast_to(t, (n, k))[(t != i1[:, None]) & (t != i2[:, None])].reshape(n, k - 2)]
+    if k > 2:
+        _, s, vt = np.linalg.svd(eq)
+        d = _nullity(s)
+    else:  # no equality rows: every cell is all of R^3
+        vt, d = np.zeros((n, 3, 3)), np.full(n, 3)
+
+    # sub-systems: the block plus each sign row (d = 3) and each hull vertex (d >= 2)
+    vrows = np.column_stack([hp.vertices, np.ones(hp.n)])
+    extra = np.concatenate([gmats, np.broadcast_to(vrows, (n,) + vrows.shape)], axis=1)
+    use = np.zeros(extra.shape[:2], dtype=bool)
+    use[d == 3] = True
+    use[d == 2, 4:] = True
+    sub_cell, sub_row = use.nonzero()
+    vt_sub, dd = np.zeros((0, 3, 3)), np.zeros(0, dtype=int)
+    if len(sub_cell):
+        _, s, vt_sub = np.linalg.svd(
+            np.concatenate([eq[sub_cell], extra[sub_cell, sub_row, None]], axis=1))
+        dd = _nullity(s)
+
+    # the 3-D cone's rays lie on the null lines of pairs of sign rows
+    c3 = (d == 3).nonzero()[0]
+    vt_pair, paired = np.zeros((0, 3, 3)), np.zeros(0, dtype=bool)
+    if len(c3):
+        _, s, vt_pair = np.linalg.svd(gmats[c3][:, _ROW_PAIRS].reshape(-1, 2, 3))
+        paired = _nullity(s) == 1
+
+    # sources: the systems (blocks, then sub-systems) with a null line and
+    # the row pairs, then the systems with a null plane
+    null = np.concatenate([d, dd])
+    system_cell = np.concatenate([np.arange(n), sub_cell])
+    on_line, on_plane = null == 1, null == 2
+    vt = np.concatenate([vt, vt_sub])
+    lines = np.concatenate([vt[on_line, 2], vt_pair[:, 2]])
+    line_cell = np.concatenate([system_cell[on_line], np.repeat(c3, 6)])
+    planes, plane_cell = vt[on_plane, 1:], system_cell[on_plane]
+    n_lines, n_planes = len(lines), len(planes)
+    src = np.full(len(null), -1)
+    src[on_line] = np.arange(np.count_nonzero(on_line))
+    src[on_plane] = n_lines + np.arange(n_planes)
+    src[c3] = n_lines - 6 * len(c3) + 6 * np.arange(len(c3))  # a 3-D cell: its first row pair
+
+    # cone rays of each plane basis B: z _|_ each live row of G B, if G B z >= 0
+    bases = planes.swapaxes(1, 2)
+    gb = gmats[plane_cell] @ bases
+    tol = -FEAS_TOL * np.maximum(1.0, np.abs(gb).max(axis=(1, 2)))
+    z = np.stack([-gb[..., 1], gb[..., 0]], axis=-1)
+    z = np.stack([z, -z], axis=2)[..., None]  # (P, row, sign, 2, 1)
+    cone = ((gb[:, None, None] @ z)[..., 0] >= tol[:, None, None, None]).all(axis=-1)
+    cone &= ~(np.hypot(gb[..., 0], gb[..., 1]) < 1e-14)[..., None]
+    rays = (bases[:, None, None] @ z)[..., 0].reshape(-1, 3)
+
+    vecs = np.concatenate([(np.array([1.0, -1.0])[:, None] * lines[:, None]).reshape(-1, 3), rays])
+    owner = np.concatenate([np.repeat(line_cell, 2), np.repeat(plane_cell, 8)])
+    ok = ((gmats[owner] @ vecs[..., None])[..., 0]
+          >= (-FEAS_TOL * scales[owner])[:, None]).all(axis=1)
+    ok[2 * (n_lines - len(paired)):2 * n_lines] &= np.repeat(paired, 2)
+    ok[2 * n_lines:] &= cone.ravel()
+    found = [[] for _ in range(n_lines + n_planes)]
+    sources = np.concatenate([np.repeat(np.arange(n_lines), 2),
+                              np.repeat(np.arange(n_lines, n_lines + n_planes), 8)])
+    for j, q in zip(ok.nonzero()[0].tolist(), sources[ok].tolist()):
+        found[q].append(vecs[j])
+
+    subs = [[] for _ in range(n)]
+    for j, c in enumerate(sub_cell.tolist(), start=n):
+        subs[c].append(j)
+    null, src = null.tolist(), src.tolist()
+    out = []
+    for c in range(n):
+        cands = []
+        for q in range(src[c], src[c] + (6 if null[c] == 3 else 1 if null[c] else 0)):
+            cands += found[q]
+        for j in subs[c]:  # a line's vectors, or a plane's rays and its slice
+            if null[j] in (1, 2):
+                cands += found[src[j]]
+            if null[j] == 2:
+                cands.append((gmats[c], bases[src[j] - n_lines]))
+        if null[c] == 2:
+            cands.append((gmats[c], bases[src[c] - n_lines]))
+        out.append(cands)
+    return out
 
 
 def realize_params(g: GameSpec, p: ZdLinearParams, i1: int, i2: int):
@@ -446,37 +458,43 @@ def solve_optimal(g: GameSpec, evaluate_br: bool) -> ZdSolveResult:
     _require_canonical(g)
     hp = hull(g)
     unc = np.column_stack([g.u_d_unc, g.u_a_unc, np.ones(g.k)])
-    cells = []  # (cell, gmat, scale, candidates with slice markers)
-    for i1, i2 in zip(*np.nonzero(_open_cells(g.k, _rank3_triples(unc)))):
-        cell = LambdaCell(int(i1) + 1, int(i2) + 1)
-        gmat = _cell_ineq_rows(g, cell)
-        scale = max(1.0, float(np.max(np.abs(gmat))))
-        cells.append((cell, gmat, scale, _cell_candidates(cell, hp, unc, gmat, scale)))
-    swept = iter(_sweep_slices(
-        [c for *_, cands in cells for c in cands if isinstance(c, tuple)], hp))
-    best = None  # (score_key, result)
-    for cell, gmat, scale, cands in cells:
-        vecs = []
-        for raw in cands:
-            if isinstance(raw, tuple):  # a slice: its sweep result goes here
-                raw = next(swept)
-                if raw is None:
+    i1, i2 = np.nonzero(_open_cells(g.k, _rank3_triples(unc)))
+    cov = np.column_stack([g.u_d_cov, g.u_a_cov, np.ones(g.k)])
+    gmats = np.stack([-cov[i1], unc[i1], cov[i2], -unc[i2]], axis=1)  # the cell needs gmat @ p >= 0
+    scales = np.maximum(1.0, np.abs(gmats).max(axis=(1, 2)))
+    cells = [LambdaCell(int(a) + 1, int(b) + 1) for a, b in zip(i1, i2)]
+    cands = _game_candidates(cells, hp, unc, gmats, scales) if cells else []
+    swept = iter(_sweep_slices([c for cc in cands for c in cc if isinstance(c, tuple)], hp))
+    raw, owner = [], []
+    for n, cc in enumerate(cands):
+        for c in cc:
+            if isinstance(c, tuple):  # a slice: its sweep result goes here
+                c = next(swept)
+                if c is None:
                     continue
-            vec = _normalize(raw).as_array()
-            if np.max(np.abs(vec)) < 1e-12 or np.any(gmat @ vec < -FEAS_TOL * scale):
-                continue
-            vecs.append(vec)
-        if not vecs:
+            raw.append(c)
+            owner.append(n)
+    if not raw:
+        return ZdSolveResult("none")
+    raw, owner = np.array(raw), np.array(owner)
+    top = np.abs(raw).max(axis=1, keepdims=True)  # normalized: the largest |entry| is 1
+    vecs = np.divide(raw, top, out=raw.copy(), where=top != 0.0)
+    feasible = (gmats[owner] @ vecs[..., None])[..., 0] >= (-FEAS_TOL * scales[owner])[:, None]
+    keep = ~(np.abs(vecs).max(axis=1) < 1e-12) & feasible.all(axis=1)
+    vecs, owner = vecs[keep], owner[keep].tolist()
+    scored = zip(vecs, owner, *_pencil_values(vecs.T, hp)) if len(vecs) else ()
+    shortlists = [[] for _ in cells]  # per cell: (corr-sign, proxy value, params, max-u_d point)
+    for vec, n, proxy, x, y in scored:
+        if np.isnan(proxy):  # the line misses the hull
             continue
-        shortlist = []  # (corr-sign, proxy value, params, max-u_d point)
-        for vec, proxy, x, y in zip(vecs, *_pencil_values(np.array(vecs).T, hp)):
-            if np.isnan(proxy):  # the line misses the hull
-                continue
-            corr = 0 if abs(vec[0]) <= 1e-12 else (0 if -vec[1] / vec[0] >= 0 else 1)
-            cur = next((s for s in shortlist if s[0] == corr), None)
-            if cur is None or proxy > cur[1] + 1e-12:
-                shortlist = [s for s in shortlist if s[0] != corr]
-                shortlist.append((corr, proxy, vec, (float(x), float(y))))
+        shortlist = shortlists[n]
+        corr = 0 if abs(vec[0]) <= 1e-12 else (0 if -vec[1] / vec[0] >= 0 else 1)
+        cur = next((s for s in shortlist if s[0] == corr), None)
+        if cur is None or proxy > cur[1] + 1e-12:
+            shortlist[:] = [s for s in shortlist if s[0] != corr]
+            shortlist.append((corr, proxy, vec, (float(x), float(y))))
+    best = None  # (score_key, result)
+    for cell, shortlist in zip(cells, shortlists):
         for _, proxy, vec, (x, y) in sorted(shortlist, key=lambda s: s[0]):
             p = ZdLinearParams(*vec)
             built = realized = None

@@ -31,7 +31,7 @@ from zdmtd.mdp import (
     defender_utility_under_br,
 )
 from zdmtd.cli import solve_game
-from zdmtd.programs import FEAS_TOL, _SWEEP_STEP, IdealResult
+from zdmtd.programs import FEAS_TOL, _SWEEP_STEP, HullPolygon, IdealResult
 from zdmtd.rng import stream
 from zdmtd.sim import RegimeSummary
 from zdmtd.sse import MipConstraint, MipModel
@@ -237,6 +237,134 @@ def sweep_2d_reference(gmat, basis, hp):
                     best_t, best_v = t, v
         lo, hi = best_t - (hi - lo) / 3, best_t + (hi - lo) / 3
     return [basis @ np.array([np.cos(best_t), np.sin(best_t)])]
+
+
+def hull_reference(g: GameSpec) -> HullPolygon:
+    """`programs.hull` as it was: the monotone chain walked on the rows of
+    the sorted numpy array, numpy scalars in every cross product."""
+    pts = np.concatenate(
+        [np.column_stack([g.u_d_cov, g.u_a_cov]), np.column_stack([g.u_d_unc, g.u_a_unc])]
+    )
+    uniq = np.unique(pts, axis=0)  # lexicographic sort included
+    if len(uniq) == 1:
+        return HullPolygon(uniq)
+
+    def half(points):
+        out = []
+        for p in points:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(uniq)
+    upper = half(uniq[::-1])
+    verts = np.array(lower[:-1] + upper[:-1])
+    if len(verts) < 2:  # all points collinear and reduced
+        verts = np.array([uniq[0], uniq[-1]])
+    return HullPolygon(verts)
+
+
+def null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (3 x d) of the null space of a (m x 3) system, as
+    the per-cell candidate builder took it: ``vt[rank:].T`` of one SVD."""
+    if rows.size == 0:
+        return np.eye(3)
+    u, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > FEAS_TOL * max(1.0, s[0] if len(s) else 1.0)))
+    return vt[rank:].T
+
+
+def cell_ineq_rows(g: GameSpec, cell) -> np.ndarray:
+    """Rows r with the cell requiring r @ p >= 0."""
+    cov = np.column_stack([g.u_d_cov, g.u_a_cov, np.ones(g.k)])
+    unc = np.column_stack([g.u_d_unc, g.u_a_unc, np.ones(g.k)])
+    i1, i2 = cell.i1 - 1, cell.i2 - 1
+    return np.array([-cov[i1], unc[i1], cov[i2], -unc[i2]])
+
+
+def _cone_rays_2d(gmat: np.ndarray, basis: np.ndarray):
+    """Extreme rays of {z in R^2 : (G B) z >= 0}, mapped back to R^3."""
+    gb = gmat @ basis
+    tol = -FEAS_TOL * max(1.0, float(np.max(np.abs(gb))))
+    rays = []
+    for row in gb:
+        if np.hypot(row[0], row[1]) < 1e-14:
+            continue
+        for z in (np.array([-row[1], row[0]]), np.array([row[1], -row[0]])):
+            if np.all(gb @ z >= tol):
+                rays.append(basis @ z)
+    return rays
+
+
+def _cone_rays_3d(gmat: np.ndarray):
+    """Extreme rays of {p in R^3 : G p >= 0} from pairs of active rows."""
+    rays = []
+    scale = max(1.0, float(np.max(np.abs(gmat))))
+    m = len(gmat)
+    for i in range(m):
+        for j in range(i + 1, m):
+            basis = null_space(np.array([gmat[i], gmat[j]]))
+            if basis.shape[1] != 1:
+                continue
+            for s in (1.0, -1.0):
+                r = s * basis[:, 0]
+                if np.all(gmat @ r >= -FEAS_TOL * scale):
+                    rays.append(r)
+    return rays
+
+
+def cell_candidates_reference(cell, hp, unc: np.ndarray, gmat: np.ndarray, scale: float):
+    """`programs._game_candidates` one cell at a time, as the per-cell
+    builder it replaced: one SVD per system, one product per vector."""
+    eq_rows = np.delete(unc, [cell.i1 - 1, cell.i2 - 1], axis=0)
+    basis = null_space(eq_rows)
+    d = basis.shape[1]
+    if d == 0:
+        return []
+
+    def feasible(p):
+        return np.all(gmat @ p >= -FEAS_TOL * scale)
+
+    cands = []
+    if d == 1:
+        for s in (1.0, -1.0):
+            p = s * basis[:, 0]
+            if feasible(p):
+                cands.append(p)
+        return cands
+
+    def sub_candidates(extra_row):
+        """Candidates on the slice where one extra homogeneous row binds."""
+        sub = null_space(np.vstack([eq_rows, extra_row]))
+        dd = sub.shape[1]
+        if dd == 1:
+            for s in (1.0, -1.0):
+                p = s * sub[:, 0]
+                if feasible(p):
+                    cands.append(p)
+        elif dd == 2:
+            cands.extend(r for r in _cone_rays_2d(gmat, sub) if feasible(r))
+            cands.append((gmat, sub))
+
+    if d == 2:
+        cands.extend(r for r in _cone_rays_2d(gmat, basis) if feasible(r))
+    if d == 3:
+        cands.extend(_cone_rays_3d(gmat))
+        for row in gmat:  # optima with one sign condition active
+            sub_candidates(row)
+
+    # lines through each hull vertex: one extra homogeneous equality
+    for vx, vy in hp.vertices:
+        sub_candidates(np.array([vx, vy, 1.0]))
+
+    if d == 2:
+        cands.append((gmat, basis))
+    return cands
 
 
 def pipeline_value(g: GameSpec, out=None):

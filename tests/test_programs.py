@@ -3,6 +3,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from zdmtd.markov import max_line_residual
 from zdmtd.programs import (
     HullPolygon,
     LambdaCell,
-    _null_space,
     _pencil_values,
     _sweep_slices,
     hull,
@@ -25,7 +25,7 @@ from zdmtd.programs import (
     solve_optimal,
 )
 from zdmtd.rng import stream
-from zdmtd.zd import defining_residual
+from zdmtd.zd import ZdLinearParams, defining_residual
 
 import oracles
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
     ideal_feasible_game,
     k2_grid_oracle,
     line_section,
+    null_space,
     pipeline_value,
     random_game,
     sweep_2d_reference,
@@ -182,6 +183,40 @@ def test_hull_square_and_degenerate():
     assert sec[0] == pytest.approx((0.5, 0.5))
 
 
+def _hull_games(case):
+    """Payoff sets for each shape of hull: one point (no valid game has
+    one, so a bare namespace), a segment, collinear pairs, repeated pairs
+    and random games K = 2..50."""
+    rng = np.random.default_rng(41)
+    if case == "point":
+        return [SimpleNamespace(u_d_cov=np.full(3, 0.3), u_a_cov=np.full(3, -0.2),
+                                u_d_unc=np.full(3, 0.3), u_a_unc=np.full(3, -0.2))]
+    if case == "segment":
+        return [GameSpec(2, (1.0, 1.0), (0.0, 0.0), (3.0, 3.0), (1.0, 1.0))]
+    if case == "collinear":  # every pair on u_a = 0.1 u_d - 0.7, with a third of them repeated
+        games = []
+        for k in (2, 3, 5, 8):
+            unc = np.round(rng.uniform(-3, 0, size=k), 1)
+            cov = unc + np.round(rng.uniform(0.1, 2, size=k), 1)
+            unc[::3], cov[::3] = unc[0], cov[0]
+            games.append(GameSpec(k, cov, unc, 0.1 * cov - 0.7, 0.1 * unc - 0.7))
+        return games
+    if case == "repeated":
+        return _repeated_payoff_games(rng, 40)
+    return [random_game(k, rng, scale) for k in range(2, 51) for scale in (1.0, 1e-3, 1e3)]
+
+
+@pytest.mark.parametrize("case", ["point", "segment", "collinear", "repeated", "random"])
+def test_hull_walk_matches_the_numpy_scalar_walk(case):
+    # the walk on Python floats makes the same IEEE operations as the walk
+    # on numpy scalars, so the vertices are the same bits
+    for g in _hull_games(case):
+        got, want = hull(g).vertices, oracles.hull_reference(g).vertices
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), g
+    if case in ("point", "segment"):
+        assert len(want) == {"point": 1, "segment": 2}[case]
+
+
 def test_hull_matches_orientation_oracle():
     rng = np.random.default_rng(13)
     g = random_game(3, rng)
@@ -270,8 +305,7 @@ def test_optimal_predicted_on_line_and_in_hull():
         assert hull_contains(hull(g), res.predicted.u_d, res.predicted.u_a)
         # the cell constraints hold at the winner (c = 1) and, by homogeneity,
         # survive positive rescaling
-        from zdmtd.programs import _cell_ineq_rows
-        gmat = _cell_ineq_rows(g, res.cell)
+        gmat = oracles.cell_ineq_rows(g, res.cell)
         for c in (1.0, 0.5, 7.0):
             vec = c * p.as_array()
             assert np.min(gmat @ vec) >= -1e-8 * c * max(1.0, np.max(np.abs(gmat)))
@@ -398,7 +432,7 @@ def test_sweep_2d_matches_reference_on_degenerate_slices(case):
     if case in ("miss", "all-miss"):
         basis = through_origin
     if case == "point":  # every line passes through the point: a flat value
-        basis = _null_space(np.array([[0.3, -0.2, 1.0]]))
+        basis = null_space(np.array([[0.3, -0.2, 1.0]]))
     got = _matches_reference([(gmat, basis)], hp)
     assert (got[0] is None) == (case in ("infeasible", "all-miss"))
 
@@ -434,7 +468,7 @@ def _arc(basis, a, b):
 
 # every line of these slices passes through (0.3, -0.2), inside the square
 _SQUARE = HullPolygon(np.array([[-1.0, -0.5], [2.0, -0.5], [2.0, 1.5], [-1.0, 1.5]]))
-_BASIS = _null_space(np.array([[0.3, -0.2, 1.0]]))
+_BASIS = null_space(np.array([[0.3, -0.2, 1.0]]))
 _SAMPLE = 1000 * programs._SWEEP_STEP
 _SLICES = [
     (np.zeros((4, 3)), _BASIS),  # open cone: both angles feasible at every step
@@ -564,18 +598,18 @@ def _section_reference(ps, hp):
 def test_pencil_values_match_reference_on_recorded_candidates(monkeypatch):
     # bit identity: solve_optimal reports the point and ranks by the value
     cells, swept = [], []
-    original, sweep = programs._cell_candidates, programs._sweep_slices
+    original, sweep = programs._game_candidates, programs._sweep_slices
 
-    def record(cell, hp, unc, gmat, scale):
-        cands = original(cell, hp, unc, gmat, scale)
-        cells.append((cands, hp))
-        return cands
+    def record(open_cells, hp, unc, gmats, scales):
+        lists = original(open_cells, hp, unc, gmats, scales)
+        cells.extend((cands, hp) for cands in lists)
+        return lists
 
     def record_sweep(slices, hp):
         swept.extend(sweep(slices, hp))
         return swept[len(swept) - len(slices):]
 
-    monkeypatch.setattr(programs, "_cell_candidates", record)
+    monkeypatch.setattr(programs, "_game_candidates", record)
     monkeypatch.setattr(programs, "_sweep_slices", record_sweep)
     rng = np.random.default_rng(12)
     for k in (2, 3, 4, 5):
@@ -585,7 +619,7 @@ def test_pencil_values_match_reference_on_recorded_candidates(monkeypatch):
     recorded, found = [], iter(swept)  # each slice marker takes its sweep result
     for cands, hp in cells:
         vecs = [next(found) if isinstance(c, tuple) else c for c in cands]
-        vecs = [programs._normalize(c).as_array() for c in vecs if c is not None]
+        vecs = [ZdLinearParams(*c).normalized().as_array() for c in vecs if c is not None]
         if vecs:
             recorded.append((np.array(vecs).T, hp))
     hits = 0
@@ -625,13 +659,13 @@ def test_pencil_values_match_reference_on_special_lines(case):
 
 def _visited_cells(monkeypatch, g):
     visited = []
-    original = programs._cell_candidates
+    original = programs._game_candidates
 
-    def record(cell, hp, unc, gmat, scale):
-        visited.append((cell.i1, cell.i2))
-        return original(cell, hp, unc, gmat, scale)
+    def record(cells, hp, unc, gmats, scales):
+        visited.extend((cell.i1, cell.i2) for cell in cells)
+        return original(cells, hp, unc, gmats, scales)
 
-    monkeypatch.setattr(programs, "_cell_candidates", record)
+    monkeypatch.setattr(programs, "_game_candidates", record)
     res = solve_optimal(g, evaluate_br=False)
     monkeypatch.undo()
     return res, set(visited)
@@ -647,16 +681,101 @@ def test_rank_certificate_skips_only_empty_cells(monkeypatch, k):
     skipped = cells - visited
     assert skipped  # random uncovered pairs are in general position
     for i1, i2 in skipped:
-        assert _null_space(np.delete(unc, [i1 - 1, i2 - 1], axis=0)).shape[1] == 0
+        assert null_space(np.delete(unc, [i1 - 1, i2 - 1], axis=0)).shape[1] == 0
 
 
-def test_rank_certificate_skips_no_cell_on_collinear_pairs(monkeypatch):
-    # uncovered pairs on one line to 1e-12: every cell keeps a null vector
+def _collinear_pairs_game():
+    """Uncovered pairs on one line to 1e-12: every cell keeps a null vector."""
     rng = np.random.default_rng(8)
     base = random_game(8, rng)
     u_a_unc = 0.5 * base.u_d_unc - 1.0 + rng.uniform(-1e-12, 1e-12, size=8)
-    g = GameSpec(8, base.u_d_cov, base.u_d_unc, base.u_a_cov, u_a_unc)
-    _, visited = _visited_cells(monkeypatch, g)
+    return GameSpec(8, base.u_d_cov, base.u_d_unc, base.u_a_cov, u_a_unc)
+
+
+def _repeated_payoff_games(rng, count):
+    """Small-integer games, a third with every uncovered pair the same (a
+    null plane at K >= 4): ties, repeated hull points and rank drops."""
+    games = []
+    for i in range(count):
+        k = 2 + i % 5
+        unc = rng.integers(-2, 1, size=k).astype(float)
+        a_cov, a_unc = rng.integers(-2, 3, size=(2, k)).astype(float)
+        if i % 3 == 0:
+            unc[:], a_unc[:] = unc[0], a_unc[0]
+        games.append(canonicalize(GameSpec(k, unc + rng.integers(1, 3, size=k), unc, a_cov,
+                                           a_unc))[0])
+    return games
+
+
+def _same_candidates(got, want):
+    """Equal lists: vectors bit for bit, and each slice's gmat and basis bit
+    for bit with the basis's memory layout."""
+    if len(got) != len(want):
+        return False
+    for a, b in zip(got, want):
+        if isinstance(a, tuple) != isinstance(b, tuple):
+            return False
+        pairs = zip(a, b) if isinstance(a, tuple) else [(a, b)]
+        if not all(x.shape == y.shape and x.strides == y.strides and x.tobytes() == y.tobytes()
+                   for x, y in pairs):
+            return False
+    return True
+
+
+def test_game_candidates_match_the_per_cell_reference(monkeypatch):
+    # bit identity: the sweep and the shortlist read the vectors, the slice
+    # markers and their bases in list order, so any reordered or relaid-out
+    # product would show
+    rng = np.random.default_rng(30)
+    games = [random_game(k, rng, scale) for k in range(2, 7) for scale in (1.0, 10.0, 1e-3)
+             for _ in range(4)]
+    games += [_collinear_pairs_game()] + _repeated_payoff_games(rng, 45)
+    games += [g for k in (2, 3, 4) for g in cli._bench_games(k, 10, 0, "generic")]
+    lists = []
+    original = programs._game_candidates
+
+    def record(cells, hp, unc, gmats, scales):
+        out = original(cells, hp, unc, gmats, scales)
+        lists.append((cells, hp, unc, out))
+        return out
+
+    monkeypatch.setattr(programs, "_game_candidates", record)
+    for g in games:
+        solve_optimal(g, evaluate_br=False)
+    monkeypatch.undo()
+    seen = {"vector": 0, "slice": 0, "plane cell": 0, "all-space cell": 0}
+    for (cells, hp, unc, out), g in zip(lists, games):
+        for cell, got in zip(cells, out):
+            gmat = oracles.cell_ineq_rows(g, cell)
+            want = oracles.cell_candidates_reference(cell, hp, unc, gmat,
+                                                     max(1.0, float(np.max(np.abs(gmat)))))
+            assert _same_candidates(got, want), (g, cell)
+            d = null_space(np.delete(unc, [cell.i1 - 1, cell.i2 - 1], axis=0)).shape[1]
+            seen["plane cell"] += d == 2 and g.k >= 4
+            seen["all-space cell"] += d == 3
+            for c in got:
+                seen["slice" if isinstance(c, tuple) else "vector"] += 1
+    assert len(lists) == len(games) and min(seen.values()) >= 10, seen
+
+
+def test_solve_optimal_k3_makes_at_most_three_svd_calls(monkeypatch):
+    # one call for the equality blocks and one for the sub-systems; K = 3
+    # certifies no triple and has no 3-D cone
+    g = cli._bench_games(3, 1, 0, "generic")[0]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    solve_optimal(g, evaluate_br=False)
+    assert len(calls) <= 3, calls
+
+
+def test_rank_certificate_skips_no_cell_on_collinear_pairs(monkeypatch):
+    _, visited = _visited_cells(monkeypatch, _collinear_pairs_game())
     assert len(visited) == 8 * 7
 
 
