@@ -145,11 +145,9 @@ def _standardize(lp: LinearProgram):
 
     Free variables split into a positive and a negative part.  Finite upper
     bounds become extra <= rows.  Returns (c, a, rels, rhs, back, cut): the
-    (B', ncol) objective stack, the (B', m, ncol) row stack in y, the
+    (B, ncol) objective stack, the (B, m, ncol) row stack in y, the
     relations as -1, 0, +1 for <=, =, >=, the (B, m) right-hand sides, the
-    map from y back to x, and `_rank_infeasible`'s (B,) mask on the rows in
-    x.  The presolve runs first, so the objectives and rows in y are built
-    only for the B' alternatives its mask keeps (all B when it is None).
+    map from y back to x, and `_rank_infeasible`'s mask on the rows in x.
     """
     n = lp.n
     var, sign = [], []  # per y column: original variable and its sign
@@ -179,6 +177,9 @@ def _standardize(lp: LinearProgram):
         rows[:, j] = row  # an (n,) row is shared by every alternative
     if not np.isfinite(rows).all():
         raise LpError("constraint rows must be finite")
+    a = np.zeros((nb, m0 + len(upper), ncol))
+    a[:, :m0] = to_y(rows)
+    a[:, np.arange(m0, m0 + len(upper)), [c for c, _ in upper]] = 1.0
     rels = np.array([_REL_SIGN[rel] for _, rel, _ in cons] + [-1] * len(upper))
     rhs = np.empty((nb, len(rels)))
     for j, (_, _, b) in enumerate(cons):
@@ -190,11 +191,6 @@ def _standardize(lp: LinearProgram):
 
     objective = np.empty((nb, n))
     objective[:] = lp.objective  # an (n,) objective is shared by every alternative
-    if cut is not None:  # rows and objectives in y for the kept alternatives only
-        rows, objective = rows[~cut], objective[~cut]
-    a = np.zeros((len(rows), m0 + len(upper), ncol))
-    a[:, :m0] = to_y(rows)
-    a[:, np.arange(m0, m0 + len(upper)), [c for c, _ in upper]] = 1.0
     c = to_y(objective)
     if lp.sense == "max":
         c = -c
@@ -526,12 +522,12 @@ def _solve(lp: LinearProgram) -> list:
                 x[i] = hi
         return x, _violation(lp, x, index)
 
-    if cut is None:
+    if cut is None or not cut.any():
         return _simplex(c, a, rels, rhs, point)
     results = [("infeasible", None, None)] * len(cut)
     kept = (~cut).nonzero()[0]
     if len(kept):
-        solved = _simplex(c, a, rels, rhs[kept], lambda s, y: point(kept[s], y))
+        solved = _simplex(c[kept], a[kept], rels, rhs[kept], lambda s, y: point(kept[s], y))
         for s, result in zip(kept, solved):
             results[s] = result
     return results

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy, profit_vector
-from .rng import unit_rows
 
 DIRECT_RESIDUAL_TOL = 1e-10
 EPSILON_MIX = 1e-8  # shared with the best-response module so oracles agree
@@ -239,9 +238,7 @@ def max_line_residual(g: GameSpec, pi_d: MemoryOneStrategy, alpha: float, beta: 
     entries (at least one chain).  The attackers' full rows are still drawn,
     so rng advances as if every state were kept.  The attacker rows are
     positive, so every chain has the support of the defender's kept rows,
-    and its closed classes are found once per call, not once per stack.
-    The Dirichlet(1) rows are unit exponentials, drawn into one reused
-    buffer; only the kept rows are scaled into the simplex (``unit_rows``)."""
+    and its closed classes are found once per call, not once per stack."""
     if g.k != pi_d.k:
         raise ValueError(f"K mismatch: game {g.k}, strategy {pi_d.k}")
     k, n = g.k, g.k * g.k
@@ -252,9 +249,8 @@ def max_line_residual(g: GameSpec, pi_d: MemoryOneStrategy, alpha: float, beta: 
     sa = profit_vector(g, "attacker")[keep]
     size = max(1, VERIFY_STACK_ENTRIES // len(keep)**2)
     worst, classes_of = 0.0, {}
-    draws = np.empty((min(size, n_samples), n, k))  # Dirichlet(1) rows: unit exponentials
     for start in range(0, n_samples, size):
-        att = rng.standard_exponential(out=draws[:min(size, n_samples - start)])
-        v = stationary(TransitionMatrix(k, chain(d_rows, unit_rows(att[:, keep]))), classes_of).v
+        att = rng.dirichlet(np.ones(k), size=(min(size, n_samples - start), n))
+        v = stationary(TransitionMatrix(k, chain(d_rows, att[:, keep])), classes_of).v
         worst = max(worst, float(np.max(np.abs(alpha * (v @ sd) + beta * (v @ sa) + gamma))))
     return worst

@@ -26,9 +26,11 @@ lines through hull vertices, and an angular sweep at 1e-3 rad with local
 refinement).  Each candidate passes a feasibility screen (the cell's sign
 conditions, to FEAS_TOL) and then the existence inequalities in its
 construction frame.  The candidates of every open cell of a game are
-built in one pass, ``_game_candidates``, of a fixed number of stacked
-calls: one SVD of the cells' equality blocks, one of all sub-systems, one
-of the 3-D cone's row pairs, one cone-ray pass and one feasibility pass.
+built in one pass, ``_game_candidates``, of a few stacked calls: an SVD
+of the cells' equality blocks, one of all sub-systems, one of the 3-D
+cone's row pairs (each split into calls of at most SVD_STACK_ENTRIES
+entries, so memory stays bounded when every cell is open), one cone-ray
+pass and one feasibility pass.
 The lists are those of a cell-at-a-time build bit for bit, because each
 item of a stacked product keeps the shape and memory layout it had alone:
 a null-space basis is a transposed view of its ``vt`` rows, and a vector
@@ -71,6 +73,7 @@ _SWEEP_STEP = 1e-3  # radians
 _SWEEP_T = np.arange(0.0, 2 * np.pi, _SWEEP_STEP)
 _SWEEP_Z = np.array([np.cos(_SWEEP_T), np.sin(_SWEEP_T)])
 _ROW_PAIRS = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)])  # of a cell's 4 rows
+SVD_STACK_ENTRIES = 2**20  # system entries per stacked candidate SVD
 
 
 @dataclass(frozen=True)
@@ -306,6 +309,23 @@ def _nullity(s: np.ndarray) -> np.ndarray:
     return 3 - np.count_nonzero(s > FEAS_TOL * np.maximum(1.0, s[:, :1]), axis=1)
 
 
+def _factor(systems, n: int, m: int):
+    """Singular values and vt of the n (m x 3) systems, where systems(lo, hi)
+    builds the stack of systems lo..hi - 1.
+
+    Each call factors at most SVD_STACK_ENTRIES system entries, so neither
+    the stack nor its U outgrows that budget: U is (m x 3) from m = 3 on,
+    and m x m only below, where the reduced vt would lose its null rows.
+    Items keep their own shape and layout, so the bits are those of one
+    system at a time."""
+    s, vt = np.empty((n, min(m, 3))), np.empty((n, 3, 3))
+    step = max(1, SVD_STACK_ENTRIES // (3 * m))
+    for lo in range(0, n, step):
+        _, s[lo:lo + step], vt[lo:lo + step] = np.linalg.svd(
+            systems(lo, min(n, lo + step)), full_matrices=m < 3)
+    return s, vt
+
+
 def _game_candidates(cells: list, hp: HullPolygon, unc: np.ndarray, gmats: np.ndarray,
                      scales: np.ndarray) -> list:
     """Finite family of candidate coefficient vectors of every open cell, one
@@ -325,39 +345,45 @@ def _game_candidates(cells: list, hp: HullPolygon, unc: np.ndarray, gmats: np.nd
     d = 2 cell's own slice comes last.  Every vector passes the cell's sign
     rows to FEAS_TOL scale.
 
-    Each step is one stacked call for the whole game, and each item keeps
-    the shape and layout it had alone (module docstring): a basis is a
-    ``.swapaxes(1, 2)`` view of stacked ``vt`` rows, as ``vt[rank:].T`` was."""
+    Each step is one stacked call for the whole game (an SVD splits at
+    SVD_STACK_ENTRIES entries), and each item keeps the shape and layout it
+    had alone (module docstring): a basis is a ``.swapaxes(1, 2)`` view of
+    stacked ``vt`` rows, as ``vt[rank:].T`` was."""
     k, n = len(unc), len(cells)
     t = np.arange(k)
     i1 = np.array([c.i1 - 1 for c in cells])
     i2 = np.array([c.i2 - 1 for c in cells])
-    eq = unc[np.broadcast_to(t, (n, k))[(t != i1[:, None]) & (t != i2[:, None])].reshape(n, k - 2)]
+
+    def block(c):  # the equality rows of cells c: unc less rows i1, i2
+        rest = (t != i1[c, None]) & (t != i2[c, None])
+        return unc[np.broadcast_to(t, (len(c), k))[rest].reshape(len(c), k - 2)]
+
     if k > 2:
-        _, s, vt = np.linalg.svd(eq)
+        s, vt = _factor(lambda lo, hi: block(np.arange(lo, hi)), n, k - 2)
         d = _nullity(s)
     else:  # no equality rows: every cell is all of R^3
         vt, d = np.zeros((n, 3, 3)), np.full(n, 3)
 
     # sub-systems: the block plus each sign row (d = 3) and each hull vertex (d >= 2)
     vrows = np.column_stack([hp.vertices, np.ones(hp.n)])
-    extra = np.concatenate([gmats, np.broadcast_to(vrows, (n,) + vrows.shape)], axis=1)
-    use = np.zeros(extra.shape[:2], dtype=bool)
+    use = np.zeros((n, 4 + hp.n), dtype=bool)
     use[d == 3] = True
     use[d == 2, 4:] = True
     sub_cell, sub_row = use.nonzero()
-    vt_sub, dd = np.zeros((0, 3, 3)), np.zeros(0, dtype=int)
-    if len(sub_cell):
-        _, s, vt_sub = np.linalg.svd(
-            np.concatenate([eq[sub_cell], extra[sub_cell, sub_row, None]], axis=1))
-        dd = _nullity(s)
+
+    def sub_systems(lo, hi):
+        c, r = sub_cell[lo:hi], sub_row[lo:hi]
+        row = np.where((r < 4)[:, None], gmats[c, np.minimum(r, 3)], vrows[np.maximum(r - 4, 0)])
+        return np.concatenate([block(c), row[:, None]], axis=1)
+
+    s, vt_sub = _factor(sub_systems, len(sub_cell), k - 1)
+    dd = _nullity(s)
 
     # the 3-D cone's rays lie on the null lines of pairs of sign rows
     c3 = (d == 3).nonzero()[0]
-    vt_pair, paired = np.zeros((0, 3, 3)), np.zeros(0, dtype=bool)
-    if len(c3):
-        _, s, vt_pair = np.linalg.svd(gmats[c3][:, _ROW_PAIRS].reshape(-1, 2, 3))
-        paired = _nullity(s) == 1
+    pairs = gmats[c3][:, _ROW_PAIRS].reshape(-1, 2, 3)
+    s, vt_pair = _factor(lambda lo, hi: pairs[lo:hi], len(pairs), 2)
+    paired = _nullity(s) == 1
 
     # sources: the systems (blocks, then sub-systems) with a null line and
     # the row pairs, then the systems with a null plane

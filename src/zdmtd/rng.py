@@ -17,11 +17,3 @@ def stream(seed: int, *purpose: str) -> np.random.Generator:
     key = tuple(zlib.crc32(p.encode("utf-8")) for p in purpose)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
-
-
-def unit_rows(draws: np.ndarray) -> np.ndarray:
-    """Gamma draws scaled, row by row along the last axis, by the reciprocal
-    of their in-order sum: the Dirichlet rows ``Generator.dirichlet`` makes
-    from the same draws, bit for bit, when every concentration is >= 0.1
-    (numpy then draws each row's gammas in order and scales them so)."""
-    return draws * (1.0 / draws.cumsum(axis=-1)[..., -1:])

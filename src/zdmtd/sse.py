@@ -17,7 +17,7 @@ import numpy as np
 from .game import GameSpec, MemoryOneStrategy
 from .lp import EQ, GE, LinearProgram, LpNumericalError, solve_each
 from .mdp import _policy_value, best_response, defender_utility_under_br
-from .rng import stream, unit_rows
+from .rng import stream
 
 
 def big_m(g: GameSpec) -> float:
@@ -226,8 +226,9 @@ def _dirichlet_rows(rng: np.random.Generator, conc: np.ndarray) -> np.ndarray:
     draws and generator state of per-row `rng.dirichlet(conc[s])` calls bit
     for bit while every row has an entry >= 0.1: numpy then draws the row's
     gammas in order and scales them by the reciprocal of their sequential
-    sum (`unit_rows`)."""
-    return unit_rows(rng.standard_gamma(conc))
+    sum."""
+    g = rng.standard_gamma(conc)
+    return g * (1.0 / g.cumsum(axis=1)[:, -1:])
 
 
 def search_sse(g: GameSpec, budget: int, seed: int, seeds_in=(), scored=()) -> SseSearch:

@@ -19,7 +19,7 @@ from zdmtd.markov import (
     stationary,
     zd_residual,
 )
-from zdmtd.rng import stream, unit_rows
+from zdmtd.rng import stream
 
 from oracles import (
     SingularChainError,
@@ -299,22 +299,6 @@ def test_max_line_residual_matches_sample_by_sample(monkeypatch):
     monkeypatch.setattr(markov, "VERIFY_STACK_ENTRIES", 3 * 81)
     got = max_line_residual(g, pi_d, alpha, beta, gamma, 10, stream(9, "zd-verify"))
     assert abs(got - expect) <= 1e-15 * max(1.0, expect)
-
-
-@pytest.mark.parametrize("k", [2, 3, 10, 40])
-def test_unit_exponential_rows_are_the_dirichlet_draws(k):
-    # max_line_residual draws unit exponentials into one reused buffer and
-    # scales the kept rows only: the rows rng.dirichlet(ones) gives, bit for
-    # bit, and the generator ends in the same state
-    want_rng, got_rng = stream(k, "zd-verify"), stream(k, "zd-verify")
-    keep = np.arange(0, k * k, 3)
-    draws = np.empty((5, k * k, k))
-    for m in (1, 5, 2, 5, 3):
-        want = want_rng.dirichlet(np.ones(k), size=(m, k * k))
-        att = got_rng.standard_exponential(out=draws[:m])
-        assert unit_rows(att).tobytes() == want.tobytes()
-        assert unit_rows(att[:, keep]).tobytes() == want[:, keep].tobytes()
-        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
 
 def test_stack_sharing_a_support_finds_its_classes_once(monkeypatch):

@@ -774,6 +774,73 @@ def test_solve_optimal_k3_makes_at_most_three_svd_calls(monkeypatch):
     assert len(calls) <= 3, calls
 
 
+class _CandidatesBuilt(Exception):
+    """Stops solve_optimal once its candidates are built."""
+
+
+def _candidates_and_svd_sizes(monkeypatch, g, budget):
+    """The candidate lists of g under an SVD entry budget, and the (entries
+    in, entries of U) of every SVD call that built them."""
+    original, svd, sizes, lists = programs._game_candidates, np.linalg.svd, [], []
+
+    def measured(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        sizes.append((np.size(a), np.size(u)))
+        return u, s, vt
+
+    def record(*args):
+        monkeypatch.setattr(np.linalg, "svd", measured)
+        lists.append(original(*args))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        raise _CandidatesBuilt
+
+    monkeypatch.setattr(programs, "SVD_STACK_ENTRIES", budget)
+    monkeypatch.setattr(programs, "_game_candidates", record)
+    with pytest.raises(_CandidatesBuilt):
+        solve_optimal(g, evaluate_br=False)
+    monkeypatch.undo()
+    return lists[0], sizes
+
+
+def _same_uncovered_pair_game(k):
+    """Every uncovered pair the same: each cell's equality block has rank 1,
+    so each cell has a null plane and one sub-system per hull vertex."""
+    rng = np.random.default_rng(k)
+    return canonicalize(GameSpec(k, rng.uniform(1, 2, k), np.full(k, -1.0),
+                                 rng.uniform(-2, 0, k), np.full(k, 1.0)))[0]
+
+
+@pytest.mark.parametrize("kind", ["zero-sum", "same pair"])
+def test_candidate_svds_stay_within_their_entry_budget(monkeypatch, kind):
+    # a zero-sum game's uncovered pairs are collinear, so no triple closes a
+    # cell and all K (K - 1) equality blocks are factored; in the other game
+    # every cell adds a sub-system per hull vertex.  Each call must stay
+    # within the budget, its U no larger than its input
+    if kind == "zero-sum":
+        rng = np.random.default_rng(100)
+        d_cov, d_unc = rng.uniform(1, 2, 100), rng.uniform(-2, 0, 100)
+        g = canonicalize(GameSpec(100, d_cov, d_unc, -d_cov, -d_unc))[0]
+    else:
+        g = _same_uncovered_pair_game(60)
+    cands, sizes = _candidates_and_svd_sizes(monkeypatch, g, programs.SVD_STACK_ENTRIES)
+    assert len(cands) == g.k * (g.k - 1)
+    assert sum(n for n, _ in sizes) > 2 * programs.SVD_STACK_ENTRIES  # several calls
+    assert all(n <= programs.SVD_STACK_ENTRIES and u <= n for n, u in sizes), sizes
+
+
+def test_candidate_lists_do_not_depend_on_the_svd_budget(monkeypatch):
+    # a budget of 40 entries splits every stack into calls of a few systems
+    rng = np.random.default_rng(31)
+    games = [random_game(k, rng) for k in range(2, 7) for _ in range(3)]
+    games += [_collinear_pairs_game(), _same_uncovered_pair_game(6)]
+    games += _repeated_payoff_games(rng, 15)
+    for g in games:
+        got, sizes = _candidates_and_svd_sizes(monkeypatch, g, 40)
+        want, _ = _candidates_and_svd_sizes(monkeypatch, g, 2**20)
+        assert all(n <= 40 for n, _ in sizes)
+        assert all(_same_candidates(a, b) for a, b in zip(got, want)) and len(got) == len(want)
+
+
 def test_rank_certificate_skips_no_cell_on_collinear_pairs(monkeypatch):
     _, visited = _visited_cells(monkeypatch, _collinear_pairs_game())
     assert len(visited) == 8 * 7
