@@ -8,14 +8,17 @@ counter-based random streams.
 
 A stage picks each action as `bisect_right` on the current state's
 cumulative row would, without searching: every block of draws is placed
-once in a grid of all the cumulative entries, and a table built once per run
-maps (state, grid cell) to the pick, so a step is two list lookups whatever
-K is (`_pick_table`).  The step loop appends each state to a typed
-`array('q')` that numpy reads in place; each block's utilities then come
-from one `np.take` on a table flattened to (quantity, regime * K^2 + state),
-and their compensated running sums are formed in one buffer that every
-block of a run reuses (`_running_sums`).  Segment statistics stay columns of the trajectory, and
-per-regime summaries are pooled from those columns.
+once in a grid of all the cumulative entries, and each draw's cell becomes a
+base offset into a table, built once per run, of the pick in every (grid
+cell, state), cell-major (`_pick_table`).  A stage is then two adds and two
+list lookups whatever K is, s = pick_d[cd + s] + pick_a[ca + s]; tables
+past PICK_TABLE_ENTRIES entries (a dense strategy's grow as K^5) give way to
+`bisect_right` on the two rows (`_walker`).  A block's states go into a
+plain list that np.fromiter reads; its utilities then come from one
+`np.take` on a table flattened to (quantity, regime * K^2 + state), and
+their compensated running sums are formed in one buffer that every block of
+a run reuses (`_running_sums`).  Segment statistics stay columns of the
+trajectory, and per-regime summaries are pooled from those columns.
 
 For type-switching runs the realized utilities follow the current type's
 game.  A reference game (the one a zero-determinant strategy was built
@@ -35,7 +38,6 @@ artifact that no run length can average away).
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -104,6 +106,7 @@ class TrajectoryStats:
 
 
 _CHUNK = 1 << 12  # stages per block of draws, states and sums; any size gives the same bits
+PICK_TABLE_ENTRIES = 1 << 18  # both players' pick-table entries; past it, stages bisect the rows
 
 
 def _phase(t: np.ndarray, period: int) -> np.ndarray:
@@ -159,8 +162,9 @@ def _cumulative_rows(rows: np.ndarray) -> np.ndarray:
 def _pick_table(cum: np.ndarray, grid: np.ndarray, scale: int) -> list:
     """`bisect_right(cum[r], u) * scale` for every row r of `cum` (cumulative
     rows topped with +inf) and every cell of `grid`, the sorted finite
-    entries of `cum`: a flat list, the cells of a row adjacent.  Cell c holds
-    the draws u with grid[c - 1] <= u < grid[c] (no bound beyond the ends).
+    entries of `cum`: a flat list, cell-major, so (cell c, row r) is entry
+    c * rows + r.  Cell c holds the draws u with grid[c - 1] <= u < grid[c]
+    (no bound beyond the ends).
 
     Binary search compares u only with entries of the row, and each of them
     is on the grid, so every u in a cell takes the same branches: one value
@@ -178,7 +182,58 @@ def _pick_table(cum: np.ndarray, grid: np.ndarray, scale: int) -> list:
     # the cell whose lower end is an entry starts that entry's value
     np.maximum.at(table, (np.arange(rows)[:, None], np.searchsorted(grid, entries) + 1),
                   picks[:, 1:])
-    return (np.maximum.accumulate(table, axis=1) * scale).ravel().tolist()
+    return (np.maximum.accumulate(table, axis=1).T * scale).ravel().tolist()
+
+
+def _walker(cum_d: np.ndarray, cum_a: np.ndarray, k: int):
+    """The state recursion, as `walk(s, u, row_a)`: the list of states that
+    the draws u (n, 2) lead to from state s, where row_a (a scalar, or one
+    per stage) is the attacker's row offset regime * K^2 into `cum_a`; and
+    `close(s, u)`: the defender's action for one more draw u at state s.
+
+    Each action is the one `bisect_right` picks on the +inf-topped
+    cumulative row.  While the two pick tables (`_pick_table`) hold at most
+    PICK_TABLE_ENTRIES entries together, a block's draws become the base
+    offsets of their grid cells in numpy, and a stage is two adds and two
+    list lookups: s = pick_d[cd + s] + pick_a[ca + s].  Above that, a dense
+    strategy's tables would grow as K^5, and each stage runs `bisect_right`
+    on the two rows instead."""
+    kk = k * k
+    rows_a = cum_a.shape[0]
+    grid_d, grid_a = np.unique(cum_d[:, :-1]), np.unique(cum_a[:, :-1])
+    if kk * (grid_d.size + 1) + rows_a * (grid_a.size + 1) > PICK_TABLE_ENTRIES:
+        lists_d, lists_a = cum_d.tolist(), cum_a.tolist()
+
+        def walk(s, u, row_a):
+            states = []
+            append = states.append
+            for (u0, u1), r in zip(u.tolist(), np.broadcast_to(row_a, len(u)).tolist()):
+                s = bisect_right(lists_d[s], u0) * k + bisect_right(lists_a[r + s], u1)
+                append(s)
+            return states
+
+        def close(s, u):
+            return bisect_right(lists_d[s], u)
+
+        return walk, close
+
+    pick_d, pick_a = _pick_table(cum_d, grid_d, k), _pick_table(cum_a, grid_a, 1)
+
+    def walk(s, u, row_a):
+        cells_d = (np.searchsorted(grid_d, u[:, 0], "right") * kk).tolist()
+        cells_a = (np.searchsorted(grid_a, u[:, 1], "right") * rows_a + row_a).tolist()
+        table_d, table_a = pick_d, pick_a  # locals, read twice a stage
+        states = []
+        append = states.append
+        for cd, ca in zip(cells_d, cells_a):
+            s = table_d[cd + s] + table_a[ca + s]
+            append(s)
+        return states
+
+    def close(s, u):
+        return pick_d[int(np.searchsorted(grid_d, u, "right")) * kk + s] // k
+
+    return walk, close
 
 
 def _policy_rows(g: GameSpec, pi_d: MemoryOneStrategy) -> np.ndarray:
@@ -205,15 +260,17 @@ def simulate(
     current game's utilities, and advances the state.  Running averages are
     recorded every `stride` stages (and at the final stage).
 
-    Only the state recursion runs step by step, as two list lookups: each
-    block of draws is first placed in a grid of the cumulative rows' entries
-    (one np.searchsorted per player), and a table built once per call maps
-    (state, grid cell) to the action `bisect_right` picks (`_pick_table`).
-    The loop appends the block's states to an `array('q')`, read by
-    np.frombuffer without a copy; one np.take gathers every utility row of
-    the block, whose Sum2 running sums are formed in place in one buffer
-    that every block reuses (`_running_sums`).  Running averages and segment statistics are read
-    from those sums at the series marks and segment bounds.
+    Only the state recursion runs step by step (`_walker`): each block of
+    draws is first placed in a grid of the cumulative rows' entries (one
+    np.searchsorted per player), whose cells become base offsets into
+    cell-major tables of the action `bisect_right` picks (`_pick_table`),
+    so a stage is two adds and two list lookups; past PICK_TABLE_ENTRIES
+    table entries a stage bisects the two rows instead.  The block's states
+    are collected in a list that np.fromiter reads; one np.take gathers
+    every utility row of the block, whose Sum2 running sums are formed in
+    place in one buffer that every block reuses (`_running_sums`).  Running
+    averages and segment statistics are read from those sums at the series
+    marks and segment bounds.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -260,13 +317,10 @@ def simulate(
         marks = np.append(marks, steps)
     bounds = np.append(np.arange(0, steps, period), steps)
 
-    # the attacker's rows of every regime share one grid and one table;
-    # a draw's cell index carries its regime's offset into that table
-    cum_d = _cumulative_rows(pi_d.rows)
-    cum_a = _cumulative_rows(np.concatenate([rows for _, _, rows in regimes]))
-    grid_d, grid_a = np.unique(cum_d[:, :-1]), np.unique(cum_a[:, :-1])
-    w_d, w_a = grid_d.size + 1, grid_a.size + 1
-    pick_d, pick_a = _pick_table(cum_d, grid_d, k), _pick_table(cum_a, grid_a, 1)
+    # the attacker's rows of every regime are one stack; a stage's row
+    # offset into it is its (lagged) regime * K^2
+    walk, close = _walker(_cumulative_rows(pi_d.rows),
+                          _cumulative_rows(np.concatenate([rows for _, _, rows in regimes])), k)
     rng = stream(seed, "simulate")
     s = int(rng.integers(k * k))
 
@@ -279,22 +333,16 @@ def simulate(
     for first in range(0, steps, _CHUNK):
         end = min(first + _CHUNK, steps)
         u = rng.random((end - first, 2))
-        cells_d = np.searchsorted(grid_d, u[:, 0], "right").tolist()
-        cells_a = np.searchsorted(grid_a, u[:, 1], "right")
-        offset = 0  # regime * K^2 of each stage; one regime is regime 0 throughout
+        offset = row_a = 0  # regime * K^2 of each stage; one regime is regime 0 throughout
         if switching:
             t = np.arange(first, end)
             phase = _phase(t, period)
             offset = phase * (k * k)
             # the attacker's policy may adapt `lag` stages after the type flips
-            lagged = _phase(t - profile.lag, period) if profile.lag else phase
-            cells_a += lagged * (k * k * w_a)
-        states = array("q")
-        append = states.append
-        for i0, i1 in zip(cells_d, cells_a.tolist()):
-            s = pick_d[s * w_d + i0] + pick_a[s * w_a + i1]
-            append(s)
-        states = np.frombuffer(states, dtype=np.int64)
+            row_a = _phase(t - profile.lag, period) * (k * k) if profile.lag else offset
+        walked = walk(s, u, row_a)
+        s = walked[-1]
+        states = np.fromiter(walked, np.int64, count=end - first)
         x = np.take(tables, states + offset, axis=1)
         acc = _running_sums(x, acc[..., -1], buf)
         m = _within(marks, first + 1, end + 1)
@@ -302,8 +350,7 @@ def simulate(
         at_bounds.append(acc[..., _within(bounds, first + 1, end + 1) - 1 - first])
         d_bounds.append(states[_within(bounds, first, end) - first] // k)
     # one extra defender draw closes the final segment's boundary term
-    cell = int(np.searchsorted(grid_d, rng.random(), "right"))
-    d_bounds.append([pick_d[s * w_d + cell] // k])
+    d_bounds.append([close(s, rng.random())])
 
     avg = np.concatenate(avg, axis=1)
     means = np.diff(np.concatenate(at_bounds, axis=2), axis=2).sum(0) / np.diff(bounds)

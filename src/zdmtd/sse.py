@@ -177,7 +177,9 @@ def oneshot_sse(g: GameSpec) -> OneshotSse:
     defender's value subject to that target being attacker-optimal; keep the
     best (defender-favoring ties).  The K programs are one stack: the
     program of target a has its own objective and, for each other target
-    in order, its own >= row and right-hand side."""
+    in order, its own >= row and right-hand side.  The value is the best
+    program's objective; its coverage is put on the simplex, clipped to
+    [0, 1] and divided by its sum."""
     k = g.k
     delta_a = g.u_a_cov - g.u_a_unc
     attacked = np.arange(k)
@@ -199,7 +201,11 @@ def oneshot_sse(g: GameSpec) -> OneshotSse:
             best = OneshotSse(out.x, value, out.index + 1)
     if best is None:
         raise LpNumericalError("no attacked target is enforceable; malformed game")
-    return best
+    # the simplex meets sum(x) = 1 only to its feasibility tolerance; a
+    # coverage that misses it by more than PROB_TOL would be rejected as the
+    # lifted strategy's rows
+    coverage = np.clip(best.coverage, 0.0, 1.0)
+    return OneshotSse(coverage / coverage.sum(), best.value, best.attacked)
 
 
 def sse_upper_bound(g: GameSpec) -> float:

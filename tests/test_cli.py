@@ -12,7 +12,7 @@ import pytest
 from zdmtd import cli, sse
 from zdmtd.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, atomic_open, main,
                        solve_game)
-from zdmtd.game import GameSpec, game_to_dict
+from zdmtd.game import PROB_TOL, GameSpec, game_to_dict, load_game
 from zdmtd.lp import LpNumericalError, LpOutcome
 from zdmtd.markov import StationaryError
 from zdmtd.mdp import PolicyIterationCycleError
@@ -375,6 +375,47 @@ def test_compare_on_a_game_whose_swap_search_start_misses_the_floor(tmp_path):
     assert main(["compare", "--game", game, "--budget", "4", "--out", str(out)]) == EXIT_OK
     assert [line.split(",")[0] for line in out.read_text().splitlines()[2:]] == [
         "zd", "oneshot_sse", "search_sse", "upper_bound"]
+
+
+# games whose one-shot program returned a coverage off the simplex by more
+# than PROB_TOL (sum 1 - 1.9e-9 at K = 3, a defect of 3.6e-12 at K = 4), so
+# that `compare` exited 64 when it lifted it to a strategy
+SIMPLEX_DEFECT_GAMES = {
+    "k3": {"k": 3, "u_d_cov": [7705.81594504851, 2.8555136817068833e-06, 0.0004128277870569478],
+           "u_d_unc": [-256.47911059788845, 1.5101069463235214e-06, -0.0001866506710883858],
+           "u_a_cov": [12658.40761706438, 2.3854028184653275e-07, 0.00021855175497359307],
+           "u_a_unc": [-1028.7966383202513, 1.946621204698184e-06, -1.4250075871952583e-05]},
+    "k4": {"k": 4, "u_d_cov": [-0.059888256207336385, 1698.8776260675486,
+                               0.0005982162103658195, -0.0028840657629018614],
+           "u_d_unc": [-0.16649297285290401, 334.3056429317404,
+                       0.00012858876729155439, -0.007743123117719181],
+           "u_a_cov": [0.02533440544886559, 373.36405065551673,
+                       4.3264924663842135e-05, 0.009332080298246477],
+           "u_a_unc": [-0.15426972030322203, -1399.243076245668,
+                       0.00012726323056083428, -0.0020948750265558902]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLEX_DEFECT_GAMES))
+def test_compare_lifts_a_one_shot_coverage_off_the_simplex(tmp_path, monkeypatch, name):
+    game = write_game(tmp_path / "game.json", SIMPLEX_DEFECT_GAMES[name])
+    assert main(["compare", "--game", game, "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+
+    outcomes, inner = [], sse.solve_each
+
+    def recorded(lp):
+        outcomes.extend(inner(lp))
+        return outcomes
+
+    monkeypatch.setattr(sse, "solve_each", recorded)
+    g = load_game(game)
+    one = sse.oneshot_sse(g)
+    picked = outcomes[one.attacked - 1]
+    assert abs(picked.x.sum() - 1.0) > PROB_TOL  # the program's own point is off
+    assert one.coverage.min() >= 0.0 and abs(one.coverage.sum() - 1.0) <= PROB_TOL
+    assert np.max(np.abs(one.coverage - picked.x)) <= 1e-8
+    # the value stays the program's objective
+    assert one.value == picked.objective + float(g.u_d_unc[one.attacked - 1])
 
 
 def test_solve_game_function_modes():

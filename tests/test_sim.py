@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from bisect import bisect_right
@@ -13,6 +14,7 @@ from zdmtd.markov import long_run_utilities
 from zdmtd.scenarios import crowd_game, crowd_scenario, scenario_to_dict, with_switching
 from zdmtd.sim import (
     _CHUNK,
+    PICK_TABLE_ENTRIES,
     TrajectoryStats,
     _cumulative_rows,
     _pick_table,
@@ -200,6 +202,32 @@ def assert_matches_reference(stats, ref):
                 assert abs(got - want[key]) <= 1e-12, (key, got, want[key])
 
 
+def assert_same_bits(got, want):
+    """Every field of two TrajectoryStats, bit for bit."""
+    for field in dataclasses.fields(TrajectoryStats):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            if a.dtype == object:
+                assert a.tolist() == b.tolist(), field.name
+            else:
+                assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def spy_pick_tables(monkeypatch):
+    """A list that records the shape of every table `_pick_table` builds."""
+    built, inner = [], sim._pick_table
+
+    def spy(cum, grid, scale):
+        built.append(cum.shape)
+        return inner(cum, grid, scale)
+
+    monkeypatch.setattr(sim, "_pick_table", spy)
+    return built
+
+
 def reference_case(seed=0):
     rng = np.random.default_rng(seed)
     honest, malicious = random_game(3, rng), random_game(3, rng)
@@ -259,7 +287,7 @@ def edge_example():
     return 3, np.array(rows), np.array(rows[::-1]), "switching", _CHUNK + 3, 7, 50, 3, True, 11
 
 
-def test_simulate_matches_reference_property():
+def test_simulate_matches_reference_property(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -278,6 +306,8 @@ def test_simulate_matches_reference_property():
                 draw(st.integers(1, 400)), draw(st.integers(1, 50)), draw(st.integers(1, 60)),
                 draw(st.integers(0, 80)), draw(st.booleans()), draw(st.integers(0, 2**31)))
 
+    built = spy_pick_tables(monkeypatch)
+
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(cases())
     @hypothesis.example(edge_example())
@@ -294,9 +324,17 @@ def test_simulate_matches_reference_property():
         }[kind]()
         # phi = 10^(d - 1) makes every segment's phi_boundary name both defender actions
         kwargs = {"reference_game": malicious, "gauge_phi": 10.0 ** np.arange(k)}
-        stats = simulate(honest, pi_d, profile, steps, seed, stride=stride, **kwargs)
-        assert_matches_reference(stats, simulate_reference(
-            honest, pi_d, profile, steps, seed, stride=stride, **kwargs))
+        ref = simulate_reference(honest, pi_d, profile, steps, seed, stride=stride, **kwargs)
+        # pick tables within the default cap, and bisection on the rows above a cap of 0
+        runs = []
+        for entries, tables in ((PICK_TABLE_ENTRIES, 2), (0, 0)):
+            monkeypatch.setattr(sim, "PICK_TABLE_ENTRIES", entries)
+            built.clear()
+            runs.append(simulate(honest, pi_d, profile, steps, seed, stride=stride, **kwargs))
+            assert len(built) == tables
+            assert_matches_reference(runs[-1], ref)
+        assert_same_bits(*runs)
+        stats = runs[0]
         # pooling from the segment columns is the pooling of per-segment records, bit for bit
         params = ZdLinearParams(*rng.normal(size=3).tolist())
         assert regime_summaries(stats, params) == \
@@ -358,29 +396,77 @@ def test_simulate_bits_do_not_depend_on_the_block_size(monkeypatch):
 
     want = run(_CHUNK)
     for chunk in (1, 7):
-        got = run(chunk)
-        for field in dataclasses.fields(TrajectoryStats):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            if isinstance(b, np.ndarray):
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
-                if a.dtype == object:
-                    assert a.tolist() == b.tolist(), field.name
-                else:
-                    assert a.tobytes() == b.tobytes(), field.name
-            else:
-                assert a == b, field.name
+        assert_same_bits(run(chunk), want)
 
 
-def test_dense_k16_defender_matches_reference():
-    # a Dirichlet defender fills its pick table: 256 x (256 * 15 + 1) entries
+def test_dense_k16_defender_matches_reference(monkeypatch):
+    # a Dirichlet defender fills its pick table, 256 x (256 * 15 + 1) =
+    # 983,296 entries: above the default cap the stages bisect the rows,
+    # and with the cap raised past it they read the tables
     rng = np.random.default_rng(16)
     honest, malicious = random_game(16, rng), random_game(16, rng)
     pi_d = random_strategy(16, rng)
     profile = switching_profile(500, "malicious", honest, malicious, lag=9)
     kwargs = {"reference_game": malicious, "gauge_phi": rng.normal(size=16)}
-    stats = simulate(honest, pi_d, profile, _CHUNK + 3, seed=4, stride=250, **kwargs)
-    assert_matches_reference(stats, simulate_reference(
-        honest, pi_d, profile, _CHUNK + 3, 4, stride=250, **kwargs))
+    ref = simulate_reference(honest, pi_d, profile, _CHUNK + 3, 4, stride=250, **kwargs)
+    built = spy_pick_tables(monkeypatch)
+    runs = []
+    for entries, tables in ((PICK_TABLE_ENTRIES, []), (2**20, [(256, 16), (512, 16)])):
+        monkeypatch.setattr(sim, "PICK_TABLE_ENTRIES", entries)
+        built.clear()
+        runs.append(simulate(honest, pi_d, profile, _CHUNK + 3, seed=4, stride=250, **kwargs))
+        assert built == tables
+        assert_matches_reference(runs[-1], ref)
+    assert_same_bits(*runs)
+
+
+# the strategy `zdmtd solve` writes for the crowd scenario's malicious-type
+# game, kept here so that the pinned trajectories do not depend on the
+# platform's linear algebra
+CROWD_STRATEGY = {
+    "k": 3,
+    "pi": [[0.5370370365000001, 0.4629629624999999, 1e-09],
+           [0.925925925388889, 0.07407407361111104, 1e-09],
+           [0.999999999, 0.0, 1e-09],
+           [0.07407407353703721, 0.9259259254629628, 1e-09],
+           [9.999999717180685e-10, 0.9999999980000001, 1e-09],
+           [9.999999717180685e-10, 0.9999999980000001, 1e-09],
+           [0.6111111105740743, 0.3888888884259257, 1e-09],
+           [0.46296296242592616, 0.5370370365740739, 1e-09],
+           [0.2907407402037038, 0.7092592587962961, 1.000000082740371e-09]],
+    "zd": {"alpha": -0.01960784313725486, "beta": -0.3137254901960784, "gamma": 1.0,
+           "phi": [0.0, 1.058823529411765, 0.4901960784313726],
+           "residual": 1.627451031523311e-09, "class": "generous"},
+}
+
+# sha256 of trajectory.csv from `zdmtd simulate` against CROWD_STRATEGY,
+# 20,000 steps at the default stride, recorded with the earlier row-major
+# pick tables and array('q') states: no layout of the step loop may move a
+# bit.  The CSV header hashes the package version: a new version re-records.
+CROWD_TRAJECTORY_SHA256 = {
+    ("honest", 10, 0): "b83d492b8e78c9887ec21801b94b98b171e4ddbd31f434eda1f0b2972226f959",
+    ("honest", 10, 1): "510f11e9d69599df73e4e35ab60402b2a26166dcde18c14b93bb6db8946798a7",
+    ("honest", 50, 0): "dc9f9f5807a635b5b97a061500cb67dcec28ab97a8ae63b64481cc61b46873f7",
+    ("honest", 50, 1): "bb4f1d90e069206da97a20ae32a37be5e3a205ceac8ce5ebc12e05226d1c4445",
+    ("malicious", 10, 0): "f184d86f18e3425b6b1f5f803dfb7dcec0ab5c575902dfbda19913cc2f6a441a",
+    ("malicious", 10, 1): "9efea99a3e29267bacfca981343d9ad3c49661441e7ff459e112d4cd8853effc",
+    ("malicious", 50, 0): "1505a5cc64258290ffe11cd563020e138421a86fbd8c246bd7f8d70060daeb77",
+    ("malicious", 50, 1): "95dcbb5cb9c8aa1dc1238ead2362e0416ea9eeb4c8701dfeef6970482e991aac",
+}
+
+
+def test_crowd_simulate_trajectories_are_pinned(tmp_path):
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps(CROWD_STRATEGY))
+    got = {}
+    for initial, period, seed in CROWD_TRAJECTORY_SHA256:
+        scenario = tmp_path / f"{initial}-{period}.json"
+        scenario.write_text(json.dumps(scenario_to_dict(crowd_scenario(initial, period))))
+        out = tmp_path / "trajectory.csv"
+        assert main(["simulate", "--scenario", str(scenario), "--strategy", str(strategy),
+                     "--steps", "20000", "--seed", str(seed), "--out", str(out)]) == 0
+        got[initial, period, seed] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == CROWD_TRAJECTORY_SHA256
 
 
 class ScriptedStream:
@@ -483,7 +569,7 @@ def test_pick_table_matches_bisect_in_every_cell(k):
                   if lo <= u < hi]
         assert inside and np.searchsorted(grid, inside, "right").tolist() == [c] * len(inside)
         for r, row in enumerate(cum):
-            assert {bisect_right(row, u) * k for u in inside} == {table[r * (grid.size + 1) + c]}
+            assert {bisect_right(row, u) * k for u in inside} == {table[c * len(cum) + r]}
 
 
 def test_negative_top_entry_where_the_forms_part():
