@@ -159,8 +159,15 @@ def _closed_classes(support: np.ndarray) -> list:
 
 def _closed_class_limit(m: np.ndarray, classes: list) -> np.ndarray:
     """lim (1/T) sum_t u M^t from the uniform start u: each closed class's
-    stationary vector weighted by u's probability of ending in the class."""
+    stationary vector weighted by u's probability of ending in the class.
+    With one closed class that probability is 1 from every state, however
+    slowly a transient state leaks into it (a leak below rounding would make
+    the absorption solve singular)."""
     n = m.shape[0]
+    v = np.zeros(n)
+    if len(classes) == 1:
+        v[classes[0]] = _direct(m[np.ix_(classes[0], classes[0])])
+        return v
     transient = ~np.any(classes, axis=0)
     into = np.stack([m[np.ix_(transient, c)].sum(axis=1) for c in classes], axis=1)
     q = m[np.ix_(transient, transient)]
@@ -168,7 +175,6 @@ def _closed_class_limit(m: np.ndarray, classes: list) -> np.ndarray:
     # I - Q with each diagonal entry the row's mass leaving the state (GTH):
     # 1 - q_ii rounds to 0 on a state that leaves with probability ~1e-17
     absorbed = np.linalg.solve(np.diag(into.sum(axis=1) + off.sum(axis=1)) - off, into)
-    v = np.zeros(n)
     for c, from_transient in zip(classes, absorbed.T):
         v[c] = (c.sum() + from_transient.sum()) / n * _direct(m[np.ix_(c, c)])
     return v

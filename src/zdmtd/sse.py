@@ -3,9 +3,10 @@
 Exact equilibrium computation for the repeated game is a mixed-integer
 nonconvex program; this module emits that program to a portable LP-format
 text file for external solvers and provides in-repo bounds instead: a
-memoryless one-shot equilibrium (multiple-LP method), a seeded local search
-over memory-one strategies, an exhaustive search over deterministic
-defender strategies (K <= 3), and the analytic upper bound max_k U_d^c(k).
+memoryless one-shot equilibrium (multiple-LPs method, each program decided
+exactly by its breakpoints), a seeded local search over memory-one
+strategies, an exhaustive search over deterministic defender strategies
+(K <= 3), and the analytic upper bound max_k U_d^c(k).
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameSpec, MemoryOneStrategy
-from .lp import EQ, GE, LinearProgram, LpNumericalError, solve_each
 from .mdp import _policy_value, best_response, defender_utility_under_br
 from .rng import stream
+
+
+class OneshotInfeasibleError(RuntimeError):
+    """No attacked target can be kept attacker-optimal.  Every valid game
+    has one (the attacker's best target under any coverage), so this is
+    numerical trouble."""
 
 
 def big_m(g: GameSpec) -> float:
@@ -172,40 +178,96 @@ class OneshotSse:
         return MemoryOneStrategy(k, np.tile(self.coverage, (k * k, 1)))
 
 
-def oneshot_sse(g: GameSpec) -> OneshotSse:
-    """Multiple-LP method: for each candidate attacked target, maximize the
-    defender's value subject to that target being attacker-optimal; keep the
-    best (defender-favoring ties).  The K programs are one stack: the
-    program of target a has its own objective and, for each other target
-    in order, its own >= row and right-hand side.  The value is the best
-    program's objective; its coverage is put on the simplex, clipped to
-    [0, 1] and divided by its sum."""
+_SUM_TOL = 1e-12  # slack, in coverage units, of the rows sum lo <= 1 - c_a <= sum hi
+
+
+def _gap_fraction(g: GameSpec, u):
+    """clip((u - u_a_unc[j]) / d_j, 0, 1) for each target j, with attacker
+    gap d_j = u_a_cov[j] - u_a_unc[j] (0 where d_j = 0); u broadcasts
+    against the target axis.  The attacker's value at j is at most u when j's
+    coverage is at least this fraction (d_j < 0) or at most it (d_j > 0); a
+    target with no gap is free once u >= u_a_unc[j]."""
+    gap = g.u_a_cov - g.u_a_unc
+    return np.minimum(np.maximum((u - g.u_a_unc) / np.where(gap == 0.0, 1.0, gap), 0.0), 1.0)
+
+
+def _largest_coverage(g: GameSpec):
+    """(x, u): for each target a, the largest coverage x[a] of a under which
+    some coverage of the others keeps a attacker-optimal, and the attacker's
+    value u[a] at a there; NaN where there is none.
+
+    With c_a = x fixed, the attacker's value at a is U = u_a_unc[a] + x d_a,
+    and each other target's row bounds c_j alone, to [lo_j(U), hi_j(U)]
+    (`_gap_fraction`).  So x is feasible when U is at least the floor
+    max_j min(u_a_cov[j], u_a_unc[j]) and sum_{j != a} lo_j <= 1 - x <=
+    sum_{j != a} hi_j.  Every term is linear in x between breakpoints, where
+    U equals some target's u_a_unc or u_a_cov.  Those payoffs, clipped into
+    the range of U above the floor, are the exact breakpoint values of U,
+    ordered so that x ascends.  On each segment between neighbouring
+    breakpoints, the largest x where both sum rows are at most zero comes
+    from linear interpolation, and a row may miss by _SUM_TOL."""
     k = g.k
-    delta_a = g.u_a_cov - g.u_a_unc
-    attacked = np.arange(k)
-    obj = np.zeros((k, k))
-    obj[attacked, attacked] = g.u_d_cov - g.u_d_unc
-    rows = [(np.ones(k), EQ, 1.0)]
-    for j in range(k - 1):
-        other = np.where(attacked <= j, j + 1, j)  # target a's j-th other target
-        row = np.zeros((k, k))
-        row[attacked, attacked] = delta_a
-        row[attacked, other] = -delta_a[other]
-        rows.append((row, GE, g.u_a_unc[other] - g.u_a_unc))
+    unc, cov = g.u_a_unc, g.u_a_cov
+    gap = cov - unc
+    low = np.maximum(np.minimum(unc, cov), np.max(np.minimum(unc, cov)))[:, None]
+    high = np.maximum(unc, cov)[:, None]
+    points = np.sort(np.concatenate([unc, cov]))
+    u = np.minimum(np.maximum(np.where((gap < 0.0)[:, None], points[::-1], points), low), high)
+    x = (u - unc[:, None]) / np.where(gap == 0.0, 1.0, gap)[:, None]
+    x[gap == 0.0] = np.arange(2 * k) >= k  # U is constant; x spans [0, 1]
+    # the sums over all targets, then target a's own term (lo_a = x when
+    # d_a < 0, hi_a = x when d_a > 0, else 0 and 1) taken back out
+    coef = (np.sign(gap)[:, None] == [-1.0, 1.0]) * [1.0, -1.0]  # sum lo, -(sum of moving hi)
+    rows = _gap_fraction(g, u[:, :, None]) @ coef
+    rows[..., 0] += np.where(gap < 0.0, 0.0, x.T).T - 1.0
+    rows[..., 1] += np.where(gap > 0.0, 0.0, 1.0 - x.T).T + (1.0 - np.count_nonzero(gap <= 0.0))
+    left, right = rows[:, :-1], rows[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = left / (left - right)
+    # the segment fraction s where the first row turns positive; a segment
+    # with a row positive at both ends fails the check at s
+    s = np.maximum(np.where(right > 0.0, cross, 1.0).min(axis=2), 0.0)
+    ok = (left + s[..., None] * (right - left) <= _SUM_TOL).all(axis=2)
+    x_at = np.where(ok, x[:, :-1] * (1.0 - s) + x[:, 1:] * s, -np.inf)
+    seg = np.argmax(x_at, axis=1)
+    a = np.arange(k)
+    x_best, s_best = x_at[a, seg], s[a, seg]
+    u_best = u[a, seg] * (1.0 - s_best) + u[a, seg + 1] * s_best
+    found = (x_best > -np.inf) & (low[:, 0] <= high[:, 0])
+    return np.where(found, x_best, np.nan), np.where(found, u_best, np.nan)
+
+
+def oneshot_sse(g: GameSpec) -> OneshotSse:
+    """The one-shot Strong Stackelberg equilibrium by the multiple-LPs
+    method: for each candidate attacked target a, the defender's best
+    coverage subject to a being attacker-optimal.  The defender gains by
+    covering a (u_d_cov > u_d_unc), so each program's optimum is its largest
+    feasible c_a, decided exactly by its breakpoints (`_largest_coverage`).
+    The first program in target order wins unless a later one is better by
+    more than 1e-12.
+
+    Where the optimal coverage is not unique, the rule is: c_a, then each
+    other target at its least coverage lo_j, then what remains of the unit
+    mass given to the targets in order, each up to its most coverage hi_j.
+    The vector is divided by its sum, which it meets to rounding."""
+    x, u = _largest_coverage(g)
     best = None
-    for out in solve_each(LinearProgram(obj, "max", rows, [(0.0, 1.0)] * k)):
-        if out.status != "optimal":
+    for a in range(g.k):
+        if np.isnan(x[a]):
             continue
-        value = out.objective + float(g.u_d_unc[out.index])
-        if best is None or value > best.value + 1e-12:
-            best = OneshotSse(out.x, value, out.index + 1)
+        value = float(x[a] * (g.u_d_cov[a] - g.u_d_unc[a]) + g.u_d_unc[a])
+        if best is None or value > best[0] + 1e-12:
+            best = (value, a)
     if best is None:
-        raise LpNumericalError("no attacked target is enforceable; malformed game")
-    # the simplex meets sum(x) = 1 only to its feasibility tolerance; a
-    # coverage that misses it by more than PROB_TOL would be rejected as the
-    # lifted strategy's rows
-    coverage = np.clip(best.coverage, 0.0, 1.0)
-    return OneshotSse(coverage / coverage.sum(), best.value, best.attacked)
+        raise OneshotInfeasibleError("no attacked target is enforceable; malformed game")
+    value, a = best
+    gap = g.u_a_cov - g.u_a_unc
+    t = _gap_fraction(g, u[a])
+    lo, hi = np.where(gap < 0.0, t, 0.0), np.where(gap > 0.0, t, 1.0)
+    lo[a] = hi[a] = x[a]
+    room = hi - lo
+    coverage = lo + np.clip(1.0 - lo.sum() - (np.cumsum(room) - room), 0.0, room)
+    return OneshotSse(coverage / coverage.sum(), value, a + 1)
 
 
 def sse_upper_bound(g: GameSpec) -> float:
@@ -312,21 +374,3 @@ def exhaustive_sse(g: GameSpec):
         if best is None or u_d > best[0] + 1e-12:
             best = (u_d, strategy)
     return SseSearch(best[1], best[0], float("nan"), k**n)
-
-
-@dataclass(frozen=True)
-class SseBaseline:
-    oneshot: OneshotSse
-    search: SseSearch
-    upper_bound: float
-
-
-def baselines(g: GameSpec, budget: int, seed: int, seeds_in=(), oneshot: OneshotSse = None,
-              scored=()) -> SseBaseline:
-    """One-shot proxy, seeded search (one-shot lift always included), and
-    the analytic upper bound.  A caller that already has the one-shot
-    equilibrium or scored pairs (see `search_sse`) passes them in."""
-    one = oneshot_sse(g) if oneshot is None else oneshot
-    seeds = [one.lifted(g.k)] + list(seeds_in)
-    search = search_sse(g, budget, seed, seeds, scored=scored)
-    return SseBaseline(one, search, sse_upper_bound(g))

@@ -14,7 +14,7 @@ import numpy as np
 
 from zdmtd.game import GameSpec, MemoryOneStrategy, flat_index, profit_vector
 from zdmtd.lp import (EQ, FEAS_TOL as LP_FEAS_TOL, GE, LE, LinearProgram, LpError,
-                      LpNumericalError, LpOutcome, check_feasible, solve_lp)
+                      LpNumericalError, LpOutcome, check_feasible, solve_each, solve_lp)
 from zdmtd.lp import _violation
 from zdmtd.markov import (EPSILON_MIX, TransitionMatrix, UtilityPair, _direct, build_transition,
                           chain, stationary)
@@ -34,7 +34,7 @@ from zdmtd.cli import solve_game
 from zdmtd.programs import FEAS_TOL, _SWEEP_STEP, HullPolygon, IdealResult
 from zdmtd.rng import stream
 from zdmtd.sim import RegimeSummary
-from zdmtd.sse import MipConstraint, MipModel
+from zdmtd.sse import MipConstraint, MipModel, OneshotSse
 from zdmtd.zd import (EQ8_TOL, ExistenceResult, FeasibilityParams, ZdLinearParams, _eq8_existence,
                       _require_canonical, _terms, construct_phi, eq8_violations)
 
@@ -746,6 +746,112 @@ def solve_ideal_reference(g: GameSpec) -> IdealResult:
             if res.status == "optimal":
                 return IdealResult(True, ZdLinearParams(*res.x).normalized(), role1, role_k)
     return IdealResult(False)
+
+
+def oneshot_program(g: GameSpec) -> LinearProgram:
+    """The multiple-LPs method's K programs as one stack: the program of
+    target a has its own objective and, for each other target in order, its
+    own >= row and right-hand side."""
+    k = g.k
+    delta_a = g.u_a_cov - g.u_a_unc
+    attacked = np.arange(k)
+    obj = np.zeros((k, k))
+    obj[attacked, attacked] = g.u_d_cov - g.u_d_unc
+    rows = [(np.ones(k), EQ, 1.0)]
+    for j in range(k - 1):
+        other = np.where(attacked <= j, j + 1, j)  # target a's j-th other target
+        row = np.zeros((k, k))
+        row[attacked, attacked] = delta_a
+        row[attacked, other] = -delta_a[other]
+        rows.append((row, GE, g.u_a_unc[other] - g.u_a_unc))
+    return LinearProgram(obj, "max", rows, [(0.0, 1.0)] * k)
+
+
+def oneshot_sse_lp(g: GameSpec) -> OneshotSse:
+    """Reference for `sse.oneshot_sse`: the multiple-LP method on the
+    simplex kernel.  For each candidate attacked target, maximize the
+    defender's value subject to that target being attacker-optimal; keep the
+    best (defender-favoring ties).  The value is the best program's
+    objective; its coverage is put on the simplex, clipped to [0, 1] and
+    divided by its sum."""
+    best = None
+    for out in solve_each(oneshot_program(g)):
+        if out.status != "optimal":
+            continue
+        value = out.objective + float(g.u_d_unc[out.index])
+        if best is None or value > best.value + 1e-12:
+            best = OneshotSse(out.x, value, out.index + 1)
+    if best is None:
+        raise LpNumericalError("no attacked target is enforceable; malformed game")
+    # the simplex meets sum(x) = 1 only to its feasibility tolerance; a
+    # coverage that misses it by more than PROB_TOL would be rejected as the
+    # lifted strategy's rows
+    coverage = np.clip(best.coverage, 0.0, 1.0)
+    return OneshotSse(coverage / coverage.sum(), best.value, best.attacked)
+
+
+@dataclass(frozen=True)
+class ExactOneshot:
+    value: Fraction
+    attacked: int
+    coverage: tuple  # Fractions, or None where the optimal coverage is not unique
+
+
+def oneshot_exact(g: GameSpec) -> ExactOneshot:
+    """The one-shot SSE in rational arithmetic, by brute force over
+    candidates.  For each attacked target a, the feasible c_a form an
+    interval whose top is c_a = 1 or a point where a row of "a stays
+    attacker-optimal" turns: a breakpoint, where the attacker's value at a
+    equals some payoff, or a root of a row that is linear between two
+    breakpoints.  Every candidate is checked against the rows directly.  The
+    winner is the first in target order unless a later one is better by
+    more than 1e-12, as `sse.oneshot_sse` picks."""
+    k = g.k
+    unc, cov, d_unc, d_cov = ([Fraction(float(v)) for v in vec]
+                              for vec in (g.u_a_unc, g.u_a_cov, g.u_d_unc, g.u_d_cov))
+    floor = max(min(c, u) for c, u in zip(cov, unc))
+
+    def bounds(a, x):
+        """Each other target's coverage interval with c_a = x, and the rows."""
+        u = unc[a] + x * (cov[a] - unc[a])
+        lo, hi = [], []
+        for j in range(k):
+            gap = cov[j] - unc[j]
+            t = Fraction(0) if gap == 0 else min(max((u - unc[j]) / gap, Fraction(0)), Fraction(1))
+            lo.append(t if gap < 0 else Fraction(0))
+            hi.append(t if gap > 0 else Fraction(1))
+        lo[a] = hi[a] = x
+        return lo, hi, (sum(lo) - 1, 1 - sum(hi), floor - u)
+
+    best = None
+    for a in range(k):
+        gap = cov[a] - unc[a]
+        points = {Fraction(0), Fraction(1)}
+        if gap != 0:
+            points |= {min(max((v - unc[a]) / gap, Fraction(0)), Fraction(1)) for v in unc + cov}
+        points = sorted(points)
+        candidates = set(points)
+        for xl, xr in zip(points, points[1:]):
+            for left, right in zip(bounds(a, xl)[2], bounds(a, xr)[2]):
+                if min(left, right) < 0 < max(left, right):
+                    candidates.add(xl + left * (xr - xl) / (left - right))
+        feasible = [x for x in candidates if max(bounds(a, x)[2]) <= 0]
+        if feasible:
+            x = max(feasible)
+            value = d_unc[a] + x * (d_cov[a] - d_unc[a])
+            if best is None or value > best[0] + Fraction(1e-12):
+                best = (value, a, x)
+    value, a, x = best
+    lo, hi, _ = bounds(a, x)
+    free = [j for j in range(k) if lo[j] < hi[j]]
+    coverage = None
+    if sum(lo) == 1:
+        coverage = tuple(lo)
+    elif sum(hi) == 1:
+        coverage = tuple(hi)
+    elif len(free) == 1:
+        coverage = tuple(1 - sum(lo) + lo[j] if j in free else lo[j] for j in range(k))
+    return ExactOneshot(value, a + 1, coverage)
 
 
 def simplex_reference(lp):

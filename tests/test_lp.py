@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from zdmtd import lp as lp_module
-from zdmtd import sse
 from zdmtd.lp import (
     _EPS,
     EQ,
@@ -21,7 +20,7 @@ from zdmtd.lp import (
 from zdmtd.programs import solve_ideal
 from zdmtd.scenarios import iot_game, iot_scenario
 
-from oracles import ideal_feasible_game, random_game, simplex_reference
+from oracles import ideal_feasible_game, oneshot_program, random_game, simplex_reference
 
 
 def test_single_bound_example():
@@ -438,16 +437,11 @@ def test_solve_lp_matches_per_row_reference(monkeypatch):
         recorded.append(lp)
         return solve_lp(lp)
 
-    def record_each(lp):
-        oneshot.append(lp)
-        return lp_module.solve_each(lp)
-
     monkeypatch.setattr(lp_module, "solve_lp", record)
-    monkeypatch.setattr(sse, "solve_each", record_each)
     for k in (2, 3, 4, 6, 9, 50):
         g = random_game(k, rng)
         solve_ideal(g)
-        sse.oneshot_sse(g)
+        oneshot.append(oneshot_program(g))
     monkeypatch.undo()
     # the K = 50 ideal program is one stack of its 49 role pairs, and each
     # game's one-shot programs one stack of K: each is checked as a program
@@ -655,20 +649,9 @@ def _varied_stack(rng, integer, size):
     return LinearProgram(objective, stack.sense, rows, stack.bounds)
 
 
-def _oneshot_stacks(monkeypatch, games):
-    """The stack of each game's one-shot SSE programs, as `sse.oneshot_sse`
-    builds it."""
-    recorded = []
-
-    def record(lp):
-        recorded.append(lp)
-        return solve_each(lp)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sse, "solve_each", record)
-        for g in games:
-            sse.oneshot_sse(g)
-    return recorded
+def _oneshot_stacks(games):
+    """The stack of each game's one-shot SSE programs (`oracles.oneshot_program`)."""
+    return [oneshot_program(g) for g in games]
 
 
 def _oneshot_games(rng):
@@ -711,7 +694,7 @@ def test_solve_each_matches_the_alternatives_solved_alone(monkeypatch):
     # stack order is raised.  A pivot budget of 1 makes many alternatives
     # raise
     rng = np.random.default_rng(67)
-    stacks = _oneshot_stacks(monkeypatch, _oneshot_games(rng))
+    stacks = _oneshot_stacks(_oneshot_games(rng))
     stacks += [_varied_stack(rng, i % 2 == 0, int(rng.integers(1, 7))) for i in range(300)]
     statuses = {}
     for budget in (lp_module._MAX_PIVOTS, 1):
@@ -780,7 +763,7 @@ def test_alternatives_that_flip_different_rows_pivot_in_one_lockstep(monkeypatch
     # alternatives with equal row flips one after another would take the
     # sum of each run's largest
     rng = np.random.default_rng(71)
-    stacks = _oneshot_stacks(monkeypatch, _oneshot_games(rng))
+    stacks = _oneshot_stacks(_oneshot_games(rng))
     stacks += [_varied_stack(rng, i % 2 == 0, int(rng.integers(2, 7))) for i in range(200)]
     count = _step_counter(monkeypatch)
     merged = 0
@@ -945,5 +928,5 @@ def test_rank_presolve_leaves_programs_with_few_or_pinned_equalities_alone(monke
                                [(row, EQ, 1.0) for row, _, _ in eq] + rest, stack.bounds)
         assert lp_module._standardize(few)[-1] is None
         assert lp_module._standardize(pinned)[-1] is None
-    oneshot = _oneshot_stacks(monkeypatch, _oneshot_games(rng))
+    oneshot = _oneshot_stacks(_oneshot_games(rng))
     assert all(lp_module._standardize(stack)[-1] is None for stack in oneshot)

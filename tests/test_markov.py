@@ -228,6 +228,22 @@ def test_stationary_transient_state_that_leaves_with_probability_below_rounding(
     assert np.allclose(st.v, expect, rtol=0, atol=1e-15)
 
 
+def test_closed_class_limit_of_transient_states_that_leak_below_rounding():
+    # states 3..5 move among themselves and leak into the one closed class
+    # {0, 1, 2} with probability ~1e-23, below the rounding of their rows'
+    # other mass, so the absorption system is singular in floating point;
+    # with one closed class every start ends in it (a sampled verification
+    # chain of a tied-attacker game on which `solve` exited 64)
+    m = np.zeros((6, 6))
+    m[:3, :3] = [[.5, .25, .25], [.25, .5, .25], [.25, .25, .5]]
+    m[3:, 3:] = [[.25, .5, .25], [.125, .5, .375], [.5, .25, .25]]
+    m[3, :2] = m[4, 1:3] = 1e-23
+    classes = markov._closed_classes(m > 0.0)
+    assert [c.tolist() for c in classes] == [[True] * 3 + [False] * 3]
+    v = markov._closed_class_limit(m, classes)
+    assert np.allclose(v, [1 / 3] * 3 + [0] * 3, rtol=0, atol=1e-15)
+
+
 def test_stationary_repeated_actions_average_the_classes():
     # both players repeat their own action: (1,1) and (2,2) absorb, and the
     # uniform start reaches each from one of the two off-diagonal states

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from zdmtd.game import GameSpec
+from zdmtd.game import PROB_TOL, GameSpec
+from zdmtd.lp import solve_each
 from zdmtd.sse import (
     _dirichlet_rows,
-    baselines,
+    _largest_coverage,
     big_m,
     build_mip,
     exhaustive_sse,
@@ -14,7 +15,8 @@ from zdmtd.sse import (
     sse_upper_bound,
 )
 
-from oracles import ideal_feasible_game, parse_mip, random_game, uniform_strategy
+from oracles import (ideal_feasible_game, oneshot_exact, oneshot_program, oneshot_sse_lp, parse_mip,
+                     random_game, uniform_strategy)
 
 PENNIES = GameSpec(2, (1, 1), (-1, -1), (-1, -1), (1, 1))
 
@@ -55,11 +57,13 @@ def test_mip_parse_rejects_garbage():
 
 
 def test_oneshot_symmetric_game():
+    # pinned exactly: both programs meet at c = (1/2, 1/2), and the first wins
     res = oneshot_sse(PENNIES)
-    assert np.allclose(res.coverage, 0.5, atol=1e-9)
-    assert res.value == pytest.approx(0.0, abs=1e-9)
+    assert res.coverage.tolist() == [0.5, 0.5]
+    assert res.value == 0.0
+    assert res.attacked == 1
     lifted = res.lifted(2)
-    assert np.allclose(lifted.rows, 0.5)
+    assert np.all(lifted.rows == 0.5)
 
 
 def test_oneshot_dominant_target():
@@ -88,6 +92,157 @@ def test_oneshot_matches_fine_grid():
         val = np.where(ua1 > ua2 + tol, ud1,
                        np.where(ua2 > ua1 + tol, ud2, np.maximum(ud1, ud2)))
         assert res.value >= val.max() - 1e-3
+
+
+def _program_values(g):
+    """Each attacked target's best defender value, NaN where no coverage
+    keeps it attacker-optimal, from the breakpoint kernel."""
+    x, _ = _largest_coverage(g)
+    return x * (g.u_d_cov - g.u_d_unc) + g.u_d_unc
+
+
+def _check_oneshot(g, res):
+    """The coverage is on the simplex and keeps the attacked target a best
+    one for the attacker, and the value is the defender's there."""
+    c = res.coverage
+    assert c.min() >= 0.0 and abs(c.sum() - 1.0) <= 4 * np.finfo(float).eps * g.k
+    attacker = g.u_a_unc + c * (g.u_a_cov - g.u_a_unc)
+    scale = np.max(np.abs(np.r_[g.u_a_cov, g.u_a_unc]))
+    assert attacker.max() - attacker[res.attacked - 1] <= 1e-12 * scale
+    a = res.attacked - 1
+    defender = g.u_d_unc[a] + c[a] * (g.u_d_cov[a] - g.u_d_unc[a])
+    assert res.value == pytest.approx(defender, rel=1e-12, abs=1e-12)
+
+
+def _unique_coverage(g, a, x, tol=1e-9):
+    """Whether the coverage with c_a = x that keeps a attacker-optimal is
+    unique: the other targets' least or most coverages use up 1 - x, or at
+    most one of them is free."""
+    u = g.u_a_unc[a] + x * (g.u_a_cov[a] - g.u_a_unc[a])
+    gap = g.u_a_cov - g.u_a_unc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((u - g.u_a_unc) / gap, 0.0, 1.0)
+    lo, hi = np.where(gap < 0, t, 0.0), np.where(gap > 0, t, 1.0)
+    others = np.arange(g.k) != a
+    lo, hi = lo[others], hi[others]
+    return (abs(lo.sum() - (1 - x)) <= tol or abs(hi.sum() - (1 - x)) <= tol
+            or np.count_nonzero(hi - lo > tol) <= 1)
+
+
+def test_oneshot_matches_the_lp_reference_property():
+    # random games, K = 2..8, with tied payoffs and attacker gaps of either
+    # sign or zero: every program's verdict and value agree with the simplex
+    # reference's, and so do the winner and, where it is unique, the coverage
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    payoff = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-3, 3, allow_nan=False).map(lambda v: round(v, 3)))
+
+    @st.composite
+    def games(draw):
+        k = draw(st.integers(2, 8))
+        vec = st.lists(payoff, min_size=k, max_size=k)
+        u_d_unc = draw(vec)
+        u_d_cov = [u + draw(st.sampled_from([0.5, 1.0, 2.0])) for u in u_d_unc]
+        u_a_unc = draw(vec)
+        gaps = draw(st.lists(st.one_of(st.just(0.0), payoff), min_size=k, max_size=k))
+        return GameSpec(k, u_d_cov, u_d_unc, [u + d for u, d in zip(u_a_unc, gaps)], u_a_unc)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(games())
+    def check(g):
+        values = _program_values(g)
+        outs = solve_each(oneshot_program(g))
+        for a, out in enumerate(outs):
+            assert (out.status == "optimal") == (not np.isnan(values[a])), (a, out.status)
+            if out.status == "optimal":
+                assert values[a] == pytest.approx(out.objective + g.u_d_unc[a], abs=1e-9)
+        res = oneshot_sse(g)
+        _check_oneshot(g, res)
+        ref = oneshot_sse_lp(g)
+        assert res.value == pytest.approx(ref.value, abs=1e-9)
+        assert res.attacked == ref.attacked
+        picked = outs[ref.attacked - 1]
+        if _unique_coverage(g, ref.attacked - 1, picked.x[ref.attacked - 1]):
+            assert np.allclose(res.coverage, ref.coverage, rtol=0, atol=1e-8)
+
+    check()
+
+
+def test_oneshot_matches_scipy_highs():
+    # a second LP oracle: every program's verdict and value, and the winner
+    # where no other program comes within 1e-7 of it
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(211)
+    for trial in range(200):
+        k = int(rng.integers(2, 9))
+        u_d_unc = rng.normal(size=k)
+        u_a_unc = rng.normal(size=k)
+        gaps = rng.normal(size=k) * (rng.random(k) < 0.8)  # a fifth with no gap
+        if trial % 2:
+            u_a_unc = rng.integers(-2, 3, size=k).astype(float)
+            gaps = rng.integers(-2, 3, size=k).astype(float)
+        g = GameSpec(k, u_d_unc + rng.uniform(0.1, 2, size=k), u_d_unc, u_a_unc + gaps, u_a_unc)
+        values = _program_values(g)
+        want = np.full(k, np.nan)
+        for a in range(k):
+            others = np.arange(k) != a
+            rows = np.zeros((k - 1, k))
+            rows[:, a] = -gaps[a]
+            rows[np.arange(k - 1), np.flatnonzero(others)] = gaps[others]
+            out = linprog(-np.eye(k)[a] * (g.u_d_cov[a] - g.u_d_unc[a]), A_ub=rows,
+                          b_ub=u_a_unc[a] - u_a_unc[others], A_eq=np.ones((1, k)), b_eq=[1.0],
+                          bounds=[(0.0, 1.0)] * k, method="highs")
+            assert out.status in (0, 2), out.message
+            if out.status == 0:
+                want[a] = -out.fun + g.u_d_unc[a]
+        assert np.array_equal(np.isnan(values), np.isnan(want)), (trial, values, want)
+        assert np.allclose(values, want, rtol=0, atol=1e-7, equal_nan=True), trial
+        res = oneshot_sse(g)
+        _check_oneshot(g, res)
+        ranked = np.sort(want[~np.isnan(want)])
+        if len(ranked) == 1 or ranked[-1] - ranked[-2] > 1e-7:
+            assert res.attacked == np.nanargmax(want) + 1, trial
+
+
+def test_oneshot_matches_the_exact_decision_on_small_integer_games():
+    # a rational-arithmetic decision of the same programs: the value to
+    # rounding, the same winner, and where it is unique the same coverage
+    rng = np.random.default_rng(223)
+    unique = 0
+    for trial in range(200):
+        k = int(rng.integers(2, 6))
+        u_d_unc = rng.integers(-3, 3, size=k)
+        g = GameSpec(k, u_d_unc + rng.integers(1, 4, size=k), u_d_unc,
+                     rng.integers(-3, 4, size=k), rng.integers(-3, 4, size=k))
+        res = oneshot_sse(g)
+        _check_oneshot(g, res)
+        want = oneshot_exact(g)
+        assert res.attacked == want.attacked, trial
+        assert res.value == pytest.approx(float(want.value), rel=1e-15, abs=1e-15), trial
+        if want.coverage is not None:
+            assert np.allclose(res.coverage, [float(c) for c in want.coverage],
+                               rtol=0, atol=1e-15), trial
+            unique += 1
+    assert unique >= 100, unique
+
+
+@pytest.mark.parametrize("power", [-20, -1, 1, 20, 60])
+def test_oneshot_is_exact_under_power_of_two_scaling(power):
+    # every step is a difference, a ratio or a comparison of payoffs, so
+    # scaling them all by 2^j scales the value and leaves the target and
+    # the coverage bit for bit (down to where the winner's absolute 1e-12
+    # margin decides)
+    rng = np.random.default_rng(227)
+    for _ in range(40):
+        g = random_game(int(rng.integers(2, 9)), rng)
+        s = 2.0 ** power
+        scaled = GameSpec(g.k, g.u_d_cov * s, g.u_d_unc * s, g.u_a_cov * s, g.u_a_unc * s)
+        a, b = oneshot_sse(g), oneshot_sse(scaled)
+        assert b.attacked == a.attacked
+        assert b.coverage.tobytes() == a.coverage.tobytes()
+        assert b.value == a.value * s
 
 
 def test_search_seeded_inclusion_and_zero_budget():
@@ -138,15 +293,16 @@ def test_upper_bound_and_sandwich():
     from zdmtd.mdp import defender_utility_under_br
     for _ in range(5):
         g = random_game(2, rng)
-        base = baselines(g, budget=10, seed=3)
+        one = oneshot_sse(g)
+        search = search_sse(g, budget=10, seed=3, seeds_in=[one.lifted(2)])
         # scorer-consistent sandwich is exact: the lifted one-shot strategy
         # is a seed, so the search value can never sit below its evaluation
-        lifted_pair, _ = defender_utility_under_br(g, base.oneshot.lifted(2))
-        assert lifted_pair.u_d <= base.search.value + 1e-12
-        # the LP-exact one-shot value differs from the evaluated one only by
+        lifted_pair, _ = defender_utility_under_br(g, one.lifted(2))
+        assert lifted_pair.u_d <= search.value + 1e-12
+        # the exact one-shot value differs from the evaluated one only by
         # the documented 1e-8 action blending
-        assert base.oneshot.value <= base.search.value + 1e-7
-        assert base.search.value <= base.upper_bound + 1e-9
+        assert one.value <= search.value + 1e-7
+        assert search.value <= sse_upper_bound(g) + 1e-9
 
 
 def test_exhaustive_sse_counts_and_bound():
@@ -168,9 +324,9 @@ def test_zd_seed_keeps_theorem2_sandwich():
     assert ideal.found
     strategy, _, _ = realize_params(g, ideal.params, ideal.role1, ideal.role_k)
     zd_pair, _ = defender_utility_under_br(g, strategy)
-    base = baselines(g, budget=6, seed=2, seeds_in=[strategy])
-    assert zd_pair.u_d <= base.search.value + 1e-9
-    assert base.search.value <= base.upper_bound + 1e-9
+    search = search_sse(g, budget=6, seed=2, seeds_in=[oneshot_sse(g).lifted(3), strategy])
+    assert zd_pair.u_d <= search.value + 1e-9
+    assert search.value <= sse_upper_bound(g) + 1e-9
 
 
 def test_mip_parse_render_reproduces_model_property():
